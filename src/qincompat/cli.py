@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -217,7 +216,6 @@ def _cmd_region(args) -> int:
         bisect_tol=args.bisect_tol,
         margin=args.margin,
         budget=args.budget,
-        jobs=args.jobs,
     )
     dataset = region_report_to_dataset(report)
     dataset["meta"]["tolerances"] = _tolerances(args)
@@ -332,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("specs", nargs="+")
     p.add_argument("--rays", type=int, default=64)
     p.add_argument("--bisect-tol", type=float, default=1e-3)
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("QINCOMPAT_JOBS", "1")))
     common(p)
     p.set_defaults(func=_cmd_region)
 
@@ -365,10 +361,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, RuntimeError) as exc:
+        # RuntimeError is solver trouble (a barrier iterate left the cone,
+        # inconsistent marginals): report it, never a traceback
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -11,7 +11,6 @@ oracle boundaries are exact up to the bisection tolerance.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,14 +104,12 @@ def scan_rays(
     margin: float = CRITERION_MARGIN,
     budget: int = DEFAULT_ORACLE_BUDGET,
     analytic=None,
-    jobs: int = 1,
 ) -> RegionReport:
     """Bisect the criterion (and optionally oracle) boundary along each ray.
 
     ``analytic``, when given, is a callable mapping a direction to a known
     closed-form boundary radius; it is stored alongside the bisection
-    results.  Rays are independent and may be evaluated in parallel, with
-    output order fixed by the input order.
+    results.  Rays are reported in the input order.
     """
     base_channels = list(base_channels)
     if bisect_tol < MIN_BISECT_TOL:
@@ -167,14 +164,9 @@ def scan_rays(
             analytic_radius=ana,
         )
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rays = tuple(pool.map(run_ray, dirs))
-    else:
-        rays = tuple(run_ray(u) for u in dirs)
     return RegionReport(
         channel_labels=tuple(c.label for c in base_channels),
-        rays=rays,
+        rays=tuple(run_ray(u) for u in dirs),
     )
 
 

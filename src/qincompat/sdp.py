@@ -22,10 +22,10 @@
     multiplied by an a priori bound on the optimizer norm, bounds the
     distance to the true optimum from above.
 
-Hermitian variables are carried as real coordinate vectors over a fixed
-orthonormal basis (diagonal units plus symmetric and antisymmetric
-off-diagonal pairs scaled by 1/sqrt(2)), so the Newton linear algebra is
-real throughout.
+The domination Newton step is preconditioned CG on Hermitian matrices.
+Only the oracles use real coordinates over a fixed orthonormal Hermitian
+basis (diagonal units plus symmetric and antisymmetric off-diagonal pairs
+scaled by 1/sqrt(2)).
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ DEFAULT_ORACLE_BUDGET = 2000
 _BARRIER_SHIFT = 1e-12
 _MU_FACTOR = 0.2
 _ARMIJO = 0.01
-# dense Hessian assembly for the domination solver up to this matrix size
-_DENSE_QUADREP_MAX_DIM = 30
 
 
 class SolverStatus(Enum):
@@ -142,45 +140,6 @@ def coords_to_mat(x, d: int) -> np.ndarray:
     return m
 
 
-def _quad_rep_sum(u_stack: np.ndarray) -> np.ndarray:
-    """Coordinate-basis matrix of X -> sum_i U_i X U_i on Hermitians."""
-    d = u_stack.shape[-1]
-    iu, ju = _triu(d)
-    k = len(iu)
-    n = d * d
-    sq2 = np.sqrt(2.0)
-
-    dd = np.zeros((d, d))
-    w = np.zeros((d, k), dtype=np.complex128)
-    z1 = np.zeros((k, k), dtype=np.complex128)
-    z2 = np.zeros((k, k), dtype=np.complex128)
-    for u in u_stack:
-        dd += (u * u.conj()).real
-        # w[r, b] = u[r, iu_b] * u[ju_b, r]
-        w += u[:, iu] * u[ju, :].T
-        a1 = u[ju][:, iu]
-        z1 += a1 * a1.T
-        z2 += u[ju][:, ju] * u[iu][:, iu].T
-
-    out = np.empty((n, n))
-    sd, ss, sa = slice(0, d), slice(d, d + k), slice(d + k, n)
-    out[sd, sd] = dd
-    out[sd, ss] = sq2 * w.real
-    out[ss, sd] = out[sd, ss].T
-    out[sd, sa] = -sq2 * w.imag
-    out[sa, sd] = out[sd, sa].T
-    out[ss, ss] = (z1 + z2).real
-    out[ss, sa] = (z2 - z1).imag
-    out[sa, ss] = out[ss, sa].T
-    out[sa, sa] = (z2 - z1).real
-    return out
-
-
-def _quad_rep(u: np.ndarray) -> np.ndarray:
-    """Real matrix of the map X -> u X u on Hermitians, in coordinate form."""
-    return _quad_rep_sum(u[None, :, :])
-
-
 # ---------------------------------------------------------------------------
 # domination solver
 # ---------------------------------------------------------------------------
@@ -206,7 +165,7 @@ def _newton_cg(u_stack, mu, rhs_mat, tol, max_iter):
     scale = mu * n_cons
 
     def hv(x):
-        return mu * np.einsum("ipq,qr,irs->ps", u_stack, x, u_stack, optimize=True)
+        return mu * (u_stack @ x @ u_stack).sum(axis=0)
 
     def pre(r):
         return (mean_inv @ r @ mean_inv) / scale
@@ -249,7 +208,6 @@ def solve_domination(
 
     mu = 1.0
     mu_final = gap_tol / (4.0 * nu)
-    dense = dim <= _DENSE_QUADREP_MAX_DIM
 
     steps = 0
     status = SolverStatus.OPTIMAL
@@ -271,19 +229,8 @@ def solve_domination(
             u_stack = np.linalg.inv(s_stack)
             u_stack = (u_stack + u_stack.conj().transpose(0, 2, 1)) / 2.0
             grad = eye - mu * u_stack.sum(axis=0)
-            if dense:
-                hess = mu * _quad_rep_sum(u_stack)
-                gvec = mat_to_coords(grad)
-                try:
-                    dx = -np.linalg.solve(hess, gvec)
-                except np.linalg.LinAlgError:
-                    status = SolverStatus.NUMERICAL_FAILURE
-                    break
-                dec2 = float(-gvec @ dx)
-                step_mat = coords_to_mat(dx, dim)
-            else:
-                step_mat = _newton_cg(u_stack, mu, -grad, 1e-12, 4 * dim * dim)
-                dec2 = float(np.vdot(step_mat, -grad).real)
+            step_mat = _newton_cg(u_stack, mu, -grad, 1e-12, 4 * dim * dim)
+            dec2 = float(np.vdot(step_mat, -grad).real)
             tol_dec = max(mu / 16.0, 1e-13 * (1.0 + abs(float(np.trace(h).real))))
             if dec2 <= tol_dec:
                 break

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import qincompat.cli
 from qincompat.cli import main
 
 
@@ -153,3 +154,15 @@ def test_byte_identical_output(specs, capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["check"]) == 1
     assert main(["bogus"]) == 1
+
+
+def test_solver_runtime_error_is_reported(specs, capsys, monkeypatch):
+    def broken_oracle(*args, **kwargs):
+        raise RuntimeError("barrier iterate left the feasible cone")
+
+    monkeypatch.setattr(qincompat.cli, "solve_joint_channel", broken_oracle)
+    code = main(["check", specs["dep08"], specs["dep08"], "--oracle"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: barrier iterate left the feasible cone\n"
+    assert "Traceback" not in err

@@ -73,14 +73,6 @@ def test_scan_with_analytic_callable():
     assert report.rays[0].analytic_radius == 1.0
 
 
-def test_scan_parallel_matches_serial():
-    chans = [make_identity(2), make_identity(2)]
-    dirs = ray_directions(2, 5)
-    serial = scan_rays(chans, dirs)
-    parallel = scan_rays(chans, dirs, jobs=4)
-    assert serial == parallel
-
-
 def test_bisect_brackets_converge():
     calls = []
 

@@ -17,7 +17,7 @@ from qincompat.sdp import (
     Feasibility,
     SolverStatus,
     _embed_for_partial_trace,
-    _quad_rep,
+    _newton_cg,
     coords_to_mat,
     mat_to_coords,
     solve_domination,
@@ -53,12 +53,15 @@ def test_coords_isometry():
     assert abs(lhs - frob_inner(a, b).real) < 1e-12
 
 
-def test_quad_rep_matches_sandwich():
-    for d in (2, 4):
-        u = random_hermitian(RNG, d)
-        x = random_hermitian(RNG, d)
-        lhs = _quad_rep(u) @ mat_to_coords(x)
-        assert np.abs(lhs - mat_to_coords(u @ x @ u)).max() < 1e-12
+def test_newton_cg_solves_sandwich_sum():
+    # matrix sizes 4, 9, 16 are the criterion SDP at d = 2, 3, 4
+    mu = 0.3
+    for n in (4, 9, 16):
+        u_stack = np.stack([random_psd(RNG, n) + 0.1 * np.eye(n) for _ in range(3)])
+        rhs = random_hermitian(RNG, n)
+        x = _newton_cg(u_stack, mu, rhs, 1e-12, 4 * n * n)
+        lhs = mu * sum(u @ x @ u for u in u_stack)
+        assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
 
 def test_embed_is_partial_trace_adjoint():
