@@ -22,7 +22,13 @@ from .fisher import (
     is_prime,
     mub_family,
 )
-from .sdp import DominationProblem, SolverStatus, solve_domination
+from .sdp import (
+    FEASIBLE_BAND,
+    DominationProblem,
+    Feasibility,
+    SolverStatus,
+    solve_domination,
+)
 
 # Converts "strictly larger than d" into a numerically stable test; the
 # solver reports values to better than this accuracy.
@@ -93,6 +99,29 @@ def resolve_bases(d: int, count: int, policy: str = "auto"):
     raise ValueError(f"unknown bases policy {policy!r}")
 
 
+def _criterion_verdict(d: int, gs, context: str, margin: float, sdp_gap: float):
+    """Minimize Tr H over dominators of the G-matrices; certify above d + margin."""
+    result = solve_domination(
+        DominationProblem(d * d, tuple(gs)), gap_tol=sdp_gap
+    )
+    if result.status is not SolverStatus.OPTIMAL:
+        return Verdict(
+            VerdictKind.UNDETERMINED,
+            None,
+            margin,
+            f"criterion SDP did not converge ({result.status.value}, "
+            f"gap {result.gap:.2e})",
+        )
+    value = result.value
+    cert = (
+        f"criterion SDP value {value:.9f} vs threshold {d} "
+        f"({context}; solver gap {result.gap:.1e})"
+    )
+    if value > d + margin:
+        return Verdict(VerdictKind.INCOMPATIBLE_CERTIFIED, value, margin, cert)
+    return Verdict(VerdictKind.UNDETERMINED, value, margin, cert)
+
+
 def zhu_criterion_channels(
     channels,
     bases,
@@ -123,25 +152,9 @@ def zhu_criterion_channels(
         basis_labels = [f"basis-{i}" for i in range(len(bases))]
 
     gs = [g_matrix(c, e).m for c, e in zip(channels, bases)]
-    result = solve_domination(
-        DominationProblem(d * d, tuple(gs)), gap_tol=sdp_gap
+    return _criterion_verdict(
+        d, gs, f"bases: {', '.join(basis_labels)}", margin, sdp_gap
     )
-    if result.status is not SolverStatus.OPTIMAL:
-        return Verdict(
-            VerdictKind.UNDETERMINED,
-            None,
-            margin,
-            f"criterion SDP did not converge ({result.status.value}, "
-            f"gap {result.gap:.2e})",
-        )
-    value = result.value
-    cert = (
-        f"criterion SDP value {value:.9f} vs threshold {d} "
-        f"(bases: {', '.join(basis_labels)}; solver gap {result.gap:.1e})"
-    )
-    if value > d + margin:
-        return Verdict(VerdictKind.INCOMPATIBLE_CERTIFIED, value, margin, cert)
-    return Verdict(VerdictKind.UNDETERMINED, value, margin, cert)
 
 
 def zhu_criterion_povms(
@@ -156,24 +169,7 @@ def zhu_criterion_povms(
         if p.d != d:
             raise ValueError("all POVMs must share one dimension")
     gs = [g_matrix_povm(p, label=f"povm-{i}").m for i, p in enumerate(povms)]
-    result = solve_domination(
-        DominationProblem(d * d, tuple(gs)), gap_tol=sdp_gap
-    )
-    if result.status is not SolverStatus.OPTIMAL:
-        return Verdict(
-            VerdictKind.UNDETERMINED,
-            None,
-            margin,
-            f"criterion SDP did not converge ({result.status.value})",
-        )
-    value = result.value
-    cert = (
-        f"criterion SDP value {value:.9f} vs threshold {d} "
-        f"({len(povms)} POVMs; solver gap {result.gap:.1e})"
-    )
-    if value > d + margin:
-        return Verdict(VerdictKind.INCOMPATIBLE_CERTIFIED, value, margin, cert)
-    return Verdict(VerdictKind.UNDETERMINED, value, margin, cert)
+    return _criterion_verdict(d, gs, f"{len(povms)} POVMs", margin, sdp_gap)
 
 
 def schur_pair_criterion(b, c, s: float, t: float) -> Verdict:
@@ -253,13 +249,11 @@ def self_compat_threshold(d: int) -> float:
     return (d + 2.0) / (2.0 * (d + 1.0))
 
 
-def oracle_verdict(lambda_star: float, status, *, band: float = 1e-7) -> Verdict:
+def oracle_verdict(lambda_star: float, status) -> Verdict:
     """Wrap an oracle outcome as a Verdict (the only source of compatibility)."""
-    from .sdp import Feasibility
-
     cert = f"oracle joint-channel optimum lambda* = {lambda_star:.3e}"
     if status is Feasibility.FEASIBLE:
-        return Verdict(VerdictKind.COMPATIBLE_CERTIFIED, None, band, cert)
+        return Verdict(VerdictKind.COMPATIBLE_CERTIFIED, None, FEASIBLE_BAND, cert)
     if status is Feasibility.INFEASIBLE:
-        return Verdict(VerdictKind.INCOMPATIBLE_CERTIFIED, None, band, cert)
-    return Verdict(VerdictKind.UNDETERMINED, None, band, cert + " (marginal)")
+        return Verdict(VerdictKind.INCOMPATIBLE_CERTIFIED, None, FEASIBLE_BAND, cert)
+    return Verdict(VerdictKind.UNDETERMINED, None, FEASIBLE_BAND, cert + " (marginal)")

@@ -114,6 +114,8 @@ def scan_rays(
     base_channels = list(base_channels)
     if bisect_tol < MIN_BISECT_TOL:
         raise ValueError(f"bisect_tol must be at least {MIN_BISECT_TOL}")
+    if not base_channels:
+        raise ValueError("at least one channel is required")
     n = len(base_channels)
     d = base_channels[0].d
     for c in base_channels:

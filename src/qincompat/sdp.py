@@ -9,11 +9,13 @@
     The reported gap comes from the barrier parameter, 2 * mu * N * dim.
 
 (b) ``solve_joint_channel`` / ``solve_povm_joint``: decide whether a joint
-    channel (or joint measurement) with prescribed marginals exists.  The
-    affine constraints are eliminated by a particular least-squares
-    solution plus an orthonormal null-space basis, and the concave function
-    lambda_min over the remaining free coordinates is maximized by the same
-    barrier machinery applied to
+    channel (or joint measurement) with prescribed marginals exists.  Over
+    Kronecker strings of per-factor Hermitian bases with member 0 the
+    normalized identity, the marginals fix exactly the strings with at most
+    one non-identity constrained factor.  The others span the free
+    directions, an inclusion-exclusion sum of the embedded targets is the
+    minimum-norm particular solution, and lambda_min over the free
+    coordinates is maximized by the same barrier machinery applied to
 
         maximize  lambda + mu * log det(J(x) - lambda I).
 
@@ -23,22 +25,17 @@
     distance to the true optimum from above.
 
 The domination Newton step is preconditioned CG on Hermitian matrices.
-Only the oracles use real coordinates over a fixed orthonormal Hermitian
-basis (diagonal units plus symmetric and antisymmetric off-diagonal pairs
-scaled by 1/sqrt(2)).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from .channels import Channel
-from .linalg import check_hermitian
+from .linalg import check_hermitian, partial_trace
 
 DOMINATION_GAP_TOL = 1e-6
 FEASIBILITY_GAP_COARSE = 1e-5
@@ -99,45 +96,6 @@ class FeasibilityResult:
     status: Feasibility
     gap: float = float("nan")
     iterations: int = 0
-
-
-# ---------------------------------------------------------------------------
-# real coordinates for Hermitian matrices
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _triu(d: int):
-    iu, ju = np.triu_indices(d, 1)
-    return iu, ju
-
-
-def hermitian_coord_count(d: int) -> int:
-    return d * d
-
-
-def mat_to_coords(m) -> np.ndarray:
-    """Coordinates of a Hermitian matrix in the fixed orthonormal real basis."""
-    a = np.asarray(m, dtype=np.complex128)
-    d = a.shape[0]
-    iu, ju = _triu(d)
-    upper = a[iu, ju]
-    return np.concatenate(
-        [np.diag(a).real, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag]
-    )
-
-
-def coords_to_mat(x, d: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.size != d * d:
-        raise ValueError(f"coordinate vector of length {x.size}, expected {d * d}")
-    iu, ju = _triu(d)
-    k = len(iu)
-    m = np.zeros((d, d), dtype=np.complex128)
-    m[np.arange(d), np.arange(d)] = x[:d]
-    upper = (x[d:d + k] + 1j * x[d + k:]) / np.sqrt(2.0)
-    m[iu, ju] = upper
-    m[ju, iu] = upper.conj()
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +234,6 @@ def _max_affine_min_eig(
     *,
     coarse_gap: float = FEASIBILITY_GAP_COARSE,
     fine_gap: float = FEASIBILITY_GAP_FINE,
-    band: float = FEASIBLE_BAND,
     max_newton_steps: int = 4000,
 ):
     """Maximize lambda_min(j0 + sum_k x_k basis[k]) over x.
@@ -285,7 +242,7 @@ def _max_affine_min_eig(
     orthonormal in the Frobenius inner product, with traceless members.
     """
     dim = j0.shape[0]
-    m = basis.shape[0] if basis.size else 0
+    m = basis.shape[0]
     eye = np.eye(dim)
 
     if m == 0:
@@ -316,7 +273,6 @@ def _max_affine_min_eig(
     ub_min = float("inf")
     while True:
         # center at the current barrier weight
-        u = None
         polish_done = 0
         for _ in range(80):
             s = s_of(x, lam)
@@ -371,9 +327,6 @@ def _max_affine_min_eig(
         # (always dual-feasible) normalized identity to regain positivity
         s = s_of(x, lam)
         lam_att = lam + float(np.linalg.eigvalsh(s)[0])
-        if u is None:
-            u = np.linalg.inv(s)
-            u = (u + u.conj().T) / 2.0
         y = u / float(np.trace(u).real)
         defect = np.einsum("kpq,qp->k", basis, y, optimize=True).real
         y_proj = y - np.tensordot(defect, basis, axes=1)
@@ -389,7 +342,7 @@ def _max_affine_min_eig(
             best = (x.copy(), lam_att)
         ub_min = min(ub_min, ub)
         gap = ub_min - best[1]
-        decided = best[1] >= band or ub_min <= -band
+        decided = best[1] >= FEASIBLE_BAND or ub_min <= -FEASIBLE_BAND
         if gap <= fine_gap or (gap <= coarse_gap and decided):
             break
         if mu <= 1e-13 or steps >= max_newton_steps:
@@ -400,36 +353,53 @@ def _max_affine_min_eig(
     return x_best, lam_best, ub_min, steps
 
 
-def _classify(lam: float, band: float = FEASIBLE_BAND) -> Feasibility:
-    if lam >= band:
+def _classify(lam: float) -> Feasibility:
+    if lam >= FEASIBLE_BAND:
         return Feasibility.FEASIBLE
-    if lam <= -band:
+    if lam <= -FEASIBLE_BAND:
         return Feasibility.INFEASIBLE
     return Feasibility.MARGINAL
 
 
-def _null_space_setup(rows: np.ndarray, rhs: np.ndarray, dim: int, to_matrix):
-    """Particular solution and orthonormal traceless null basis of rows @ x = rhs."""
-    sol, _, _, _ = np.linalg.lstsq(rows, rhs, rcond=None)
-    residual = float(np.linalg.norm(rows @ sol - rhs))
-    if residual > 1e-8 * (1.0 + float(np.linalg.norm(rhs))):
-        raise RuntimeError(
-            f"marginal constraints are inconsistent: residual {residual:.3e}"
-        )
-    _, svals, vt = np.linalg.svd(rows, full_matrices=True)
-    tol = max(rows.shape) * np.finfo(float).eps * (svals[0] if svals.size else 1.0)
-    rank = int((svals > tol).sum())
-    null_rows = vt[rank:]
-    j0 = to_matrix(sol)
-    basis = np.stack([to_matrix(r) for r in null_rows]) if len(null_rows) else (
-        np.zeros((0, j0.shape[0], j0.shape[0]), dtype=np.complex128)
+def _solve_family(j0, basis, coarse_gap, fine_gap) -> FeasibilityResult:
+    """Maximize lambda_min over j0 + span(basis) and classify the optimum."""
+    x, lam, ub, steps = _max_affine_min_eig(
+        j0, basis, coarse_gap=coarse_gap, fine_gap=fine_gap
     )
-    return j0, basis
+    witness = j0 + np.tensordot(x, basis, axes=1)
+    witness = (witness + witness.conj().T) / 2.0
+    return FeasibilityResult(
+        lambda_star=lam,
+        witness=witness,
+        status=_classify(lam),
+        gap=ub - lam,
+        iterations=steps,
+    )
 
 
 # ---------------------------------------------------------------------------
-# joint channel oracle
+# joint operators with prescribed marginals
 # ---------------------------------------------------------------------------
+
+def _diagonal_basis(k: int) -> np.ndarray:
+    """Diagonal orthonormal basis diag(Helmert row j); member 0 is I/sqrt(k)."""
+    h = np.tril(np.ones((k, k)), -1) - np.diag(np.arange(k))
+    h[0] = 1.0
+    return (h / np.linalg.norm(h, axis=1, keepdims=True))[:, None, :] * np.eye(k)
+
+
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal Hermitian basis of d x d matrices; member 0 is I/sqrt(d).
+
+    The diagonal members come first, then the symmetric and antisymmetric
+    off-diagonal unit pairs scaled by 1/sqrt(2).
+    """
+    iu, ju = np.triu_indices(d, 1)
+    upper = np.zeros((len(iu), d, d))
+    upper[np.arange(len(iu)), iu, ju] = np.sqrt(0.5)
+    lower = upper.transpose(0, 2, 1)
+    return np.concatenate([_diagonal_basis(d), upper + lower, 1j * (lower - upper)])
+
 
 def _embed_for_partial_trace(small: np.ndarray, dims, keep) -> np.ndarray:
     """Adjoint of the partial trace: <embed(A), M> == <A, Tr_discarded(M)>."""
@@ -447,6 +417,46 @@ def _embed_for_partial_trace(small: np.ndarray, dims, keep) -> np.ndarray:
     total = int(np.prod(dims))
     return np.ascontiguousarray(t.reshape(total, total))
 
+
+def _marginal_family(dims, factor_bases, shared, shared_target, targets):
+    """Minimum-norm ``j0`` with the given marginals and a basis of the rest.
+
+    ``factor_bases[i]`` is an orthonormal Hermitian basis of factor i with
+    member 0 the normalized identity.  ``targets`` are the marginals on each
+    other factor (in order) with ``shared``, ``shared_target`` the one on
+    ``shared`` alone.  ``basis`` stacks the Kronecker strings with two or
+    more non-identity constrained factors, the strings no marginal sees.
+    """
+    dims = list(dims)
+    total = int(np.prod(dims))
+    constrained = [i for i in range(len(dims)) if i != shared]
+    # inclusion-exclusion: the pair terms count the shared marginal N times
+    marginals = [({shared}, shared_target, 1 - len(targets))] + [
+        ({shared, i}, t, dims[i]) for i, t in zip(constrained, targets)
+    ]
+    j0 = sum(
+        w * dims[shared] / total * _embed_for_partial_trace(t, dims, keep)
+        for keep, t, w in marginals
+    )
+    for keep, t, _ in marginals:
+        residual = float(np.linalg.norm(partial_trace(j0, dims, keep) - t))
+        if residual > 1e-8 * (1.0 + float(np.linalg.norm(t))):
+            raise RuntimeError(
+                f"marginal constraints are inconsistent: residual {residual:.3e}"
+            )
+
+    strings = factor_bases[0]
+    for b in factor_bases[1:]:
+        k, n = strings.shape[0] * b.shape[0], strings.shape[1] * b.shape[1]
+        strings = np.einsum("aij,bkl->abikjl", strings, b).reshape(k, n, n)
+    labels = np.indices([len(b) for b in factor_bases]).reshape(len(dims), -1)
+    non_identity = (labels[constrained] > 0).sum(axis=0)
+    return j0, strings[non_identity >= 2]
+
+
+# ---------------------------------------------------------------------------
+# joint channel oracle
+# ---------------------------------------------------------------------------
 
 def solve_joint_channel(
     channels,
@@ -479,38 +489,15 @@ def solve_joint_channel(
             "budget explicitly to force the solve"
         )
 
-    dims = [d] * (n + 1)
-    targets = [(frozenset({0, i + 1}), c.choi) for i, c in enumerate(channels)]
-    targets.append((frozenset({0}), np.eye(d, dtype=np.complex128)))
-
-    rows, rhs_parts = [], []
-    for keep, target in targets:
-        dk = int(np.prod([dims[i] for i in sorted(keep)]))
-        nk = hermitian_coord_count(dk)
-        rhs_parts.append(mat_to_coords(target))
-        unit = np.zeros(nk)
-        for b in range(nk):
-            unit[b] = 1.0
-            emb = _embed_for_partial_trace(coords_to_mat(unit, dk), dims, keep)
-            rows.append(mat_to_coords(emb))
-            unit[b] = 0.0
-
-    j0, basis = _null_space_setup(
-        np.array(rows), np.concatenate(rhs_parts), big_dim,
-        lambda v: coords_to_mat(v, big_dim),
+    # factor 0 is the input, factors 1..N the outputs
+    j0, basis = _marginal_family(
+        [d] * (n + 1),
+        [_hermitian_basis(d)] * (n + 1),
+        0,
+        np.eye(d, dtype=np.complex128),
+        [c.choi for c in channels],
     )
-    x, lam, ub, steps = _max_affine_min_eig(
-        j0, basis, coarse_gap=coarse_gap, fine_gap=fine_gap
-    )
-    witness = j0 + (np.tensordot(x, basis, axes=1) if x.size else 0.0)
-    witness = (witness + witness.conj().T) / 2.0
-    return FeasibilityResult(
-        lambda_star=lam,
-        witness=witness,
-        status=_classify(lam),
-        gap=ub - lam,
-        iterations=steps,
-    )
+    return _solve_family(j0, basis, coarse_gap, fine_gap)
 
 
 def joint_witness_channel(result: FeasibilityResult, d: int, n: int) -> Channel:
@@ -555,39 +542,16 @@ def solve_povm_joint(
             f"needs dim^2 = {big_dim * big_dim}, over the oracle budget {budget}"
         )
 
-    bc = hermitian_coord_count(d)
-    n_coords = n_out * bc
-    outcomes = list(itertools.product(*[range(c) for c in counts]))
-
-    rows, rhs_parts = [], []
-    for i, p in enumerate(povms):
-        for a in range(counts[i]):
-            rhs_parts.append(mat_to_coords(p.effects[a]))
-            sel = [sb for sb, s in enumerate(outcomes) if s[i] == a]
-            for b in range(bc):
-                row = np.zeros(n_coords)
-                row[[sb * bc + b for sb in sel]] = 1.0
-                rows.append(row)
-
-    def to_big(v):
-        out = np.zeros((big_dim, big_dim), dtype=np.complex128)
-        for sb in range(n_out):
-            block = coords_to_mat(v[sb * bc:(sb + 1) * bc], d)
-            out[sb * d:(sb + 1) * d, sb * d:(sb + 1) * d] = block
-        return out
-
-    j0, basis = _null_space_setup(
-        np.array(rows), np.concatenate(rhs_parts), big_dim, to_big
+    # one classical outcome register per POVM, then the system; diagonal
+    # register bases keep every candidate block-diagonal
+    j0, basis = _marginal_family(
+        counts + [d],
+        [_diagonal_basis(k) for k in counts] + [_hermitian_basis(d)],
+        len(povms),
+        np.eye(d, dtype=np.complex128),
+        [
+            sum(np.kron(np.diag(row), e) for row, e in zip(np.eye(k), p.effects))
+            for k, p in zip(counts, povms)
+        ],
     )
-    x, lam, ub, steps = _max_affine_min_eig(
-        j0, basis, coarse_gap=coarse_gap, fine_gap=fine_gap
-    )
-    witness = j0 + (np.tensordot(x, basis, axes=1) if x.size else 0.0)
-    witness = (witness + witness.conj().T) / 2.0
-    return FeasibilityResult(
-        lambda_star=lam,
-        witness=witness,
-        status=_classify(lam),
-        gap=ub - lam,
-        iterations=steps,
-    )
+    return _solve_family(j0, basis, coarse_gap, fine_gap)

@@ -77,6 +77,26 @@ def test_povm_criterion_trivial():
     assert abs(v.value - 1.0) < 1e-6
 
 
+def test_non_convergence_reports_solver_gap(monkeypatch):
+    import qincompat.criteria as criteria
+
+    real = criteria.solve_domination
+    monkeypatch.setattr(
+        criteria,
+        "solve_domination",
+        lambda problem, **kw: real(problem, max_newton_steps=1, **kw),
+    )
+    pc = Povm(2, tuple(np.outer(v, v.conj()) for v in canonical_basis(2)))
+    pf = Povm(2, tuple(np.outer(v, v.conj()) for v in fourier_basis(2)))
+    chans = [make_identity(2), make_identity(2)]
+    for v in (
+        zhu_criterion_povms([pc, pf]),
+        zhu_criterion_channels(chans, [canonical_basis(2), fourier_basis(2)]),
+    ):
+        assert v.kind is VerdictKind.UNDETERMINED and v.value is None
+        assert "did not converge (max-iterations, gap " in v.certificate
+
+
 def test_schur_pair_criterion_certifies():
     b = np.array([[1.0, 0.5], [0.5, 1.0]])
     v = schur_pair_criterion(b, b, 0.9, 0.9)

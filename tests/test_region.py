@@ -30,6 +30,11 @@ def test_axis_ray_radius_one():
     assert ray.oracle_radius == 1.0
 
 
+def test_scan_rejects_empty_channel_list():
+    with pytest.raises(ValueError, match="at least one channel"):
+        scan_rays([], [(1.0,)])
+
+
 def test_identity_pair_diagonal():
     chans = [make_identity(2), make_identity(2)]
     u = (1.0 / SQ2, 1.0 / SQ2)

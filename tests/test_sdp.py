@@ -16,10 +16,11 @@ from qincompat.sdp import (
     DominationProblem,
     Feasibility,
     SolverStatus,
+    _diagonal_basis,
     _embed_for_partial_trace,
+    _hermitian_basis,
+    _marginal_family,
     _newton_cg,
-    coords_to_mat,
-    mat_to_coords,
     solve_domination,
     solve_joint_channel,
     solve_povm_joint,
@@ -30,6 +31,7 @@ from helpers import (
     random_channel,
     random_compatible_pair,
     random_hermitian,
+    random_povm,
     random_psd,
     random_unitary,
 )
@@ -37,20 +39,65 @@ from helpers import (
 RNG = np.random.default_rng(2718)
 
 
-# --- coordinate carrier -----------------------------------------------------
+# --- analytic marginal family ------------------------------------------------
 
-def test_coords_roundtrip():
-    for d in (2, 3, 6):
-        m = random_hermitian(RNG, d)
-        back = coords_to_mat(mat_to_coords(m), d)
-        assert np.abs(back - m).max() < 1e-14
+def _channel_family_args(rng, d, n):
+    chois = [random_channel(rng, d).choi for _ in range(n)]
+    return [d] * (n + 1), [_hermitian_basis(d)] * (n + 1), 0, np.eye(d), chois
 
 
-def test_coords_isometry():
-    a = random_hermitian(RNG, 4)
-    b = random_hermitian(RNG, 4)
-    lhs = float(mat_to_coords(a) @ mat_to_coords(b))
-    assert abs(lhs - frob_inner(a, b).real) < 1e-12
+def _povm_family_args(rng, d, counts):
+    povms = [random_povm(rng, d, k) for k in counts]
+    targets = [
+        sum(np.kron(np.diag(row), e) for row, e in zip(np.eye(k), p.effects))
+        for k, p in zip(counts, povms)
+    ]
+    bases = [_diagonal_basis(k) for k in counts] + [_hermitian_basis(d)]
+    return list(counts) + [d], bases, len(counts), np.eye(d), targets
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        lambda rng: _channel_family_args(rng, 2, 2),
+        lambda rng: _channel_family_args(rng, 2, 3),
+        lambda rng: _channel_family_args(rng, 3, 2),
+        lambda rng: _povm_family_args(rng, 2, (2, 3)),
+    ],
+    ids=["channel-d2-N2", "channel-d2-N3", "channel-d3-N2", "povm-2x3"],
+)
+def test_marginal_family(make_args):
+    dims, bases, shared, shared_target, targets = make_args(np.random.default_rng(5))
+    for fb, dim in zip(bases, dims):
+        assert np.abs(fb[0] - np.eye(dim) / np.sqrt(dim)).max() < 1e-15
+        assert np.abs(fb - fb.conj().transpose(0, 2, 1)).max() == 0.0
+    j0, basis = _marginal_family(dims, bases, shared, shared_target, targets)
+
+    sizes = [len(fb) for i, fb in enumerate(bases) if i != shared]
+    expected = dims[shared] ** 2 * (
+        int(np.prod(sizes)) - 1 - sum(k - 1 for k in sizes)
+    )
+    assert basis.shape == (expected, j0.shape[0], j0.shape[0])
+    flat = basis.reshape(len(basis), -1)
+    assert np.abs(flat.conj() @ flat.T - np.eye(len(basis))).max() < 1e-12
+    assert np.abs(np.einsum("kpp->k", basis)).max() < 1e-12
+
+    others = [i for i in range(len(dims)) if i != shared]
+    keeps = [{shared}] + [{shared, i} for i in others]
+    for member in basis:
+        for keep in keeps:
+            assert np.abs(partial_trace(member, dims, keep)).max() < 1e-12
+    for keep, target in zip(keeps, [shared_target] + targets):
+        assert np.abs(partial_trace(j0, dims, keep) - target).max() < 1e-12
+    # minimum norm: j0 has no component along the free directions
+    assert np.abs(flat.conj() @ j0.reshape(-1)).max() < 1e-12
+
+
+def test_marginal_family_rejects_inconsistent_targets():
+    rng = np.random.default_rng(6)
+    dims, bases, shared, shared_target, targets = _channel_family_args(rng, 2, 2)
+    with pytest.raises(RuntimeError, match="inconsistent"):
+        _marginal_family(dims, bases, shared, 2.0 * shared_target, targets)
 
 
 def test_newton_cg_solves_sandwich_sum():
