@@ -11,7 +11,7 @@ surfaced as undetermined rather than silently counted either way.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .criteria import (
@@ -69,7 +69,10 @@ def _decide_subset(channels, bases_policy, use_oracle, margin, budget) -> Verdic
     )
     if verdict.kind is VerdictKind.INCOMPATIBLE_CERTIFIED or not use_oracle:
         return verdict
-    result = solve_joint_channel(channels, budget=budget)
+    try:
+        result = solve_joint_channel(channels, budget=budget)
+    except RuntimeError as exc:
+        return replace(verdict, certificate=f"{verdict.certificate}; oracle error: {exc}")
     if result.status is Feasibility.MARGINAL:
         # keep whatever information the criterion produced
         return verdict

@@ -24,7 +24,10 @@
     multiplied by an a priori bound on the optimizer norm, bounds the
     distance to the true optimum from above.
 
-The domination Newton step is preconditioned CG on Hermitian matrices.
+The domination Newton step is preconditioned CG on Hermitian matrices.  The
+oracle step builds its Newton system from matmuls over the basis flattened
+once (the Hessian as one real product of the (Re, Im) views) and line-searches
+along the direction matrix dS, carrying the accepted slack into the next step.
 """
 
 from __future__ import annotations
@@ -102,10 +105,10 @@ class FeasibilityResult:
 # domination solver
 # ---------------------------------------------------------------------------
 
-def _chol_logdet(s_stack):
-    """Stacked Cholesky factors and total log-determinant, or (None, None)."""
+def _chol_logdet(s):
+    """Cholesky factor of a matrix (or stack) and total log-det, or (None, None)."""
     try:
-        chol = np.linalg.cholesky(s_stack)
+        chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         return None, None
     diags = np.diagonal(chol, axis1=-2, axis2=-1).real
@@ -239,7 +242,12 @@ def _max_affine_min_eig(
     """Maximize lambda_min(j0 + sum_k x_k basis[k]) over x.
 
     Returns ``(x, lam_attained, upper_bound, steps)``.  ``basis`` must be
-    orthonormal in the Frobenius inner product, with traceless members.
+    orthonormal in the Frobenius inner product, with Hermitian traceless
+    members.  A Newton step is plain matmuls: for Hermitian B, Re tr(A B) is
+    the real dot product of the (Re, Im) views of A and B, so with U = S^-1
+    and T_k = U B_k U the Hessian Re tr(T_k B_l) is one real product of half
+    the complex flops.  The line search moves S along dS = sum_k dx_k B_k -
+    dlam I, and the accepted trial's S and log-det carry to the next step.
     """
     dim = j0.shape[0]
     m = basis.shape[0]
@@ -253,40 +261,35 @@ def _max_affine_min_eig(
     if traces.max() > 1e-8:
         raise ValueError("free directions must be traceless for the optimum bound")
 
-    basis_sw = basis.transpose(0, 2, 1).reshape(m, dim * dim)
+    basis_rows = basis.reshape(m * dim, dim)
+    basis_re = np.asarray(basis, np.complex128).reshape(m, -1).view(np.float64)
+
+    def along(coeffs):  # sum_k coeffs[k] basis[k]
+        return (coeffs @ basis_re).view(np.complex128).reshape(dim, dim)
 
     x = np.zeros(m)
     lam = float(np.linalg.eigvalsh(j0)[0]) - 1.0
     mu = 1.0
     steps = 0
-
-    def s_of(x_now, lam_now):
-        return j0 + np.tensordot(x_now, basis, axes=1) - lam_now * eye
-
-    def phi_of(x_now, lam_now, mu_now):
-        _, logdet = _chol_logdet(s_of(x_now, lam_now)[None, :, :])
-        if logdet is None:
-            return None
-        return lam_now + mu_now * logdet
+    s = j0 + along(x) - lam * eye
 
     best = (x.copy(), lam)
     ub_min = float("inf")
     while True:
+        _, logdet = _chol_logdet(s)
+        if logdet is None:
+            raise RuntimeError("barrier iterate left the feasible cone")
         # center at the current barrier weight
         polish_done = 0
         for _ in range(80):
-            s = s_of(x, lam)
-            chol, logdet = _chol_logdet(s[None, :, :])
-            if chol is None:
-                raise RuntimeError("barrier iterate left the feasible cone")
             u = np.linalg.inv(s)
             u = (u + u.conj().T) / 2.0
-            t_stack = np.einsum("pq,kqr,rs->kps", u, basis, u, optimize=True)
-            gx = mu * np.einsum("kpq,qp->k", basis, u, optimize=True).real
+            t_stack = u @ (basis_rows @ u).reshape(m, dim, dim)
+            gx = mu * (basis_re @ u.reshape(-1).view(np.float64))
             gl = 1.0 - mu * float(np.trace(u).real)
-            hxx = mu * (t_stack.reshape(m, -1) @ basis_sw.T).real
-            hxl = mu * np.einsum("kpp->k", t_stack).real
-            hll = mu * float((u * u.conj()).sum().real)
+            hxx = mu * (t_stack.reshape(m, -1).view(np.float64) @ basis_re.T)
+            hxl = mu * np.trace(t_stack, axis1=1, axis2=2).real
+            hll = mu * float(np.vdot(u, u).real)
             mat = np.empty((m + 1, m + 1))
             mat[:m, :m] = hxx
             mat[:m, m] = -hxl
@@ -307,14 +310,18 @@ def _max_affine_min_eig(
                 if polish_done > 2:
                     break
             phi0 = lam + mu * logdet
+            ds = along(dz[:m]) - dz[m] * eye
             t = 1.0
             accepted = False
             while t > 1e-13:
-                x_try = x + t * dz[:m]
+                s_try = s + t * ds
+                _, logdet_try = _chol_logdet(s_try)
                 lam_try = lam + t * dz[m]
-                phi_try = phi_of(x_try, lam_try, mu)
-                if phi_try is not None and phi_try >= phi0 + _ARMIJO * t * dec2:
-                    x, lam = x_try, lam_try
+                if logdet_try is not None and (
+                    lam_try + mu * logdet_try >= phi0 + _ARMIJO * t * dec2
+                ):
+                    x, lam = x + t * dz[:m], lam_try
+                    s, logdet = s_try, logdet_try
                     accepted = True
                     break
                 t *= 0.5
@@ -325,11 +332,10 @@ def _max_affine_min_eig(
         # certificate: restore exact dual feasibility of the scaled inverse
         # slack by projecting out the free directions, then mix with the
         # (always dual-feasible) normalized identity to regain positivity
-        s = s_of(x, lam)
+        s = j0 + along(x) - lam * eye
         lam_att = lam + float(np.linalg.eigvalsh(s)[0])
         y = u / float(np.trace(u).real)
-        defect = np.einsum("kpq,qp->k", basis, y, optimize=True).real
-        y_proj = y - np.tensordot(defect, basis, axes=1)
+        y_proj = y - along(basis_re @ y.reshape(-1).view(np.float64))
         y_min = float(np.linalg.eigvalsh(y_proj)[0])
         theta = 0.0
         if y_min < 0.0:

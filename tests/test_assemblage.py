@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qincompat.assemblage
 from qincompat import (
     AssemblageLabel,
     VerdictKind,
@@ -31,6 +32,24 @@ def test_three_copies_oracle_compatible():
     assert AssemblageLabel.NK1_GENUINELY_INCOMPATIBLE in report.labels
     assert AssemblageLabel.NK1_GENUINELY_STRONG_INCOMPATIBLE in report.labels
     assert len(report.higher_verdicts) == 1
+
+
+def test_oracle_runtime_error_keeps_criterion_verdict(monkeypatch):
+    def broken_oracle(*args, **kwargs):
+        raise RuntimeError("barrier iterate left the feasible cone")
+
+    chans = [make_depolarizing(2, 0.6)] * 3
+    plain = classify(chans, 2)
+    monkeypatch.setattr(qincompat.assemblage, "solve_joint_channel", broken_oracle)
+    report = classify(chans, 2, use_oracle=True)
+    assert report.labels == plain.labels
+    for subset, v in report.subset_verdicts.items():
+        before = plain.subset_verdicts[subset]
+        assert v.kind is before.kind is VerdictKind.UNDETERMINED
+        assert v.value == before.value
+        assert v.certificate == (
+            before.certificate + "; oracle error: barrier iterate left the feasible cone"
+        )
 
 
 def test_mixed_tuple_incompatible_but_not_strong():

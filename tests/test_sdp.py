@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,11 @@ from helpers import (
     random_unitary,
 )
 
-RNG = np.random.default_rng(2718)
+
+@pytest.fixture
+def rng(request):
+    """A generator seeded from the test's node id, independent of test order."""
+    return np.random.default_rng(zlib.crc32(request.node.nodeid.encode()))
 
 
 # --- analytic marginal family ------------------------------------------------
@@ -100,22 +106,22 @@ def test_marginal_family_rejects_inconsistent_targets():
         _marginal_family(dims, bases, shared, 2.0 * shared_target, targets)
 
 
-def test_newton_cg_solves_sandwich_sum():
+def test_newton_cg_solves_sandwich_sum(rng):
     # matrix sizes 4, 9, 16 are the criterion SDP at d = 2, 3, 4
     mu = 0.3
     for n in (4, 9, 16):
-        u_stack = np.stack([random_psd(RNG, n) + 0.1 * np.eye(n) for _ in range(3)])
-        rhs = random_hermitian(RNG, n)
+        u_stack = np.stack([random_psd(rng, n) + 0.1 * np.eye(n) for _ in range(3)])
+        rhs = random_hermitian(rng, n)
         x = _newton_cg(u_stack, mu, rhs, 1e-12, 4 * n * n)
         lhs = mu * sum(u @ x @ u for u in u_stack)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
 
-def test_embed_is_partial_trace_adjoint():
+def test_embed_is_partial_trace_adjoint(rng):
     dims = [2, 3, 2]
     keep = {0, 2}
-    small = random_hermitian(RNG, 4)
-    big = random_hermitian(RNG, 12)
+    small = random_hermitian(rng, 4)
+    big = random_hermitian(rng, 12)
     lhs = frob_inner(_embed_for_partial_trace(small, dims, keep), big)
     rhs = frob_inner(small, partial_trace(big, dims, keep))
     assert abs(lhs - rhs) < 1e-12
@@ -139,12 +145,12 @@ def test_commuting_diagonal_pair():
     assert abs(res.value - 5.0) < 1e-6
 
 
-def test_commuting_random_pairs_match_eigen_max():
+def test_commuting_random_pairs_match_eigen_max(rng):
     for _ in range(20):
         d = 6
-        u = random_unitary(RNG, d)
-        da = RNG.uniform(0.0, 3.0, d)
-        db = RNG.uniform(0.0, 3.0, d)
+        u = random_unitary(rng, d)
+        da = rng.uniform(0.0, 3.0, d)
+        db = rng.uniform(0.0, 3.0, d)
         a = u @ np.diag(da) @ u.conj().T
         b = u @ np.diag(db) @ u.conj().T
         res = solve_domination(DominationProblem(d, (a, b)))
@@ -152,11 +158,11 @@ def test_commuting_random_pairs_match_eigen_max():
         assert abs(res.value - np.maximum(da, db).sum()) < 1e-6
 
 
-def test_mub_constraints_closed_form():
+def test_mub_constraints_closed_form(rng):
     for d in (2, 3):
         fam = mub_family(d)
         for n in range(2, d + 2):
-            ts = RNG.uniform(0.0, 1.0, n)
+            ts = rng.uniform(0.0, 1.0, n)
             cons = tuple(
                 g_matrix(make_depolarizing(d, t), e).m
                 for t, e in zip(ts, fam.bases)
@@ -166,22 +172,22 @@ def test_mub_constraints_closed_form():
             assert abs(res.value - expected) < 1e-6
 
 
-def test_weak_duality():
-    cons = tuple(random_psd(RNG, 4) for _ in range(3))
+def test_weak_duality(rng):
+    cons = tuple(random_psd(rng, 4) for _ in range(3))
     res = solve_domination(DominationProblem(4, cons))
     for c in cons:
         assert res.value >= np.trace(c).real - 1e-6
 
 
-def test_feasibility_of_optimizer():
-    cons = tuple(random_psd(RNG, 5) for _ in range(2))
+def test_feasibility_of_optimizer(rng):
+    cons = tuple(random_psd(rng, 5) for _ in range(2))
     res = solve_domination(DominationProblem(5, cons))
     for c in cons:
         assert np.linalg.eigvalsh(res.optimizer - c)[0] >= -1e-7
 
 
-def test_monotone_in_constraints():
-    a, b, c = (random_psd(RNG, 4) for _ in range(3))
+def test_monotone_in_constraints(rng):
+    a, b, c = (random_psd(rng, 4) for _ in range(3))
     two = solve_domination(DominationProblem(4, (a, b))).value
     three = solve_domination(DominationProblem(4, (a, b, c))).value
     assert three >= two - 1e-9
@@ -208,8 +214,8 @@ def test_problem_validation():
 
 # --- joint channel oracle ----------------------------------------------------
 
-def test_delta_compatible_with_anything():
-    phi = random_channel(RNG, 2)
+def test_delta_compatible_with_anything(rng):
+    phi = random_channel(rng, 2)
     res = solve_joint_channel([make_depolarizing(2, 0.0), phi])
     assert res.status is Feasibility.FEASIBLE
 
@@ -234,8 +240,8 @@ def test_depolarizing_decisive_sides():
     assert solve_joint_channel([outside, outside]).status is Feasibility.INFEASIBLE
 
 
-def test_feasible_witness_is_valid_joint_choi():
-    c1, c2 = random_compatible_pair(RNG, 2)
+def test_feasible_witness_is_valid_joint_choi(rng):
+    c1, c2 = random_compatible_pair(rng, 2)
     res = solve_joint_channel([c1, c2])
     assert res.status is Feasibility.FEASIBLE
     w = res.witness
@@ -247,13 +253,23 @@ def test_feasible_witness_is_valid_joint_choi():
     assert np.abs(partial_trace(w, [2, 2, 2], {0, 2}) - c2.choi).max() < 1e-6
 
 
-def test_oracle_permutation_symmetry():
+def test_oracle_permutation_symmetry(rng):
     a = make_depolarizing(2, 0.8)
-    b = random_channel(RNG, 2)
+    b = random_channel(rng, 2)
     r1 = solve_joint_channel([a, b])
     r2 = solve_joint_channel([b, a])
     assert r1.status == r2.status
     assert abs(r1.lambda_star - r2.lambda_star) < 1e-6
+
+
+def test_werner_cloning_threshold_three_copies():
+    # optimal 1 -> N cloning of a qubit: t* = (N + d) / (N (1 + d)) = 5/9
+    # (Werner, PRA 58, 1827 (1998)); three copies use m = 216 free coordinates
+    t_star = 5.0 / 9.0
+    inside = solve_joint_channel([make_depolarizing(2, t_star - 1e-3)] * 3)
+    assert inside.status is Feasibility.FEASIBLE
+    outside = solve_joint_channel([make_depolarizing(2, t_star + 1e-3)] * 3)
+    assert outside.status is Feasibility.INFEASIBLE
 
 
 def test_budget_error_names_dimension():
@@ -266,10 +282,10 @@ def test_certified_gap_small():
     assert res.gap <= 1e-4
 
 
-def test_witness_packages_as_rectangular_channel():
+def test_witness_packages_as_rectangular_channel(rng):
     from qincompat.sdp import joint_witness_channel
 
-    c1, c2 = random_compatible_pair(RNG, 2)
+    c1, c2 = random_compatible_pair(rng, 2)
     res = solve_joint_channel([c1, c2])
     joint = joint_witness_channel(res, 2, 2)
     assert joint.d_in == 2 and joint.d_out == 4
@@ -293,10 +309,10 @@ def test_canonical_fourier_not_jointly_measurable():
     assert res.status is Feasibility.INFEASIBLE
 
 
-def test_induced_povms_of_compatible_pair():
-    c1, c2 = random_compatible_pair(RNG, 2)
-    p1 = induced_povm(c1, random_basis(RNG, 2))
-    p2 = induced_povm(c2, random_basis(RNG, 2))
+def test_induced_povms_of_compatible_pair(rng):
+    c1, c2 = random_compatible_pair(rng, 2)
+    p1 = induced_povm(c1, random_basis(rng, 2))
+    p2 = induced_povm(c2, random_basis(rng, 2))
     res = solve_povm_joint([p1, p2])
     assert res.status is Feasibility.FEASIBLE
 
