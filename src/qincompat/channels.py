@@ -143,6 +143,17 @@ def validate_povm(effects, d: int, tol: float = VALIDATION_TOL) -> None:
         )
 
 
+def shared_dimension(items, kind: str = "channel") -> int:
+    """Dimension d of a non-empty tuple of square channels, or of POVMs."""
+    if not items:
+        raise ValueError(f"at least one {kind} is required")
+    d = items[0].d
+    if any(x.d != d for x in items):
+        shape = "square dimension" if kind == "channel" else "dimension"
+        raise ValueError(f"all {kind}s must share one {shape}")
+    return d
+
+
 # ---------------------------------------------------------------------------
 # named channel families
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Commands: check, assemblage, region, figure, validate.  Input channels and
 POVMs are JSON specs (see ``channels.channel_from_spec``); reports are
-JSON or CSV with every tolerance echoed in the header so runs are
-reproducible.  Exit codes for ``check``: 0 compatible-certified,
+JSON (``region`` and ``figure`` tables also CSV).  JSON reports of the
+solving commands echo every tolerance, with the library constant for any a
+command does not take, so runs are reproducible.  Each command takes only
+the options it reads.  Exit codes for ``check``: 0 compatible-certified,
 2 incompatible-certified, 3 undetermined, 1 usage or IO error.
 """
 
@@ -13,15 +15,15 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .assemblage import classify
 from .channels import (
+    VALIDATION_TOL,
     ChannelValidationError,
     PovmValidationError,
     channel_from_spec,
     povm_from_spec,
+    shared_dimension,
     validate_povm,
 )
 from .criteria import (
@@ -32,6 +34,7 @@ from .criteria import (
     zhu_criterion_channels,
 )
 from .region import (
+    BISECT_TOL,
     dataset_to_csv,
     emit_figure1_data,
     emit_figure2_data,
@@ -94,17 +97,18 @@ def _load_bases(arg: str, d: int, count: int):
 
 
 def _tolerances(args) -> dict:
+    """Tolerances in effect: the command's options, else the library constants."""
     return {
-        "criterion_margin": args.margin,
-        "domination_gap": args.sdp_gap,
+        "criterion_margin": getattr(args, "margin", CRITERION_MARGIN),
+        "domination_gap": getattr(args, "sdp_gap", DOMINATION_GAP_TOL),
         "oracle_gap": getattr(args, "oracle_gap", FEASIBILITY_GAP_COARSE),
-        "oracle_budget": getattr(args, "budget", DEFAULT_ORACLE_BUDGET),
-        "validation_tol": 1e-9,
+        "oracle_budget": args.budget,
+        "validation_tol": VALIDATION_TOL,
     }
 
 
 def _emit(args, payload) -> None:
-    if isinstance(payload, dict) and getattr(args, "format", "json") == "csv":
+    if getattr(args, "format", "json") == "csv":
         text = dataset_to_csv(payload)
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -126,10 +130,7 @@ def _verdict_dict(v) -> dict:
 
 def _cmd_check(args) -> int:
     channels = [_load_channel(p) for p in args.specs]
-    d = channels[0].d
-    for c in channels:
-        if c.d != d:
-            raise CliError("all channels must share one square dimension")
+    d = shared_dimension(channels)
     bases, labels = _load_bases(args.bases, d, len(channels))
     verdict = zhu_criterion_channels(
         channels, bases, basis_labels=labels, margin=args.margin,
@@ -295,27 +296,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, oracle=True):
+    def add_margin(p):
         p.add_argument("--margin", type=float, default=CRITERION_MARGIN,
                        help="criterion certification margin above d")
-        p.add_argument("--sdp-gap", type=float, default=DOMINATION_GAP_TOL,
-                       help="criterion SDP duality gap target")
+
+    def add_oracle(p):
+        p.add_argument("--oracle", action="store_true",
+                       help="also run the exact joint-channel oracle")
+        p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET,
+                       help="oracle size budget (N * dim^2)")
+
+    def add_output(p, csv=False):
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        if oracle:
-            p.add_argument("--oracle", action="store_true",
-                           help="also run the exact joint-channel oracle")
-            p.add_argument("--oracle-gap", type=float,
-                           default=FEASIBILITY_GAP_COARSE,
-                           help="oracle certified-gap target")
-            p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET,
-                           help="oracle size budget (N * dim^2)")
+        if csv:
+            p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("check", help="criterion and oracle verdict for channels")
     p.add_argument("specs", nargs="+", help="channel spec JSON files")
     p.add_argument("--bases", default="auto",
                    help="'auto', 'canonical-fourier', or a bases JSON file")
-    common(p)
+    add_margin(p)
+    p.add_argument("--sdp-gap", type=float, default=DOMINATION_GAP_TOL,
+                   help="criterion SDP duality gap target")
+    add_oracle(p)
+    p.add_argument("--oracle-gap", type=float, default=FEASIBILITY_GAP_COARSE,
+                   help="oracle certified-gap target")
+    add_output(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("assemblage", help="classify K-subsets of a channel tuple")
@@ -323,14 +329,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="subset size")
     p.add_argument("--bases", default="auto",
                    choices=["auto", "canonical-fourier"])
-    common(p)
+    add_margin(p)
+    add_oracle(p)
+    add_output(p)
     p.set_defaults(func=_cmd_assemblage)
 
     p = sub.add_parser("region", help="bisect compatibility region boundaries")
     p.add_argument("specs", nargs="+")
     p.add_argument("--rays", type=int, default=64)
-    p.add_argument("--bisect-tol", type=float, default=1e-3)
-    common(p)
+    p.add_argument("--bisect-tol", type=float, default=BISECT_TOL)
+    add_margin(p)
+    add_oracle(p)
+    add_output(p, csv=True)
     p.set_defaults(func=_cmd_region)
 
     p = sub.add_parser("figure", help="emit figure datasets")
@@ -339,15 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=200)
     p.add_argument("--B", dest="schur_b", help="fig1: Schur matrix spec JSON")
     p.add_argument("--C", dest="schur_c", help="fig1: second Schur matrix spec")
-    common(p)
+    add_oracle(p)
+    add_output(p, csv=True)
     p.set_defaults(func=_cmd_figure)
 
     p = sub.add_parser("validate", help="run channel/POVM invariants on specs")
     p.add_argument("specs", nargs="+")
-    p.add_argument("--output")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_validate, margin=CRITERION_MARGIN,
-                   sdp_gap=DOMINATION_GAP_TOL)
+    add_output(p)
+    p.set_defaults(func=_cmd_validate)
 
     return parser
 

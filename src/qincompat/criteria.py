@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .channels import make_schur
+from .channels import make_schur, shared_dimension
 from .fisher import (
     beta,
     canonical_basis,
@@ -23,6 +23,7 @@ from .fisher import (
     mub_family,
 )
 from .sdp import (
+    DOMINATION_GAP_TOL,
     FEASIBLE_BAND,
     DominationProblem,
     Feasibility,
@@ -62,6 +63,12 @@ class Verdict:
         return self.kind is not VerdictKind.UNDETERMINED
 
 
+def _canonical_fourier(d: int, count: int):
+    """The canonical and Fourier bases cycled to ``count`` members, with labels."""
+    pair, names = [canonical_basis(d), fourier_basis(d)], ["canonical", "fourier"]
+    return [pair[i % 2] for i in range(count)], [names[i % 2] for i in range(count)]
+
+
 def select_bases(d: int, count: int):
     """Default measurement bases for a criterion run.
 
@@ -77,12 +84,7 @@ def select_bases(d: int, count: int):
         fam = mub_family(d)
         names = ["canonical", "fourier"] + [f"mub-{k}" for k in range(2, d + 1)]
         return list(fam.bases[:count]), names[:count]
-    pair = [canonical_basis(d), fourier_basis(d)]
-    names = ["canonical", "fourier"]
-    return (
-        [pair[i % 2] for i in range(count)],
-        [names[i % 2] for i in range(count)],
-    )
+    return _canonical_fourier(d, count)
 
 
 def resolve_bases(d: int, count: int, policy: str = "auto"):
@@ -90,12 +92,7 @@ def resolve_bases(d: int, count: int, policy: str = "auto"):
     if policy == "auto":
         return select_bases(d, count)
     if policy == "canonical-fourier":
-        pair = [canonical_basis(d), fourier_basis(d)]
-        names = ["canonical", "fourier"]
-        return (
-            [pair[i % 2] for i in range(count)],
-            [names[i % 2] for i in range(count)],
-        )
+        return _canonical_fourier(d, count)
     raise ValueError(f"unknown bases policy {policy!r}")
 
 
@@ -128,7 +125,7 @@ def zhu_criterion_channels(
     *,
     basis_labels=None,
     margin: float = CRITERION_MARGIN,
-    sdp_gap: float = 1e-6,
+    sdp_gap: float = DOMINATION_GAP_TOL,
 ) -> Verdict:
     """Fisher-information incompatibility criterion for channels.
 
@@ -142,12 +139,7 @@ def zhu_criterion_channels(
         raise ValueError(
             f"got {len(channels)} channels but {len(bases)} bases"
         )
-    if not channels:
-        raise ValueError("at least one channel is required")
-    d = channels[0].d
-    for c in channels:
-        if c.d != d:
-            raise ValueError("all channels must share one square dimension")
+    d = shared_dimension(channels)
     if basis_labels is None:
         basis_labels = [f"basis-{i}" for i in range(len(bases))]
 
@@ -157,19 +149,14 @@ def zhu_criterion_channels(
     )
 
 
-def zhu_criterion_povms(
-    povms, *, margin: float = CRITERION_MARGIN, sdp_gap: float = 1e-6
-) -> Verdict:
+def zhu_criterion_povms(povms) -> Verdict:
     """Fisher-information incompatibility criterion for POVMs."""
     povms = list(povms)
-    if not povms:
-        raise ValueError("at least one POVM is required")
-    d = povms[0].d
-    for p in povms:
-        if p.d != d:
-            raise ValueError("all POVMs must share one dimension")
+    d = shared_dimension(povms, "POVM")
     gs = [g_matrix_povm(p, label=f"povm-{i}").m for i, p in enumerate(povms)]
-    return _criterion_verdict(d, gs, f"{len(povms)} POVMs", margin, sdp_gap)
+    return _criterion_verdict(
+        d, gs, f"{len(povms)} POVMs", CRITERION_MARGIN, DOMINATION_GAP_TOL
+    )
 
 
 def schur_pair_criterion(b, c, s: float, t: float) -> Verdict:

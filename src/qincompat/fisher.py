@@ -104,10 +104,8 @@ def g_matrix_povm(p: Povm, label: str = "") -> GMatrix:
 
 def g_matrix(c: Channel, e) -> GMatrix:
     """G-matrix of the measurement induced by channel ``c`` and basis ``e``."""
-    d = c.d
-    povm = induced_povm(c, e)
-    out = g_matrix_povm(povm, label=c.label or "channel")
-    return GMatrix(d, out.m, source_label=out.source_label)
+    c.d  # raises for a non-square channel
+    return g_matrix_povm(induced_povm(c, e), label=c.label or "channel")
 
 
 def beta(b) -> float:

@@ -15,16 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, make_schur
+from .channels import Channel, make_schur, shared_dimension
 from .criteria import (
+    ANALYTIC_EPS,
     CRITERION_MARGIN,
     VerdictKind,
-    resolve_bases,
+    select_bases,
     zhu_criterion_channels,
 )
 from .fisher import beta
 from .sdp import DEFAULT_ORACLE_BUDGET, Feasibility, solve_joint_channel
 
+BISECT_TOL = 1e-3
 MIN_BISECT_TOL = 1e-4
 
 
@@ -98,9 +100,8 @@ def scan_rays(
     base_channels,
     directions,
     use_oracle: bool = False,
-    bisect_tol: float = 1e-3,
+    bisect_tol: float = BISECT_TOL,
     *,
-    bases_policy: str = "auto",
     margin: float = CRITERION_MARGIN,
     budget: int = DEFAULT_ORACLE_BUDGET,
     analytic=None,
@@ -109,18 +110,14 @@ def scan_rays(
 
     ``analytic``, when given, is a callable mapping a direction to a known
     closed-form boundary radius; it is stored alongside the bisection
-    results.  Rays are reported in the input order.
+    results.  The criterion measures in the ``select_bases`` defaults.  Rays
+    are reported in the input order.
     """
     base_channels = list(base_channels)
     if bisect_tol < MIN_BISECT_TOL:
         raise ValueError(f"bisect_tol must be at least {MIN_BISECT_TOL}")
-    if not base_channels:
-        raise ValueError("at least one channel is required")
+    d = shared_dimension(base_channels)
     n = len(base_channels)
-    d = base_channels[0].d
-    for c in base_channels:
-        if c.d != d:
-            raise ValueError("all channels must share one square dimension")
     dirs = []
     for u in directions:
         u = np.asarray(u, dtype=float)
@@ -130,7 +127,7 @@ def scan_rays(
             raise ValueError(f"direction {u} leaves the positive orthant")
         dirs.append(np.clip(u, 0.0, None))
 
-    bases, labels = resolve_bases(d, n, bases_policy)
+    bases, labels = select_bases(d, n)
 
     def scaled(r, u):
         return [
@@ -217,25 +214,24 @@ def emit_figure1_data(
     use_oracle: bool = False,
     *,
     budget: int = DEFAULT_ORACLE_BUDGET,
-    bisect_tol: float = 1e-3,
 ) -> dict:
     """Criterion region (and optional oracle samples) for a Schur pair.
 
     Rows are (s, t, criterion_inside, oracle_compatible); the oracle column
     is empty unless requested.  With the oracle on, the boundary radii
     along both axes and the diagonal are recorded in the metadata; those
-    are the maximally compatible mixtures in the respective directions.
+    are the maximally compatible mixtures in the respective directions,
+    bisected to ``BISECT_TOL``.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     chan_b, chan_c = make_schur(b), make_schur(c)
     beta_b, beta_c = beta(b), beta(c)
-    eps = 1e-12
 
     def criterion_inside(s, t):
         return (
-            s * s + beta_c * t * t <= 1.0 + eps
-            and beta_b * s * s + t * t <= 1.0 + eps
+            s * s + beta_c * t * t <= 1.0 + ANALYTIC_EPS
+            and beta_b * s * s + t * t <= 1.0 + ANALYTIC_EPS
         )
 
     def oracle_compatible(s, t):
@@ -265,10 +261,10 @@ def emit_figure1_data(
         diag = bisect_boundary(
             lambda r: oracle_compatible(r / math.sqrt(2.0), r / math.sqrt(2.0)),
             math.sqrt(2.0),
-            bisect_tol,
+            BISECT_TOL,
         )
-        axis_s = bisect_boundary(lambda r: oracle_compatible(r, 0.0), 1.0, bisect_tol)
-        axis_t = bisect_boundary(lambda r: oracle_compatible(0.0, r), 1.0, bisect_tol)
+        axis_s = bisect_boundary(lambda r: oracle_compatible(r, 0.0), 1.0, BISECT_TOL)
+        axis_t = bisect_boundary(lambda r: oracle_compatible(0.0, r), 1.0, BISECT_TOL)
         meta["boundary_points"] = {
             "diagonal_coordinate": diag / math.sqrt(2.0),
             "axis_s": axis_s,

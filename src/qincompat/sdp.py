@@ -37,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channels import Channel
+from .channels import Channel, shared_dimension
 from .linalg import check_hermitian, partial_trace
 
 DOMINATION_GAP_TOL = 1e-6
@@ -46,6 +46,7 @@ FEASIBILITY_GAP_FINE = 5e-8
 FEASIBLE_BAND = 1e-7
 # N * (d^(N+1))^2; 2000 admits d=2 with N <= 3 and d=3 pairs, nothing larger
 DEFAULT_ORACLE_BUDGET = 2000
+_ORACLE_MAX_NEWTON_STEPS = 4000
 
 _BARRIER_SHIFT = 1e-12
 _MU_FACTOR = 0.2
@@ -231,14 +232,7 @@ def solve_domination(
 # affine lambda_min maximization engine
 # ---------------------------------------------------------------------------
 
-def _max_affine_min_eig(
-    j0: np.ndarray,
-    basis: np.ndarray,
-    *,
-    coarse_gap: float = FEASIBILITY_GAP_COARSE,
-    fine_gap: float = FEASIBILITY_GAP_FINE,
-    max_newton_steps: int = 4000,
-):
+def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray, coarse_gap: float):
     """Maximize lambda_min(j0 + sum_k x_k basis[k]) over x.
 
     Returns ``(x, lam_attained, upper_bound, steps)``.  ``basis`` must be
@@ -326,7 +320,7 @@ def _max_affine_min_eig(
                     break
                 t *= 0.5
             steps += 1
-            if not accepted or steps >= max_newton_steps:
+            if not accepted or steps >= _ORACLE_MAX_NEWTON_STEPS:
                 break
 
         # certificate: restore exact dual feasibility of the scaled inverse
@@ -349,9 +343,9 @@ def _max_affine_min_eig(
         ub_min = min(ub_min, ub)
         gap = ub_min - best[1]
         decided = best[1] >= FEASIBLE_BAND or ub_min <= -FEASIBLE_BAND
-        if gap <= fine_gap or (gap <= coarse_gap and decided):
+        if gap <= FEASIBILITY_GAP_FINE or (gap <= coarse_gap and decided):
             break
-        if mu <= 1e-13 or steps >= max_newton_steps:
+        if mu <= 1e-13 or steps >= _ORACLE_MAX_NEWTON_STEPS:
             break
         mu *= _MU_FACTOR
 
@@ -367,11 +361,11 @@ def _classify(lam: float) -> Feasibility:
     return Feasibility.MARGINAL
 
 
-def _solve_family(j0, basis, coarse_gap, fine_gap) -> FeasibilityResult:
+def _solve_family(
+    j0, basis, coarse_gap: float = FEASIBILITY_GAP_COARSE
+) -> FeasibilityResult:
     """Maximize lambda_min over j0 + span(basis) and classify the optimum."""
-    x, lam, ub, steps = _max_affine_min_eig(
-        j0, basis, coarse_gap=coarse_gap, fine_gap=fine_gap
-    )
+    x, lam, ub, steps = _max_affine_min_eig(j0, basis, coarse_gap)
     witness = j0 + np.tensordot(x, basis, axes=1)
     witness = (witness + witness.conj().T) / 2.0
     return FeasibilityResult(
@@ -469,22 +463,18 @@ def solve_joint_channel(
     *,
     budget: int = DEFAULT_ORACLE_BUDGET,
     coarse_gap: float = FEASIBILITY_GAP_COARSE,
-    fine_gap: float = FEASIBILITY_GAP_FINE,
 ) -> FeasibilityResult:
     """Decide whether the given channels are marginals of one joint channel.
 
     Maximizes the smallest eigenvalue over all Hermitian J of dimension
     d^(N+1) with Tr over all outputs equal to I_d and the i-th output
     marginal equal to the i-th Choi matrix.  A nonnegative optimum means a
-    joint channel exists.
+    joint channel exists.  ``coarse_gap`` is the certified gap that ends the
+    solve once the sign of the optimum is decided; a fixed finer gap
+    (``FEASIBILITY_GAP_FINE``) ends it otherwise.
     """
     channels = list(channels)
-    if not channels:
-        raise ValueError("at least one channel is required")
-    d = channels[0].d
-    for c in channels:
-        if c.d != d:
-            raise ValueError("all channels must share one square dimension")
+    d = shared_dimension(channels)
     n = len(channels)
     big_dim = d ** (n + 1)
     cost = n * big_dim * big_dim
@@ -503,7 +493,7 @@ def solve_joint_channel(
         np.eye(d, dtype=np.complex128),
         [c.choi for c in channels],
     )
-    return _solve_family(j0, basis, coarse_gap, fine_gap)
+    return _solve_family(j0, basis, coarse_gap)
 
 
 def joint_witness_channel(result: FeasibilityResult, d: int, n: int) -> Channel:
@@ -523,8 +513,6 @@ def solve_povm_joint(
     povms,
     *,
     budget: int = DEFAULT_ORACLE_BUDGET,
-    coarse_gap: float = FEASIBILITY_GAP_COARSE,
-    fine_gap: float = FEASIBILITY_GAP_FINE,
 ) -> FeasibilityResult:
     """Decide joint measurability of the given POVMs.
 
@@ -533,12 +521,7 @@ def solve_povm_joint(
     block is the PSD constraint, so the same lambda_min engine applies.
     """
     povms = list(povms)
-    if not povms:
-        raise ValueError("at least one POVM is required")
-    d = povms[0].d
-    for p in povms:
-        if p.d != d:
-            raise ValueError("all POVMs must share one dimension")
+    d = shared_dimension(povms, "POVM")
     counts = [len(p) for p in povms]
     n_out = int(np.prod(counts))
     big_dim = n_out * d
@@ -560,4 +543,4 @@ def solve_povm_joint(
             for k, p in zip(counts, povms)
         ],
     )
-    return _solve_family(j0, basis, coarse_gap, fine_gap)
+    return _solve_family(j0, basis)

@@ -10,8 +10,6 @@ from qincompat import (
     subset_sums_depolarizing,
 )
 
-RNG = np.random.default_rng(31)
-
 
 def test_three_copies_strong_incompatible():
     chans = [make_depolarizing(2, 0.75)] * 3

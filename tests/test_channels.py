@@ -25,8 +25,6 @@ from qincompat.channels import validate_channel
 from qincompat.linalg import kron, vec
 from helpers import random_basis, random_channel, random_hermitian, random_schur_matrix
 
-RNG = np.random.default_rng(911)
-
 
 def test_depolarizing_extremes():
     d = 3
@@ -49,15 +47,15 @@ def test_depolarizing_range_error():
         make_depolarizing(2, -0.1)
 
 
-def test_schur_all_ones_is_identity():
+def test_schur_all_ones_is_identity(rng):
     c = make_schur(np.ones((3, 3)))
-    x = random_hermitian(RNG, 3)
+    x = random_hermitian(rng, 3)
     assert np.abs(apply(c, x) - x).max() < 1e-12
 
 
-def test_schur_identity_matrix_is_dephasing():
+def test_schur_identity_matrix_is_dephasing(rng):
     c = make_schur(np.eye(3))
-    x = random_hermitian(RNG, 3)
+    x = random_hermitian(rng, 3)
     assert np.abs(apply(c, x) - np.diag(np.diag(x))).max() < 1e-12
 
 
@@ -72,29 +70,29 @@ def test_schur_errors_are_distinct():
         make_schur(np.array([[2.0, 0.1], [0.1, 2.0]]))
 
 
-def test_apply_identity_and_delta():
-    x = random_hermitian(RNG, 2)
+def test_apply_identity_and_delta(rng):
+    x = random_hermitian(rng, 2)
     assert np.abs(apply(make_identity(2), x) - x).max() < 1e-12
     out = apply(make_depolarizing(2, 0.0), x)
     assert np.abs(out - np.trace(x) * np.eye(2) / 2).max() < 1e-12
 
 
-def test_apply_schur_is_hadamard_product():
-    b = random_schur_matrix(RNG, 4)
+def test_apply_schur_is_hadamard_product(rng):
+    b = random_schur_matrix(rng, 4)
     c = make_schur(b)
     for _ in range(5):
-        x = random_hermitian(RNG, 4)
+        x = random_hermitian(rng, 4)
         assert np.abs(apply(c, x) - b * x).max() < 1e-12
 
 
-def test_apply_preserves_trace():
-    c = random_channel(RNG, 3)
-    x = random_hermitian(RNG, 3)
+def test_apply_preserves_trace(rng):
+    c = random_channel(rng, 3)
+    x = random_hermitian(rng, 3)
     assert abs(np.trace(apply(c, x)) - np.trace(x)) < 1e-9
 
 
-def test_adjoint_unital():
-    for c in (make_depolarizing(3, 0.7), random_channel(RNG, 3)):
+def test_adjoint_unital(rng):
+    for c in (make_depolarizing(3, 0.7), random_channel(rng, 3)):
         out = adjoint_apply(c, np.eye(3))
         assert np.abs(out - np.eye(3)).max() < 1e-9
 
@@ -106,18 +104,18 @@ def test_adjoint_of_delta():
     assert np.abs(adjoint_apply(c, p) - np.eye(3) / 3).max() < 1e-12
 
 
-def test_adjoint_duality():
-    c = random_channel(RNG, 3)
+def test_adjoint_duality(rng):
+    c = random_channel(rng, 3)
     for _ in range(100):
-        rho = random_hermitian(RNG, 3)
-        a = random_hermitian(RNG, 3)
+        rho = random_hermitian(rng, 3)
+        a = random_hermitian(rng, 3)
         lhs = frob_inner(a, apply(c, rho))
         rhs = frob_inner(adjoint_apply(c, a), rho)
         assert abs(lhs - rhs) < 1e-9
 
 
-def test_induced_povm_identity():
-    e = random_basis(RNG, 3)
+def test_induced_povm_identity(rng):
+    e = random_basis(rng, 3)
     p = induced_povm(make_identity(3), e)
     for i, eff in enumerate(p.effects):
         proj = np.outer(e[i], e[i].conj())
@@ -131,8 +129,8 @@ def test_induced_povm_delta():
         assert np.abs(eff - np.eye(3) / 3).max() < 1e-12
 
 
-def test_induced_povm_schur_canonical():
-    b = random_schur_matrix(RNG, 3)
+def test_induced_povm_schur_canonical(rng):
+    b = random_schur_matrix(rng, 3)
     p = induced_povm(make_schur(b), canonical_basis(3))
     for i, eff in enumerate(p.effects):
         expected = np.zeros((3, 3))
@@ -140,24 +138,24 @@ def test_induced_povm_schur_canonical():
         assert np.abs(eff - expected).max() < 1e-10
 
 
-def test_induced_povm_sums_to_identity():
+def test_induced_povm_sums_to_identity(rng):
     for _ in range(5):
-        c = random_channel(RNG, 3)
-        p = induced_povm(c, random_basis(RNG, 3))
+        c = random_channel(rng, 3)
+        p = induced_povm(c, random_basis(rng, 3))
         total = sum(p.effects)
         assert np.abs(total - np.eye(3)).max() < 1e-9
 
 
-def test_unital_channel_unit_trace_effects():
-    b = random_schur_matrix(RNG, 3)
-    p = induced_povm(make_schur(b), random_basis(RNG, 3))
+def test_unital_channel_unit_trace_effects(rng):
+    b = random_schur_matrix(rng, 3)
+    p = induced_povm(make_schur(b), random_basis(rng, 3))
     for eff in p.effects:
         assert abs(np.trace(eff) - 1.0) < 1e-10
 
 
-def test_marginals_of_trivial_extension():
+def test_marginals_of_trivial_extension(rng):
     d = 2
-    phi = random_channel(RNG, d, label="phi")
+    phi = random_channel(rng, d, label="phi")
     # joint X -> phi(X) (x) I/d carried as a Choi matrix
     ext = np.zeros((d * d * d, d * d * d), dtype=complex)
     t = phi.as_tensor()
@@ -174,16 +172,16 @@ def test_marginals_of_trivial_extension():
     assert np.abs(m1.choi - make_depolarizing(d, 0.0).choi).max() < 1e-9
 
 
-def test_marginal_factorization_mismatch():
-    joint = random_channel(RNG, 2, 4)
+def test_marginal_factorization_mismatch(rng):
+    joint = random_channel(rng, 2, 4)
     with pytest.raises(ValueError, match="factor"):
         marginal_channel(joint, [3, 2], 0)
 
 
-def test_validator_rejects_mutants():
+def test_validator_rejects_mutants(rng):
     c = make_depolarizing(2, 0.5)
     lam = np.linalg.eigvalsh(c.choi)[0]
-    v = RNG.normal(size=4) + 1j * RNG.normal(size=4)
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
     mutant = c.choi - 2.0 * lam * np.outer(v, v.conj())
     with pytest.raises(ChannelValidationError):

@@ -1,9 +1,24 @@
+import argparse
 import json
 
 import pytest
 
 import qincompat.cli
-from qincompat.cli import main
+from qincompat.cli import build_parser, main
+from qincompat.criteria import CRITERION_MARGIN
+from qincompat.sdp import DOMINATION_GAP_TOL, FEASIBILITY_GAP_COARSE
+
+# every option each command takes; each one is read by its command
+COMMAND_OPTIONS = {
+    "check": {"--bases", "--margin", "--sdp-gap", "--oracle", "--oracle-gap",
+              "--budget", "--output"},
+    "assemblage": {"--k", "--bases", "--margin", "--oracle", "--budget", "--output"},
+    "region": {"--rays", "--bisect-tol", "--margin", "--oracle", "--budget",
+               "--output", "--format"},
+    "figure": {"--d", "--resolution", "--B", "--C", "--oracle", "--budget",
+               "--output", "--format"},
+    "validate": {"--output"},
+}
 
 
 @pytest.fixture
@@ -166,3 +181,57 @@ def test_solver_runtime_error_is_reported(specs, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == "error: barrier iterate left the feasible cone\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
+def test_command_takes_only_options_it_reads(command, specs, capsys):
+    sub = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    flags = {
+        flag
+        for action in sub.choices[command]._actions
+        if action.dest != "help"
+        for flag in action.option_strings
+    }
+    assert flags == COMMAND_OPTIONS[command]
+    if command not in ("region", "figure"):
+        return
+    # tolerances a command does not take are echoed as the library constants
+    argv = (
+        ["region", specs["dep08"], specs["dep08"], "--rays", "1", "--margin", "1e-5"]
+        if command == "region"
+        else ["figure", "fig2", "--resolution", "16"]
+    )
+    assert main(argv) == 0
+    tolerances = json.loads(capsys.readouterr().out)["meta"]["tolerances"]
+    assert tolerances["domination_gap"] == DOMINATION_GAP_TOL
+    assert tolerances["oracle_gap"] == FEASIBILITY_GAP_COARSE
+    margin = 1e-5 if command == "region" else CRITERION_MARGIN
+    assert tolerances["criterion_margin"] == margin
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("check", "--format", "csv"),
+        ("assemblage", "--format", "csv"),
+        ("validate", "--format", "csv"),
+        ("region", "--sdp-gap", "0.5"),
+        ("region", "--oracle-gap", "0.5"),
+        ("figure", "--margin", "5"),
+        ("figure", "--sdp-gap", "0.5"),
+    ],
+)
+def test_flag_a_command_does_not_take_is_a_usage_error(
+    command, flag, value, specs, capsys
+):
+    operand = "fig2" if command == "figure" else specs["dep08"]
+    extra = ["--k", "1"] if command == "assemblage" else []
+    assert main([command, operand, flag, value] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert "Traceback" not in captured.err

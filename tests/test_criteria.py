@@ -21,8 +21,6 @@ from qincompat import (
 from qincompat.criteria import resolve_bases
 from qincompat.sdp import Feasibility
 
-RNG = np.random.default_rng(77)
-
 
 def test_depolarizing_pair_point_eight():
     d = 2
@@ -165,12 +163,12 @@ def test_depolarizing_criterion_errors():
         depolarizing_criterion(2, [0.5] * 4)
 
 
-def test_depolarizing_criterion_matches_sdp_route():
+def test_depolarizing_criterion_matches_sdp_route(rng):
     for d in (2, 3):
         fam = mub_family(d)
         for _ in range(3):
-            n = int(RNG.integers(2, d + 2))
-            ts = RNG.uniform(0.0, 1.0, n)
+            n = int(rng.integers(2, d + 2))
+            ts = rng.uniform(0.0, 1.0, n)
             analytic = depolarizing_criterion(d, ts)
             sdp = zhu_criterion_channels(
                 [make_depolarizing(d, t) for t in ts], fam.bases[:n]

@@ -25,8 +25,6 @@ from qincompat.fisher import unbiasedness_defect
 from qincompat.linalg import min_eigenvalue, partial_trace
 from helpers import random_basis, random_povm, random_schur_matrix
 
-RNG = np.random.default_rng(515)
-
 
 def test_omega_entries():
     w = omega(2)
@@ -54,19 +52,19 @@ def test_z_matrix_canonical():
     assert np.abs(z - np.diag([1.0, 0.0, 0.0, 1.0])).max() < 1e-14
 
 
-def test_z_matrix_is_rank_d_projector():
+def test_z_matrix_is_rank_d_projector(rng):
     for d in (2, 3, 5):
-        e = random_basis(RNG, d)
+        e = random_basis(rng, d)
         z = z_matrix(e)
         assert np.abs(z @ z - z).max() < 1e-10
         assert abs(np.trace(z) - d) < 1e-12
 
 
-def test_z_omega_overlap():
+def test_z_omega_overlap(rng):
     # unit overlap with the maximally entangled state for any basis
     for d in (2, 3, 4):
         for _ in range(5):
-            z = z_matrix(random_basis(RNG, d))
+            z = z_matrix(random_basis(rng, d))
             assert abs(frob_inner(z, omega(d)) - 1.0) < 1e-10
 
 
@@ -77,34 +75,34 @@ def test_z_overlap_unbiased():
         assert abs(frob_inner(zc, zf) - 1.0) < 1e-10
 
 
-def test_g_matrix_identity_channel():
+def test_g_matrix_identity_channel(rng):
     for d in (2, 3):
-        e = random_basis(RNG, d)
+        e = random_basis(rng, d)
         g = g_matrix(make_identity(d), e)
         assert np.abs(g.m - z_matrix(e)).max() < 1e-12
 
 
-def test_g_matrix_fully_depolarizing():
+def test_g_matrix_fully_depolarizing(rng):
     for d in (2, 3):
-        g = g_matrix(make_depolarizing(d, 0.0), random_basis(RNG, d))
+        g = g_matrix(make_depolarizing(d, 0.0), random_basis(rng, d))
         assert np.abs(g.m - omega(d)).max() < 1e-12
 
 
-def test_g_matrix_noise_scaling_depolarizing():
+def test_g_matrix_noise_scaling_depolarizing(rng):
     d = 3
-    e = random_basis(RNG, d)
+    e = random_basis(rng, d)
     for t in (0.0, 0.3, 1.0):
         g = g_matrix(make_depolarizing(d, t), e)
         expected = t * t * z_matrix(e) + (1 - t * t) * omega(d)
         assert np.abs(g.m - expected).max() < 1e-12
 
 
-def test_g_matrix_noise_scaling_schur():
+def test_g_matrix_noise_scaling_schur(rng):
     # mixing toward the fully depolarizing channel scales G quadratically
     d = 3
-    b = random_schur_matrix(RNG, d)
+    b = random_schur_matrix(rng, d)
     base = make_schur(b)
-    e = random_basis(RNG, d)
+    e = random_basis(rng, d)
     g0 = g_matrix(base, e)
     for t in (0.0, 0.3, 1.0):
         mixed_choi = t * base.choi + (1 - t) * np.eye(d * d) / d
@@ -134,11 +132,11 @@ def test_g_matrix_povm_coin_flip():
     assert np.abs(g.m - omega(2)).max() < 1e-12
 
 
-def test_g_matrix_povm_agrees_with_channel_route():
+def test_g_matrix_povm_agrees_with_channel_route(rng):
     from helpers import random_channel
 
-    c = random_channel(RNG, 3)
-    e = random_basis(RNG, 3)
+    c = random_channel(rng, 3)
+    e = random_basis(rng, 3)
     via_channel = g_matrix(c, e)
     via_povm = g_matrix_povm(induced_povm(c, e))
     assert np.abs(via_channel.m - via_povm.m).max() < 1e-12
@@ -151,11 +149,11 @@ def test_g_matrix_skips_zero_effects():
     assert np.abs(g.m - omega(2)).max() < 1e-12
 
 
-def test_g_dominates_omega_on_random_povms():
+def test_g_dominates_omega_on_random_povms(rng):
     for _ in range(200):
-        d = int(RNG.integers(2, 5))
-        k = int(RNG.integers(2, 6))
-        g = g_matrix_povm(random_povm(RNG, d, k))
+        d = int(rng.integers(2, 5))
+        k = int(rng.integers(2, 6))
+        g = g_matrix_povm(random_povm(rng, d, k))
         assert min_eigenvalue(g.m - omega(d)) >= -1e-9
 
 
@@ -185,10 +183,10 @@ def test_beta_requires_unit_diagonal():
         beta(np.diag([2.0, 1.0]))
 
 
-def test_beta_bounds_on_random_schur_matrices():
+def test_beta_bounds_on_random_schur_matrices(rng):
     for _ in range(200):
-        d = int(RNG.integers(2, 6))
-        b = random_schur_matrix(RNG, d)
+        d = int(rng.integers(2, 6))
+        b = random_schur_matrix(rng, d)
         val = beta(b)
         assert -1e-12 <= val <= 1.0 + 1e-12
 
@@ -247,9 +245,9 @@ def test_mub_second_member_is_fourier():
         assert np.abs(fam.bases[1] - fourier_basis(d)).max() < 1e-12
 
 
-def test_orthogonal_modulo_omega_schur():
-    b = random_schur_matrix(RNG, 3)
-    c = random_schur_matrix(RNG, 3)
+def test_orthogonal_modulo_omega_schur(rng):
+    b = random_schur_matrix(rng, 3)
+    c = random_schur_matrix(rng, 3)
     g1 = g_matrix(make_schur(b), canonical_basis(3))
     g2 = g_matrix(make_schur(c), fourier_basis(3))
     assert orthogonal_modulo_omega(g1, g2, 1e-10)

@@ -17,8 +17,6 @@ from qincompat.linalg import (
 )
 from helpers import random_basis, random_hermitian, random_povm
 
-RNG = np.random.default_rng(20240817)
-
 
 def test_kron_identity():
     assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
@@ -29,10 +27,10 @@ def test_kron_diag():
     assert np.array_equal(out, np.diag([1.0, 0.0, 0.0, 0.0]))
 
 
-def test_kron_trace_multiplicative():
+def test_kron_trace_multiplicative(rng):
     for _ in range(10):
-        a = random_hermitian(RNG, 3)
-        b = random_hermitian(RNG, 3)
+        a = random_hermitian(rng, 3)
+        b = random_hermitian(rng, 3)
         # oracle: direct multiplication of the two traces
         expected = np.trace(a) * np.trace(b)
         assert abs(np.trace(kron(a, b)) - expected) < 1e-12
@@ -45,22 +43,22 @@ def test_partial_trace_of_maximally_entangled():
     assert np.abs(out - np.eye(2) / 2).max() < 1e-14
 
 
-def test_partial_trace_of_kron():
+def test_partial_trace_of_kron(rng):
     for _ in range(10):
-        a = random_hermitian(RNG, 2)
-        b = random_hermitian(RNG, 2)
+        a = random_hermitian(rng, 2)
+        b = random_hermitian(rng, 2)
         out = partial_trace(kron(a, b), [2, 2], {0})
         assert np.abs(out - a * np.trace(b)).max() < 1e-12
 
 
-def test_partial_trace_keep_all_is_identity_map():
-    m = random_hermitian(RNG, 6)
+def test_partial_trace_keep_all_is_identity_map(rng):
+    m = random_hermitian(rng, 6)
     out = partial_trace(m, [2, 3], {0, 1})
     assert np.abs(out - m).max() < 1e-14
 
 
-def test_partial_trace_preserves_trace():
-    m = random_hermitian(RNG, 8)
+def test_partial_trace_preserves_trace(rng):
+    m = random_hermitian(rng, 8)
     out = partial_trace(m, [2, 2, 2], {1})
     assert abs(np.trace(out) - np.trace(m)) < 1e-12
 
@@ -70,10 +68,10 @@ def test_partial_trace_dim_mismatch_message():
         partial_trace(np.eye(4), [2, 3], {0})
 
 
-def test_partial_trace_composition():
+def test_partial_trace_composition(rng):
     # tracing out factor 2 then factor 3 equals tracing out both at once
     for _ in range(5):
-        m = random_hermitian(RNG, 8)
+        m = random_hermitian(rng, 8)
         once = partial_trace(m, [2, 2, 2], {0})
         stepwise = partial_trace(partial_trace(m, [2, 2, 2], {0, 1}), [2, 2], {0})
         assert np.abs(once - stepwise).max() < 1e-12
@@ -86,17 +84,17 @@ def test_vec_convention():
     assert np.array_equal(vec(e01), [0, 1, 0, 0])
 
 
-def test_vec_of_projector_is_kron():
+def test_vec_of_projector_is_kron(rng):
     for d in (2, 3, 5):
-        v = RNG.normal(size=d) + 1j * RNG.normal(size=d)
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
         v /= np.linalg.norm(v)
         assert np.abs(vec(np.outer(v, v.conj())) - np.kron(v, v.conj())).max() < 1e-14
 
 
-def test_vec_inner_product_is_trace():
+def test_vec_inner_product_is_trace(rng):
     for _ in range(10):
-        a = random_hermitian(RNG, 4)
-        b = random_hermitian(RNG, 4)
+        a = random_hermitian(rng, 4)
+        b = random_hermitian(rng, 4)
         lhs = np.vdot(vec(a), vec(b))
         assert abs(lhs - np.trace(a.conj().T @ b)) < 1e-12
 
@@ -120,26 +118,26 @@ def test_eigh_sorted_ascending():
     assert np.allclose(w, [1.0, 2.0, 3.0])
 
 
-def test_eigh_reconstruction():
+def test_eigh_reconstruction(rng):
     for _ in range(100):
-        m = random_hermitian(RNG, 6)
+        m = random_hermitian(rng, 6)
         w, v = eigh(m)
         rebuilt = (v * w) @ v.conj().T
         assert np.linalg.norm(rebuilt - m) < 1e-9 * max(1.0, np.linalg.norm(m))
 
 
-def test_eigh_deterministic():
-    m = random_hermitian(RNG, 5)
+def test_eigh_deterministic(rng):
+    m = random_hermitian(rng, 5)
     w1, v1 = eigh(m)
     w2, v2 = eigh(m.copy())
     assert np.array_equal(w1, w2)
     assert np.array_equal(v1, v2)
 
 
-def test_eigh_weyl_bounds():
+def test_eigh_weyl_bounds(rng):
     for _ in range(5):
-        a = random_hermitian(RNG, 4)
-        b = random_hermitian(RNG, 4)
+        a = random_hermitian(rng, 4)
+        b = random_hermitian(rng, 4)
         wa, _ = eigh(a)
         wb, _ = eigh(b)
         wab, _ = eigh(a + b)
@@ -154,11 +152,11 @@ def test_is_psd():
         is_psd(np.eye(2), -1.0)
 
 
-def test_is_psd_g_minus_omega():
+def test_is_psd_g_minus_omega(rng):
     from qincompat.fisher import g_matrix_povm, omega
 
     for _ in range(10):
-        p = random_povm(RNG, 2, 3)
+        p = random_povm(rng, 2, 3)
         g = g_matrix_povm(p)
         assert is_psd(g.m - omega(2), 1e-9)
 
@@ -173,9 +171,9 @@ def test_frob_inner_dim_mismatch():
         frob_inner(np.eye(2), np.eye(3))
 
 
-def test_frob_inner_hermitian_is_real():
-    a = random_hermitian(RNG, 4)
-    b = random_hermitian(RNG, 4)
+def test_frob_inner_hermitian_is_real(rng):
+    a = random_hermitian(rng, 4)
+    b = random_hermitian(rng, 4)
     assert abs(frob_inner(a, b).imag) < 1e-12
 
 
@@ -184,8 +182,8 @@ def test_check_hermitian_rejects():
         check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_check_basis():
-    check_basis(random_basis(RNG, 4))
+def test_check_basis(rng):
+    check_basis(random_basis(rng, 4))
     with pytest.raises(ValueError, match="orthonormal"):
         check_basis(np.ones((2, 2)))
 

@@ -17,7 +17,6 @@ from qincompat.region import (
     scan_rays,
 )
 
-RNG = np.random.default_rng(99)
 SQ2 = math.sqrt(2.0)
 
 

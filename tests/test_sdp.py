@@ -1,5 +1,3 @@
-import zlib
-
 import numpy as np
 import pytest
 
@@ -37,12 +35,6 @@ from helpers import (
     random_psd,
     random_unitary,
 )
-
-
-@pytest.fixture
-def rng(request):
-    """A generator seeded from the test's node id, independent of test order."""
-    return np.random.default_rng(zlib.crc32(request.node.nodeid.encode()))
 
 
 # --- analytic marginal family ------------------------------------------------
