@@ -133,6 +133,7 @@ __all__ = [
     "subset_sums_depolarizing",
     "unvec",
     "vec",
+    "z_matrix",
     "zhu_criterion_channels",
     "zhu_criterion_povms",
 ]

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .criteria import (
-    CRITERION_MARGIN,
     Verdict,
     VerdictKind,
     oracle_verdict,
@@ -61,12 +60,10 @@ def subset_sums_depolarizing(ts, k: int) -> dict:
     }
 
 
-def _decide_subset(channels, bases_policy, use_oracle, margin, budget) -> Verdict:
+def _decide_subset(channels, bases_policy, use_oracle, budget) -> Verdict:
     d = channels[0].d
     bases, labels = resolve_bases(d, len(channels), bases_policy)
-    verdict = zhu_criterion_channels(
-        channels, bases, basis_labels=labels, margin=margin
-    )
+    verdict = zhu_criterion_channels(channels, bases, basis_labels=labels)
     if verdict.kind is VerdictKind.INCOMPATIBLE_CERTIFIED or not use_oracle:
         return verdict
     try:
@@ -85,7 +82,6 @@ def classify(
     bases_policy: str = "auto",
     use_oracle: bool = False,
     *,
-    margin: float = CRITERION_MARGIN,
     budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> AssemblageReport:
     """Evaluate every K-subset and attach the hierarchy labels.
@@ -102,7 +98,7 @@ def classify(
     verdicts = {}
     for subset in itertools.combinations(range(n), k):
         verdicts[subset] = _decide_subset(
-            [channels[i] for i in subset], bases_policy, use_oracle, margin, budget
+            [channels[i] for i in subset], bases_policy, use_oracle, budget
         )
 
     labels = set()
@@ -121,11 +117,7 @@ def classify(
     if nk_compatible and k < n:
         for subset in itertools.combinations(range(n), k + 1):
             higher[subset] = _decide_subset(
-                [channels[i] for i in subset],
-                bases_policy,
-                use_oracle,
-                margin,
-                budget,
+                [channels[i] for i in subset], bases_policy, use_oracle, budget
             )
         h_kinds = [v.kind for v in higher.values()]
         h_incomp = sum(1 for x in h_kinds if x is VerdictKind.INCOMPATIBLE_CERTIFIED)

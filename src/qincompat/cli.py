@@ -24,10 +24,8 @@ from .channels import (
     channel_from_spec,
     povm_from_spec,
     shared_dimension,
-    validate_povm,
 )
 from .criteria import (
-    CRITERION_MARGIN,
     VerdictKind,
     oracle_verdict,
     resolve_bases,
@@ -99,7 +97,6 @@ def _load_bases(arg: str, d: int, count: int):
 def _tolerances(args) -> dict:
     """Tolerances in effect: the command's options, else the library constants."""
     return {
-        "criterion_margin": getattr(args, "margin", CRITERION_MARGIN),
         "domination_gap": getattr(args, "sdp_gap", DOMINATION_GAP_TOL),
         "oracle_gap": getattr(args, "oracle_gap", FEASIBILITY_GAP_COARSE),
         "oracle_budget": args.budget,
@@ -123,7 +120,6 @@ def _verdict_dict(v) -> dict:
     return {
         "kind": v.kind.value,
         "value": v.value,
-        "margin": v.margin,
         "certificate": v.certificate,
     }
 
@@ -133,8 +129,7 @@ def _cmd_check(args) -> int:
     d = shared_dimension(channels)
     bases, labels = _load_bases(args.bases, d, len(channels))
     verdict = zhu_criterion_channels(
-        channels, bases, basis_labels=labels, margin=args.margin,
-        sdp_gap=args.sdp_gap,
+        channels, bases, basis_labels=labels, sdp_gap=args.sdp_gap
     )
     report = {
         "command": "check",
@@ -182,7 +177,6 @@ def _cmd_assemblage(args) -> int:
         args.k,
         bases_policy=args.bases,
         use_oracle=args.oracle,
-        margin=args.margin,
         budget=args.budget,
     )
     payload = {
@@ -215,7 +209,6 @@ def _cmd_region(args) -> int:
         directions,
         use_oracle=args.oracle,
         bisect_tol=args.bisect_tol,
-        margin=args.margin,
         budget=args.budget,
     )
     dataset = region_report_to_dataset(report)
@@ -272,8 +265,7 @@ def _cmd_validate(args) -> int:
         spec = _load_json(path)
         try:
             if isinstance(spec, dict) and spec.get("kind") == "povm":
-                p = povm_from_spec(spec)
-                validate_povm(p.effects, p.d)
+                povm_from_spec(spec)
             else:
                 channel_from_spec(spec)
         except (ChannelValidationError, PovmValidationError, ValueError,
@@ -296,10 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_margin(p):
-        p.add_argument("--margin", type=float, default=CRITERION_MARGIN,
-                       help="criterion certification margin above d")
-
     def add_oracle(p):
         p.add_argument("--oracle", action="store_true",
                        help="also run the exact joint-channel oracle")
@@ -315,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("specs", nargs="+", help="channel spec JSON files")
     p.add_argument("--bases", default="auto",
                    help="'auto', 'canonical-fourier', or a bases JSON file")
-    add_margin(p)
     p.add_argument("--sdp-gap", type=float, default=DOMINATION_GAP_TOL,
                    help="criterion SDP duality gap target")
     add_oracle(p)
@@ -329,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="subset size")
     p.add_argument("--bases", default="auto",
                    choices=["auto", "canonical-fourier"])
-    add_margin(p)
     add_oracle(p)
     add_output(p)
     p.set_defaults(func=_cmd_assemblage)
@@ -338,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("specs", nargs="+")
     p.add_argument("--rays", type=int, default=64)
     p.add_argument("--bisect-tol", type=float, default=BISECT_TOL)
-    add_margin(p)
     add_oracle(p)
     add_output(p, csv=True)
     p.set_defaults(func=_cmd_region)

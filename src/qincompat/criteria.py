@@ -1,9 +1,9 @@
 """Decision procedures for channel and measurement incompatibility.
 
-The trace-threshold criterion is one-sided: a value strictly above the
-dimension certifies incompatibility, while anything else stays
-undetermined.  Certified compatibility only ever comes from a feasible
-joint-channel witness produced by the exact oracle.
+The trace-threshold criterion is one-sided: a dual lower bound on the SDP
+optimum strictly above the dimension certifies incompatibility, while
+anything else stays undetermined.  Certified compatibility only ever comes
+from a feasible joint-channel witness produced by the exact oracle.
 """
 
 from __future__ import annotations
@@ -24,16 +24,12 @@ from .fisher import (
 )
 from .sdp import (
     DOMINATION_GAP_TOL,
-    FEASIBLE_BAND,
     DominationProblem,
     Feasibility,
     SolverStatus,
     solve_domination,
 )
 
-# Converts "strictly larger than d" into a numerically stable test; the
-# solver reports values to better than this accuracy.
-CRITERION_MARGIN = 1e-6
 # Closed-form criteria are exact; this only guards float round-off.
 ANALYTIC_EPS = 1e-12
 
@@ -48,14 +44,13 @@ class VerdictKind(Enum):
 class Verdict:
     """Outcome of a decision procedure.
 
-    ``value`` is the criterion SDP value when one was computed, ``margin``
-    the safety margin the decision used, and ``certificate`` a human
-    readable account of the evidence (bases, SDP value, oracle optimum).
+    ``value`` is the criterion SDP value when one was computed, and
+    ``certificate`` a human readable account of the evidence (bases, SDP
+    value and dual bound, oracle optimum).
     """
 
     kind: VerdictKind
     value: float | None
-    margin: float
     certificate: str
 
     @property
@@ -96,8 +91,8 @@ def resolve_bases(d: int, count: int, policy: str = "auto"):
     raise ValueError(f"unknown bases policy {policy!r}")
 
 
-def _criterion_verdict(d: int, gs, context: str, margin: float, sdp_gap: float):
-    """Minimize Tr H over dominators of the G-matrices; certify above d + margin."""
+def _criterion_verdict(d: int, gs, context: str, sdp_gap: float):
+    """Solve the criterion SDP and certify when its dual bound exceeds d."""
     result = solve_domination(
         DominationProblem(d * d, tuple(gs)), gap_tol=sdp_gap
     )
@@ -105,18 +100,17 @@ def _criterion_verdict(d: int, gs, context: str, margin: float, sdp_gap: float):
         return Verdict(
             VerdictKind.UNDETERMINED,
             None,
-            margin,
             f"criterion SDP did not converge ({result.status.value}, "
             f"gap {result.gap:.2e})",
         )
-    value = result.value
     cert = (
-        f"criterion SDP value {value:.9f} vs threshold {d} "
+        f"criterion SDP value {result.value:.9f}, dual bound "
+        f"{result.lower_bound:.9f} vs threshold {d} "
         f"({context}; solver gap {result.gap:.1e})"
     )
-    if value > d + margin:
-        return Verdict(VerdictKind.INCOMPATIBLE_CERTIFIED, value, margin, cert)
-    return Verdict(VerdictKind.UNDETERMINED, value, margin, cert)
+    if result.lower_bound > d:
+        return Verdict(VerdictKind.INCOMPATIBLE_CERTIFIED, result.value, cert)
+    return Verdict(VerdictKind.UNDETERMINED, result.value, cert)
 
 
 def zhu_criterion_channels(
@@ -124,14 +118,14 @@ def zhu_criterion_channels(
     bases,
     *,
     basis_labels=None,
-    margin: float = CRITERION_MARGIN,
     sdp_gap: float = DOMINATION_GAP_TOL,
 ) -> Verdict:
     """Fisher-information incompatibility criterion for channels.
 
     Builds one G-matrix per (channel, basis) pair and minimizes Tr H over
-    common dominators H.  A value strictly above d plus the margin
-    certifies that no joint channel exists.
+    common dominators H.  A dual lower bound on that minimum strictly above
+    d certifies that no joint channel exists; ``sdp_gap`` is the target for
+    the distance between the SDP value and that bound.
     """
     channels = list(channels)
     bases = list(bases)
@@ -145,7 +139,7 @@ def zhu_criterion_channels(
 
     gs = [g_matrix(c, e).m for c, e in zip(channels, bases)]
     return _criterion_verdict(
-        d, gs, f"bases: {', '.join(basis_labels)}", margin, sdp_gap
+        d, gs, f"bases: {', '.join(basis_labels)}", sdp_gap
     )
 
 
@@ -154,9 +148,7 @@ def zhu_criterion_povms(povms) -> Verdict:
     povms = list(povms)
     d = shared_dimension(povms, "POVM")
     gs = [g_matrix_povm(p, label=f"povm-{i}").m for i, p in enumerate(povms)]
-    return _criterion_verdict(
-        d, gs, f"{len(povms)} POVMs", CRITERION_MARGIN, DOMINATION_GAP_TOL
-    )
+    return _criterion_verdict(d, gs, f"{len(povms)} POVMs", DOMINATION_GAP_TOL)
 
 
 def schur_pair_criterion(b, c, s: float, t: float) -> Verdict:
@@ -184,8 +176,8 @@ def schur_pair_criterion(b, c, s: float, t: float) -> Verdict:
         f"= {lhs:.9f} vs 1 ({orientation})"
     )
     if lhs > 1.0 + ANALYTIC_EPS:
-        return Verdict(VerdictKind.INCOMPATIBLE_CERTIFIED, value, ANALYTIC_EPS, cert)
-    return Verdict(VerdictKind.UNDETERMINED, value, ANALYTIC_EPS, cert)
+        return Verdict(VerdictKind.INCOMPATIBLE_CERTIFIED, value, cert)
+    return Verdict(VerdictKind.UNDETERMINED, value, cert)
 
 
 def depolarizing_criterion(d: int, ts) -> Verdict:
@@ -213,8 +205,8 @@ def depolarizing_criterion(d: int, ts) -> Verdict:
     value = 1.0 + (d - 1) * total
     cert = f"sum of squared noise parameters {total:.9f} vs 1 over {n} unbiased bases"
     if total > 1.0 + ANALYTIC_EPS:
-        return Verdict(VerdictKind.INCOMPATIBLE_CERTIFIED, value, ANALYTIC_EPS, cert)
-    return Verdict(VerdictKind.UNDETERMINED, value, ANALYTIC_EPS, cert)
+        return Verdict(VerdictKind.INCOMPATIBLE_CERTIFIED, value, cert)
+    return Verdict(VerdictKind.UNDETERMINED, value, cert)
 
 
 def exact_depolarizing_pair(d: int, s: float, t: float) -> bool:
@@ -240,7 +232,7 @@ def oracle_verdict(lambda_star: float, status) -> Verdict:
     """Wrap an oracle outcome as a Verdict (the only source of compatibility)."""
     cert = f"oracle joint-channel optimum lambda* = {lambda_star:.3e}"
     if status is Feasibility.FEASIBLE:
-        return Verdict(VerdictKind.COMPATIBLE_CERTIFIED, None, FEASIBLE_BAND, cert)
+        return Verdict(VerdictKind.COMPATIBLE_CERTIFIED, None, cert)
     if status is Feasibility.INFEASIBLE:
-        return Verdict(VerdictKind.INCOMPATIBLE_CERTIFIED, None, FEASIBLE_BAND, cert)
-    return Verdict(VerdictKind.UNDETERMINED, None, FEASIBLE_BAND, cert + " (marginal)")
+        return Verdict(VerdictKind.INCOMPATIBLE_CERTIFIED, None, cert)
+    return Verdict(VerdictKind.UNDETERMINED, None, cert + " (marginal)")

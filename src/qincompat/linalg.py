@@ -143,10 +143,6 @@ def min_eigenvalue(m) -> float:
     return float(np.linalg.eigvalsh(check_hermitian(m))[0])
 
 
-def max_eigenvalue(m) -> float:
-    return float(np.linalg.eigvalsh(check_hermitian(m))[-1])
-
-
 def is_psd(m, tol: float) -> bool:
     """True iff the smallest eigenvalue is at least ``-tol``."""
     if tol < 0:

@@ -18,7 +18,6 @@ import numpy as np
 from .channels import Channel, make_schur, shared_dimension
 from .criteria import (
     ANALYTIC_EPS,
-    CRITERION_MARGIN,
     VerdictKind,
     select_bases,
     zhu_criterion_channels,
@@ -35,14 +34,12 @@ class RayResult:
     direction: tuple
     criterion_radius: float
     oracle_radius: float | None = None
-    analytic_radius: float | None = None
 
 
 @dataclass(frozen=True)
 class RegionReport:
     channel_labels: tuple
     rays: tuple
-    grid: object = None
 
 
 def mix_toward_depolarizing(channel: Channel, s: float) -> Channel:
@@ -102,16 +99,12 @@ def scan_rays(
     use_oracle: bool = False,
     bisect_tol: float = BISECT_TOL,
     *,
-    margin: float = CRITERION_MARGIN,
     budget: int = DEFAULT_ORACLE_BUDGET,
-    analytic=None,
 ) -> RegionReport:
     """Bisect the criterion (and optionally oracle) boundary along each ray.
 
-    ``analytic``, when given, is a callable mapping a direction to a known
-    closed-form boundary radius; it is stored alongside the bisection
-    results.  The criterion measures in the ``select_bases`` defaults.  Rays
-    are reported in the input order.
+    The criterion measures in the ``select_bases`` defaults.  Rays are
+    reported in the input order.
     """
     base_channels = list(base_channels)
     if bisect_tol < MIN_BISECT_TOL:
@@ -136,9 +129,7 @@ def scan_rays(
         ]
 
     def criterion_inside(r, u):
-        verdict = zhu_criterion_channels(
-            scaled(r, u), bases, basis_labels=labels, margin=margin
-        )
+        verdict = zhu_criterion_channels(scaled(r, u), bases, basis_labels=labels)
         return verdict.kind is not VerdictKind.INCOMPATIBLE_CERTIFIED
 
     def oracle_inside(r, u):
@@ -155,12 +146,10 @@ def scan_rays(
             if use_oracle
             else None
         )
-        ana = float(analytic(u)) if analytic is not None else None
         return RayResult(
             direction=tuple(float(v) for v in u),
             criterion_radius=float(crit),
             oracle_radius=orac,
-            analytic_radius=ana,
         )
 
     return RegionReport(
@@ -306,13 +295,10 @@ def dataset_to_csv(dataset: dict) -> str:
 def region_report_to_dataset(report: RegionReport) -> dict:
     n = len(report.rays[0].direction) if report.rays else 0
     columns = [f"u{i}" for i in range(n)]
-    columns += ["criterion_radius", "oracle_radius", "analytic_radius"]
+    columns += ["criterion_radius", "oracle_radius"]
     rows = []
     for ray in report.rays:
-        rows.append(
-            list(ray.direction)
-            + [ray.criterion_radius, ray.oracle_radius, ray.analytic_radius]
-        )
+        rows.append(list(ray.direction) + [ray.criterion_radius, ray.oracle_radius])
     return {
         "columns": columns,
         "rows": rows,

@@ -5,16 +5,15 @@ import pytest
 
 import qincompat.cli
 from qincompat.cli import build_parser, main
-from qincompat.criteria import CRITERION_MARGIN
 from qincompat.sdp import DOMINATION_GAP_TOL, FEASIBILITY_GAP_COARSE
 
 # every option each command takes; each one is read by its command
 COMMAND_OPTIONS = {
-    "check": {"--bases", "--margin", "--sdp-gap", "--oracle", "--oracle-gap",
-              "--budget", "--output"},
-    "assemblage": {"--k", "--bases", "--margin", "--oracle", "--budget", "--output"},
-    "region": {"--rays", "--bisect-tol", "--margin", "--oracle", "--budget",
-               "--output", "--format"},
+    "check": {"--bases", "--sdp-gap", "--oracle", "--oracle-gap", "--budget",
+              "--output"},
+    "assemblage": {"--k", "--bases", "--oracle", "--budget", "--output"},
+    "region": {"--rays", "--bisect-tol", "--oracle", "--budget", "--output",
+               "--format"},
     "figure": {"--d", "--resolution", "--B", "--C", "--oracle", "--budget",
                "--output", "--format"},
     "validate": {"--output"},
@@ -51,6 +50,11 @@ def test_check_incompatible_with_oracle(specs, capsys):
     assert report["criterion"]["kind"] == "incompatible-certified"
     assert report["oracle"]["status"] == "infeasible"
     assert "tolerances" in report
+    # the criterion decides on its dual bound; no margin is reported
+    assert "criterion_margin" not in report["tolerances"]
+    for verdict in (report["criterion"], report["oracle_verdict"]):
+        assert set(verdict) == {"kind", "value", "certificate"}
+    assert "dual bound" in report["criterion"]["certificate"]
 
 
 def test_check_delta_is_compatible(specs, capsys):
@@ -100,6 +104,8 @@ def test_assemblage(specs, capsys):
     report = json.loads(capsys.readouterr().out)
     assert "(N,K)-strong-incompatible" in report["labels"]
     assert set(report["subsets"]) == {"0,1", "0,2", "1,2"}
+    for verdict in report["subsets"].values():
+        assert "margin" not in verdict
 
 
 def test_assemblage_k_too_large(specs, capsys):
@@ -200,7 +206,7 @@ def test_command_takes_only_options_it_reads(command, specs, capsys):
         return
     # tolerances a command does not take are echoed as the library constants
     argv = (
-        ["region", specs["dep08"], specs["dep08"], "--rays", "1", "--margin", "1e-5"]
+        ["region", specs["dep08"], specs["dep08"], "--rays", "1"]
         if command == "region"
         else ["figure", "fig2", "--resolution", "16"]
     )
@@ -208,14 +214,14 @@ def test_command_takes_only_options_it_reads(command, specs, capsys):
     tolerances = json.loads(capsys.readouterr().out)["meta"]["tolerances"]
     assert tolerances["domination_gap"] == DOMINATION_GAP_TOL
     assert tolerances["oracle_gap"] == FEASIBILITY_GAP_COARSE
-    margin = 1e-5 if command == "region" else CRITERION_MARGIN
-    assert tolerances["criterion_margin"] == margin
+    assert "criterion_margin" not in tolerances
 
 
 @pytest.mark.parametrize(
     "command, flag, value",
     [
         ("check", "--format", "csv"),
+        ("check", "--margin", "1e-6"),
         ("assemblage", "--format", "csv"),
         ("validate", "--format", "csv"),
         ("region", "--sdp-gap", "0.5"),

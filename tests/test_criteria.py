@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,20 @@ def test_depolarizing_pair_point_eight():
     assert v.kind is VerdictKind.INCOMPATIBLE_CERTIFIED
     # closed form 1 + (d-1)(t^2 + s^2) = 2.28
     assert abs(v.value - 2.28) < 1e-6
+
+
+def test_certified_just_above_threshold():
+    # true value d + 5e-7: inside the old 1e-6 margin, but the dual bound
+    # already clears d; on the threshold itself the bound stays below d
+    d = 3
+    bases, labels = select_bases(d, 2)
+    for excess, kind in ((2.5e-7, VerdictKind.INCOMPATIBLE_CERTIFIED),
+                         (0.0, VerdictKind.UNDETERMINED)):
+        t2 = math.sqrt(1.0 + excess - 0.36)
+        chans = [make_depolarizing(d, 0.6), make_depolarizing(d, t2)]
+        v = zhu_criterion_channels(chans, bases, basis_labels=labels)
+        assert v.kind is kind
+        assert v.value > d
 
 
 def test_two_fully_depolarizing_undetermined():

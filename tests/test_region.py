@@ -66,17 +66,6 @@ def test_scan_rejects_bad_directions():
         scan_rays(chans, [(1.0, 0.0)], bisect_tol=1e-5)
 
 
-def test_scan_with_analytic_callable():
-    chans = [make_identity(2), make_identity(2)]
-    u = (1.0 / SQ2, 1.0 / SQ2)
-
-    def circle(direction):
-        return 1.0  # unit circle radius along any diagonal direction
-
-    report = scan_rays(chans, [u], analytic=circle)
-    assert report.rays[0].analytic_radius == 1.0
-
-
 def test_bisect_brackets_converge():
     calls = []
 
@@ -159,7 +148,7 @@ def test_dataset_csv_and_region_dataset():
             (),
             {
                 "rays": (
-                    RayResult((1.0, 0.0), 1.0, None, None),
+                    RayResult((1.0, 0.0), 1.0, None),
                 ),
                 "channel_labels": ("a", "b"),
             },
@@ -167,7 +156,7 @@ def test_dataset_csv_and_region_dataset():
     )
     assert report_ds["columns"][:2] == ["u0", "u1"]
     csv_text = dataset_to_csv(report_ds)
-    assert csv_text.splitlines()[1] == "1.0,0.0,1.0,,"
+    assert csv_text.splitlines()[1] == "1.0,0.0,1.0,"
 
 
 def test_figure1_symmetric_inputs_symmetric_output():

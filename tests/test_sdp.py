@@ -13,6 +13,7 @@ from qincompat import (
     z_matrix,
 )
 from qincompat.sdp import (
+    DOMINATION_GAP_TOL,
     DominationProblem,
     Feasibility,
     SolverStatus,
@@ -162,6 +163,23 @@ def test_mub_constraints_closed_form(rng):
             res = solve_domination(DominationProblem(d * d, cons))
             expected = 1.0 + (d - 1) * float((ts ** 2).sum())
             assert abs(res.value - expected) < 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_dual_bound_brackets_closed_form(d, n):
+    # over a mutually unbiased family the optimum is 1 + (d - 1) * sum(t_i^2)
+    ts = np.linspace(0.5, 0.9, n)
+    fam = mub_family(d)
+    cons = tuple(
+        g_matrix(make_depolarizing(d, t), e).m for t, e in zip(ts, fam.bases)
+    )
+    res = solve_domination(DominationProblem(d * d, cons))
+    expected = 1.0 + (d - 1) * float((ts ** 2).sum())
+    assert res.status is SolverStatus.OPTIMAL
+    assert res.lower_bound <= expected <= res.value
+    assert res.value - res.lower_bound == res.gap
+    assert res.gap <= DOMINATION_GAP_TOL
 
 
 def test_weak_duality(rng):
