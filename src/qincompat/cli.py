@@ -78,6 +78,15 @@ def _load_channel(path: str):
         raise CliError(f"bad channel spec {path}: {exc}") from exc
 
 
+def _load_schur(path: str):
+    from .channels import _matrix_from_pairs
+
+    try:
+        return _matrix_from_pairs(_load_json(path)["B"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"bad Schur spec {path}: {exc}") from exc
+
+
 def _load_bases(arg: str, d: int, count: int):
     if arg in ("auto", "canonical-fourier"):
         return resolve_bases(d, count, arg)
@@ -98,7 +107,7 @@ def _tolerances(args) -> dict:
     """Tolerances in effect: the command's options, else the library constants."""
     return {
         "domination_gap": getattr(args, "sdp_gap", DOMINATION_GAP_TOL),
-        "oracle_gap": getattr(args, "oracle_gap", FEASIBILITY_GAP_COARSE),
+        "oracle_gap": FEASIBILITY_GAP_COARSE,
         "oracle_budget": args.budget,
         "validation_tol": VALIDATION_TOL,
     }
@@ -143,9 +152,7 @@ def _cmd_check(args) -> int:
         else EXIT_UNDETERMINED
     )
     if args.oracle:
-        result = solve_joint_channel(
-            channels, budget=args.budget, coarse_gap=args.oracle_gap
-        )
+        result = solve_joint_channel(channels, budget=args.budget)
         report["oracle"] = {
             "status": result.status.value,
             "lambda_star": result.lambda_star,
@@ -234,14 +241,8 @@ def _cmd_figure(args) -> int:
     else:
         if not args.schur_b:
             raise CliError("figure fig1 needs --B pointing to a Schur matrix spec")
-        from .channels import _matrix_from_pairs
-
-        b = _matrix_from_pairs(_load_json(args.schur_b)["B"])
-        c = (
-            _matrix_from_pairs(_load_json(args.schur_c)["B"])
-            if args.schur_c
-            else b
-        )
+        b = _load_schur(args.schur_b)
+        c = _load_schur(args.schur_c) if args.schur_c else b
         dataset = emit_figure1_data(
             b, c, args.resolution, use_oracle=args.oracle, budget=args.budget
         )
@@ -306,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sdp-gap", type=float, default=DOMINATION_GAP_TOL,
                    help="criterion SDP duality gap target")
     add_oracle(p)
-    p.add_argument("--oracle-gap", type=float, default=FEASIBILITY_GAP_COARSE,
-                   help="oracle certified-gap target")
     add_output(p)
     p.set_defaults(func=_cmd_check)
 

@@ -107,8 +107,8 @@ def scan_rays(
     reported in the input order.
     """
     base_channels = list(base_channels)
-    if bisect_tol < MIN_BISECT_TOL:
-        raise ValueError(f"bisect_tol must be at least {MIN_BISECT_TOL}")
+    if not (math.isfinite(bisect_tol) and bisect_tol >= MIN_BISECT_TOL):
+        raise ValueError(f"bisect_tol must be finite and at least {MIN_BISECT_TOL}")
     d = shared_dimension(base_channels)
     n = len(base_channels)
     dirs = []
@@ -164,6 +164,8 @@ def scan_rays(
 
 def exact_pair_root(d: int, s: float) -> float:
     """Value of t solving t + s - (2/d) sqrt((1-t)(1-s)) = 1 for given s."""
+    if d < 2:
+        raise ValueError(f"dimension d={d} must be at least 2")
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s={s} outside [0, 1]")
     b = 1.0 - s
@@ -209,8 +211,8 @@ def emit_figure1_data(
     Rows are (s, t, criterion_inside, oracle_compatible); the oracle column
     is empty unless requested.  With the oracle on, the boundary radii
     along both axes and the diagonal are recorded in the metadata; those
-    are the maximally compatible mixtures in the respective directions,
-    bisected to ``BISECT_TOL``.
+    are the maximally compatible mixtures in the respective directions.
+    The diagonal one is bisected to ``BISECT_TOL``; the axis ones are 1.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -252,12 +254,11 @@ def emit_figure1_data(
             math.sqrt(2.0),
             BISECT_TOL,
         )
-        axis_s = bisect_boundary(lambda r: oracle_compatible(r, 0.0), 1.0, BISECT_TOL)
-        axis_t = bisect_boundary(lambda r: oracle_compatible(0.0, r), 1.0, BISECT_TOL)
+        # rho -> Phi(rho) (x) I/d is a joint channel of any Phi and Delta
         meta["boundary_points"] = {
             "diagonal_coordinate": diag / math.sqrt(2.0),
-            "axis_s": axis_s,
-            "axis_t": axis_t,
+            "axis_s": 1.0,
+            "axis_t": 1.0,
         }
         meta["boundary_interpretation"] = (
             "oracle compatibility boundary along the coordinate axes and "

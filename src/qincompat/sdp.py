@@ -22,10 +22,10 @@
 
         maximize  lambda + mu * log det(J(x) - lambda I).
 
-    The returned optimum is certified a posteriori: the scaled inverse
-    slack matrix is an almost-feasible dual point whose constraint defect,
-    multiplied by an a priori bound on the optimizer norm, bounds the
-    distance to the true optimum from above.
+    The optimum is bracketed: the attained lambda_min bounds it from below,
+    and the inverse slack of the last iterate, normalized to trace 1,
+    projected off the free directions and mixed with I/D until it is PSD,
+    is a dual point whose value bounds it from above.
 
 The domination Newton step is preconditioned CG on Hermitian matrices.  The
 oracle step builds its Newton system from matmuls over the basis flattened
@@ -249,16 +249,26 @@ def _dual_bound(h, g_stack, shifted):
 # affine lambda_min maximization engine
 # ---------------------------------------------------------------------------
 
-def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray, coarse_gap: float):
+def _classify(lam: float, ub: float) -> Feasibility:
+    """Band rule on the certified bracket lam <= lambda* <= ub."""
+    if lam >= FEASIBLE_BAND:
+        return Feasibility.FEASIBLE
+    if ub <= -FEASIBLE_BAND:
+        return Feasibility.INFEASIBLE
+    return Feasibility.MARGINAL
+
+
+def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray):
     """Maximize lambda_min(j0 + sum_k x_k basis[k]) over x.
 
-    Returns ``(x, lam_attained, upper_bound, steps)``.  ``basis`` must be
-    orthonormal in the Frobenius inner product, with Hermitian traceless
-    members.  A Newton step is plain matmuls: for Hermitian B, Re tr(A B) is
-    the real dot product of the (Re, Im) views of A and B, so with U = S^-1
-    and T_k = U B_k U the Hessian Re tr(T_k B_l) is one real product of half
-    the complex flops.  The line search moves S along dS = sum_k dx_k B_k -
-    dlam I, and the accepted trial's S and log-det carry to the next step.
+    Returns ``(x, lam_attained, upper_bound, steps)`` of the last stage.
+    ``basis`` must be orthonormal in the Frobenius inner product, with
+    Hermitian traceless members.  A Newton step is plain matmuls: for
+    Hermitian B, Re tr(A B) is the real dot product of the (Re, Im) views of
+    A and B, so with U = S^-1 and T_k = U B_k U the Hessian Re tr(T_k B_l)
+    is one real product of half the complex flops.  The line search moves S
+    along dS = sum_k dx_k B_k - dlam I, and the accepted trial's S and
+    log-det carry to the next step.
     """
     dim = j0.shape[0]
     m = basis.shape[0]
@@ -284,8 +294,6 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray, coarse_gap: float):
     steps = 0
     s = j0 + along(x) - lam * eye
 
-    best = (x.copy(), lam)
-    ub_min = float("inf")
     while True:
         _, logdet = _chol_logdet(s)
         if logdet is None:
@@ -355,40 +363,26 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray, coarse_gap: float):
             np.trace(j0).real
         ) / dim
 
-        if lam_att > best[1]:
-            best = (x.copy(), lam_att)
-        ub_min = min(ub_min, ub)
-        gap = ub_min - best[1]
-        decided = best[1] >= FEASIBLE_BAND or ub_min <= -FEASIBLE_BAND
-        if gap <= FEASIBILITY_GAP_FINE or (gap <= coarse_gap and decided):
+        gap = ub - lam_att
+        decided = _classify(lam_att, ub) is not Feasibility.MARGINAL
+        if gap <= FEASIBILITY_GAP_FINE or (gap <= FEASIBILITY_GAP_COARSE and decided):
             break
         if mu <= 1e-13 or steps >= _ORACLE_MAX_NEWTON_STEPS:
             break
         mu *= _MU_FACTOR
 
-    x_best, lam_best = best
-    return x_best, lam_best, ub_min, steps
+    return x, lam_att, ub, steps
 
 
-def _classify(lam: float) -> Feasibility:
-    if lam >= FEASIBLE_BAND:
-        return Feasibility.FEASIBLE
-    if lam <= -FEASIBLE_BAND:
-        return Feasibility.INFEASIBLE
-    return Feasibility.MARGINAL
-
-
-def _solve_family(
-    j0, basis, coarse_gap: float = FEASIBILITY_GAP_COARSE
-) -> FeasibilityResult:
-    """Maximize lambda_min over j0 + span(basis) and classify the optimum."""
-    x, lam, ub, steps = _max_affine_min_eig(j0, basis, coarse_gap)
+def _solve_family(j0, basis) -> FeasibilityResult:
+    """Maximize lambda_min over j0 + span(basis) and classify the bracket."""
+    x, lam, ub, steps = _max_affine_min_eig(j0, basis)
     witness = j0 + np.tensordot(x, basis, axes=1)
     witness = (witness + witness.conj().T) / 2.0
     return FeasibilityResult(
         lambda_star=lam,
         witness=witness,
-        status=_classify(lam),
+        status=_classify(lam, ub),
         gap=ub - lam,
         iterations=steps,
     )
@@ -479,16 +473,15 @@ def solve_joint_channel(
     channels,
     *,
     budget: int = DEFAULT_ORACLE_BUDGET,
-    coarse_gap: float = FEASIBILITY_GAP_COARSE,
 ) -> FeasibilityResult:
     """Decide whether the given channels are marginals of one joint channel.
 
     Maximizes the smallest eigenvalue over all Hermitian J of dimension
     d^(N+1) with Tr over all outputs equal to I_d and the i-th output
     marginal equal to the i-th Choi matrix.  A nonnegative optimum means a
-    joint channel exists.  ``coarse_gap`` is the certified gap that ends the
-    solve once the sign of the optimum is decided; a fixed finer gap
-    (``FEASIBILITY_GAP_FINE``) ends it otherwise.
+    joint channel exists.  FEASIBLE needs the attained ``lambda_star`` at
+    least ``FEASIBLE_BAND``, INFEASIBLE the dual bound ``lambda_star + gap``
+    at most ``-FEASIBLE_BAND``; anything between is MARGINAL.
     """
     channels = list(channels)
     d = shared_dimension(channels)
@@ -510,7 +503,7 @@ def solve_joint_channel(
         np.eye(d, dtype=np.complex128),
         [c.choi for c in channels],
     )
-    return _solve_family(j0, basis, coarse_gap)
+    return _solve_family(j0, basis)
 
 
 def joint_witness_channel(result: FeasibilityResult, d: int, n: int) -> Channel:

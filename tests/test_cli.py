@@ -9,8 +9,7 @@ from qincompat.sdp import DOMINATION_GAP_TOL, FEASIBILITY_GAP_COARSE
 
 # every option each command takes; each one is read by its command
 COMMAND_OPTIONS = {
-    "check": {"--bases", "--sdp-gap", "--oracle", "--oracle-gap", "--budget",
-              "--output"},
+    "check": {"--bases", "--sdp-gap", "--oracle", "--budget", "--output"},
     "assemblage": {"--k", "--bases", "--oracle", "--budget", "--output"},
     "region": {"--rays", "--bisect-tol", "--oracle", "--budget", "--output",
                "--format"},
@@ -39,6 +38,8 @@ def specs(tmp_path):
         "bad_schur": write(
             "bad.json", {"kind": "schur", "B": [[[1, 0], [2, 0]], [[2, 0], [1, 0]]]}
         ),
+        "no_b": write("no_b.json", {"kind": "schur"}),
+        "listed": write("listed.json", [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]),
         "dir": tmp_path,
     }
 
@@ -148,6 +149,27 @@ def test_region_command(specs, capsys):
     assert "outer-bound check passed" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["figure", "fig2", "--d", "0"], "d=0"),
+        (["figure", "fig2", "--d", "2,1"], "d=1"),
+        (["figure", "fig1", "--B", "{no_b}"], "bad Schur spec"),
+        (["figure", "fig1", "--B", "{schur}", "--C", "{listed}"], "bad Schur spec"),
+        (["region", "{dep08}", "{dep08}", "--bisect-tol", "nan"], "bisect_tol"),
+        (["region", "{dep08}", "{dep08}", "--bisect-tol", "inf"], "bisect_tol"),
+    ],
+    ids=["fig2-d0", "fig2-d1", "fig1-no-B", "fig1-C-list", "tol-nan", "tol-inf"],
+)
+def test_bad_input_is_one_error_line(argv, message, specs, capsys):
+    assert main([a.format(**specs) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+
+
 def test_check_with_user_bases_file(specs, tmp_path, capsys):
     s = 2 ** -0.5
     bases = {
@@ -222,6 +244,7 @@ def test_command_takes_only_options_it_reads(command, specs, capsys):
     [
         ("check", "--format", "csv"),
         ("check", "--margin", "1e-6"),
+        ("check", "--oracle-gap", "1e-5"),
         ("assemblage", "--format", "csv"),
         ("validate", "--format", "csv"),
         ("region", "--sdp-gap", "0.5"),

@@ -12,8 +12,10 @@ from qincompat import (
     mub_family,
     z_matrix,
 )
+import qincompat.sdp as sdp
 from qincompat.sdp import (
     DOMINATION_GAP_TOL,
+    FEASIBLE_BAND,
     DominationProblem,
     Feasibility,
     SolverStatus,
@@ -280,6 +282,27 @@ def test_werner_cloning_threshold_three_copies():
     assert inside.status is Feasibility.FEASIBLE
     outside = solve_joint_channel([make_depolarizing(2, t_star + 1e-3)] * 3)
     assert outside.status is Feasibility.INFEASIBLE
+
+
+@pytest.mark.parametrize("max_steps", [1, 3, 10, sdp._ORACLE_MAX_NEWTON_STEPS])
+def test_oracle_verdict_needs_its_bound(max_steps, monkeypatch):
+    # a solve cut short attains a negative lambda below a compatible optimum;
+    # only the dual bound lambda_star + gap may call it infeasible
+    monkeypatch.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", max_steps)
+    cases = [
+        ([make_depolarizing(2, 0.5)] * 2, True),
+        ([make_depolarizing(2, 0.5)] * 3, True),
+        ([make_identity(2)] * 2, False),
+    ]
+    for channels, compatible in cases:
+        res = solve_joint_channel(channels)
+        if res.status is Feasibility.INFEASIBLE:
+            assert res.lambda_star + res.gap <= -FEASIBLE_BAND
+        if res.status is Feasibility.FEASIBLE:
+            assert res.lambda_star >= FEASIBLE_BAND
+            assert np.linalg.eigvalsh(res.witness)[0] >= FEASIBLE_BAND - 1e-12
+        if compatible:
+            assert res.status is not Feasibility.INFEASIBLE
 
 
 def test_budget_error_names_dimension():
