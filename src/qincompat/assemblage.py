@@ -73,7 +73,7 @@ def _decide_subset(channels, bases_policy, use_oracle, budget) -> Verdict:
     if result.status is Feasibility.MARGINAL:
         # keep whatever information the criterion produced
         return verdict
-    return oracle_verdict(result.lambda_star, result.status)
+    return oracle_verdict(result)
 
 
 def classify(

@@ -160,7 +160,7 @@ def _cmd_check(args) -> int:
             "iterations": result.iterations,
         }
         report["oracle_verdict"] = _verdict_dict(
-            oracle_verdict(result.lambda_star, result.status)
+            oracle_verdict(result)
         )
         if result.status is Feasibility.FEASIBLE:
             if verdict.kind is VerdictKind.INCOMPATIBLE_CERTIFIED:
@@ -235,6 +235,8 @@ def _cmd_region(args) -> int:
 def _cmd_figure(args) -> int:
     if args.name == "fig2":
         ds = [int(x) for x in args.d.split(",") if x]
+        if not ds:
+            raise CliError("figure fig2 needs at least one dimension in --d")
         dataset = emit_figure2_data(ds, args.resolution)
         check = all(row[2] <= row[3] + 1e-9 for row in dataset["rows"])
         label = "outer-bound"

@@ -24,8 +24,10 @@ from .fisher import (
 )
 from .sdp import (
     DOMINATION_GAP_TOL,
+    FEASIBLE_BAND,
     DominationProblem,
     Feasibility,
+    FeasibilityResult,
     SolverStatus,
     solve_domination,
 )
@@ -228,11 +230,25 @@ def self_compat_threshold(d: int) -> float:
     return (d + 2.0) / (2.0 * (d + 1.0))
 
 
-def oracle_verdict(lambda_star: float, status) -> Verdict:
-    """Wrap an oracle outcome as a Verdict (the only source of compatibility)."""
-    cert = f"oracle joint-channel optimum lambda* = {lambda_star:.3e}"
-    if status is Feasibility.FEASIBLE:
+def oracle_verdict(result: FeasibilityResult) -> Verdict:
+    """Wrap an oracle outcome as a Verdict (the only source of compatibility).
+
+    The certificate cites the evidence the status rests on: the witness's
+    attained ``lambda*`` for FEASIBLE, the dual bound ``lambda* + gap`` for
+    INFEASIBLE, and the whole bracket for MARGINAL.
+    """
+    lam, bound = result.lambda_star, result.lambda_star + result.gap
+    if result.status is Feasibility.FEASIBLE:
+        cert = f"oracle witness lambda* = {lam:.3e} >= band = {FEASIBLE_BAND:.0e}"
         return Verdict(VerdictKind.COMPATIBLE_CERTIFIED, None, cert)
-    if status is Feasibility.INFEASIBLE:
+    if result.status is Feasibility.INFEASIBLE:
+        cert = (
+            f"oracle dual bound lambda* + gap = {bound:.3e} "
+            f"<= -band = {-FEASIBLE_BAND:.0e}"
+        )
         return Verdict(VerdictKind.INCOMPATIBLE_CERTIFIED, None, cert)
-    return Verdict(VerdictKind.UNDETERMINED, None, cert + " (marginal)")
+    cert = (
+        f"oracle bracket lambda* in [{lam:.3e}, {bound:.3e}] "
+        f"meets the band +-{FEASIBLE_BAND:.0e} (marginal)"
+    )
+    return Verdict(VerdictKind.UNDETERMINED, None, cert)

@@ -107,8 +107,10 @@ def scan_rays(
     reported in the input order.
     """
     base_channels = list(base_channels)
-    if not (math.isfinite(bisect_tol) and bisect_tol >= MIN_BISECT_TOL):
-        raise ValueError(f"bisect_tol must be finite and at least {MIN_BISECT_TOL}")
+    # every ray reaches r_max = 1 / max(u) >= 1, so a tolerance of 1 or more
+    # would stop before the first halving
+    if not MIN_BISECT_TOL <= bisect_tol < 1.0:
+        raise ValueError(f"bisect_tol must lie in [{MIN_BISECT_TOL}, 1)")
     d = shared_dimension(base_channels)
     n = len(base_channels)
     dirs = []

@@ -6,10 +6,20 @@
 
         minimize  Tr H - mu * sum_i log det(H - G_i + eps I).
 
+    The index set is split into the connected components of the support of
+    sum_i |G_i| (entries below 1e-13 of its largest count as zero).  Pinching
+    a feasible H onto those blocks keeps it feasible and keeps Tr H, so when
+    every component has the same size b the one barrier runs over stacks of
+    shape (blocks, N, b, b); any other support is a single block of all
+    indices.  The dropped off-block parts E_i are added back as
+    dim * max_i ||E_i||_2, the trace of the shift that makes the assembled H
+    dominate every full G_i.
+
     The last iterate H implies a dual point: with U_i = (H - G_i + eps I)^-1
     and S = sum_i U_i, the Y_i = S^-1/2 U_i S^-1/2 are PSD and sum to I, so
     by weak duality sum_i Tr(Y_i G_i) is a lower bound on the optimum.  The
-    reported gap is the measured distance from Tr H down to that bound.
+    Y_i are block-diagonal and paired with the full G_i.  The reported gap
+    is the measured distance from Tr H down to that bound.
 
 (b) ``solve_joint_channel`` / ``solve_povm_joint``: decide whether a joint
     channel (or joint measurement) with prescribed marginals exists.  Over
@@ -27,10 +37,11 @@
     projected off the free directions and mixed with I/D until it is PSD,
     is a dual point whose value bounds it from above.
 
-The domination Newton step is preconditioned CG on Hermitian matrices.  The
-oracle step builds its Newton system from matmuls over the basis flattened
-once (the Hessian as one real product of the (Re, Im) views) and line-searches
-along the direction matrix dS, carrying the accepted slack into the next step.
+The domination Newton step is preconditioned CG on block-diagonal Hermitian
+matrices.  The oracle step builds its Newton system from matmuls over the
+basis flattened once (the Hessian as one real product of the (Re, Im) views)
+and line-searches along the direction matrix dS.  Both solvers carry the
+accepted trial's slack and log-det into the next step.
 """
 
 from __future__ import annotations
@@ -52,6 +63,8 @@ DEFAULT_ORACLE_BUDGET = 2000
 _ORACLE_MAX_NEWTON_STEPS = 4000
 
 _BARRIER_SHIFT = 1e-12
+# entries of sum_i |G_i| below this fraction of its largest split no blocks
+_BLOCK_ZERO = 1e-13
 _MU_FACTOR = 0.2
 _ARMIJO = 0.01
 
@@ -111,27 +124,31 @@ class FeasibilityResult:
 # ---------------------------------------------------------------------------
 
 def _chol_logdet(s):
-    """Cholesky factor of a matrix (or stack) and total log-det, or (None, None)."""
+    """Total log-det of a positive definite matrix (or stack) by Cholesky, else None."""
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
-        return None, None
+        return None
     diags = np.diagonal(chol, axis1=-2, axis2=-1).real
     if np.any(diags <= 0.0):
-        return None, None
-    return chol, 2.0 * float(np.log(diags).sum())
+        return None
+    return 2.0 * float(np.log(diags).sum())
 
 
 def _newton_cg(u_stack, mu, rhs_mat, tol, max_iter):
-    """Solve mu * sum_i U_i X U_i = rhs over Hermitian X by preconditioned CG."""
-    n_cons = u_stack.shape[0]
-    mean_u = u_stack.sum(axis=0) / n_cons
+    """Solve mu * sum_i U_i X U_i = rhs over block-diagonal Hermitian X by PCG.
+
+    ``u_stack`` has shape (blocks, N, b, b) and ``rhs_mat`` (blocks, b, b);
+    inner products and norms sum over the blocks.
+    """
+    n_cons = u_stack.shape[1]
+    mean_u = u_stack.sum(axis=1) / n_cons
     mean_inv = np.linalg.inv(mean_u)
-    mean_inv = (mean_inv + mean_inv.conj().T) / 2.0
+    mean_inv = (mean_inv + _adjoint(mean_inv)) / 2.0
     scale = mu * n_cons
 
     def hv(x):
-        return mu * (u_stack @ x @ u_stack).sum(axis=0)
+        return mu * (u_stack @ x[:, None] @ u_stack).sum(axis=1)
 
     def pre(r):
         return (mean_inv @ r @ mean_inv) / scale
@@ -153,7 +170,36 @@ def _newton_cg(u_stack, mu, rhs_mat, tol, max_iter):
         rz_new = np.vdot(r, z).real
         p = z + (rz_new / max(rz, 1e-300)) * p
         rz = rz_new
-    return (x + x.conj().T) / 2.0
+    return (x + _adjoint(x)) / 2.0
+
+
+def _adjoint(m):
+    return m.conj().swapaxes(-1, -2)
+
+
+def _support_blocks(g_stack):
+    """Index sets of the blocks the domination SDP splits into, shape (blocks, b).
+
+    The blocks are the connected components of the support of sum_i |G_i|,
+    with entries below ``_BLOCK_ZERO`` times its largest counted as zero,
+    each listed in ascending order and ordered by its smallest index.
+    Components of unequal size give one block of all indices.
+    """
+    mag = np.abs(g_stack).sum(axis=0)
+    dim = mag.shape[0]
+    adjacent = mag > _BLOCK_ZERO * mag.max()
+    # every index takes the smallest label among its neighbours until stable:
+    # then each component carries its smallest index
+    labels = np.arange(dim)
+    while True:
+        nxt = np.minimum(labels, np.where(adjacent, labels, dim).min(axis=1))
+        if np.array_equal(nxt, labels):
+            break
+        labels = nxt
+    _, component, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    if sizes.min() != sizes.max():
+        return np.arange(dim)[None, :]
+    return np.argsort(component, kind="stable").reshape(len(sizes), -1)
 
 
 def solve_domination(
@@ -162,52 +208,67 @@ def solve_domination(
     gap_tol: float = DOMINATION_GAP_TOL,
     max_newton_steps: int = 800,
 ) -> SdpResult:
-    """Minimize Tr H over H dominating every constraint in the PSD order."""
+    """Minimize Tr H over H dominating every constraint in the PSD order.
+
+    One barrier runs over the blocks of ``_support_blocks``: equal-size
+    connected components of the support of sum_i |G_i|, else one block.
+    ``optimizer`` is the assembled dim x dim iterate plus max_i ||E_i||_2 I,
+    where E_i is the part of G_i off the blocks (entries below the split
+    threshold), so it dominates every full G_i and ``value`` is its trace.
+    ``lower_bound`` pairs the block-diagonal dual point with the full G_i.
+    """
     g_stack = np.stack(problem.constraints)
     n_cons, dim = g_stack.shape[0], problem.dim
     nu = n_cons * dim
-    eye = np.eye(dim)
-    shifted = g_stack - _BARRIER_SHIFT * eye
+    index = _support_blocks(g_stack)
+    rows, cols = index[:, :, None], index[:, None, :]
+    g_blocks = g_stack[:, rows, cols].swapaxes(0, 1)  # (blocks, N, b, b)
+    off_blocks = g_stack.copy()
+    off_blocks[:, rows, cols] = 0.0
+    dropped = 0.0
+    if off_blocks.any():
+        dropped = float(np.abs(np.linalg.eigvalsh(off_blocks)).max())
+    eye = np.eye(index.shape[1])
+    shifted = g_blocks - _BARRIER_SHIFT * eye
 
-    lam_top = max(float(np.linalg.eigvalsh(g)[-1]) for g in problem.constraints)
-    h = (lam_top + 1.0) * eye
+    lam_top = float(np.linalg.eigvalsh(g_blocks)[..., -1].max())
+    h = np.repeat((lam_top + 1.0) * eye[None], len(index), axis=0)
 
     mu = 1.0
     mu_final = gap_tol / (4.0 * nu)
 
     steps = 0
-    status = SolverStatus.OPTIMAL
+    s_stack = h[:, None] - shifted
+    logdet = _chol_logdet(s_stack)
+    status = SolverStatus.NUMERICAL_FAILURE if logdet is None else SolverStatus.OPTIMAL
 
-    def phi_of(h_try, mu_now):
-        _, logdet = _chol_logdet(h_try[None, :, :] - shifted)
-        if logdet is None:
-            return None
-        return float(np.trace(h_try).real) - mu_now * logdet
+    def trace(m):
+        return float(np.einsum("kii->", m).real)
 
     while status is SolverStatus.OPTIMAL:
-        # center at the current barrier weight
+        # center at the current barrier weight; the accepted trial's slack
+        # and log-det carry to the next step
         for _ in range(60):
-            s_stack = h[None, :, :] - shifted
-            chol, logdet = _chol_logdet(s_stack)
-            if chol is None:
-                status = SolverStatus.NUMERICAL_FAILURE
-                break
             u_stack = np.linalg.inv(s_stack)
-            u_stack = (u_stack + u_stack.conj().transpose(0, 2, 1)) / 2.0
-            grad = eye - mu * u_stack.sum(axis=0)
+            u_stack = (u_stack + _adjoint(u_stack)) / 2.0
+            grad = eye - mu * u_stack.sum(axis=1)
             step_mat = _newton_cg(u_stack, mu, -grad, 1e-12, 4 * dim * dim)
             dec2 = float(np.vdot(step_mat, -grad).real)
-            tol_dec = max(mu / 16.0, 1e-13 * (1.0 + abs(float(np.trace(h).real))))
+            trace_h = trace(h)
+            tol_dec = max(mu / 16.0, 1e-13 * (1.0 + abs(trace_h)))
             if dec2 <= tol_dec:
                 break
-            phi0 = float(np.trace(h).real) - mu * logdet
+            phi0 = trace_h - mu * logdet
             t = 1.0
             accepted = False
             while t > 1e-13:
                 h_try = h + t * step_mat
-                phi_try = phi_of(h_try, mu)
-                if phi_try is not None and phi_try <= phi0 - _ARMIJO * t * dec2:
-                    h = h_try
+                s_try = h_try[:, None] - shifted
+                logdet_try = _chol_logdet(s_try)
+                if logdet_try is not None and (
+                    trace(h_try) - mu * logdet_try <= phi0 - _ARMIJO * t * dec2
+                ):
+                    h, s_stack, logdet = h_try, s_try, logdet_try
                     accepted = True
                     break
                 t *= 0.5
@@ -222,12 +283,16 @@ def solve_domination(
             break
         mu = max(mu * _MU_FACTOR, mu_final)
 
-    h = (h + h.conj().T) / 2.0
-    value = float(np.trace(h).real)
-    lower_bound = _dual_bound(h, g_stack, shifted)
+    h = (h + _adjoint(h)) / 2.0
+    optimizer = _assemble(h, rows, cols, dim) + dropped * np.eye(dim)
+    value = float(np.trace(optimizer).real)
+    y_blocks = _dual_point(h, shifted)
+    lower_bound = float(
+        np.einsum("kij,kji->", _assemble(y_blocks, rows, cols, dim), g_stack).real
+    )
     return SdpResult(
         value=value,
-        optimizer=h,
+        optimizer=optimizer,
         lower_bound=lower_bound,
         gap=value - lower_bound,
         iterations=steps,
@@ -235,14 +300,20 @@ def solve_domination(
     )
 
 
-def _dual_bound(h, g_stack, shifted):
-    """sum_i Tr(Y_i G_i) at the dual point Y_i = S^-1/2 U_i S^-1/2 of iterate h."""
-    u_stack = np.linalg.inv(h[None, :, :] - shifted)
-    u_stack = (u_stack + u_stack.conj().transpose(0, 2, 1)) / 2.0
-    w, v = np.linalg.eigh(u_stack.sum(axis=0))
-    s_inv_half = (v / np.sqrt(w)) @ v.conj().T
-    y_stack = s_inv_half @ u_stack @ s_inv_half
-    return float(np.einsum("kij,kji->", y_stack, g_stack).real)
+def _assemble(blocks, rows, cols, dim):
+    """Scatter (..., blocks, b, b) onto the (..., dim, dim) block-diagonal matrix."""
+    full = np.zeros(blocks.shape[:-3] + (dim, dim), dtype=np.complex128)
+    full[..., rows, cols] = blocks
+    return full
+
+
+def _dual_point(h, shifted):
+    """Y_i = S^-1/2 U_i S^-1/2 per block of iterate h, shape (N, blocks, b, b)."""
+    u_stack = np.linalg.inv(h[:, None] - shifted)
+    u_stack = (u_stack + _adjoint(u_stack)) / 2.0
+    w, v = np.linalg.eigh(u_stack.sum(axis=1))
+    s_inv_half = (v / np.sqrt(w)[:, None, :]) @ _adjoint(v)
+    return (s_inv_half[:, None] @ u_stack @ s_inv_half[:, None]).swapaxes(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +366,7 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray):
     s = j0 + along(x) - lam * eye
 
     while True:
-        _, logdet = _chol_logdet(s)
+        logdet = _chol_logdet(s)
         if logdet is None:
             raise RuntimeError("barrier iterate left the feasible cone")
         # center at the current barrier weight
@@ -334,7 +405,7 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray):
             accepted = False
             while t > 1e-13:
                 s_try = s + t * ds
-                _, logdet_try = _chol_logdet(s_try)
+                logdet_try = _chol_logdet(s_try)
                 lam_try = lam + t * dz[m]
                 if logdet_try is not None and (
                     lam_try + mu * logdet_try >= phi0 + _ARMIJO * t * dec2

@@ -56,6 +56,10 @@ def test_check_incompatible_with_oracle(specs, capsys):
     for verdict in (report["criterion"], report["oracle_verdict"]):
         assert set(verdict) == {"kind", "value", "certificate"}
     assert "dual bound" in report["criterion"]["certificate"]
+    # the oracle's infeasible verdict rests on its dual bound, not on lambda*
+    assert report["oracle_verdict"]["certificate"].startswith(
+        "oracle dual bound lambda* + gap = "
+    )
 
 
 def test_check_delta_is_compatible(specs, capsys):
@@ -158,8 +162,12 @@ def test_region_command(specs, capsys):
         (["figure", "fig1", "--B", "{schur}", "--C", "{listed}"], "bad Schur spec"),
         (["region", "{dep08}", "{dep08}", "--bisect-tol", "nan"], "bisect_tol"),
         (["region", "{dep08}", "{dep08}", "--bisect-tol", "inf"], "bisect_tol"),
+        (["region", "{dep08}", "{dep08}", "--bisect-tol", "5"], "bisect_tol"),
+        (["figure", "fig2", "--d", ","], "at least one dimension"),
+        (["figure", "fig2", "--d", ""], "at least one dimension"),
     ],
-    ids=["fig2-d0", "fig2-d1", "fig1-no-B", "fig1-C-list", "tol-nan", "tol-inf"],
+    ids=["fig2-d0", "fig2-d1", "fig1-no-B", "fig1-C-list", "tol-nan", "tol-inf",
+         "tol-5", "fig2-d-empty-comma", "fig2-d-empty"],
 )
 def test_bad_input_is_one_error_line(argv, message, specs, capsys):
     assert main([a.format(**specs) for a in argv]) == 1

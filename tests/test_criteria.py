@@ -20,8 +20,8 @@ from qincompat import (
     zhu_criterion_channels,
     zhu_criterion_povms,
 )
-from qincompat.criteria import resolve_bases
-from qincompat.sdp import Feasibility
+from qincompat.criteria import oracle_verdict, resolve_bases
+from qincompat.sdp import Feasibility, FeasibilityResult
 
 
 def test_depolarizing_pair_point_eight():
@@ -170,6 +170,25 @@ def test_depolarizing_criterion_cases():
 def test_depolarizing_criterion_undetermined_is_oracle_feasible():
     res = solve_joint_channel([make_depolarizing(2, 0.6)] * 2)
     assert res.status is Feasibility.FEASIBLE
+
+
+@pytest.mark.parametrize(
+    "lam, gap, status, kind, evidence",
+    [
+        (2e-2, 3e-8, Feasibility.FEASIBLE, VerdictKind.COMPATIBLE_CERTIFIED,
+         "witness lambda* = 2.000e-02 >= band"),
+        (-5e-2, 1e-5, Feasibility.INFEASIBLE, VerdictKind.INCOMPATIBLE_CERTIFIED,
+         "dual bound lambda* + gap = -4.999e-02 <= -band"),
+        (-2e-7, 3e-7, Feasibility.MARGINAL, VerdictKind.UNDETERMINED,
+         "bracket lambda* in [-2.000e-07, 1.000e-07]"),
+    ],
+    ids=["feasible", "infeasible", "marginal"],
+)
+def test_oracle_verdict_cites_its_evidence(lam, gap, status, kind, evidence):
+    result = FeasibilityResult(lam, np.eye(2), status, gap=gap)
+    verdict = oracle_verdict(result)
+    assert verdict.kind is kind and verdict.value is None
+    assert evidence in verdict.certificate
 
 
 def test_depolarizing_criterion_errors():

@@ -62,7 +62,7 @@ def test_scan_rejects_bad_directions():
         scan_rays(chans, [(1.0, 1.0)])
     with pytest.raises(ValueError, match="orthant"):
         scan_rays(chans, [(-1.0, 0.0)])
-    for tol in (1e-5, float("nan"), float("inf")):
+    for tol in (1e-5, 1.0, 5.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="bisect_tol"):
             scan_rays(chans, [(1.0, 0.0)], bisect_tol=tol)
 

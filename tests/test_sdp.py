@@ -24,6 +24,7 @@ from qincompat.sdp import (
     _hermitian_basis,
     _marginal_family,
     _newton_cg,
+    _support_blocks,
     solve_domination,
     solve_joint_channel,
     solve_povm_joint,
@@ -102,14 +103,19 @@ def test_marginal_family_rejects_inconsistent_targets():
 
 
 def test_newton_cg_solves_sandwich_sum(rng):
-    # matrix sizes 4, 9, 16 are the criterion SDP at d = 2, 3, 4
+    # matrix sizes 4, 9, 16 are the criterion SDP at d = 2, 3, 4; every
+    # block of the stack is its own system, solved by the one CG run
     mu = 0.3
     for n in (4, 9, 16):
-        u_stack = np.stack([random_psd(rng, n) + 0.1 * np.eye(n) for _ in range(3)])
-        rhs = random_hermitian(rng, n)
+        u_stack = np.stack([
+            np.stack([random_psd(rng, n) + 0.1 * np.eye(n) for _ in range(3)])
+            for _ in range(2)
+        ])
+        rhs = np.stack([random_hermitian(rng, n) for _ in range(2)])
         x = _newton_cg(u_stack, mu, rhs, 1e-12, 4 * n * n)
-        lhs = mu * sum(u @ x @ u for u in u_stack)
-        assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
+        for u_block, x_block, rhs_block in zip(u_stack, x, rhs):
+            lhs = mu * sum(u @ x_block @ u for u in u_block)
+            assert np.linalg.norm(lhs - rhs_block) <= 1e-9 * np.linalg.norm(rhs)
 
 
 def test_embed_is_partial_trace_adjoint(rng):
@@ -124,13 +130,82 @@ def test_embed_is_partial_trace_adjoint(rng):
 
 # --- domination solver -------------------------------------------------------
 
+def _mub_constraints(d, ts):
+    fam = mub_family(d)
+    return tuple(
+        g_matrix(make_depolarizing(d, t), e).m for t, e in zip(ts, fam.bases)
+    )
+
+
+def _difference_classes(blocks, d):
+    # the class of basis index a * d + b is a - b mod d
+    return (blocks // d - blocks % d) % d
+
+
+def test_support_blocks_follow_difference_classes(rng):
+    blocks = _support_blocks(np.stack(_mub_constraints(5, (0.5, 0.7, 0.9))))
+    assert blocks.shape == (5, 5)
+    classes = _difference_classes(blocks, 5)
+    assert (classes == classes[:, :1]).all()
+    assert sorted(blocks.ravel()) == list(range(25))
+
+    pair = (
+        g_matrix(make_depolarizing(4, 0.7), canonical_basis(4)).m,
+        g_matrix(make_depolarizing(4, 0.8), fourier_basis(4)).m,
+    )
+    blocks = _support_blocks(np.stack(pair))
+    assert blocks.shape == (4, 4)
+    classes = _difference_classes(blocks, 4)
+    assert (classes == classes[:, :1]).all()
+
+    for d in (2, 3, 4):
+        gs = [g_matrix(random_channel(rng, d), random_basis(rng, d)).m
+              for _ in range(2)]
+        assert _support_blocks(np.stack(gs)).shape == (1, d * d)
+
+
 def test_single_constraint_is_tight():
     g = z_matrix(canonical_basis(2))
+    # Z = |00><00| + |11><11| is diagonal: four blocks of size 1
+    assert _support_blocks(g[None]).tolist() == [[0], [1], [2], [3]]
     res = solve_domination(DominationProblem(4, (g,)))
     assert res.status is SolverStatus.OPTIMAL
     assert abs(res.value - 2.0) < 1e-6
     assert np.abs(res.optimizer - g).max() < 1e-3
     assert res.gap <= 1e-6
+
+
+def test_unequal_components_are_one_block():
+    g = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], complex)
+    # components {0, 1} and {2}
+    assert _support_blocks(g[None]).tolist() == [[0, 1, 2]]
+    res = solve_domination(DominationProblem(3, (g,)))
+    assert res.status is SolverStatus.OPTIMAL
+    assert res.lower_bound <= 3.0 <= res.value
+    assert np.abs(res.optimizer - g).max() < 1e-3
+
+
+def test_off_block_noise_keeps_the_bracket(rng):
+    # noise below the split threshold, placed only off the d blocks, is
+    # dropped from the solve and added back to the value
+    d, ts = 5, np.array([0.5, 0.7, 0.9])
+    cons = _mub_constraints(d, ts)
+    blocks = _support_blocks(np.stack(cons))
+    on_block = np.zeros((d * d, d * d), dtype=bool)
+    on_block[blocks[:, :, None], blocks[:, None, :]] = True
+    noisy = []
+    for g in cons:
+        noise = random_hermitian(rng, d * d, scale=1e-15)
+        noise[on_block] = 0.0
+        noisy.append(g + noise)
+    assert _support_blocks(np.stack(noisy)).shape == (d, d)
+    res = solve_domination(DominationProblem(d * d, tuple(noisy)))
+    expected = 1.0 + (d - 1) * float((ts ** 2).sum())
+    assert res.status is SolverStatus.OPTIMAL
+    assert res.lower_bound <= expected <= res.value
+    assert res.value == float(np.trace(res.optimizer).real)
+    for g in noisy:
+        assert np.linalg.eigvalsh(res.optimizer - g)[0] >= -1e-12
 
 
 def test_commuting_diagonal_pair():
@@ -167,15 +242,28 @@ def test_mub_constraints_closed_form(rng):
             assert abs(res.value - expected) < 1e-6
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("d", [2, 3, 5])
+def test_dropped_norm_keeps_the_optimizer_feasible():
+    # the 9e-8 coupling is below the split threshold (1e-13 of 1e6), so the
+    # indices split into four 1 x 1 blocks; it exceeds the final barrier
+    # slack (~gap_tol / (4 nu) = 6e-8), so only the added ||E||_2 I keeps
+    # the optimizer above the full constraint
+    g = np.diag([1e6, 1.0, 1.0, 1.0]).astype(complex)
+    g[1, 2] = g[2, 1] = 9e-8
+    assert _support_blocks(g[None]).shape == (4, 1)
+    res = solve_domination(DominationProblem(4, (g,)))
+    assert res.status is SolverStatus.OPTIMAL
+    # round-off at this scale is ~1e-10
+    assert res.lower_bound - 1e-9 <= 1e6 + 3.0 <= res.value
+    assert np.linalg.eigvalsh(res.optimizer - g)[0] >= 0.0
+
+
+@pytest.mark.parametrize(
+    "d,n", [(d, n) for d in (2, 3, 5, 7, 11) for n in (2, 3, 4) if n <= d + 1]
+)
 def test_dual_bound_brackets_closed_form(d, n):
     # over a mutually unbiased family the optimum is 1 + (d - 1) * sum(t_i^2)
     ts = np.linspace(0.5, 0.9, n)
-    fam = mub_family(d)
-    cons = tuple(
-        g_matrix(make_depolarizing(d, t), e).m for t, e in zip(ts, fam.bases)
-    )
+    cons = _mub_constraints(d, ts)
     res = solve_domination(DominationProblem(d * d, cons))
     expected = 1.0 + (d - 1) * float((ts ** 2).sum())
     assert res.status is SolverStatus.OPTIMAL
