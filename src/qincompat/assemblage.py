@@ -18,10 +18,10 @@ from .criteria import (
     Verdict,
     VerdictKind,
     oracle_verdict,
-    resolve_bases,
+    select_bases,
     zhu_criterion_channels,
 )
-from .sdp import DEFAULT_ORACLE_BUDGET, Feasibility, solve_joint_channel
+from .sdp import Feasibility, solve_joint_channel
 
 
 class AssemblageLabel(Enum):
@@ -60,14 +60,13 @@ def subset_sums_depolarizing(ts, k: int) -> dict:
     }
 
 
-def _decide_subset(channels, bases_policy, use_oracle, budget) -> Verdict:
-    d = channels[0].d
-    bases, labels = resolve_bases(d, len(channels), bases_policy)
+def _decide_subset(channels, use_oracle) -> Verdict:
+    bases, labels = select_bases(channels[0].d, len(channels))
     verdict = zhu_criterion_channels(channels, bases, basis_labels=labels)
     if verdict.kind is VerdictKind.INCOMPATIBLE_CERTIFIED or not use_oracle:
         return verdict
     try:
-        result = solve_joint_channel(channels, budget=budget)
+        result = solve_joint_channel(channels)
     except RuntimeError as exc:
         return replace(verdict, certificate=f"{verdict.certificate}; oracle error: {exc}")
     if result.status is Feasibility.MARGINAL:
@@ -76,14 +75,7 @@ def _decide_subset(channels, bases_policy, use_oracle, budget) -> Verdict:
     return oracle_verdict(result)
 
 
-def classify(
-    channels,
-    k: int,
-    bases_policy: str = "auto",
-    use_oracle: bool = False,
-    *,
-    budget: int = DEFAULT_ORACLE_BUDGET,
-) -> AssemblageReport:
+def classify(channels, k: int, use_oracle: bool = False) -> AssemblageReport:
     """Evaluate every K-subset and attach the hierarchy labels.
 
     Subsets are enumerated in lexicographic order.  With ``use_oracle`` the
@@ -97,9 +89,7 @@ def classify(
 
     verdicts = {}
     for subset in itertools.combinations(range(n), k):
-        verdicts[subset] = _decide_subset(
-            [channels[i] for i in subset], bases_policy, use_oracle, budget
-        )
+        verdicts[subset] = _decide_subset([channels[i] for i in subset], use_oracle)
 
     labels = set()
     kinds = [v.kind for v in verdicts.values()]
@@ -116,9 +106,7 @@ def classify(
     higher = {}
     if nk_compatible and k < n:
         for subset in itertools.combinations(range(n), k + 1):
-            higher[subset] = _decide_subset(
-                [channels[i] for i in subset], bases_policy, use_oracle, budget
-            )
+            higher[subset] = _decide_subset([channels[i] for i in subset], use_oracle)
         h_kinds = [v.kind for v in higher.values()]
         h_incomp = sum(1 for x in h_kinds if x is VerdictKind.INCOMPATIBLE_CERTIFIED)
         if h_incomp >= 1:

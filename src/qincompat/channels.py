@@ -47,7 +47,7 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def validate_channel(choi, d_in: int, d_out: int, tol: float = VALIDATION_TOL) -> None:
+def validate_channel(choi, d_in: int, d_out: int) -> None:
     """Raise ChannelValidationError unless ``choi`` is a CP + TP Choi matrix."""
     a = as_matrix(choi)
     dim = d_in * d_out
@@ -61,13 +61,13 @@ def validate_channel(choi, d_in: int, d_out: int, tol: float = VALIDATION_TOL) -
     except ValueError as exc:
         raise ChannelValidationError(str(exc)) from exc
     lam = min_eigenvalue(a)
-    if lam < -tol:
+    if lam < -VALIDATION_TOL:
         raise ChannelValidationError(
             f"not completely positive: Choi matrix has eigenvalue {lam:.3e}"
         )
     marg = partial_trace(a, [d_in, d_out], keep={0})
     defect = np.abs(marg - np.eye(d_in)).max()
-    if defect > tol:
+    if defect > VALIDATION_TOL:
         raise ChannelValidationError(
             f"not trace preserving: Tr_out(choi) deviates from identity by {defect:.3e}"
         )
@@ -116,7 +116,7 @@ class Povm:
         return len(self.effects)
 
 
-def validate_povm(effects, d: int, tol: float = VALIDATION_TOL) -> None:
+def validate_povm(effects, d: int) -> None:
     if not effects:
         raise PovmValidationError("a POVM needs at least one effect")
     total = np.zeros((d, d), dtype=np.complex128)
@@ -131,13 +131,13 @@ def validate_povm(effects, d: int, tol: float = VALIDATION_TOL) -> None:
         except ValueError as exc:
             raise PovmValidationError(f"effect {k}: {exc}") from exc
         lam = min_eigenvalue(a)
-        if lam < -tol:
+        if lam < -VALIDATION_TOL:
             raise PovmValidationError(
                 f"effect {k} is not positive semidefinite: eigenvalue {lam:.3e}"
             )
         total += a
     defect = np.abs(total - np.eye(d)).max()
-    if defect > tol:
+    if defect > VALIDATION_TOL:
         raise PovmValidationError(
             f"effects do not sum to the identity: max deviation {defect:.3e}"
         )

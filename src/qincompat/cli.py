@@ -2,11 +2,11 @@
 
 Commands: check, assemblage, region, figure, validate.  Input channels and
 POVMs are JSON specs (see ``channels.channel_from_spec``); reports are
-JSON (``region`` and ``figure`` tables also CSV).  JSON reports of the
-solving commands echo every tolerance, with the library constant for any a
-command does not take, so runs are reproducible.  Each command takes only
-the options it reads.  Exit codes for ``check``: 0 compatible-certified,
-2 incompatible-certified, 3 undetermined, 1 usage or IO error.
+JSON (``region`` and ``figure`` tables also CSV).  Tolerances and the
+oracle budget are library constants, fixed per release (``--version``), so
+reports do not repeat them.  Each command takes only the options it reads.
+Exit codes for ``check``: 0 compatible-certified, 2 incompatible-certified,
+3 undetermined, 1 usage or IO error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import sys
 from . import __version__
 from .assemblage import classify
 from .channels import (
-    VALIDATION_TOL,
     ChannelValidationError,
     PovmValidationError,
     channel_from_spec,
@@ -28,11 +27,10 @@ from .channels import (
 from .criteria import (
     VerdictKind,
     oracle_verdict,
-    resolve_bases,
+    select_bases,
     zhu_criterion_channels,
 )
 from .region import (
-    BISECT_TOL,
     dataset_to_csv,
     emit_figure1_data,
     emit_figure2_data,
@@ -40,13 +38,7 @@ from .region import (
     region_report_to_dataset,
     scan_rays,
 )
-from .sdp import (
-    DEFAULT_ORACLE_BUDGET,
-    DOMINATION_GAP_TOL,
-    FEASIBILITY_GAP_COARSE,
-    Feasibility,
-    solve_joint_channel,
-)
+from .sdp import Feasibility, solve_joint_channel
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -88,8 +80,8 @@ def _load_schur(path: str):
 
 
 def _load_bases(arg: str, d: int, count: int):
-    if arg in ("auto", "canonical-fourier"):
-        return resolve_bases(d, count, arg)
+    if arg == "auto":
+        return select_bases(d, count)
     spec = _load_json(arg)
     try:
         from .channels import _matrix_from_pairs
@@ -101,16 +93,6 @@ def _load_bases(arg: str, d: int, count: int):
     if len(bases) != count:
         raise CliError(f"bases spec {arg} holds {len(bases)} bases, need {count}")
     return bases, [f"user-{i}" for i in range(count)]
-
-
-def _tolerances(args) -> dict:
-    """Tolerances in effect: the command's options, else the library constants."""
-    return {
-        "domination_gap": getattr(args, "sdp_gap", DOMINATION_GAP_TOL),
-        "oracle_gap": FEASIBILITY_GAP_COARSE,
-        "oracle_budget": args.budget,
-        "validation_tol": VALIDATION_TOL,
-    }
 
 
 def _emit(args, payload) -> None:
@@ -137,12 +119,9 @@ def _cmd_check(args) -> int:
     channels = [_load_channel(p) for p in args.specs]
     d = shared_dimension(channels)
     bases, labels = _load_bases(args.bases, d, len(channels))
-    verdict = zhu_criterion_channels(
-        channels, bases, basis_labels=labels, sdp_gap=args.sdp_gap
-    )
+    verdict = zhu_criterion_channels(channels, bases, basis_labels=labels)
     report = {
         "command": "check",
-        "tolerances": _tolerances(args),
         "channels": [c.label for c in channels],
         "criterion": _verdict_dict(verdict),
     }
@@ -152,16 +131,14 @@ def _cmd_check(args) -> int:
         else EXIT_UNDETERMINED
     )
     if args.oracle:
-        result = solve_joint_channel(channels, budget=args.budget)
+        result = solve_joint_channel(channels)
         report["oracle"] = {
             "status": result.status.value,
             "lambda_star": result.lambda_star,
             "gap": result.gap,
             "iterations": result.iterations,
         }
-        report["oracle_verdict"] = _verdict_dict(
-            oracle_verdict(result)
-        )
+        report["oracle_verdict"] = _verdict_dict(oracle_verdict(result))
         if result.status is Feasibility.FEASIBLE:
             if verdict.kind is VerdictKind.INCOMPATIBLE_CERTIFIED:
                 raise CliError(
@@ -179,16 +156,9 @@ def _cmd_assemblage(args) -> int:
     channels = [_load_channel(p) for p in args.specs]
     if not 1 <= args.k <= len(channels):
         raise CliError(f"k={args.k} out of range for {len(channels)} channels")
-    report = classify(
-        channels,
-        args.k,
-        bases_policy=args.bases,
-        use_oracle=args.oracle,
-        budget=args.budget,
-    )
+    report = classify(channels, args.k, use_oracle=args.oracle)
     payload = {
         "command": "assemblage",
-        "tolerances": _tolerances(args),
         "n": report.n,
         "k": report.k,
         "labels": sorted(label.value for label in report.labels),
@@ -211,15 +181,8 @@ def _cmd_assemblage(args) -> int:
 def _cmd_region(args) -> int:
     channels = [_load_channel(p) for p in args.specs]
     directions = ray_directions(len(channels), args.rays)
-    report = scan_rays(
-        channels,
-        directions,
-        use_oracle=args.oracle,
-        bisect_tol=args.bisect_tol,
-        budget=args.budget,
-    )
+    report = scan_rays(channels, directions, use_oracle=args.oracle)
     dataset = region_report_to_dataset(report)
-    dataset["meta"]["tolerances"] = _tolerances(args)
     _emit(args, dataset)
     ok = all(
         r.oracle_radius is None or r.oracle_radius <= r.criterion_radius + 1e-4
@@ -232,9 +195,16 @@ def _cmd_region(args) -> int:
     return EXIT_OK if ok else EXIT_USAGE
 
 
+def _dimension(item: str) -> int:
+    try:
+        return int(item)
+    except ValueError:
+        raise CliError(f"figure fig2 --d takes integers, got {item!r}") from None
+
+
 def _cmd_figure(args) -> int:
     if args.name == "fig2":
-        ds = [int(x) for x in args.d.split(",") if x]
+        ds = [_dimension(x) for x in args.d.split(",") if x]
         if not ds:
             raise CliError("figure fig2 needs at least one dimension in --d")
         dataset = emit_figure2_data(ds, args.resolution)
@@ -245,15 +215,12 @@ def _cmd_figure(args) -> int:
             raise CliError("figure fig1 needs --B pointing to a Schur matrix spec")
         b = _load_schur(args.schur_b)
         c = _load_schur(args.schur_c) if args.schur_c else b
-        dataset = emit_figure1_data(
-            b, c, args.resolution, use_oracle=args.oracle, budget=args.budget
-        )
+        dataset = emit_figure1_data(b, c, args.resolution, use_oracle=args.oracle)
         check = all(
             (row[3] is None) or (not row[3]) or row[2]
             for row in dataset["rows"]
         )
         label = "soundness"
-    dataset["meta"]["tolerances"] = _tolerances(args)
     _emit(args, dataset)
     sys.stderr.write(
         f"figure {args.name}: {len(dataset['rows'])} rows, {label} check "
@@ -294,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_oracle(p):
         p.add_argument("--oracle", action="store_true",
                        help="also run the exact joint-channel oracle")
-        p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET,
-                       help="oracle size budget (N * dim^2)")
 
     def add_output(p, csv=False):
         p.add_argument("--output", help="write the report here instead of stdout")
@@ -305,9 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="criterion and oracle verdict for channels")
     p.add_argument("specs", nargs="+", help="channel spec JSON files")
     p.add_argument("--bases", default="auto",
-                   help="'auto', 'canonical-fourier', or a bases JSON file")
-    p.add_argument("--sdp-gap", type=float, default=DOMINATION_GAP_TOL,
-                   help="criterion SDP duality gap target")
+                   help="'auto' or a bases JSON file")
     add_oracle(p)
     add_output(p)
     p.set_defaults(func=_cmd_check)
@@ -315,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assemblage", help="classify K-subsets of a channel tuple")
     p.add_argument("specs", nargs="+")
     p.add_argument("--k", type=int, required=True, help="subset size")
-    p.add_argument("--bases", default="auto",
-                   choices=["auto", "canonical-fourier"])
     add_oracle(p)
     add_output(p)
     p.set_defaults(func=_cmd_assemblage)
@@ -324,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("region", help="bisect compatibility region boundaries")
     p.add_argument("specs", nargs="+")
     p.add_argument("--rays", type=int, default=64)
-    p.add_argument("--bisect-tol", type=float, default=BISECT_TOL)
     add_oracle(p)
     add_output(p, csv=True)
     p.set_defaults(func=_cmd_region)

@@ -60,14 +60,8 @@ class Verdict:
         return self.kind is not VerdictKind.UNDETERMINED
 
 
-def _canonical_fourier(d: int, count: int):
-    """The canonical and Fourier bases cycled to ``count`` members, with labels."""
-    pair, names = [canonical_basis(d), fourier_basis(d)], ["canonical", "fourier"]
-    return [pair[i % 2] for i in range(count)], [names[i % 2] for i in range(count)]
-
-
 def select_bases(d: int, count: int):
-    """Default measurement bases for a criterion run.
+    """Default measurement bases for a criterion run, with labels.
 
     Uses a mutually unbiased family when the dimension is prime and no more
     than d + 1 bases are needed (its first two members are the canonical
@@ -81,16 +75,8 @@ def select_bases(d: int, count: int):
         fam = mub_family(d)
         names = ["canonical", "fourier"] + [f"mub-{k}" for k in range(2, d + 1)]
         return list(fam.bases[:count]), names[:count]
-    return _canonical_fourier(d, count)
-
-
-def resolve_bases(d: int, count: int, policy: str = "auto"):
-    """Turn a named basis policy into concrete bases plus labels."""
-    if policy == "auto":
-        return select_bases(d, count)
-    if policy == "canonical-fourier":
-        return _canonical_fourier(d, count)
-    raise ValueError(f"unknown bases policy {policy!r}")
+    pair, names = [canonical_basis(d), fourier_basis(d)], ["canonical", "fourier"]
+    return [pair[i % 2] for i in range(count)], [names[i % 2] for i in range(count)]
 
 
 def _criterion_verdict(d: int, gs, context: str, sdp_gap: float):
@@ -149,7 +135,7 @@ def zhu_criterion_povms(povms) -> Verdict:
     """Fisher-information incompatibility criterion for POVMs."""
     povms = list(povms)
     d = shared_dimension(povms, "POVM")
-    gs = [g_matrix_povm(p, label=f"povm-{i}").m for i, p in enumerate(povms)]
+    gs = [g_matrix_povm(p).m for p in povms]
     return _criterion_verdict(d, gs, f"{len(povms)} POVMs", DOMINATION_GAP_TOL)
 
 

@@ -69,7 +69,6 @@ class GMatrix:
 
     d: int
     m: np.ndarray
-    source_label: str = ""
 
     def __post_init__(self):
         a = check_hermitian(self.m)
@@ -88,24 +87,22 @@ class GMatrix:
         object.__setattr__(self, "m", frozen)
 
 
-def g_matrix_povm(p: Povm, label: str = "") -> GMatrix:
+def g_matrix_povm(p: Povm) -> GMatrix:
     """G = sum_s |vec(A_s)><vec(A_s)| / Tr(A_s) over the nonzero effects."""
     g = np.zeros((p.d * p.d,) * 2, dtype=np.complex128)
-    skipped = 0
     for eff in p.effects:
         tr = float(np.trace(eff).real)
         if tr <= ZERO_EFFECT_TOL:
-            skipped += 1
             continue
         v = vec(eff)
         g += np.outer(v, v.conj()) / tr
-    return GMatrix(p.d, g, source_label=f"{label or 'povm'};skipped={skipped}")
+    return GMatrix(p.d, g)
 
 
 def g_matrix(c: Channel, e) -> GMatrix:
     """G-matrix of the measurement induced by channel ``c`` and basis ``e``."""
     c.d  # raises for a non-square channel
-    return g_matrix_povm(induced_povm(c, e), label=c.label or "channel")
+    return g_matrix_povm(induced_povm(c, e))
 
 
 def beta(b) -> float:

@@ -34,24 +34,24 @@ def check_square(m) -> np.ndarray:
     return a
 
 
-def check_hermitian(m, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def check_hermitian(m) -> np.ndarray:
     """Return ``m`` as a complex array, raising if it is not Hermitian."""
     a = check_square(m)
     defect = np.linalg.norm(a - a.conj().T)
-    if defect > rtol * max(1.0, np.linalg.norm(a)):
+    if defect > HERMITICITY_RTOL * max(1.0, np.linalg.norm(a)):
         raise ValueError(
             f"matrix is not Hermitian: ||M - M^dag|| = {defect:.3e} exceeds "
-            f"tolerance {rtol:.1e} (relative)"
+            f"tolerance {HERMITICITY_RTOL:.1e} (relative)"
         )
     return a
 
 
-def check_basis(e, tol: float = HERMITICITY_RTOL) -> np.ndarray:
+def check_basis(e) -> np.ndarray:
     """Validate an orthonormal basis given as rows of a d x d array."""
     a = check_square(e)
     gram = a.conj() @ a.T
     defect = np.abs(gram - np.eye(a.shape[0])).max()
-    if defect > tol:
+    if defect > HERMITICITY_RTOL:
         raise ValueError(
             f"rows do not form an orthonormal basis: Gram defect {defect:.3e}"
         )

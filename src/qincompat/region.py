@@ -23,7 +23,7 @@ from .criteria import (
     zhu_criterion_channels,
 )
 from .fisher import beta
-from .sdp import DEFAULT_ORACLE_BUDGET, Feasibility, solve_joint_channel
+from .sdp import Feasibility, solve_joint_channel
 
 BISECT_TOL = 1e-3
 MIN_BISECT_TOL = 1e-4
@@ -98,8 +98,6 @@ def scan_rays(
     directions,
     use_oracle: bool = False,
     bisect_tol: float = BISECT_TOL,
-    *,
-    budget: int = DEFAULT_ORACLE_BUDGET,
 ) -> RegionReport:
     """Bisect the criterion (and optionally oracle) boundary along each ray.
 
@@ -135,7 +133,7 @@ def scan_rays(
         return verdict.kind is not VerdictKind.INCOMPATIBLE_CERTIFIED
 
     def oracle_inside(r, u):
-        result = solve_joint_channel(scaled(r, u), budget=budget)
+        result = solve_joint_channel(scaled(r, u))
         # the region is closed, so marginal boundary verdicts count as inside
         return result.status is not Feasibility.INFEASIBLE
 
@@ -200,14 +198,7 @@ def emit_figure2_data(ds, resolution: int) -> dict:
     }
 
 
-def emit_figure1_data(
-    b,
-    c,
-    resolution: int,
-    use_oracle: bool = False,
-    *,
-    budget: int = DEFAULT_ORACLE_BUDGET,
-) -> dict:
+def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     """Criterion region (and optional oracle samples) for a Schur pair.
 
     Rows are (s, t, criterion_inside, oracle_compatible); the oracle column
@@ -232,9 +223,7 @@ def emit_figure1_data(
             mix_toward_depolarizing(chan_b, s),
             mix_toward_depolarizing(chan_c, t),
         ]
-        return solve_joint_channel(pair, budget=budget).status is not (
-            Feasibility.INFEASIBLE
-        )
+        return solve_joint_channel(pair).status is not Feasibility.INFEASIBLE
 
     grid = np.linspace(0.0, 1.0, resolution)
     rows = []

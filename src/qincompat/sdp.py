@@ -59,8 +59,9 @@ FEASIBILITY_GAP_COARSE = 1e-5
 FEASIBILITY_GAP_FINE = 5e-8
 FEASIBLE_BAND = 1e-7
 # N * (d^(N+1))^2; 2000 admits d=2 with N <= 3 and d=3 pairs, nothing larger
-DEFAULT_ORACLE_BUDGET = 2000
+ORACLE_BUDGET = 2000
 _ORACLE_MAX_NEWTON_STEPS = 4000
+_DOMINATION_MAX_NEWTON_STEPS = 800
 
 _BARRIER_SHIFT = 1e-12
 # entries of sum_i |G_i| below this fraction of its largest split no blocks
@@ -206,7 +207,6 @@ def solve_domination(
     problem: DominationProblem,
     *,
     gap_tol: float = DOMINATION_GAP_TOL,
-    max_newton_steps: int = 800,
 ) -> SdpResult:
     """Minimize Tr H over H dominating every constraint in the PSD order.
 
@@ -276,7 +276,7 @@ def solve_domination(
             if not accepted:
                 status = SolverStatus.NUMERICAL_FAILURE
                 break
-            if steps >= max_newton_steps:
+            if steps >= _DOMINATION_MAX_NEWTON_STEPS:
                 status = SolverStatus.MAX_ITERATIONS
                 break
         if status is not SolverStatus.OPTIMAL or mu <= mu_final:
@@ -540,11 +540,7 @@ def _marginal_family(dims, factor_bases, shared, shared_target, targets):
 # joint channel oracle
 # ---------------------------------------------------------------------------
 
-def solve_joint_channel(
-    channels,
-    *,
-    budget: int = DEFAULT_ORACLE_BUDGET,
-) -> FeasibilityResult:
+def solve_joint_channel(channels) -> FeasibilityResult:
     """Decide whether the given channels are marginals of one joint channel.
 
     Maximizes the smallest eigenvalue over all Hermitian J of dimension
@@ -552,18 +548,19 @@ def solve_joint_channel(
     marginal equal to the i-th Choi matrix.  A nonnegative optimum means a
     joint channel exists.  FEASIBLE needs the attained ``lambda_star`` at
     least ``FEASIBLE_BAND``, INFEASIBLE the dual bound ``lambda_star + gap``
-    at most ``-FEASIBLE_BAND``; anything between is MARGINAL.
+    at most ``-FEASIBLE_BAND``; anything between is MARGINAL.  Instances
+    whose cost N * dim^2 exceeds ``ORACLE_BUDGET`` (d=2 with N >= 4, d=3
+    with N >= 3) are refused with a ValueError.
     """
     channels = list(channels)
     d = shared_dimension(channels)
     n = len(channels)
     big_dim = d ** (n + 1)
     cost = n * big_dim * big_dim
-    if cost > budget:
+    if cost > ORACLE_BUDGET:
         raise ValueError(
             f"joint Choi matrix of dimension {d}^{n + 1} = {big_dim} needs "
-            f"N * dim^2 = {cost}, over the oracle budget {budget}; raise the "
-            "budget explicitly to force the solve"
+            f"N * dim^2 = {cost}, over the oracle budget {ORACLE_BUDGET}"
         )
 
     # factor 0 is the input, factors 1..N the outputs
@@ -590,11 +587,7 @@ def joint_witness_channel(result: FeasibilityResult, d: int, n: int) -> Channel:
 # joint measurement oracle
 # ---------------------------------------------------------------------------
 
-def solve_povm_joint(
-    povms,
-    *,
-    budget: int = DEFAULT_ORACLE_BUDGET,
-) -> FeasibilityResult:
+def solve_povm_joint(povms) -> FeasibilityResult:
     """Decide joint measurability of the given POVMs.
 
     The joint measurement is a block-diagonal variable with one d x d block
@@ -606,10 +599,10 @@ def solve_povm_joint(
     counts = [len(p) for p in povms]
     n_out = int(np.prod(counts))
     big_dim = n_out * d
-    if big_dim * big_dim > budget:
+    if big_dim * big_dim > ORACLE_BUDGET:
         raise ValueError(
             f"joint measurement block matrix of dimension {n_out} * {d} = {big_dim} "
-            f"needs dim^2 = {big_dim * big_dim}, over the oracle budget {budget}"
+            f"needs dim^2 = {big_dim * big_dim}, over the oracle budget {ORACLE_BUDGET}"
         )
 
     # one classical outcome register per POVM, then the system; diagonal

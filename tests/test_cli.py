@@ -5,16 +5,14 @@ import pytest
 
 import qincompat.cli
 from qincompat.cli import build_parser, main
-from qincompat.sdp import DOMINATION_GAP_TOL, FEASIBILITY_GAP_COARSE
 
 # every option each command takes; each one is read by its command
 COMMAND_OPTIONS = {
-    "check": {"--bases", "--sdp-gap", "--oracle", "--budget", "--output"},
-    "assemblage": {"--k", "--bases", "--oracle", "--budget", "--output"},
-    "region": {"--rays", "--bisect-tol", "--oracle", "--budget", "--output",
+    "check": {"--bases", "--oracle", "--output"},
+    "assemblage": {"--k", "--oracle", "--output"},
+    "region": {"--rays", "--oracle", "--output", "--format"},
+    "figure": {"--d", "--resolution", "--B", "--C", "--oracle", "--output",
                "--format"},
-    "figure": {"--d", "--resolution", "--B", "--C", "--oracle", "--budget",
-               "--output", "--format"},
     "validate": {"--output"},
 }
 
@@ -50,9 +48,8 @@ def test_check_incompatible_with_oracle(specs, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["criterion"]["kind"] == "incompatible-certified"
     assert report["oracle"]["status"] == "infeasible"
-    assert "tolerances" in report
-    # the criterion decides on its dual bound; no margin is reported
-    assert "criterion_margin" not in report["tolerances"]
+    # tolerances are library constants; the report does not repeat them
+    assert "tolerances" not in report
     for verdict in (report["criterion"], report["oracle_verdict"]):
         assert set(verdict) == {"kind", "value", "certificate"}
     assert "dual bound" in report["criterion"]["certificate"]
@@ -143,8 +140,7 @@ def test_figure_fig1(specs, capsys):
 
 def test_region_command(specs, capsys):
     code = main(
-        ["region", specs["dep08"], specs["dep08"], "--rays", "3",
-         "--oracle", "--bisect-tol", "1e-3"]
+        ["region", specs["dep08"], specs["dep08"], "--rays", "3", "--oracle"]
     )
     assert code == 0
     captured = capsys.readouterr()
@@ -160,14 +156,16 @@ def test_region_command(specs, capsys):
         (["figure", "fig2", "--d", "2,1"], "d=1"),
         (["figure", "fig1", "--B", "{no_b}"], "bad Schur spec"),
         (["figure", "fig1", "--B", "{schur}", "--C", "{listed}"], "bad Schur spec"),
-        (["region", "{dep08}", "{dep08}", "--bisect-tol", "nan"], "bisect_tol"),
-        (["region", "{dep08}", "{dep08}", "--bisect-tol", "inf"], "bisect_tol"),
-        (["region", "{dep08}", "{dep08}", "--bisect-tol", "5"], "bisect_tol"),
         (["figure", "fig2", "--d", ","], "at least one dimension"),
         (["figure", "fig2", "--d", ""], "at least one dimension"),
+        (["figure", "fig2", "--d", "2,x"], "figure fig2 --d takes integers, got 'x'"),
+        (["figure", "fig2", "--d", "2.5"], "figure fig2 --d takes integers, got '2.5'"),
+        (["check", "{dep08}", "{dep08}", "--bases", "canonical-fourier"],
+         "cannot read canonical-fourier"),
     ],
-    ids=["fig2-d0", "fig2-d1", "fig1-no-B", "fig1-C-list", "tol-nan", "tol-inf",
-         "tol-5", "fig2-d-empty-comma", "fig2-d-empty"],
+    ids=["fig2-d0", "fig2-d1", "fig1-no-B", "fig1-C-list", "fig2-d-empty-comma",
+         "fig2-d-empty", "fig2-d-not-int-x", "fig2-d-not-int-2.5",
+         "check-bases-canonical-fourier"],
 )
 def test_bad_input_is_one_error_line(argv, message, specs, capsys):
     assert main([a.format(**specs) for a in argv]) == 1
@@ -232,19 +230,18 @@ def test_command_takes_only_options_it_reads(command, specs, capsys):
         for flag in action.option_strings
     }
     assert flags == COMMAND_OPTIONS[command]
-    if command not in ("region", "figure"):
-        return
-    # tolerances a command does not take are echoed as the library constants
-    argv = (
-        ["region", specs["dep08"], specs["dep08"], "--rays", "1"]
-        if command == "region"
-        else ["figure", "fig2", "--resolution", "16"]
-    )
-    assert main(argv) == 0
-    tolerances = json.loads(capsys.readouterr().out)["meta"]["tolerances"]
-    assert tolerances["domination_gap"] == DOMINATION_GAP_TOL
-    assert tolerances["oracle_gap"] == FEASIBILITY_GAP_COARSE
-    assert "criterion_margin" not in tolerances
+    # tolerances are library constants; no report repeats them
+    argv = {
+        "check": ["check", specs["dep08"], specs["dep08"]],
+        "assemblage": ["assemblage", specs["dep08"], specs["dep06"], "--k", "1"],
+        "region": ["region", specs["dep08"], specs["dep08"], "--rays", "1"],
+        "figure": ["figure", "fig2", "--resolution", "16"],
+        "validate": ["validate", specs["dep08"]],
+    }[command]
+    main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert "tolerances" not in report
+    assert "tolerances" not in report.get("meta", {})
 
 
 @pytest.mark.parametrize(
@@ -253,12 +250,17 @@ def test_command_takes_only_options_it_reads(command, specs, capsys):
         ("check", "--format", "csv"),
         ("check", "--margin", "1e-6"),
         ("check", "--oracle-gap", "1e-5"),
+        ("check", "--budget", "5000"),
+        ("check", "--sdp-gap", "1e-6"),
         ("assemblage", "--format", "csv"),
+        ("assemblage", "--bases", "auto"),
         ("validate", "--format", "csv"),
         ("region", "--sdp-gap", "0.5"),
         ("region", "--oracle-gap", "0.5"),
+        ("region", "--bisect-tol", "1e-3"),
         ("figure", "--margin", "5"),
         ("figure", "--sdp-gap", "0.5"),
+        ("figure", "--budget", "5000"),
     ],
 )
 def test_flag_a_command_does_not_take_is_a_usage_error(

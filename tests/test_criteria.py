@@ -20,7 +20,7 @@ from qincompat import (
     zhu_criterion_channels,
     zhu_criterion_povms,
 )
-from qincompat.criteria import oracle_verdict, resolve_bases
+from qincompat.criteria import oracle_verdict
 from qincompat.sdp import Feasibility, FeasibilityResult
 
 
@@ -92,14 +92,9 @@ def test_povm_criterion_trivial():
 
 
 def test_non_convergence_reports_solver_gap(monkeypatch):
-    import qincompat.criteria as criteria
+    import qincompat.sdp as sdp
 
-    real = criteria.solve_domination
-    monkeypatch.setattr(
-        criteria,
-        "solve_domination",
-        lambda problem, **kw: real(problem, max_newton_steps=1, **kw),
-    )
+    monkeypatch.setattr(sdp, "_DOMINATION_MAX_NEWTON_STEPS", 1)
     pc = Povm(2, tuple(np.outer(v, v.conj()) for v in canonical_basis(2)))
     pf = Povm(2, tuple(np.outer(v, v.conj()) for v in fourier_basis(2)))
     chans = [make_identity(2), make_identity(2)]
@@ -274,8 +269,6 @@ def test_select_bases_policies():
     assert len(bases) == 3 and names[2] == "mub-2"
     bases, names = select_bases(4, 3)
     assert names == ["canonical", "fourier", "canonical"]
-    with pytest.raises(ValueError, match="policy"):
-        resolve_bases(2, 2, "bogus")
 
 
 def test_schur_pair_rejects_bad_input():

@@ -145,7 +145,6 @@ def test_g_matrix_povm_agrees_with_channel_route(rng):
 def test_g_matrix_skips_zero_effects():
     p = Povm(2, (np.eye(2), np.zeros((2, 2))))
     g = g_matrix_povm(p)
-    assert "skipped=1" in g.source_label
     assert np.abs(g.m - omega(2)).max() < 1e-12
 
 

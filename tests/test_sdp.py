@@ -394,8 +394,9 @@ def test_oracle_verdict_needs_its_bound(max_steps, monkeypatch):
 
 
 def test_budget_error_names_dimension():
-    with pytest.raises(ValueError, match="3\\^3 = 27"):
-        solve_joint_channel([make_depolarizing(3, 0.5)] * 2, budget=100)
+    # d=2, N=4 costs 4 * 32^2 = 4096, over the budget of 2000
+    with pytest.raises(ValueError, match="2\\^5 = 32.*4096.*budget 2000"):
+        solve_joint_channel([make_depolarizing(2, 0.5)] * 4)
 
 
 def test_certified_gap_small():
@@ -440,5 +441,6 @@ def test_induced_povms_of_compatible_pair(rng):
 
 def test_povm_joint_budget():
     p = Povm(2, tuple(np.eye(2) / 4 for _ in range(4)))
-    with pytest.raises(ValueError, match="budget"):
-        solve_povm_joint([p, p, p, p, p], budget=100)
+    # 4^5 outcomes times d=2: dim 2048, dim^2 over the budget of 2000
+    with pytest.raises(ValueError, match="2048.*budget 2000"):
+        solve_povm_joint([p, p, p, p, p])
