@@ -9,24 +9,14 @@ channels, and a region scanner maps compatibility boundaries.
 
 __version__ = "0.1.0"
 
-from .linalg import (
-    eigh,
-    frob_inner,
-    is_psd,
-    kron,
-    partial_trace,
-    unvec,
-    vec,
-)
+from .linalg import partial_trace, vec
 from .channels import (
     Channel,
     ChannelValidationError,
     Povm,
     PovmValidationError,
     adjoint_apply,
-    apply,
     channel_from_spec,
-    channel_to_spec,
     induced_povm,
     make_depolarizing,
     make_identity,
@@ -68,7 +58,7 @@ from .criteria import (
     zhu_criterion_channels,
     zhu_criterion_povms,
 )
-from .assemblage import AssemblageLabel, AssemblageReport, classify, subset_sums_depolarizing
+from .assemblage import AssemblageLabel, AssemblageReport, classify
 from .region import (
     RayResult,
     RegionReport,
@@ -96,24 +86,18 @@ __all__ = [
     "Verdict",
     "VerdictKind",
     "adjoint_apply",
-    "apply",
     "beta",
     "canonical_basis",
     "channel_from_spec",
-    "channel_to_spec",
     "classify",
     "depolarizing_criterion",
-    "eigh",
     "emit_figure1_data",
     "emit_figure2_data",
     "exact_depolarizing_pair",
     "fourier_basis",
-    "frob_inner",
     "g_matrix",
     "g_matrix_povm",
     "induced_povm",
-    "is_psd",
-    "kron",
     "make_depolarizing",
     "make_identity",
     "make_schur",
@@ -130,8 +114,6 @@ __all__ = [
     "solve_domination",
     "solve_joint_channel",
     "solve_povm_joint",
-    "subset_sums_depolarizing",
-    "unvec",
     "vec",
     "z_matrix",
     "zhu_criterion_channels",

@@ -49,17 +49,6 @@ class AssemblageReport:
         )
 
 
-def subset_sums_depolarizing(ts, k: int) -> dict:
-    """Sum of squared noise parameters for every K-subset, keyed by indices."""
-    ts = [float(t) for t in ts]
-    if not 1 <= k <= len(ts):
-        raise ValueError(f"subset size {k} out of range for {len(ts)} parameters")
-    return {
-        subset: float(sum(ts[i] * ts[i] for i in subset))
-        for subset in itertools.combinations(range(len(ts)), k)
-    }
-
-
 def _decide_subset(channels, use_oracle) -> Verdict:
     bases, labels = select_bases(channels[0].d, len(channels))
     verdict = zhu_criterion_channels(channels, bases, basis_labels=labels)

@@ -204,16 +204,6 @@ def make_schur(b) -> Channel:
 # channel action
 # ---------------------------------------------------------------------------
 
-def apply(c: Channel, x) -> np.ndarray:
-    """Apply the channel to an operator on the input space."""
-    a = as_matrix(x)
-    if a.shape != (c.d_in, c.d_in):
-        raise ValueError(
-            f"operator has shape {a.shape}, channel input dimension is {c.d_in}"
-        )
-    return np.einsum("iajb,ij->ab", c.as_tensor(), a)
-
-
 def adjoint_apply(c: Channel, a) -> np.ndarray:
     """Heisenberg-picture action, <A, Phi(rho)> = <Phi*(A), rho>."""
     m = as_matrix(a)
@@ -261,10 +251,6 @@ def _pair_to_complex(p) -> complex:
     return complex(float(re), float(im))
 
 
-def _complex_to_pair(z: complex):
-    return [float(z.real), float(z.imag)]
-
-
 def _matrix_from_pairs(rows) -> np.ndarray:
     return np.array(
         [[_pair_to_complex(p) for p in row] for row in rows], dtype=np.complex128
@@ -305,17 +291,6 @@ def channel_from_spec(spec: dict) -> Channel:
     if "label" in spec:
         c = Channel(c.d_in, c.d_out, c.choi, label=str(spec["label"]))
     return c
-
-
-def channel_to_spec(c: Channel) -> dict:
-    entries = [_complex_to_pair(z) for z in c.choi.reshape(-1)]
-    return {
-        "kind": "choi",
-        "d_in": c.d_in,
-        "d_out": c.d_out,
-        "entries": entries,
-        "label": c.label,
-    }
 
 
 def povm_from_spec(spec: dict) -> Povm:

@@ -179,6 +179,10 @@ def _cmd_assemblage(args) -> int:
 
 
 def _cmd_region(args) -> int:
+    if len(args.specs) != 2:
+        raise CliError(
+            f"region scans channel pairs: pass 2 specs, got {len(args.specs)}"
+        )
     channels = [_load_channel(p) for p in args.specs]
     directions = ray_directions(len(channels), args.rays)
     report = scan_rays(channels, directions, use_oracle=args.oracle)
@@ -290,14 +294,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_region)
 
     p = sub.add_parser("figure", help="emit figure datasets")
-    p.add_argument("name", choices=["fig1", "fig2"])
-    p.add_argument("--d", default="2,5,20", help="fig2: comma-separated dimensions")
-    p.add_argument("--resolution", type=int, default=200)
-    p.add_argument("--B", dest="schur_b", help="fig1: Schur matrix spec JSON")
-    p.add_argument("--C", dest="schur_c", help="fig1: second Schur matrix spec")
-    add_oracle(p)
-    add_output(p, csv=True)
     p.set_defaults(func=_cmd_figure)
+    figures = p.add_subparsers(dest="name", required=True)
+    f = figures.add_parser("fig1", help="criterion region of a Schur pair")
+    f.add_argument("--B", dest="schur_b", help="Schur matrix spec JSON")
+    f.add_argument("--C", dest="schur_c", help="second Schur matrix spec")
+    f.add_argument("--resolution", type=int, default=200)
+    add_oracle(f)
+    add_output(f, csv=True)
+    f = figures.add_parser("fig2", help="depolarizing-pair thresholds")
+    f.add_argument("--d", default="2,5,20", help="comma-separated dimensions")
+    f.add_argument("--resolution", type=int, default=200)
+    add_output(f, csv=True)
 
     p = sub.add_parser("validate", help="run channel/POVM invariants on specs")
     p.add_argument("specs", nargs="+")

@@ -55,10 +55,6 @@ class Verdict:
     value: float | None
     certificate: str
 
-    @property
-    def certified(self) -> bool:
-        return self.kind is not VerdictKind.UNDETERMINED
-
 
 def select_bases(d: int, count: int):
     """Default measurement bases for a criterion run, with labels.
@@ -139,6 +135,13 @@ def zhu_criterion_povms(povms) -> Verdict:
     return _criterion_verdict(d, gs, f"{len(povms)} POVMs", DOMINATION_GAP_TOL)
 
 
+def _schur_ellipse(s: float, t: float, beta_b: float, beta_c: float):
+    """Terms s^2 + beta_C t^2 and beta_B s^2 + t^2, and whether both are <= 1."""
+    lhs1 = s * s + beta_c * t * t
+    lhs2 = beta_b * s * s + t * t
+    return lhs1, lhs2, max(lhs1, lhs2) <= 1.0 + ANALYTIC_EPS
+
+
 def schur_pair_criterion(b, c, s: float, t: float) -> Verdict:
     """Analytic incompatibility test for two noise-scaled Schur channels.
 
@@ -154,8 +157,7 @@ def schur_pair_criterion(b, c, s: float, t: float) -> Verdict:
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError(f"noise parameters must lie in [0, 1], got s={s}, t={t}")
     beta_b, beta_c = beta(b), beta(c)
-    lhs1 = s * s + beta_c * t * t
-    lhs2 = beta_b * s * s + t * t
+    lhs1, lhs2, inside = _schur_ellipse(s, t, beta_b, beta_c)
     lhs = max(lhs1, lhs2)
     value = 1.0 + (d - 1) * lhs
     orientation = "canonical/fourier" if lhs1 >= lhs2 else "fourier/canonical"
@@ -163,7 +165,7 @@ def schur_pair_criterion(b, c, s: float, t: float) -> Verdict:
         f"ellipse test max(s^2 + {beta_c:.6f} t^2, {beta_b:.6f} s^2 + t^2) "
         f"= {lhs:.9f} vs 1 ({orientation})"
     )
-    if lhs > 1.0 + ANALYTIC_EPS:
+    if not inside:
         return Verdict(VerdictKind.INCOMPATIBLE_CERTIFIED, value, cert)
     return Verdict(VerdictKind.UNDETERMINED, value, cert)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, Povm, induced_povm
-from .linalg import check_basis, check_hermitian, frob_inner, min_eigenvalue, vec
+from .linalg import check_basis, check_hermitian, min_eigenvalue, vec
 
 # Effects below this trace carry no statistics and would divide by dust.
 ZERO_EFFECT_TOL = 1e-12
@@ -191,18 +191,9 @@ def mub_family(d: int) -> MubFamily:
     return MubFamily(d, tuple(bases))
 
 
-def unbiasedness_defect(e, f) -> float:
-    """Max deviation of |<e_i, f_j>| from 1/sqrt(d) over all pairs."""
-    eb, fb = check_basis(e), check_basis(f)
-    if eb.shape != fb.shape:
-        raise ValueError("bases must share a dimension")
-    overlaps = np.abs(eb.conj() @ fb.T)
-    return float(np.abs(overlaps - 1.0 / np.sqrt(eb.shape[0])).max())
-
-
 def orthogonal_modulo_omega(g1: GMatrix, g2: GMatrix, tol: float) -> bool:
     """True iff <g1 - omega, g2 - omega> vanishes within ``tol``."""
     if g1.d != g2.d:
         raise ValueError(f"dimension mismatch: {g1.d} vs {g2.d}")
     w = omega(g1.d)
-    return abs(frob_inner(g1.m - w, g2.m - w)) <= tol
+    return abs(np.vdot(g1.m - w, g2.m - w)) <= tol

@@ -1,8 +1,8 @@
 """Dense complex matrix primitives.
 
-Kronecker products, partial traces, row-major vectorization and Hermitian
-eigendecompositions.  Every function is pure and returns fresh arrays, so
-values can be shared freely between threads.
+Shape, Hermiticity and orthonormal-basis checks, row-major vectorization,
+partial traces and the smallest eigenvalue.  Every function is pure and
+returns fresh arrays, so values can be shared freely between threads.
 
 Vectorization is row-major: ``vec(m)[d*i + j] == m[i, j]``.  With this
 choice ``vec(|e><e|) == kron(e, conj(e))``, which the Fisher-geometry
@@ -58,24 +58,10 @@ def check_basis(e) -> np.ndarray:
     return a
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def vec(m) -> np.ndarray:
     """Row-major vectorization of a square matrix."""
     a = check_square(m)
     return a.reshape(-1).copy()
-
-
-def unvec(v) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    a = np.asarray(v, dtype=np.complex128).reshape(-1)
-    d = int(round(np.sqrt(a.size)))
-    if d * d != a.size:
-        raise ValueError(f"vector of length {a.size} is not a vectorized square matrix")
-    return a.reshape(d, d).copy()
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:
@@ -123,36 +109,5 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     return np.ascontiguousarray(reduced.reshape(dk, dk))
 
 
-def eigh(m):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and ``v[:, k]`` the
-    eigenvector for ``w[k]``.  Output is deterministic for identical input
-    bits.
-    """
-    a = check_hermitian(m)
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        # LAPACK does not expose its sweep count; carry its diagnostic.
-        raise RuntimeError(f"eigendecomposition failed to converge: {exc}") from exc
-    return w, v
-
-
 def min_eigenvalue(m) -> float:
     return float(np.linalg.eigvalsh(check_hermitian(m))[0])
-
-
-def is_psd(m, tol: float) -> bool:
-    """True iff the smallest eigenvalue is at least ``-tol``."""
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    return min_eigenvalue(m) >= -tol
-
-
-def frob_inner(a, b) -> complex:
-    """Frobenius inner product Tr(a^dag b)."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    return complex(np.vdot(ma, mb))

@@ -17,8 +17,8 @@ import numpy as np
 
 from .channels import Channel, make_schur, shared_dimension
 from .criteria import (
-    ANALYTIC_EPS,
     VerdictKind,
+    _schur_ellipse,
     select_bases,
     zhu_criterion_channels,
 )
@@ -212,12 +212,6 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     chan_b, chan_c = make_schur(b), make_schur(c)
     beta_b, beta_c = beta(b), beta(c)
 
-    def criterion_inside(s, t):
-        return (
-            s * s + beta_c * t * t <= 1.0 + ANALYTIC_EPS
-            and beta_b * s * s + t * t <= 1.0 + ANALYTIC_EPS
-        )
-
     def oracle_compatible(s, t):
         pair = [
             mix_toward_depolarizing(chan_b, s),
@@ -230,7 +224,7 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     for s in grid:
         for t in grid:
             s, t = float(s), float(t)
-            row = [s, t, criterion_inside(s, t)]
+            row = [s, t, _schur_ellipse(s, t, beta_b, beta_c)[2]]
             row.append(oracle_compatible(s, t) if use_oracle else None)
             rows.append(row)
 

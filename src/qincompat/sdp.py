@@ -500,20 +500,20 @@ def _embed_for_partial_trace(small: np.ndarray, dims, keep) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(total, total))
 
 
-def _marginal_family(dims, factor_bases, shared, shared_target, targets):
+def _marginal_family(dims, factor_bases, shared, targets):
     """Minimum-norm ``j0`` with the given marginals and a basis of the rest.
 
     ``factor_bases[i]`` is an orthonormal Hermitian basis of factor i with
     member 0 the normalized identity.  ``targets`` are the marginals on each
-    other factor (in order) with ``shared``, ``shared_target`` the one on
-    ``shared`` alone.  ``basis`` stacks the Kronecker strings with two or
+    other factor (in order) with ``shared``; the one on ``shared`` alone is
+    the identity.  ``basis`` stacks the Kronecker strings with two or
     more non-identity constrained factors, the strings no marginal sees.
     """
     dims = list(dims)
     total = int(np.prod(dims))
     constrained = [i for i in range(len(dims)) if i != shared]
     # inclusion-exclusion: the pair terms count the shared marginal N times
-    marginals = [({shared}, shared_target, 1 - len(targets))] + [
+    marginals = [({shared}, np.eye(dims[shared]), 1 - len(targets))] + [
         ({shared, i}, t, dims[i]) for i, t in zip(constrained, targets)
     ]
     j0 = sum(
@@ -568,7 +568,6 @@ def solve_joint_channel(channels) -> FeasibilityResult:
         [d] * (n + 1),
         [_hermitian_basis(d)] * (n + 1),
         0,
-        np.eye(d, dtype=np.complex128),
         [c.choi for c in channels],
     )
     return _solve_family(j0, basis)
@@ -611,7 +610,6 @@ def solve_povm_joint(povms) -> FeasibilityResult:
         counts + [d],
         [_diagonal_basis(k) for k in counts] + [_hermitian_basis(d)],
         len(povms),
-        np.eye(d, dtype=np.complex128),
         [
             sum(np.kron(np.diag(row), e) for row, e in zip(np.eye(k), p.effects))
             for k, p in zip(counts, povms)

@@ -7,7 +7,6 @@ from qincompat import (
     VerdictKind,
     classify,
     make_depolarizing,
-    subset_sums_depolarizing,
 )
 
 
@@ -59,25 +58,6 @@ def test_mixed_tuple_incompatible_but_not_strong():
     assert report.subset_verdicts[(0, 1)].kind is VerdictKind.INCOMPATIBLE_CERTIFIED
     assert report.subset_verdicts[(1, 2)].kind is VerdictKind.UNDETERMINED
     assert (1, 2) in report.undetermined_subsets
-
-
-def test_subset_sums_frozen_values():
-    sums = subset_sums_depolarizing([0.9, 0.9, 0.1], 2)
-    assert abs(sums[(0, 1)] - 1.62) < 1e-12
-    assert abs(sums[(0, 2)] - 0.82) < 1e-12
-    assert abs(sums[(1, 2)] - 0.82) < 1e-12
-
-
-def test_subset_sums_zeros_and_full():
-    assert set(subset_sums_depolarizing([0.0, 0.0], 1).values()) == {0.0}
-    full = subset_sums_depolarizing([0.5, 0.5, 0.5], 3)
-    assert list(full) == [(0, 1, 2)]
-    assert abs(full[(0, 1, 2)] - 0.75) < 1e-12
-
-
-def test_subset_sums_bad_k():
-    with pytest.raises(ValueError, match="out of range"):
-        subset_sums_depolarizing([0.5], 2)
 
 
 def test_classify_k_range():

@@ -11,8 +11,9 @@ COMMAND_OPTIONS = {
     "check": {"--bases", "--oracle", "--output"},
     "assemblage": {"--k", "--oracle", "--output"},
     "region": {"--rays", "--oracle", "--output", "--format"},
-    "figure": {"--d", "--resolution", "--B", "--C", "--oracle", "--output",
-               "--format"},
+    "figure fig1": {"--B", "--C", "--resolution", "--oracle", "--output",
+                    "--format"},
+    "figure fig2": {"--d", "--resolution", "--output", "--format"},
     "validate": {"--output"},
 }
 
@@ -162,10 +163,12 @@ def test_region_command(specs, capsys):
         (["figure", "fig2", "--d", "2.5"], "figure fig2 --d takes integers, got '2.5'"),
         (["check", "{dep08}", "{dep08}", "--bases", "canonical-fourier"],
          "cannot read canonical-fourier"),
+        (["region", "{dep08}", "{dep08}", "{dep08}", "--rays", "2"],
+         "region scans channel pairs: pass 2 specs, got 3"),
     ],
     ids=["fig2-d0", "fig2-d1", "fig1-no-B", "fig1-C-list", "fig2-d-empty-comma",
          "fig2-d-empty", "fig2-d-not-int-x", "fig2-d-not-int-2.5",
-         "check-bases-canonical-fourier"],
+         "check-bases-canonical-fourier", "region-three-specs"],
 )
 def test_bad_input_is_one_error_line(argv, message, specs, capsys):
     assert main([a.format(**specs) for a in argv]) == 1
@@ -219,13 +222,17 @@ def test_solver_runtime_error_is_reported(specs, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", sorted(COMMAND_OPTIONS))
 def test_command_takes_only_options_it_reads(command, specs, capsys):
-    sub = next(
-        a for a in build_parser()._actions
-        if isinstance(a, argparse._SubParsersAction)
-    )
+    # "figure fig1" walks one parser level deeper than "check"
+    parser = build_parser()
+    for word in command.split():
+        sub = next(
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        parser = sub.choices[word]
     flags = {
         flag
-        for action in sub.choices[command]._actions
+        for action in parser._actions
         if action.dest != "help"
         for flag in action.option_strings
     }
@@ -235,7 +242,8 @@ def test_command_takes_only_options_it_reads(command, specs, capsys):
         "check": ["check", specs["dep08"], specs["dep08"]],
         "assemblage": ["assemblage", specs["dep08"], specs["dep06"], "--k", "1"],
         "region": ["region", specs["dep08"], specs["dep08"], "--rays", "1"],
-        "figure": ["figure", "fig2", "--resolution", "16"],
+        "figure fig1": ["figure", "fig1", "--B", specs["schur"], "--resolution", "2"],
+        "figure fig2": ["figure", "fig2", "--resolution", "16"],
         "validate": ["validate", specs["dep08"]],
     }[command]
     main(argv)
@@ -261,16 +269,25 @@ def test_command_takes_only_options_it_reads(command, specs, capsys):
         ("figure", "--margin", "5"),
         ("figure", "--sdp-gap", "0.5"),
         ("figure", "--budget", "5000"),
+        # each figure takes only its own flags
+        ("figure fig2", "--B", "schur.json"),
+        ("figure fig2", "--oracle", None),
+        ("figure fig1", "--d", "2"),
     ],
 )
 def test_flag_a_command_does_not_take_is_a_usage_error(
     command, flag, value, specs, capsys
 ):
-    operand = "fig2" if command == "figure" else specs["dep08"]
+    argv = command.split()
+    if argv == ["figure"]:
+        argv.append("fig2")
+    elif argv[0] != "figure":
+        argv.append(specs["dep08"])
+    given = [flag] if value is None else [flag, value]
     extra = ["--k", "1"] if command == "assemblage" else []
-    assert main([command, operand, flag, value] + extra) == 1
+    assert main(argv + given + extra) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage:" in captured.err
-    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert f"unrecognized arguments: {' '.join(given)}" in captured.err
     assert "Traceback" not in captured.err

@@ -1,39 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qincompat.linalg import (
     check_basis,
     check_hermitian,
-    eigh,
-    frob_inner,
-    is_psd,
-    kron,
     min_eigenvalue,
     partial_trace,
-    unvec,
     vec,
 )
 from helpers import random_basis, random_hermitian, random_povm
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_diag():
-    out = kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
-    assert np.array_equal(out, np.diag([1.0, 0.0, 0.0, 0.0]))
-
-
-def test_kron_trace_multiplicative(rng):
-    for _ in range(10):
-        a = random_hermitian(rng, 3)
-        b = random_hermitian(rng, 3)
-        # oracle: direct multiplication of the two traces
-        expected = np.trace(a) * np.trace(b)
-        assert abs(np.trace(kron(a, b)) - expected) < 1e-12
 
 
 def test_partial_trace_of_maximally_entangled():
@@ -47,7 +22,7 @@ def test_partial_trace_of_kron(rng):
     for _ in range(10):
         a = random_hermitian(rng, 2)
         b = random_hermitian(rng, 2)
-        out = partial_trace(kron(a, b), [2, 2], {0})
+        out = partial_trace(np.kron(a, b), [2, 2], {0})
         assert np.abs(out - a * np.trace(b)).max() < 1e-12
 
 
@@ -99,82 +74,13 @@ def test_vec_inner_product_is_trace(rng):
         assert abs(lhs - np.trace(a.conj().T @ b)) < 1e-12
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31))
-def test_vec_unvec_roundtrip(d, seed):
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    assert np.array_equal(unvec(vec(m)), m)
-
-
-def test_eigh_identity():
-    w, v = eigh(np.eye(3))
-    assert np.allclose(w, 1.0)
-    assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-12
-
-
-def test_eigh_sorted_ascending():
-    w, _ = eigh(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(w, [1.0, 2.0, 3.0])
-
-
-def test_eigh_reconstruction(rng):
-    for _ in range(100):
-        m = random_hermitian(rng, 6)
-        w, v = eigh(m)
-        rebuilt = (v * w) @ v.conj().T
-        assert np.linalg.norm(rebuilt - m) < 1e-9 * max(1.0, np.linalg.norm(m))
-
-
-def test_eigh_deterministic(rng):
-    m = random_hermitian(rng, 5)
-    w1, v1 = eigh(m)
-    w2, v2 = eigh(m.copy())
-    assert np.array_equal(w1, w2)
-    assert np.array_equal(v1, v2)
-
-
-def test_eigh_weyl_bounds(rng):
-    for _ in range(5):
-        a = random_hermitian(rng, 4)
-        b = random_hermitian(rng, 4)
-        wa, _ = eigh(a)
-        wb, _ = eigh(b)
-        wab, _ = eigh(a + b)
-        assert np.all(wab >= wa + wb[0] - 1e-10)
-        assert np.all(wab <= wa + wb[-1] + 1e-10)
-
-
-def test_is_psd():
-    assert is_psd(np.eye(3), 0.0)
-    assert not is_psd(np.diag([1.0, -1e-6]), 1e-8)
-    with pytest.raises(ValueError):
-        is_psd(np.eye(2), -1.0)
-
-
 def test_is_psd_g_minus_omega(rng):
     from qincompat.fisher import g_matrix_povm, omega
 
     for _ in range(10):
         p = random_povm(rng, 2, 3)
         g = g_matrix_povm(p)
-        assert is_psd(g.m - omega(2), 1e-9)
-
-
-def test_frob_inner_identity():
-    for d in (2, 3, 5):
-        assert abs(frob_inner(np.eye(d), np.eye(d)) - d) < 1e-12
-
-
-def test_frob_inner_dim_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        frob_inner(np.eye(2), np.eye(3))
-
-
-def test_frob_inner_hermitian_is_real(rng):
-    a = random_hermitian(rng, 4)
-    b = random_hermitian(rng, 4)
-    assert abs(frob_inner(a, b).imag) < 1e-12
+        assert np.linalg.eigvalsh(g.m - omega(2))[0] >= -1e-9
 
 
 def test_check_hermitian_rejects():

@@ -29,7 +29,7 @@ from qincompat.sdp import (
     solve_joint_channel,
     solve_povm_joint,
 )
-from qincompat.linalg import frob_inner, partial_trace
+from qincompat.linalg import partial_trace
 from helpers import (
     random_basis,
     random_channel,
@@ -45,7 +45,7 @@ from helpers import (
 
 def _channel_family_args(rng, d, n):
     chois = [random_channel(rng, d).choi for _ in range(n)]
-    return [d] * (n + 1), [_hermitian_basis(d)] * (n + 1), 0, np.eye(d), chois
+    return [d] * (n + 1), [_hermitian_basis(d)] * (n + 1), 0, chois
 
 
 def _povm_family_args(rng, d, counts):
@@ -55,7 +55,7 @@ def _povm_family_args(rng, d, counts):
         for k, p in zip(counts, povms)
     ]
     bases = [_diagonal_basis(k) for k in counts] + [_hermitian_basis(d)]
-    return list(counts) + [d], bases, len(counts), np.eye(d), targets
+    return list(counts) + [d], bases, len(counts), targets
 
 
 @pytest.mark.parametrize(
@@ -69,11 +69,11 @@ def _povm_family_args(rng, d, counts):
     ids=["channel-d2-N2", "channel-d2-N3", "channel-d3-N2", "povm-2x3"],
 )
 def test_marginal_family(make_args):
-    dims, bases, shared, shared_target, targets = make_args(np.random.default_rng(5))
+    dims, bases, shared, targets = make_args(np.random.default_rng(5))
     for fb, dim in zip(bases, dims):
         assert np.abs(fb[0] - np.eye(dim) / np.sqrt(dim)).max() < 1e-15
         assert np.abs(fb - fb.conj().transpose(0, 2, 1)).max() == 0.0
-    j0, basis = _marginal_family(dims, bases, shared, shared_target, targets)
+    j0, basis = _marginal_family(dims, bases, shared, targets)
 
     sizes = [len(fb) for i, fb in enumerate(bases) if i != shared]
     expected = dims[shared] ** 2 * (
@@ -89,7 +89,7 @@ def test_marginal_family(make_args):
     for member in basis:
         for keep in keeps:
             assert np.abs(partial_trace(member, dims, keep)).max() < 1e-12
-    for keep, target in zip(keeps, [shared_target] + targets):
+    for keep, target in zip(keeps, [np.eye(dims[shared])] + targets):
         assert np.abs(partial_trace(j0, dims, keep) - target).max() < 1e-12
     # minimum norm: j0 has no component along the free directions
     assert np.abs(flat.conj() @ j0.reshape(-1)).max() < 1e-12
@@ -97,9 +97,10 @@ def test_marginal_family(make_args):
 
 def test_marginal_family_rejects_inconsistent_targets():
     rng = np.random.default_rng(6)
-    dims, bases, shared, shared_target, targets = _channel_family_args(rng, 2, 2)
+    dims, bases, shared, targets = _channel_family_args(rng, 2, 2)
+    # a Choi matrix of trace 2d has input marginal 2I, not the shared I
     with pytest.raises(RuntimeError, match="inconsistent"):
-        _marginal_family(dims, bases, shared, 2.0 * shared_target, targets)
+        _marginal_family(dims, bases, shared, [2.0 * targets[0]] + targets[1:])
 
 
 def test_newton_cg_solves_sandwich_sum(rng):
@@ -123,8 +124,8 @@ def test_embed_is_partial_trace_adjoint(rng):
     keep = {0, 2}
     small = random_hermitian(rng, 4)
     big = random_hermitian(rng, 12)
-    lhs = frob_inner(_embed_for_partial_trace(small, dims, keep), big)
-    rhs = frob_inner(small, partial_trace(big, dims, keep))
+    lhs = np.vdot(_embed_for_partial_trace(small, dims, keep), big)
+    rhs = np.vdot(small, partial_trace(big, dims, keep))
     assert abs(lhs - rhs) < 1e-12
 
 
