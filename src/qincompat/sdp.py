@@ -231,7 +231,8 @@ def solve_domination(
     eye = np.eye(index.shape[1])
     shifted = g_blocks - _BARRIER_SHIFT * eye
 
-    lam_top = float(np.linalg.eigvalsh(g_blocks)[..., -1].max())
+    g_eigs = np.linalg.eigvalsh(g_blocks)
+    lam_top = float(g_eigs[..., -1].max())
     h = np.repeat((lam_top + 1.0) * eye[None], len(index), axis=0)
 
     mu = 1.0
@@ -286,10 +287,8 @@ def solve_domination(
     h = (h + _adjoint(h)) / 2.0
     optimizer = _assemble(h, rows, cols, dim) + dropped * np.eye(dim)
     value = float(np.trace(optimizer).real)
-    y_blocks = _dual_point(h, shifted)
-    lower_bound = float(
-        np.einsum("kij,kji->", _assemble(y_blocks, rows, cols, dim), g_stack).real
-    )
+    y_blocks = _dual_point(np.linalg.inv(h[:, None] - shifted))
+    lower_bound = _dual_bound(y_blocks, g_blocks, g_eigs[..., 0].max(axis=1))
     return SdpResult(
         value=value,
         optimizer=optimizer,
@@ -307,13 +306,32 @@ def _assemble(blocks, rows, cols, dim):
     return full
 
 
-def _dual_point(h, shifted):
-    """Y_i = S^-1/2 U_i S^-1/2 per block of iterate h, shape (N, blocks, b, b)."""
-    u_stack = np.linalg.inv(h[:, None] - shifted)
+def _dual_point(u_stack):
+    """Y_i = S^-1/2 U_i S^-1/2 per block of the inverse slacks, shape (blocks, N, b, b)."""
     u_stack = (u_stack + _adjoint(u_stack)) / 2.0
     w, v = np.linalg.eigh(u_stack.sum(axis=1))
     s_inv_half = (v / np.sqrt(w)[:, None, :]) @ _adjoint(v)
-    return (s_inv_half[:, None] @ u_stack @ s_inv_half[:, None]).swapaxes(0, 1)
+    return s_inv_half[:, None] @ u_stack @ s_inv_half[:, None]
+
+
+def _dual_bound(y, g_blocks, floor):
+    """Lower bound on min Tr H from the block dual point ``y``, safe from round-off.
+
+    Per block k, H_kk >= G_i,kk >= c_k I with ``floor[k]`` = c_k =
+    max_i lambda_min(G_i,kk), so for PSD Y_i with sum_i Y_i <= lambda_k I,
+    Tr H_kk >= c_k b + sum_i <Y_i, G_i,kk - c_k I> / lambda_k.  Each Y_i is
+    first shifted by its round-off negative eigenvalue, and the float error
+    of the inner products, at most gamma_n sum |Y_i||G_i - c_k I| with
+    gamma_n = n eps / (1 - n eps), is subtracted.
+    """
+    b = y.shape[-1]
+    y = y + np.maximum(0.0, -np.linalg.eigvalsh(y)[..., :1, None]) * np.eye(b)
+    lam = np.linalg.eigvalsh(y.sum(axis=1))[:, -1]
+    g = g_blocks - floor[:, None, None, None] * np.eye(b)
+    n_eps = 2 * g.size * np.finfo(float).eps
+    err = n_eps / (1.0 - n_eps) * np.einsum("kiab,kiba->k", np.abs(y), np.abs(g))
+    inner = np.einsum("kiab,kiba->k", y, g).real
+    return float(((inner - err) / lam).sum() + b * floor.sum())
 
 
 # ---------------------------------------------------------------------------

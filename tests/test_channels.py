@@ -91,7 +91,9 @@ def test_apply_preserves_trace(rng):
     assert abs(np.trace(adjoint_apply(c, np.eye(3)) @ x) - np.trace(x)) < 1e-9
 
 
-def test_adjoint_unital(rng):
+def test_adjoint_fixes_identity_of_trace_preserving_channel(rng):
+    # Tr Phi(X) = Tr X for all X is Phi*(I) = I; it holds for every channel,
+    # unital (Phi(I) = I) or not, such as a random one
     for c in (make_depolarizing(3, 0.7), random_channel(rng, 3)):
         out = adjoint_apply(c, np.eye(3))
         assert np.abs(out - np.eye(3)).max() < 1e-9

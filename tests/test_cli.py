@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import qincompat.cli
@@ -193,6 +197,36 @@ def test_check_with_user_bases_file(specs, tmp_path, capsys):
     assert code == 2
     report = json.loads(capsys.readouterr().out)
     assert "user-0" in report["criterion"]["certificate"]
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 11])
+def test_check_single_channel_is_never_certified(d, tmp_path, capsys):
+    # one channel is always compatible; its criterion value in the Fourier
+    # basis is exactly d, so a dual bound above d would be round-off
+    spec = tmp_path / "id.json"
+    spec.write_text(json.dumps({"kind": "depolarizing", "d": d, "t": 1.0}))
+    fourier = np.exp(2j * np.pi * np.outer(range(d), range(d)) / d) / np.sqrt(d)
+    bases = tmp_path / "fourier.json"
+    bases.write_text(json.dumps(
+        {"bases": [[[[z.real, z.imag] for z in row] for row in fourier]]}
+    ))
+    assert main(["check", str(spec), "--bases", str(bases)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["criterion"]["kind"] == "undetermined"
+
+
+def test_module_runs_as_a_script(specs):
+    src = os.path.dirname(os.path.dirname(qincompat.cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "qincompat.cli", "check", specs["dep08"], specs["dep08"]],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["criterion"]["kind"] == "incompatible-certified"
 
 
 def test_byte_identical_output(specs, capsys):

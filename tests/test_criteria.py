@@ -22,6 +22,7 @@ from qincompat import (
 )
 from qincompat.criteria import oracle_verdict
 from qincompat.sdp import Feasibility, FeasibilityResult
+from helpers import random_basis
 
 
 def test_depolarizing_pair_point_eight():
@@ -82,6 +83,22 @@ def test_povm_criterion_single_povm_undetermined():
     v = zhu_criterion_povms([pc])
     assert v.kind is VerdictKind.UNDETERMINED
     assert v.value <= 2.0 + 1e-6
+
+
+@pytest.mark.parametrize("d", range(2, 12))
+def test_single_measurement_never_certifies(d, rng):
+    # one channel or one POVM is always compatible; measured in a basis,
+    # the identity channel and the projective POVM both have criterion
+    # value exactly d, so only round-off could lift a dual bound above it
+    bases = [canonical_basis(d), fourier_basis(d)]
+    if d <= 7:
+        bases += [random_basis(rng, d) for _ in range(3)]
+    for e in bases:
+        povm = Povm(d, tuple(np.outer(v, v.conj()) for v in e))
+        for v in (zhu_criterion_channels([make_identity(d)], [e]),
+                  zhu_criterion_povms([povm])):
+            assert v.kind is VerdictKind.UNDETERMINED
+            assert abs(v.value - d) < 1e-6
 
 
 def test_povm_criterion_trivial():
