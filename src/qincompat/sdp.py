@@ -18,8 +18,11 @@
     The last iterate H implies a dual point: with U_i = (H - G_i + eps I)^-1
     and S = sum_i U_i, the Y_i = S^-1/2 U_i S^-1/2 are PSD and sum to I, so
     by weak duality sum_i Tr(Y_i G_i) is a lower bound on the optimum.  The
-    Y_i are block-diagonal and paired with the full G_i.  The reported gap
-    is the measured distance from Tr H down to that bound.
+    Y_i are block-diagonal, so the bound is taken per block, and it is made
+    safe from round-off: each Y_i is shifted by its round-off negative
+    eigenvalue, the block's sum is divided by lambda_max(sum_i Y_i), and the
+    float error bound gamma_n sum_i |Y_i||G_i| is subtracted.  The reported
+    gap is the measured distance from Tr H down to that bound.
 
 (b) ``solve_joint_channel`` / ``solve_povm_joint``: decide whether a joint
     channel (or joint measurement) with prescribed marginals exists.  Over
@@ -37,11 +40,14 @@
     projected off the free directions and mixed with I/D until it is PSD,
     is a dual point whose value bounds it from above.
 
-The domination Newton step is preconditioned CG on block-diagonal Hermitian
-matrices.  The oracle step builds its Newton system from matmuls over the
-basis flattened once (the Hessian as one real product of the (Re, Im) views)
-and line-searches along the direction matrix dS.  Both solvers carry the
-accepted trial's slack and log-det into the next step.
+Both barriers are centered by one routine, ``_center``: damped Newton at a
+fixed mu, a Cholesky-guarded Armijo line search along the slack direction
+dS, and one centering rule (squared Newton decrement at most mu * 2^-12).
+Each solver supplies its Newton system, its mu schedule and its
+certificate.  The domination Newton step is preconditioned CG on
+block-diagonal Hermitian matrices.  The oracle step builds its Newton
+system from matmuls over the basis flattened once (the Hessian as one real
+product of the (Re, Im) views).
 """
 
 from __future__ import annotations
@@ -68,6 +74,10 @@ _BARRIER_SHIFT = 1e-12
 _BLOCK_ZERO = 1e-13
 _MU_FACTOR = 0.2
 _ARMIJO = 0.01
+# a stage is centered once the squared Newton decrement is below mu * 2^-12;
+# at mu / 16 the oracle's dual bound from a stage's last iterate stays too
+# far above lambda* to decide some verdicts near the boundary
+_CENTERED = 2.0 ** -12
 
 
 class SolverStatus(Enum):
@@ -134,6 +144,42 @@ def _chol_logdet(s):
     if np.any(diags <= 0.0):
         return None
     return 2.0 * float(np.log(diags).sum())
+
+
+def _center(z, s, logdet, cost, mu, newton, steps, max_steps):
+    """Damped Newton on cost(z) - mu * log det S(z) at fixed mu, S affine in z.
+
+    ``newton(u)`` maps the inverse slack u = S^-1 to ``(dz, dS, dcost,
+    dec2)``: the step, its image in S, its change of the linear cost and
+    the squared Newton decrement.  Centered once dec2 <= max(mu * 2^-12,
+    1e-13 (1 + |cost|)).  Each step halves t until S + t dS has a Cholesky
+    factor and passes the Armijo test.  Returns ``(z, S, logdet, cost, u,
+    steps, ok)``, u the inverse of the returned S; ``ok`` is False when a
+    line search found no step.  ``steps`` counts on from the given value and
+    stops at ``max_steps``.
+    """
+    while True:
+        u = np.linalg.inv(s)
+        u = (u + _adjoint(u)) / 2.0
+        if steps >= max_steps:
+            return z, s, logdet, cost, u, steps, True
+        dz, ds, dcost, dec2 = newton(u)
+        if dec2 <= max(mu * _CENTERED, 1e-13 * (1.0 + abs(cost))):
+            return z, s, logdet, cost, u, steps, True
+        steps += 1
+        phi0 = cost - mu * logdet
+        t = 1.0
+        while t > 1e-13:
+            s_try = s + t * ds
+            logdet_try = _chol_logdet(s_try)
+            if logdet_try is not None and (
+                cost + t * dcost - mu * logdet_try <= phi0 - _ARMIJO * t * dec2
+            ):
+                break
+            t *= 0.5
+        else:
+            return z, s, logdet, cost, u, steps, False
+        z, s, logdet, cost = z + t * dz, s_try, logdet_try, cost + t * dcost
 
 
 def _newton_cg(u_stack, mu, rhs_mat, tol, max_iter):
@@ -238,57 +284,36 @@ def solve_domination(
     mu = 1.0
     mu_final = gap_tol / (4.0 * nu)
 
-    steps = 0
-    s_stack = h[:, None] - shifted
-    logdet = _chol_logdet(s_stack)
-    status = SolverStatus.NUMERICAL_FAILURE if logdet is None else SolverStatus.OPTIMAL
-
     def trace(m):
         return float(np.einsum("kii->", m).real)
 
+    def newton(u_stack):
+        grad = eye - mu * u_stack.sum(axis=1)
+        step = _newton_cg(u_stack, mu, -grad, 1e-12, 4 * dim * dim)
+        return step, step[:, None], trace(step), float(np.vdot(step, -grad).real)
+
+    steps = 0
+    s_stack = h[:, None] - shifted
+    logdet, cost, u_stack = _chol_logdet(s_stack), trace(h), None
+    status = SolverStatus.NUMERICAL_FAILURE if logdet is None else SolverStatus.OPTIMAL
     while status is SolverStatus.OPTIMAL:
-        # center at the current barrier weight; the accepted trial's slack
-        # and log-det carry to the next step
-        for _ in range(60):
-            u_stack = np.linalg.inv(s_stack)
-            u_stack = (u_stack + _adjoint(u_stack)) / 2.0
-            grad = eye - mu * u_stack.sum(axis=1)
-            step_mat = _newton_cg(u_stack, mu, -grad, 1e-12, 4 * dim * dim)
-            dec2 = float(np.vdot(step_mat, -grad).real)
-            trace_h = trace(h)
-            tol_dec = max(mu / 16.0, 1e-13 * (1.0 + abs(trace_h)))
-            if dec2 <= tol_dec:
-                break
-            phi0 = trace_h - mu * logdet
-            t = 1.0
-            accepted = False
-            while t > 1e-13:
-                h_try = h + t * step_mat
-                s_try = h_try[:, None] - shifted
-                logdet_try = _chol_logdet(s_try)
-                if logdet_try is not None and (
-                    trace(h_try) - mu * logdet_try <= phi0 - _ARMIJO * t * dec2
-                ):
-                    h, s_stack, logdet = h_try, s_try, logdet_try
-                    accepted = True
-                    break
-                t *= 0.5
-            steps += 1
-            if not accepted:
-                status = SolverStatus.NUMERICAL_FAILURE
-                break
-            if steps >= _DOMINATION_MAX_NEWTON_STEPS:
-                status = SolverStatus.MAX_ITERATIONS
-                break
-        if status is not SolverStatus.OPTIMAL or mu <= mu_final:
+        h, s_stack, logdet, cost, u_stack, steps, ok = _center(
+            h, s_stack, logdet, cost, mu, newton, steps, _DOMINATION_MAX_NEWTON_STEPS
+        )
+        if not ok:
+            status = SolverStatus.NUMERICAL_FAILURE
+        elif steps >= _DOMINATION_MAX_NEWTON_STEPS:
+            status = SolverStatus.MAX_ITERATIONS
+        elif mu <= mu_final:
             break
         mu = max(mu * _MU_FACTOR, mu_final)
 
     h = (h + _adjoint(h)) / 2.0
     optimizer = _assemble(h, rows, cols, dim) + dropped * np.eye(dim)
     value = float(np.trace(optimizer).real)
-    y_blocks = _dual_point(np.linalg.inv(h[:, None] - shifted))
-    lower_bound = _dual_bound(y_blocks, g_blocks, g_eigs[..., 0].max(axis=1))
+    lower_bound = -np.inf if u_stack is None else _dual_bound(
+        _dual_point(u_stack), g_blocks, g_eigs[..., 0].max(axis=1)
+    )
     return SdpResult(
         value=value,
         optimizer=optimizer,
@@ -308,7 +333,6 @@ def _assemble(blocks, rows, cols, dim):
 
 def _dual_point(u_stack):
     """Y_i = S^-1/2 U_i S^-1/2 per block of the inverse slacks, shape (blocks, N, b, b)."""
-    u_stack = (u_stack + _adjoint(u_stack)) / 2.0
     w, v = np.linalg.eigh(u_stack.sum(axis=1))
     s_inv_half = (v / np.sqrt(w)[:, None, :]) @ _adjoint(v)
     return s_inv_half[:, None] @ u_stack @ s_inv_half[:, None]
@@ -322,7 +346,8 @@ def _dual_bound(y, g_blocks, floor):
     Tr H_kk >= c_k b + sum_i <Y_i, G_i,kk - c_k I> / lambda_k.  Each Y_i is
     first shifted by its round-off negative eigenvalue, and the float error
     of the inner products, at most gamma_n sum |Y_i||G_i - c_k I| with
-    gamma_n = n eps / (1 - n eps), is subtracted.
+    gamma_n = n eps / (1 - n eps), is subtracted; n counts the real
+    products of all blocks, more than any one block's sum takes.
     """
     b = y.shape[-1]
     y = y + np.maximum(0.0, -np.linalg.eigvalsh(y)[..., :1, None]) * np.eye(b)
@@ -355,9 +380,8 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray):
     Hermitian traceless members.  A Newton step is plain matmuls: for
     Hermitian B, Re tr(A B) is the real dot product of the (Re, Im) views of
     A and B, so with U = S^-1 and T_k = U B_k U the Hessian Re tr(T_k B_l)
-    is one real product of half the complex flops.  The line search moves S
-    along dS = sum_k dx_k B_k - dlam I, and the accepted trial's S and
-    log-det carry to the next step.
+    is one real product of half the complex flops.  ``_center`` moves S
+    along dS = sum_k dx_k B_k - dlam I.
     """
     dim = j0.shape[0]
     m = basis.shape[0]
@@ -377,65 +401,40 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray):
     def along(coeffs):  # sum_k coeffs[k] basis[k]
         return (coeffs @ basis_re).view(np.complex128).reshape(dim, dim)
 
-    x = np.zeros(m)
-    lam = float(np.linalg.eigvalsh(j0)[0]) - 1.0
+    def newton(u):
+        t_stack = u @ (basis_rows @ u).reshape(m, dim, dim)
+        gx = mu * (basis_re @ u.reshape(-1).view(np.float64))
+        gl = 1.0 - mu * float(np.trace(u).real)
+        hxx = mu * (t_stack.reshape(m, -1).view(np.float64) @ basis_re.T)
+        hxl = mu * np.trace(t_stack, axis1=1, axis2=2).real
+        hll = mu * float(np.vdot(u, u).real)
+        mat = np.empty((m + 1, m + 1))
+        mat[:m, :m] = hxx
+        mat[:m, m] = -hxl
+        mat[m, :m] = -hxl
+        mat[m, m] = hll
+        grad = np.concatenate([gx, [gl]])
+        try:
+            dz = np.linalg.solve(mat, grad)
+        except np.linalg.LinAlgError:
+            dz = np.linalg.lstsq(mat, grad, rcond=None)[0]
+        return dz, along(dz[:m]) - dz[m] * eye, -dz[m], float(grad @ dz)
+
+    # z = (x, lambda); the cost minimized is -lambda
+    z = np.zeros(m + 1)
+    z[m] = float(np.linalg.eigvalsh(j0)[0]) - 1.0
     mu = 1.0
     steps = 0
-    s = j0 + along(x) - lam * eye
+    s = j0 - z[m] * eye
 
     while True:
         logdet = _chol_logdet(s)
         if logdet is None:
             raise RuntimeError("barrier iterate left the feasible cone")
-        # center at the current barrier weight
-        polish_done = 0
-        for _ in range(80):
-            u = np.linalg.inv(s)
-            u = (u + u.conj().T) / 2.0
-            t_stack = u @ (basis_rows @ u).reshape(m, dim, dim)
-            gx = mu * (basis_re @ u.reshape(-1).view(np.float64))
-            gl = 1.0 - mu * float(np.trace(u).real)
-            hxx = mu * (t_stack.reshape(m, -1).view(np.float64) @ basis_re.T)
-            hxl = mu * np.trace(t_stack, axis1=1, axis2=2).real
-            hll = mu * float(np.vdot(u, u).real)
-            mat = np.empty((m + 1, m + 1))
-            mat[:m, :m] = hxx
-            mat[:m, m] = -hxl
-            mat[m, :m] = -hxl
-            mat[m, m] = hll
-            grad = np.concatenate([gx, [gl]])
-            try:
-                dz = np.linalg.solve(mat, grad)
-            except np.linalg.LinAlgError:
-                dz = np.linalg.lstsq(mat, grad, rcond=None)[0]
-            dec2 = float(grad @ dz)
-            hard_tol = 1e-13 * (1.0 + abs(lam))
-            if dec2 <= hard_tol:
-                break
-            if dec2 <= mu / 16.0:
-                # a couple of extra steps tighten the dual certificate
-                polish_done += 1
-                if polish_done > 2:
-                    break
-            phi0 = lam + mu * logdet
-            ds = along(dz[:m]) - dz[m] * eye
-            t = 1.0
-            accepted = False
-            while t > 1e-13:
-                s_try = s + t * ds
-                logdet_try = _chol_logdet(s_try)
-                lam_try = lam + t * dz[m]
-                if logdet_try is not None and (
-                    lam_try + mu * logdet_try >= phi0 + _ARMIJO * t * dec2
-                ):
-                    x, lam = x + t * dz[:m], lam_try
-                    s, logdet = s_try, logdet_try
-                    accepted = True
-                    break
-                t *= 0.5
-            steps += 1
-            if not accepted or steps >= _ORACLE_MAX_NEWTON_STEPS:
-                break
+        z, _, _, _, u, steps, ok = _center(
+            z, s, logdet, -z[m], mu, newton, steps, _ORACLE_MAX_NEWTON_STEPS
+        )
+        x, lam = z[:m], z[m]
 
         # certificate: restore exact dual feasibility of the scaled inverse
         # slack by projecting out the free directions, then mix with the
@@ -456,7 +455,7 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray):
         decided = _classify(lam_att, ub) is not Feasibility.MARGINAL
         if gap <= FEASIBILITY_GAP_FINE or (gap <= FEASIBILITY_GAP_COARSE and decided):
             break
-        if mu <= 1e-13 or steps >= _ORACLE_MAX_NEWTON_STEPS:
+        if not ok or mu <= 1e-13 or steps >= _ORACLE_MAX_NEWTON_STEPS:
             break
         mu *= _MU_FACTOR
 

@@ -1,9 +1,22 @@
-"""Random object generators shared across the test modules."""
+"""Random object generators and a solver fault shared across the test modules."""
 
 import numpy as np
 
-from qincompat import Channel, Povm, marginal_channel
+from qincompat import Channel, Povm, marginal_channel, sdp
 from qincompat.linalg import partial_trace
+
+_chol_logdet = sdp._chol_logdet
+
+
+def fail_cholesky_after_first_call(monkeypatch):
+    """Every later ``sdp._chol_logdet`` call fails, so no line search finds a step."""
+    calls = []
+
+    def first_call_only(s):
+        calls.append(None)
+        return _chol_logdet(s) if len(calls) == 1 else None
+
+    monkeypatch.setattr(sdp, "_chol_logdet", first_call_only)
 
 
 def random_hermitian(rng, d, scale=1.0):

@@ -22,7 +22,7 @@ from qincompat import (
 )
 from qincompat.criteria import oracle_verdict
 from qincompat.sdp import Feasibility, FeasibilityResult
-from helpers import random_basis
+from helpers import fail_cholesky_after_first_call, random_basis
 
 
 def test_depolarizing_pair_point_eight():
@@ -121,6 +121,14 @@ def test_non_convergence_reports_solver_gap(monkeypatch):
     ):
         assert v.kind is VerdictKind.UNDETERMINED and v.value is None
         assert "did not converge (max-iterations, gap " in v.certificate
+
+
+def test_failed_line_search_is_undetermined(monkeypatch):
+    fail_cholesky_after_first_call(monkeypatch)
+    chans = [make_identity(2), make_identity(2)]
+    v = zhu_criterion_channels(chans, [canonical_basis(2), fourier_basis(2)])
+    assert v.kind is VerdictKind.UNDETERMINED and v.value is None
+    assert "did not converge (numerical-failure, gap " in v.certificate
 
 
 def test_schur_pair_criterion_certifies():

@@ -31,6 +31,7 @@ from qincompat.sdp import (
 )
 from qincompat.linalg import partial_trace
 from helpers import (
+    fail_cholesky_after_first_call,
     random_basis,
     random_channel,
     random_compatible_pair,
@@ -385,6 +386,24 @@ def test_oracle_verdict_needs_its_bound(max_steps, monkeypatch):
     ]
     for channels, compatible in cases:
         res = solve_joint_channel(channels)
+        if res.status is Feasibility.INFEASIBLE:
+            assert res.lambda_star + res.gap <= -FEASIBLE_BAND
+        if res.status is Feasibility.FEASIBLE:
+            assert res.lambda_star >= FEASIBLE_BAND
+            assert np.linalg.eigvalsh(res.witness)[0] >= FEASIBLE_BAND - 1e-12
+        if compatible:
+            assert res.status is not Feasibility.INFEASIBLE
+
+
+def test_oracle_failed_line_search_keeps_the_band_rule(monkeypatch):
+    # every Cholesky after the starting point fails: the solve stops after
+    # one step and may only claim what its bracket certifies
+    cases = [([make_depolarizing(2, 0.5)] * 2, True), ([make_identity(2)] * 2, False)]
+    for channels, compatible in cases:
+        fail_cholesky_after_first_call(monkeypatch)
+        res = solve_joint_channel(channels)
+        assert res.iterations == 1
+        assert res.gap >= 0.0
         if res.status is Feasibility.INFEASIBLE:
             assert res.lambda_star + res.gap <= -FEASIBLE_BAND
         if res.status is Feasibility.FEASIBLE:
