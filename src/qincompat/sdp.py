@@ -261,7 +261,7 @@ def solve_domination(
     ``optimizer`` is the assembled dim x dim iterate plus max_i ||E_i||_2 I,
     where E_i is the part of G_i off the blocks (entries below the split
     threshold), so it dominates every full G_i and ``value`` is its trace.
-    ``lower_bound`` pairs the block-diagonal dual point with the full G_i.
+    ``lower_bound`` is ``_dual_bound`` at the last iterate (-inf if none).
     """
     g_stack = np.stack(problem.constraints)
     n_cons, dim = g_stack.shape[0], problem.dim
@@ -332,7 +332,7 @@ def _assemble(blocks, rows, cols, dim):
 
 
 def _dual_point(u_stack):
-    """Y_i = S^-1/2 U_i S^-1/2 per block of the inverse slacks, shape (blocks, N, b, b)."""
+    """Y_i = S^-1/2 U_i S^-1/2, S = sum_i U_i, per block; shape (blocks, N, b, b)."""
     w, v = np.linalg.eigh(u_stack.sum(axis=1))
     s_inv_half = (v / np.sqrt(w)[:, None, :]) @ _adjoint(v)
     return s_inv_half[:, None] @ u_stack @ s_inv_half[:, None]
