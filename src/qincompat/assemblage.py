@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
+import numpy as np
+
 from .criteria import (
     Verdict,
     VerdictKind,
@@ -64,21 +66,38 @@ def _decide_subset(channels, use_oracle) -> Verdict:
     return oracle_verdict(result)
 
 
+def _same_channel(a, b) -> bool:
+    return (a.d_in, a.d_out) == (b.d_in, b.d_out) and np.array_equal(a.choi, b.choi)
+
+
 def classify(channels, k: int, use_oracle: bool = False) -> AssemblageReport:
     """Evaluate every K-subset and attach the hierarchy labels.
 
     Subsets are enumerated in lexicographic order.  With ``use_oracle`` the
     compatible half of the hierarchy (and the genuine (K+1) labels) can be
     resolved; without it only incompatibility certificates are produced.
+    Subsets whose members are equal channel by channel are decided once.
     """
     channels = list(channels)
     n = len(channels)
     if not 1 <= k <= n:
         raise ValueError(f"subset size k={k} out of range for {n} channels")
 
-    verdicts = {}
-    for subset in itertools.combinations(range(n), k):
-        verdicts[subset] = _decide_subset([channels[i] for i in subset], use_oracle)
+    # bases are assigned by position, so equal channels in the same order
+    # get the same verdict: each subset is keyed by the first equal member
+    first = [
+        next(j for j in range(i + 1) if _same_channel(channels[j], channels[i]))
+        for i in range(n)
+    ]
+    memo = {}
+
+    def decide(subset):
+        key = tuple(first[i] for i in subset)
+        if key not in memo:
+            memo[key] = _decide_subset([channels[i] for i in subset], use_oracle)
+        return memo[key]
+
+    verdicts = {s: decide(s) for s in itertools.combinations(range(n), k)}
 
     labels = set()
     kinds = [v.kind for v in verdicts.values()]
@@ -95,7 +114,7 @@ def classify(channels, k: int, use_oracle: bool = False) -> AssemblageReport:
     higher = {}
     if nk_compatible and k < n:
         for subset in itertools.combinations(range(n), k + 1):
-            higher[subset] = _decide_subset([channels[i] for i in subset], use_oracle)
+            higher[subset] = decide(subset)
         h_kinds = [v.kind for v in higher.values()]
         h_incomp = sum(1 for x in h_kinds if x is VerdictKind.INCOMPATIBLE_CERTIFIED)
         if h_incomp >= 1:

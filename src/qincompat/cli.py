@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(p)
     p.set_defaults(func=_cmd_assemblage)
 
-    p = sub.add_parser("region", help="bisect compatibility region boundaries")
+    p = sub.add_parser("region", help="compatibility region boundaries along rays")
     p.add_argument("specs", nargs="+")
     p.add_argument("--rays", type=int, default=64)
     add_oracle(p)

@@ -1,11 +1,18 @@
-"""Map compatibility regions by ray bisection and emit figure datasets.
+"""Map compatibility regions along rays and emit figure datasets.
 
 The compatibility region of a channel tuple collects the noise vectors s
 for which the channels s_i * Phi_i + (1 - s_i) * Delta stay compatible.
 It is convex, closed, contains the origin and every coordinate unit
-vector, so along any ray from the origin there is a single crossing and
-bisection applies.  Criterion boundaries are outer bounds on the region;
-oracle boundaries are exact up to the bisection tolerance.
+vector, so along any ray from the origin there is a single crossing.
+Criterion boundaries are outer bounds on the region; oracle boundaries
+are exact up to the tolerance.
+
+Every radius comes from one root-finding loop, ``_find_boundary``.  For
+unital channels noise scaling is exact on the G-matrices,
+G_i(s) = omega + s^2 (G_i - omega), so the criterion value along a ray
+is 1 + r^2 kappa and one SDP for kappa gives the criterion radius; other
+criterion rays bisect.  The oracle optimum lambda*(r) is concave in r,
+and a safeguarded Illinois regula falsi on it takes a few solves.
 """
 
 from __future__ import annotations
@@ -15,18 +22,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, make_schur, shared_dimension
+from .channels import VALIDATION_TOL, Channel, make_schur, shared_dimension
 from .criteria import (
     VerdictKind,
     _schur_ellipse,
     select_bases,
     zhu_criterion_channels,
 )
-from .fisher import beta
-from .sdp import Feasibility, solve_joint_channel
+from .fisher import beta, g_matrix, omega
+from .linalg import partial_trace
+from .sdp import (
+    DominationProblem,
+    Feasibility,
+    SolverStatus,
+    solve_domination,
+    solve_joint_channel,
+)
 
 BISECT_TOL = 1e-3
 MIN_BISECT_TOL = 1e-4
+# a probe after a chord step that moved lo lands this far past lo, in units
+# of the tolerance: an outside verdict there closes the bracket
+_CLOSE = 1.0 - 2.0 ** -4
 
 
 @dataclass(frozen=True)
@@ -72,25 +89,89 @@ def ray_directions(n_channels: int, count: int):
     return [(float(np.cos(a)), float(np.sin(a))) for a in angles]
 
 
-def bisect_boundary(inside, r_max: float, tol: float) -> float:
+def _find_boundary(probe, r_max: float, tol: float) -> float:
     """Largest certified-inside radius along a ray.
 
-    ``inside`` must be monotone (single crossing) with ``inside(0)`` true.
+    ``probe(r)`` returns ``(inside, value)``.  ``inside`` must be monotone
+    (single crossing) and true at 0.  ``value`` is None, or a concave
+    function of r that is positive inside and negative outside (the
+    oracle's lambda*).  Without values each step bisects.  With values it
+    is Illinois regula falsi, every trial strictly inside (lo, hi).
+    Concavity puts the chord root inside and the secant through the last
+    two inside points beyond the root, so a chord step that moved lo is
+    followed by a probe at that secant root, at least lo + 15/16 tol (which
+    closes the bracket when it lands outside) and at most the midpoint.
     Returns a radius r with inside(r) true and inside(r') false for some
     r' <= r + tol, or r_max when the whole segment is inside.
     """
-    if not inside(0.0):
+    inside, f_lo = probe(0.0)
+    if not inside:
         raise RuntimeError("ray origin claimed outside a region that contains 0")
-    if inside(r_max):
+    inside, f_hi = probe(r_max)
+    if inside:
         return r_max
-    lo, hi = 0.0, r_max
+    lo, hi, prev = 0.0, r_max, None
+    close, moved = False, None
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if inside(mid):
-            lo = mid
+        if f_lo is None or f_hi is None or not f_lo > f_hi:
+            r = 0.5 * (lo + hi)
+        elif close:
+            r_up = hi
+            if prev[1] > f_lo:
+                r_up = lo + f_lo * (lo - prev[0]) / (prev[1] - f_lo)
+            r = max(min(r_up, 0.5 * (lo + hi)), lo + _CLOSE * tol)
         else:
-            hi = mid
-    return lo
+            r = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+            r = min(max(r, lo + tol / 4), hi - tol / 4)
+        inside, f = probe(r)
+        if moved is inside and f is not None:
+            # the same end moved twice: halve the value kept at the other
+            if inside:
+                f_hi *= 0.5
+            else:
+                f_lo *= 0.5
+        if inside:
+            prev, lo, f_lo = (lo, f_lo), r, f
+        else:
+            hi, f_hi = r, f
+        close, moved = inside and not close, inside
+    # lambda* values are numpy floats; radii go out as Python floats
+    return float(lo)
+
+
+def bisect_boundary(inside, r_max: float, tol: float) -> float:
+    """``_find_boundary`` by plain bisection on the predicate ``inside``."""
+    return _find_boundary(lambda r: (inside(r), None), r_max, tol)
+
+
+def _is_unital(channel: Channel) -> bool:
+    """Phi(I) = Tr_in(choi) equals I within the validation tolerance."""
+    image = partial_trace(channel.choi, [channel.d_in, channel.d_out], keep={1})
+    return float(np.abs(image - np.eye(channel.d_out)).max()) <= VALIDATION_TOL
+
+
+def _unital_criterion_radius(base_channels, bases, u, r_max: float, tol: float):
+    """Criterion radius along ``u`` from one SDP, or None when it does not decide.
+
+    With H = omega + r^2 K the criterion value at radius r is 1 + r^2 kappa,
+    kappa = min Tr K s.t. K >= u_i^2 (G_i - omega).  At r = sqrt((d - 1) /
+    kappa_value) that value is at most d, so no dual bound certifies; past
+    sqrt((d - 1) / kappa_lower) every optimum exceeds d.
+    """
+    d = base_channels[0].d
+    w = omega(d)
+    result = solve_domination(DominationProblem(d * d, tuple(
+        ui * ui * (g_matrix(c, e).m - w) for c, e, ui in zip(base_channels, bases, u)
+    )))
+    if result.status is not SolverStatus.OPTIMAL:
+        return None
+    if result.value * r_max * r_max <= d - 1:
+        return r_max
+    r_in = math.sqrt((d - 1) / result.value)
+    if result.lower_bound <= 0.0:
+        return None
+    r_out = math.sqrt((d - 1) / result.lower_bound)
+    return r_in if r_out <= min(r_in + tol, r_max) else None
 
 
 def scan_rays(
@@ -99,14 +180,18 @@ def scan_rays(
     use_oracle: bool = False,
     bisect_tol: float = BISECT_TOL,
 ) -> RegionReport:
-    """Bisect the criterion (and optionally oracle) boundary along each ray.
+    """Find the criterion (and optionally oracle) boundary along each ray.
 
-    The criterion measures in the ``select_bases`` defaults.  Rays are
-    reported in the input order.
+    The criterion measures in the ``select_bases`` defaults.  Its radius
+    is one SDP when every channel is unital (unless that SDP fails or its
+    bracket is wider than ``bisect_tol``), bisection otherwise; the oracle
+    radius is regula falsi on lambda*.  Each radius is inside, with an
+    outside point at most ``bisect_tol`` beyond it, or the ray's end.
+    Rays are reported in the input order.
     """
     base_channels = list(base_channels)
     # every ray reaches r_max = 1 / max(u) >= 1, so a tolerance of 1 or more
-    # would stop before the first halving
+    # would stop before the first probe inside the segment
     if not MIN_BISECT_TOL <= bisect_tol < 1.0:
         raise ValueError(f"bisect_tol must lie in [{MIN_BISECT_TOL}, 1)")
     d = shared_dimension(base_channels)
@@ -121,6 +206,7 @@ def scan_rays(
         dirs.append(np.clip(u, 0.0, None))
 
     bases, labels = select_bases(d, n)
+    unital = all(_is_unital(c) for c in base_channels)
 
     def scaled(r, u):
         return [
@@ -132,17 +218,21 @@ def scan_rays(
         verdict = zhu_criterion_channels(scaled(r, u), bases, basis_labels=labels)
         return verdict.kind is not VerdictKind.INCOMPATIBLE_CERTIFIED
 
-    def oracle_inside(r, u):
+    def oracle_probe(r, u):
         result = solve_joint_channel(scaled(r, u))
         # the region is closed, so marginal boundary verdicts count as inside
-        return result.status is not Feasibility.INFEASIBLE
+        return result.status is not Feasibility.INFEASIBLE, result.lambda_star
 
     def run_ray(u):
         live = u[u > 1e-12]
         r_max = float(1.0 / live.max())
-        crit = bisect_boundary(lambda r: criterion_inside(r, u), r_max, bisect_tol)
+        crit = None
+        if unital:
+            crit = _unital_criterion_radius(base_channels, bases, u, r_max, bisect_tol)
+        if crit is None:
+            crit = bisect_boundary(lambda r: criterion_inside(r, u), r_max, bisect_tol)
         orac = (
-            bisect_boundary(lambda r: oracle_inside(r, u), r_max, bisect_tol)
+            _find_boundary(lambda r: oracle_probe(r, u), r_max, bisect_tol)
             if use_oracle
             else None
         )
@@ -205,19 +295,21 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     is empty unless requested.  With the oracle on, the boundary radii
     along both axes and the diagonal are recorded in the metadata; those
     are the maximally compatible mixtures in the respective directions.
-    The diagonal one is bisected to ``BISECT_TOL``; the axis ones are 1.
+    The diagonal one is found to ``BISECT_TOL`` by regula falsi on the
+    oracle's lambda*; the axis ones are 1.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     chan_b, chan_c = make_schur(b), make_schur(c)
     beta_b, beta_c = beta(b), beta(c)
 
-    def oracle_compatible(s, t):
+    def oracle_probe(s, t):
         pair = [
             mix_toward_depolarizing(chan_b, s),
             mix_toward_depolarizing(chan_c, t),
         ]
-        return solve_joint_channel(pair).status is not Feasibility.INFEASIBLE
+        result = solve_joint_channel(pair)
+        return result.status is not Feasibility.INFEASIBLE, result.lambda_star
 
     grid = np.linspace(0.0, 1.0, resolution)
     rows = []
@@ -225,7 +317,7 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
         for t in grid:
             s, t = float(s), float(t)
             row = [s, t, _schur_ellipse(s, t, beta_b, beta_c)[2]]
-            row.append(oracle_compatible(s, t) if use_oracle else None)
+            row.append(oracle_probe(s, t)[0] if use_oracle else None)
             rows.append(row)
 
     meta = {
@@ -234,8 +326,8 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
         "criterion_region": "s^2 + beta_c t^2 <= 1 and beta_b s^2 + t^2 <= 1",
     }
     if use_oracle:
-        diag = bisect_boundary(
-            lambda r: oracle_compatible(r / math.sqrt(2.0), r / math.sqrt(2.0)),
+        diag = _find_boundary(
+            lambda r: oracle_probe(r / math.sqrt(2.0), r / math.sqrt(2.0)),
             math.sqrt(2.0),
             BISECT_TOL,
         )

@@ -262,9 +262,24 @@ def solve_domination(
     where E_i is the part of G_i off the blocks (entries below the split
     threshold), so it dominates every full G_i and ``value`` is its trace.
     ``lower_bound`` is ``_dual_bound`` at the last iterate (-inf if none).
+    A single constraint is its own optimizer: ``value`` is Tr G after no
+    Newton step, and ``lower_bound`` is ``_dual_bound`` at Y = I.
     """
     g_stack = np.stack(problem.constraints)
     n_cons, dim = g_stack.shape[0], problem.dim
+    if n_cons == 1:
+        value = float(np.trace(g_stack[0]).real)
+        lower_bound = _dual_bound(
+            np.eye(dim)[None, None], g_stack[None], np.linalg.eigvalsh(g_stack[0])[:1]
+        )
+        return SdpResult(
+            value=value,
+            optimizer=g_stack[0],
+            lower_bound=lower_bound,
+            gap=value - lower_bound,
+            iterations=0,
+            status=SolverStatus.OPTIMAL,
+        )
     nu = n_cons * dim
     index = _support_blocks(g_stack)
     rows, cols = index[:, :, None], index[:, None, :]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from qincompat import (
     VerdictKind,
     classify,
     make_depolarizing,
+    make_schur,
 )
 
 
@@ -95,3 +98,25 @@ def test_criterion_flip_matches_closed_form():
         chans = [make_depolarizing(2, t)] * 3
         rep = classify(chans, k)
         assert (AssemblageLabel.NK_STRONG_INCOMPATIBLE in rep.labels) is expect
+
+
+def test_repeated_channels_are_solved_once_in_order(monkeypatch):
+    # the first channel is perfectly readable in the canonical basis, the
+    # second is not, so the criterion value depends on the order of a pair
+    a = make_schur(np.array([[1.0, 0.2], [0.2, 1.0]]))
+    b = make_schur(np.array([[1.0, 0.9], [0.9, 1.0]]))
+    chans = [a, b, a, b]
+    fresh = {
+        s: qincompat.assemblage._decide_subset([chans[i] for i in s], False)
+        for s in itertools.combinations(range(4), 2)
+    }
+    assert fresh[(0, 1)].value != fresh[(1, 2)].value
+
+    solves = []
+    decide = qincompat.assemblage._decide_subset
+    monkeypatch.setattr(qincompat.assemblage, "_decide_subset",
+                        lambda c, o: solves.append(None) or decide(c, o))
+    report = classify(chans, 2)
+    # distinct ordered pairs: (a, b), (a, a), (b, a), (b, b)
+    assert len(solves) == 4
+    assert report.subset_verdicts == fresh

@@ -154,6 +154,22 @@ def test_region_command(specs, capsys):
     assert "outer-bound check passed" in captured.err
 
 
+def test_region_csv_cells_are_numbers(specs, capsys):
+    code = main(["region", specs["dep08"], specs["dep08"], "--rays", "3", "--oracle",
+                 "--format", "csv"])
+    assert code == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "u0,u1,criterion_radius,oracle_radius"
+    assert len(rows) == 3
+    for row in rows:
+        for cell in row.split(","):
+            float(cell)
+    # diagonal: criterion circle 2 (0.8 r / sqrt 2)^2 = 1, exact boundary t = 2/3
+    _, _, crit, orac = (float(c) for c in rows[1].split(","))
+    assert abs(crit - 1.25) < 1e-3
+    assert abs(orac - (2.0 / 3.0) * 2.0 ** 0.5 / 0.8) < 1e-3
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

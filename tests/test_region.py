@@ -1,11 +1,25 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from qincompat import make_identity
+import qincompat.region as region
+from qincompat import (
+    Channel,
+    VerdictKind,
+    make_depolarizing,
+    make_identity,
+    make_schur,
+    select_bases,
+    zhu_criterion_channels,
+)
+from qincompat.criteria import exact_depolarizing_pair
+from qincompat.sdp import SolverStatus
 from qincompat.region import (
     RayResult,
+    _is_unital,
+    _unital_criterion_radius,
     bisect_boundary,
     dataset_to_csv,
     emit_figure1_data,
@@ -78,6 +92,26 @@ def test_bisect_brackets_converge():
     assert inside(r)
     assert not inside(r + 2e-3)
     assert abs(r - 0.61803) <= 1e-3
+
+
+@pytest.mark.parametrize(
+    "value, root",
+    [(lambda r: 0.3 - r, 0.3), (lambda r: 0.25 - r * r, 0.5),
+     (lambda r: 1.0 - (r / 0.7) ** 8, 0.7), (lambda r: min(1.0, 4.0 * (0.9 - r)), 0.9)],
+    ids=["linear", "quadratic", "flat-then-steep", "kink"],
+)
+def test_regula_falsi_on_concave_values(value, root):
+    probes = []
+
+    def probe(r):
+        probes.append(r)
+        return value(r) >= 0.0, value(r)
+
+    r = region._find_boundary(probe, 1.2, 1e-3)
+    assert value(r) >= 0.0 and root - 1e-3 <= r <= root
+    assert all(0.0 < p < 1.2 for p in probes[2:])
+    # bisection takes 2 + ceil(log2(1.2 / 1e-3)) = 13 probes
+    assert len(probes) <= 12
 
 
 def test_ray_directions():
@@ -179,3 +213,123 @@ def test_determinism():
     a = scan_rays(chans, dirs, use_oracle=True)
     b = scan_rays(chans, dirs, use_oracle=True)
     assert a == b
+
+
+def _scaled(chans, r, u):
+    return [mix_toward_depolarizing(c, min(r * ui, 1.0)) for c, ui in zip(chans, u)]
+
+
+def _criterion_certifies(chans, r, u):
+    bases, labels = select_bases(chans[0].d, len(chans))
+    verdict = zhu_criterion_channels(_scaled(chans, r, u), bases, basis_labels=labels)
+    return verdict.kind is VerdictKind.INCOMPATIBLE_CERTIFIED
+
+
+def _bisected_criterion_radius(chans, u, tol):
+    r_max = 1.0 / max(u)
+    return bisect_boundary(lambda r: not _criterion_certifies(chans, r, u), r_max, tol)
+
+
+B_SCHUR = np.array([[1.0, 0.5], [0.5, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "chans, u, exact",
+    [
+        # depolarizing pairs over unbiased bases: the circle sum (t_i r u_i)^2 = 1
+        ([make_depolarizing(2, 0.9), make_depolarizing(2, 0.95)],
+         (math.cos(0.6), math.sin(0.6)),
+         1.0 / math.hypot(0.9 * math.cos(0.6), 0.95 * math.sin(0.6))),
+        ([make_depolarizing(3, 1.0), make_depolarizing(3, 0.9)],
+         (math.cos(1.0), math.sin(1.0)),
+         1.0 / math.hypot(math.cos(1.0), 0.9 * math.sin(1.0))),
+        # Schur pair, diagonal: coordinate 1 / sqrt(1 + beta), beta = 1/4
+        ([make_schur(B_SCHUR), make_schur(B_SCHUR)], (1.0 / SQ2, 1.0 / SQ2),
+         SQ2 / math.sqrt(1.25)),
+        # identity triple over the qubit unbiased bases: the unit sphere
+        ([make_identity(2)] * 3, (0.6, 0.48, 0.64), 1.0),
+    ],
+    ids=["qubit-depolarizing", "qutrit-depolarizing", "schur-diagonal", "identity-triple"],
+)
+def test_unital_criterion_radius_is_one_sdp(chans, u, exact, monkeypatch):
+    tol = 1e-3
+    u = np.array(u)
+    bases, _ = select_bases(chans[0].d, len(chans))
+    one_shot = _unital_criterion_radius(chans, bases, u, 1.0 / u.max(), tol)
+    assert one_shot is not None
+    assert abs(one_shot - exact) < 1e-5
+
+    sdp_calls = []
+    solve = region.solve_domination
+    monkeypatch.setattr(region, "solve_domination",
+                        lambda *a, **k: sdp_calls.append(None) or solve(*a, **k))
+    ray = scan_rays(chans, [u], bisect_tol=tol).rays[0]
+    monkeypatch.undo()
+    assert len(sdp_calls) == 1
+    assert ray.criterion_radius == one_shot
+
+    assert abs(ray.criterion_radius - _bisected_criterion_radius(chans, u, tol)) <= tol
+    assert not _criterion_certifies(chans, ray.criterion_radius, u)
+    assert _criterion_certifies(chans, ray.criterion_radius + tol, u)
+
+
+def test_unital_ray_bisects_when_its_sdp_fails(monkeypatch):
+    chans = [make_depolarizing(2, 0.9), make_depolarizing(2, 0.95)]
+    u = (math.cos(0.6), math.sin(0.6))
+    solve = region.solve_domination
+    monkeypatch.setattr(region, "solve_domination", lambda problem: dataclasses.replace(
+        solve(problem), status=SolverStatus.MAX_ITERATIONS))
+    ray = scan_rays(chans, [u], bisect_tol=1e-3).rays[0]
+    assert ray.criterion_radius == _bisected_criterion_radius(chans, u, 1e-3)
+
+
+def _exact_dep_pair_radius(ts, u):
+    lo, hi = 0.0, 1.0 / max(u)
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        s, t = (ti * mid * ui for ti, ui in zip(ts, u))
+        lo, hi = (mid, hi) if exact_depolarizing_pair(2, s, t) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize(
+    "ts, angle", [((1.0, 1.0), math.pi / 4), ((0.9, 0.95), 0.6), ((0.85, 1.0), 1.0)]
+)
+def test_oracle_ray_regula_falsi(ts, angle, monkeypatch):
+    tol = 1e-3
+    chans = [make_depolarizing(2, t) for t in ts]
+    u = (math.cos(angle), math.sin(angle))
+    solves = []
+    solve = region.solve_joint_channel
+    monkeypatch.setattr(region, "solve_joint_channel",
+                        lambda pair: solves.append(None) or solve(pair))
+    ray = scan_rays(chans, [u], use_oracle=True, bisect_tol=tol).rays[0]
+    monkeypatch.undo()
+    assert len(solves) <= 5
+    r = ray.oracle_radius
+    assert abs(r - _exact_dep_pair_radius(ts, u)) <= tol
+    assert solve(_scaled(chans, r, u)).status is not region.Feasibility.INFEASIBLE
+    assert solve(_scaled(chans, r + tol, u)).status is region.Feasibility.INFEASIBLE
+
+
+def _amplitude_damping(gamma):
+    kraus = [np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]]),
+             np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]])]
+    choi = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            e = np.zeros((2, 2))
+            e[i, j] = 1.0
+            choi += np.kron(e, sum(k @ e @ k.T for k in kraus))
+    return Channel(2, 2, choi, label=f"amplitude-damping({gamma})")
+
+
+def test_non_unital_pair_bisects():
+    chans = [_amplitude_damping(0.1), _amplitude_damping(0.2)]
+    assert not any(_is_unital(c) for c in chans)
+    assert all(_is_unital(c) for c in (make_identity(2), make_schur(B_SCHUR)))
+    u = (math.cos(0.7), math.sin(0.7))
+    ray = scan_rays(chans, [u], bisect_tol=1e-3).rays[0]
+    expected = _bisected_criterion_radius(chans, u, 1e-3)
+    assert expected < 1.0 / max(u)  # the criterion crosses inside the segment
+    assert ray.criterion_radius == expected

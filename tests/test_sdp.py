@@ -175,13 +175,16 @@ def test_single_constraint_is_tight():
     assert abs(res.value - 2.0) < 1e-6
     assert np.abs(res.optimizer - g).max() < 1e-3
     assert res.gap <= 1e-6
+    # H = G is optimal: no Newton step
+    assert res.iterations == 0
 
 
 def test_unequal_components_are_one_block():
     g = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], complex)
     # components {0, 1} and {2}
     assert _support_blocks(g[None]).tolist() == [[0, 1, 2]]
-    res = solve_domination(DominationProblem(3, (g,)))
+    # a repeated constraint runs the barrier, which one constraint skips
+    res = solve_domination(DominationProblem(3, (g, g)))
     assert res.status is SolverStatus.OPTIMAL
     assert res.lower_bound <= 3.0 <= res.value
     assert np.abs(res.optimizer - g).max() < 1e-3
@@ -247,12 +250,13 @@ def test_mub_constraints_closed_form(rng):
 def test_dropped_norm_keeps_the_optimizer_feasible():
     # the 9e-8 coupling is below the split threshold (1e-13 of 1e6), so the
     # indices split into four 1 x 1 blocks; it exceeds the final barrier
-    # slack (~gap_tol / (4 nu) = 6e-8), so only the added ||E||_2 I keeps
-    # the optimizer above the full constraint
+    # slack (~N gap_tol / (4 nu) = 6e-8), so only the added ||E||_2 I keeps
+    # the optimizer above the full constraint (repeated, so that the
+    # barrier runs: one constraint skips it)
     g = np.diag([1e6, 1.0, 1.0, 1.0]).astype(complex)
     g[1, 2] = g[2, 1] = 9e-8
     assert _support_blocks(g[None]).shape == (4, 1)
-    res = solve_domination(DominationProblem(4, (g,)))
+    res = solve_domination(DominationProblem(4, (g, g)))
     assert res.status is SolverStatus.OPTIMAL
     # round-off at this scale is ~1e-10
     assert res.lower_bound - 1e-9 <= 1e6 + 3.0 <= res.value
