@@ -23,7 +23,7 @@ from .criteria import (
     select_bases,
     zhu_criterion_channels,
 )
-from .sdp import Feasibility, solve_joint_channel
+from .sdp import Feasibility, OracleBudgetError, solve_joint_channel
 
 
 class AssemblageLabel(Enum):
@@ -60,6 +60,8 @@ def _decide_subset(channels, use_oracle) -> Verdict:
         result = solve_joint_channel(channels)
     except RuntimeError as exc:
         return replace(verdict, certificate=f"{verdict.certificate}; oracle error: {exc}")
+    except OracleBudgetError as exc:
+        return replace(verdict, certificate=f"{verdict.certificate}; oracle skipped: {exc}")
     if result.status is Feasibility.MARGINAL:
         # keep whatever information the criterion produced
         return verdict

@@ -7,12 +7,14 @@ vector, so along any ray from the origin there is a single crossing.
 Criterion boundaries are outer bounds on the region; oracle boundaries
 are exact up to the tolerance.
 
-Every radius comes from one root-finding loop, ``_find_boundary``.  For
-unital channels noise scaling is exact on the G-matrices,
+For unital channels noise scaling is exact on the G-matrices,
 G_i(s) = omega + s^2 (G_i - omega), so the criterion value along a ray
-is 1 + r^2 kappa and one SDP for kappa gives the criterion radius; other
-criterion rays bisect.  The oracle optimum lambda*(r) is concave in r,
-and a safeguarded Illinois regula falsi on it takes a few solves.
+is 1 + r^2 kappa and one SDP for kappa gives the criterion radius.  Along
+a ray every marginal s_i Phi_i + (1 - s_i) Delta is affine in r, and so
+is the minimum-norm joint operator, so one SDP maximizing r gives the
+oracle radius whenever the ray's end is certified infeasible.  Bisection
+remains only for non-unital criterion rays and for an SDP that does not
+decide.
 """
 
 from __future__ import annotations
@@ -35,15 +37,13 @@ from .sdp import (
     DominationProblem,
     Feasibility,
     SolverStatus,
+    _joint_channel_radius,
     solve_domination,
     solve_joint_channel,
 )
 
 BISECT_TOL = 1e-3
 MIN_BISECT_TOL = 1e-4
-# a probe after a chord step that moved lo lands this far past lo, in units
-# of the tolerance: an outside verdict there closes the bracket
-_CLOSE = 1.0 - 2.0 ** -4
 
 
 @dataclass(frozen=True)
@@ -89,59 +89,53 @@ def ray_directions(n_channels: int, count: int):
     return [(float(np.cos(a)), float(np.sin(a))) for a in angles]
 
 
-def _find_boundary(probe, r_max: float, tol: float) -> float:
-    """Largest certified-inside radius along a ray.
-
-    ``probe(r)`` returns ``(inside, value)``.  ``inside`` must be monotone
-    (single crossing) and true at 0.  ``value`` is None, or a concave
-    function of r that is positive inside and negative outside (the
-    oracle's lambda*).  Without values each step bisects.  With values it
-    is Illinois regula falsi, every trial strictly inside (lo, hi).
-    Concavity puts the chord root inside and the secant through the last
-    two inside points beyond the root, so a chord step that moved lo is
-    followed by a probe at that secant root, at least lo + 15/16 tol (which
-    closes the bracket when it lands outside) and at most the midpoint.
-    Returns a radius r with inside(r) true and inside(r') false for some
-    r' <= r + tol, or r_max when the whole segment is inside.
-    """
-    inside, f_lo = probe(0.0)
-    if not inside:
-        raise RuntimeError("ray origin claimed outside a region that contains 0")
-    inside, f_hi = probe(r_max)
-    if inside:
-        return r_max
-    lo, hi, prev = 0.0, r_max, None
-    close, moved = False, None
-    while hi - lo > tol:
-        if f_lo is None or f_hi is None or not f_lo > f_hi:
-            r = 0.5 * (lo + hi)
-        elif close:
-            r_up = hi
-            if prev[1] > f_lo:
-                r_up = lo + f_lo * (lo - prev[0]) / (prev[1] - f_lo)
-            r = max(min(r_up, 0.5 * (lo + hi)), lo + _CLOSE * tol)
-        else:
-            r = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-            r = min(max(r, lo + tol / 4), hi - tol / 4)
-        inside, f = probe(r)
-        if moved is inside and f is not None:
-            # the same end moved twice: halve the value kept at the other
-            if inside:
-                f_hi *= 0.5
-            else:
-                f_lo *= 0.5
-        if inside:
-            prev, lo, f_lo = (lo, f_lo), r, f
-        else:
-            hi, f_hi = r, f
-        close, moved = inside and not close, inside
-    # lambda* values are numpy floats; radii go out as Python floats
-    return float(lo)
-
-
 def bisect_boundary(inside, r_max: float, tol: float) -> float:
-    """``_find_boundary`` by plain bisection on the predicate ``inside``."""
-    return _find_boundary(lambda r: (inside(r), None), r_max, tol)
+    """Largest certified-inside radius along a ray, by bisection.
+
+    ``inside`` must be monotone (single crossing) and true at 0.  Returns a
+    radius r with inside(r) true and inside(r') false for some r' <= r +
+    tol, or r_max when the whole segment is inside.
+    """
+    if not inside(0.0):
+        raise RuntimeError("ray origin claimed outside a region that contains 0")
+    if inside(r_max):
+        return r_max
+    lo, hi = 0.0, r_max
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _scaled(channels, u, r):
+    """The channels noise-scaled to s_i = min(r u_i, 1)."""
+    return [mix_toward_depolarizing(c, min(r * ui, 1.0)) for c, ui in zip(channels, u)]
+
+
+def _oracle_inside(channels, u, r) -> bool:
+    """The oracle does not certify ``_scaled(channels, u, r)`` incompatible."""
+    # the region is closed, so marginal boundary verdicts count as inside
+    result = solve_joint_channel(_scaled(channels, u, r))
+    return result.status is not Feasibility.INFEASIBLE
+
+
+def _oracle_radius(channels, u, r_max: float, tol: float) -> float:
+    """Oracle radius along ``u``: r_max, or the radius SDP's lower bound.
+
+    A ray whose end is not certified infeasible has radius r_max, and
+    otherwise the radius SDP has a finite optimum below r_max.  Its bracket
+    is certified: a joint channel exists at ``lo`` and none past ``hi``.
+    A bracket wider than ``tol`` falls back to bisection.
+    """
+    if _oracle_inside(channels, u, r_max):
+        return r_max
+    lo, hi = _joint_channel_radius(channels, u)
+    if hi - lo <= tol:
+        return lo
+    return bisect_boundary(lambda r: _oracle_inside(channels, u, r), r_max, tol)
 
 
 def _is_unital(channel: Channel) -> bool:
@@ -185,8 +179,9 @@ def scan_rays(
     The criterion measures in the ``select_bases`` defaults.  Its radius
     is one SDP when every channel is unital (unless that SDP fails or its
     bracket is wider than ``bisect_tol``), bisection otherwise; the oracle
-    radius is regula falsi on lambda*.  Each radius is inside, with an
-    outside point at most ``bisect_tol`` beyond it, or the ray's end.
+    radius is one solve at the ray's end and, when that end is infeasible,
+    one radius SDP.  Each radius is inside, with an outside point at most
+    ``bisect_tol`` beyond it, or the ray's end.
     Rays are reported in the input order.
     """
     base_channels = list(base_channels)
@@ -208,20 +203,11 @@ def scan_rays(
     bases, labels = select_bases(d, n)
     unital = all(_is_unital(c) for c in base_channels)
 
-    def scaled(r, u):
-        return [
-            mix_toward_depolarizing(c, min(r * ui, 1.0))
-            for c, ui in zip(base_channels, u)
-        ]
-
     def criterion_inside(r, u):
-        verdict = zhu_criterion_channels(scaled(r, u), bases, basis_labels=labels)
+        verdict = zhu_criterion_channels(
+            _scaled(base_channels, u, r), bases, basis_labels=labels
+        )
         return verdict.kind is not VerdictKind.INCOMPATIBLE_CERTIFIED
-
-    def oracle_probe(r, u):
-        result = solve_joint_channel(scaled(r, u))
-        # the region is closed, so marginal boundary verdicts count as inside
-        return result.status is not Feasibility.INFEASIBLE, result.lambda_star
 
     def run_ray(u):
         live = u[u > 1e-12]
@@ -232,9 +218,7 @@ def scan_rays(
         if crit is None:
             crit = bisect_boundary(lambda r: criterion_inside(r, u), r_max, bisect_tol)
         orac = (
-            _find_boundary(lambda r: oracle_probe(r, u), r_max, bisect_tol)
-            if use_oracle
-            else None
+            _oracle_radius(base_channels, u, r_max, bisect_tol) if use_oracle else None
         )
         return RayResult(
             direction=tuple(float(v) for v in u),
@@ -295,30 +279,22 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     is empty unless requested.  With the oracle on, the boundary radii
     along both axes and the diagonal are recorded in the metadata; those
     are the maximally compatible mixtures in the respective directions.
-    The diagonal one is found to ``BISECT_TOL`` by regula falsi on the
-    oracle's lambda*; the axis ones are 1.
+    The diagonal one is one solve at the ray's end plus one radius SDP,
+    inside and at most ``BISECT_TOL`` below the boundary; the axis ones
+    are 1.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    chan_b, chan_c = make_schur(b), make_schur(c)
+    pair = [make_schur(b), make_schur(c)]
     beta_b, beta_c = beta(b), beta(c)
-
-    def oracle_probe(s, t):
-        pair = [
-            mix_toward_depolarizing(chan_b, s),
-            mix_toward_depolarizing(chan_c, t),
-        ]
-        result = solve_joint_channel(pair)
-        return result.status is not Feasibility.INFEASIBLE, result.lambda_star
 
     grid = np.linspace(0.0, 1.0, resolution)
     rows = []
     for s in grid:
         for t in grid:
             s, t = float(s), float(t)
-            row = [s, t, _schur_ellipse(s, t, beta_b, beta_c)[2]]
-            row.append(oracle_probe(s, t)[0] if use_oracle else None)
-            rows.append(row)
+            oracle = _oracle_inside(pair, (s, t), 1.0) if use_oracle else None
+            rows.append([s, t, _schur_ellipse(s, t, beta_b, beta_c)[2], oracle])
 
     meta = {
         "beta_b": beta_b,
@@ -326,11 +302,7 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
         "criterion_region": "s^2 + beta_c t^2 <= 1 and beta_b s^2 + t^2 <= 1",
     }
     if use_oracle:
-        diag = _find_boundary(
-            lambda r: oracle_probe(r / math.sqrt(2.0), r / math.sqrt(2.0)),
-            math.sqrt(2.0),
-            BISECT_TOL,
-        )
+        diag = _oracle_radius(pair, (math.sqrt(0.5),) * 2, math.sqrt(2.0), BISECT_TOL)
         # rho -> Phi(rho) (x) I/d is a joint channel of any Phi and Delta
         meta["boundary_points"] = {
             "diagonal_coordinate": diag / math.sqrt(2.0),

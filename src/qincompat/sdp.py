@@ -30,15 +30,18 @@
     normalized identity, the marginals fix exactly the strings with at most
     one non-identity constrained factor.  The others span the free
     directions, an inclusion-exclusion sum of the embedded targets is the
-    minimum-norm particular solution, and lambda_min over the free
-    coordinates is maximized by the same barrier machinery applied to
+    minimum-norm particular solution j0, and one barrier engine maximizes
 
-        maximize  lambda + mu * log det(J(x) - lambda I).
+        t  subject to  j0 + sum_k x_k B_k + t A >= 0.
 
-    The optimum is bracketed: the attained lambda_min bounds it from below,
-    and the inverse slack of the last iterate, normalized to trace 1,
-    projected off the free directions and mixed with I/D until it is PSD,
-    is a dual point whose value bounds it from above.
+    A = -I makes t lambda_min, the oracle's verdict.  Along a ray of
+    noise-scaled channels the particular solution is I/d^N + r E, with E
+    traceless and orthogonal to the free directions, so A = E gives the
+    compatibility radius (``_joint_channel_radius``).  The attained t bounds
+    the optimum from below; the inverse slack of the last iterate, scaled to
+    <Y, A> = -1, projected off the free directions, shifted by c I until it
+    is PSD and divided by 1 - c Tr A, is a dual point whose value <Y, j0>
+    bounds it from above.
 
 Both barriers are centered by one routine, ``_center``: damped Newton at a
 fixed mu, a Cholesky-guarded Armijo line search along the slack direction
@@ -78,6 +81,10 @@ _ARMIJO = 0.01
 # at mu / 16 the oracle's dual bound from a stage's last iterate stays too
 # far above lambda* to decide some verdicts near the boundary
 _CENTERED = 2.0 ** -12
+
+
+class OracleBudgetError(ValueError):
+    """An oracle instance is larger than ``ORACLE_BUDGET`` allows."""
 
 
 class SolverStatus(Enum):
@@ -387,60 +394,63 @@ def _classify(lam: float, ub: float) -> Feasibility:
     return Feasibility.MARGINAL
 
 
-def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray):
-    """Maximize lambda_min(j0 + sum_k x_k basis[k]) over x.
+def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray, direction=None):
+    """Maximize t subject to j0 + sum_k x_k basis[k] + t A >= 0 over (x, t).
 
-    Returns ``(x, lam_attained, upper_bound, steps)`` of the last stage.
+    A = ``direction`` defaults to -I, making t lambda_min at x; any other A
+    must be Hermitian and orthogonal to the basis, with j0 positive definite
+    (the barrier starts at t = 0) and a finite optimum.  Returns ``(x,
+    t_attained, upper_bound, steps)`` of the last stage; t_attained is
+    lambda_min at x for A = -I, else the iterate's t (its slack is PD).
     ``basis`` must be orthonormal in the Frobenius inner product, with
     Hermitian traceless members.  A Newton step is plain matmuls: for
-    Hermitian B, Re tr(A B) is the real dot product of the (Re, Im) views of
-    A and B, so with U = S^-1 and T_k = U B_k U the Hessian Re tr(T_k B_l)
+    Hermitian B, Re tr(M B) is the real dot product of the (Re, Im) views of
+    M and B, so with U = S^-1 and T_k = U B_k U the Hessian Re tr(T_k B_l)
     is one real product of half the complex flops.  ``_center`` moves S
-    along dS = sum_k dx_k B_k - dlam I.
+    along dS = sum_k dx_k B_k + dt A.
     """
     dim = j0.shape[0]
     m = basis.shape[0]
-    eye = np.eye(dim)
+    a = -np.eye(dim) if direction is None else direction
 
-    if m == 0:
+    if m == 0 and direction is None:
         lam = float(np.linalg.eigvalsh(j0)[0])
         return np.zeros(0), lam, lam, 0
 
-    traces = np.abs(np.einsum("kpp->k", basis))
-    if traces.max() > 1e-8:
+    if np.abs(np.einsum("kpp->k", basis)).max(initial=0.0) > 1e-8:
         raise ValueError("free directions must be traceless for the optimum bound")
 
     basis_rows = basis.reshape(m * dim, dim)
     basis_re = np.asarray(basis, np.complex128).reshape(m, -1).view(np.float64)
+    a_re = np.asarray(a, np.complex128).reshape(-1).view(np.float64)
 
     def along(coeffs):  # sum_k coeffs[k] basis[k]
         return (coeffs @ basis_re).view(np.complex128).reshape(dim, dim)
 
     def newton(u):
         t_stack = u @ (basis_rows @ u).reshape(m, dim, dim)
-        gx = mu * (basis_re @ u.reshape(-1).view(np.float64))
-        gl = 1.0 - mu * float(np.trace(u).real)
-        hxx = mu * (t_stack.reshape(m, -1).view(np.float64) @ basis_re.T)
-        hxl = mu * np.trace(t_stack, axis1=1, axis2=2).real
-        hll = mu * float(np.vdot(u, u).real)
+        u_re = u.reshape(-1).view(np.float64)
+        uau_re = (u @ a @ u).reshape(-1).view(np.float64)
+        gx = mu * (basis_re @ u_re)
+        gt = 1.0 + mu * float(u_re @ a_re)
         mat = np.empty((m + 1, m + 1))
-        mat[:m, :m] = hxx
-        mat[:m, m] = -hxl
-        mat[m, :m] = -hxl
-        mat[m, m] = hll
-        grad = np.concatenate([gx, [gl]])
+        mat[:m, :m] = mu * (t_stack.reshape(m, -1).view(np.float64) @ basis_re.T)
+        mat[:m, m] = mat[m, :m] = mu * (basis_re @ uau_re)
+        mat[m, m] = mu * float(uau_re @ a_re)
+        grad = np.concatenate([gx, [gt]])
         try:
             dz = np.linalg.solve(mat, grad)
         except np.linalg.LinAlgError:
             dz = np.linalg.lstsq(mat, grad, rcond=None)[0]
-        return dz, along(dz[:m]) - dz[m] * eye, -dz[m], float(grad @ dz)
+        return dz, along(dz[:m]) + dz[m] * a, -dz[m], float(grad @ dz)
 
-    # z = (x, lambda); the cost minimized is -lambda
+    # z = (x, t); the cost minimized is -t
     z = np.zeros(m + 1)
-    z[m] = float(np.linalg.eigvalsh(j0)[0]) - 1.0
+    if direction is None:
+        z[m] = float(np.linalg.eigvalsh(j0)[0]) - 1.0
     mu = 1.0
     steps = 0
-    s = j0 - z[m] * eye
+    s = j0 + z[m] * a
 
     while True:
         logdet = _chol_logdet(s)
@@ -449,32 +459,29 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray):
         z, _, _, _, u, steps, ok = _center(
             z, s, logdet, -z[m], mu, newton, steps, _ORACLE_MAX_NEWTON_STEPS
         )
-        x, lam = z[:m], z[m]
+        x, t = z[:m], float(z[m])
 
-        # certificate: restore exact dual feasibility of the scaled inverse
-        # slack by projecting out the free directions, then mix with the
-        # (always dual-feasible) normalized identity to regain positivity
-        s = j0 + along(x) - lam * eye
-        lam_att = lam + float(np.linalg.eigvalsh(s)[0])
-        y = u / float(np.trace(u).real)
+        s = j0 + along(x) + t * a
+        t_att = t if direction is not None else t + float(np.linalg.eigvalsh(s)[0])
+        # certificate: scale the inverse slack to <Y, A> = -1, project out
+        # the free directions, shift by c I until PSD and rescale so that
+        # <Y, A> = -1 again; then t <= <Y, j0> for every feasible (x, t)
+        y = u / -float(u.reshape(-1).view(np.float64) @ a_re)
         y_proj = y - along(basis_re @ y.reshape(-1).view(np.float64))
-        y_min = float(np.linalg.eigvalsh(y_proj)[0])
-        theta = 0.0
-        if y_min < 0.0:
-            theta = -y_min * dim / (1.0 - y_min * dim)
-        ub = (1.0 - theta) * float(np.vdot(y_proj, j0).real) + theta * float(
-            np.trace(j0).real
-        ) / dim
+        c = max(0.0, -float(np.linalg.eigvalsh(y_proj)[0]))
+        ub = (float(np.vdot(y_proj, j0).real) + c * float(np.trace(j0).real)) / (
+            1.0 - c * float(np.trace(a).real)
+        )
 
-        gap = ub - lam_att
-        decided = _classify(lam_att, ub) is not Feasibility.MARGINAL
+        gap = ub - t_att
+        decided = _classify(t_att, ub) is not Feasibility.MARGINAL
         if gap <= FEASIBILITY_GAP_FINE or (gap <= FEASIBILITY_GAP_COARSE and decided):
             break
         if not ok or mu <= 1e-13 or steps >= _ORACLE_MAX_NEWTON_STEPS:
             break
         mu *= _MU_FACTOR
 
-    return x, lam_att, ub, steps
+    return x, t_att, ub, steps
 
 
 def _solve_family(j0, basis) -> FeasibilityResult:
@@ -572,6 +579,20 @@ def _marginal_family(dims, factor_bases, shared, targets):
 # joint channel oracle
 # ---------------------------------------------------------------------------
 
+def _joint_channel_family(d: int, targets):
+    """``_marginal_family`` of a d -> d^N joint Choi matrix, within the budget."""
+    n = len(targets)
+    big_dim = d ** (n + 1)
+    cost = n * big_dim * big_dim
+    if cost > ORACLE_BUDGET:
+        raise OracleBudgetError(
+            f"joint Choi matrix of dimension {d}^{n + 1} = {big_dim} needs "
+            f"N * dim^2 = {cost}, over the oracle budget {ORACLE_BUDGET}"
+        )
+    # factor 0 is the input, factors 1..N the outputs
+    return _marginal_family([d] * (n + 1), [_hermitian_basis(d)] * (n + 1), 0, targets)
+
+
 def solve_joint_channel(channels) -> FeasibilityResult:
     """Decide whether the given channels are marginals of one joint channel.
 
@@ -582,27 +603,31 @@ def solve_joint_channel(channels) -> FeasibilityResult:
     least ``FEASIBLE_BAND``, INFEASIBLE the dual bound ``lambda_star + gap``
     at most ``-FEASIBLE_BAND``; anything between is MARGINAL.  Instances
     whose cost N * dim^2 exceeds ``ORACLE_BUDGET`` (d=2 with N >= 4, d=3
-    with N >= 3) are refused with a ValueError.
+    with N >= 3) are refused with an ``OracleBudgetError``.
     """
     channels = list(channels)
     d = shared_dimension(channels)
-    n = len(channels)
-    big_dim = d ** (n + 1)
-    cost = n * big_dim * big_dim
-    if cost > ORACLE_BUDGET:
-        raise ValueError(
-            f"joint Choi matrix of dimension {d}^{n + 1} = {big_dim} needs "
-            f"N * dim^2 = {cost}, over the oracle budget {ORACLE_BUDGET}"
-        )
+    return _solve_family(*_joint_channel_family(d, [c.choi for c in channels]))
 
-    # factor 0 is the input, factors 1..N the outputs
-    j0, basis = _marginal_family(
-        [d] * (n + 1),
-        [_hermitian_basis(d)] * (n + 1),
-        0,
-        [c.choi for c in channels],
+
+def _joint_channel_radius(channels, u):
+    """Certified bracket (lo, hi) on the largest r with compatible s_i = r u_i.
+
+    The marginals s_i Phi_i + (1 - s_i) Delta are affine in r, so the
+    minimum-norm joint operator is J(r) = I / d^N + r E with E traceless
+    and orthogonal to every free direction, and the radius is one program:
+    max r s.t. J(r) + sum_k x_k B_k >= 0.  A joint channel exists at lo and
+    none past hi.  The caller makes sure the ray's end is infeasible;
+    otherwise the optimum, if finite, lies past it, where some s_i > 1.
+    """
+    d = shared_dimension(channels)
+    delta = np.eye(d * d) / d
+    j0, basis = _joint_channel_family(d, [delta] * len(channels))
+    j1, _ = _joint_channel_family(
+        d, [delta + ui * (c.choi - delta) for c, ui in zip(channels, u)]
     )
-    return _solve_family(j0, basis)
+    _, lo, hi, _ = _max_affine_min_eig(j0, basis, j1 - j0)
+    return lo, hi
 
 
 def joint_witness_channel(result: FeasibilityResult, d: int, n: int) -> Channel:
@@ -631,7 +656,7 @@ def solve_povm_joint(povms) -> FeasibilityResult:
     n_out = int(np.prod(counts))
     big_dim = n_out * d
     if big_dim * big_dim > ORACLE_BUDGET:
-        raise ValueError(
+        raise OracleBudgetError(
             f"joint measurement block matrix of dimension {n_out} * {d} = {big_dim} "
             f"needs dim^2 = {big_dim * big_dim}, over the oracle budget {ORACLE_BUDGET}"
         )

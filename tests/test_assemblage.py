@@ -52,6 +52,23 @@ def test_oracle_runtime_error_keeps_criterion_verdict(monkeypatch):
         )
 
 
+def test_oracle_over_budget_keeps_criterion_verdict(monkeypatch):
+    # pairs cost 2 * 8^2 = 128, the triple 3 * 16^2 = 768
+    monkeypatch.setattr(qincompat.sdp, "ORACLE_BUDGET", 500)
+    chans = [make_depolarizing(2, 0.5)] * 3
+    report = classify(chans, 2, use_oracle=True)
+    assert report.labels == {AssemblageLabel.NK_COMPATIBLE}
+    (triple, verdict), = report.higher_verdicts.items()
+    before = classify(chans, 3).subset_verdicts[triple]
+    # criterion value 1 + 3 * 0.5^2 = 1.75 < 2 leaves the triple open
+    assert verdict.kind is before.kind is VerdictKind.UNDETERMINED
+    assert verdict.value == before.value
+    assert verdict.certificate == (
+        before.certificate + "; oracle skipped: joint Choi matrix of dimension "
+        "2^4 = 16 needs N * dim^2 = 768, over the oracle budget 500"
+    )
+
+
 def test_mixed_tuple_incompatible_but_not_strong():
     ts = (1.0, 0.1, 0.1)
     chans = [make_depolarizing(2, t) for t in ts]

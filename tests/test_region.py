@@ -14,7 +14,9 @@ from qincompat import (
     select_bases,
     zhu_criterion_channels,
 )
+from qincompat import sdp
 from qincompat.criteria import exact_depolarizing_pair
+from qincompat.linalg import partial_trace
 from qincompat.sdp import SolverStatus
 from qincompat.region import (
     RayResult,
@@ -92,26 +94,6 @@ def test_bisect_brackets_converge():
     assert inside(r)
     assert not inside(r + 2e-3)
     assert abs(r - 0.61803) <= 1e-3
-
-
-@pytest.mark.parametrize(
-    "value, root",
-    [(lambda r: 0.3 - r, 0.3), (lambda r: 0.25 - r * r, 0.5),
-     (lambda r: 1.0 - (r / 0.7) ** 8, 0.7), (lambda r: min(1.0, 4.0 * (0.9 - r)), 0.9)],
-    ids=["linear", "quadratic", "flat-then-steep", "kink"],
-)
-def test_regula_falsi_on_concave_values(value, root):
-    probes = []
-
-    def probe(r):
-        probes.append(r)
-        return value(r) >= 0.0, value(r)
-
-    r = region._find_boundary(probe, 1.2, 1e-3)
-    assert value(r) >= 0.0 and root - 1e-3 <= r <= root
-    assert all(0.0 < p < 1.2 for p in probes[2:])
-    # bisection takes 2 + ceil(log2(1.2 / 1e-3)) = 13 probes
-    assert len(probes) <= 12
 
 
 def test_ray_directions():
@@ -305,11 +287,71 @@ def test_oracle_ray_regula_falsi(ts, angle, monkeypatch):
                         lambda pair: solves.append(None) or solve(pair))
     ray = scan_rays(chans, [u], use_oracle=True, bisect_tol=tol).rays[0]
     monkeypatch.undo()
-    assert len(solves) <= 5
+    # one solve at the ray's end, then the radius SDP
+    assert len(solves) == 1
     r = ray.oracle_radius
     assert abs(r - _exact_dep_pair_radius(ts, u)) <= tol
     assert solve(_scaled(chans, r, u)).status is not region.Feasibility.INFEASIBLE
     assert solve(_scaled(chans, r + tol, u)).status is region.Feasibility.INFEASIBLE
+
+
+@pytest.mark.parametrize(
+    "ts, angle",
+    [((1.0, 1.0), math.pi / 4), ((0.9, 0.95), 0.6), ((0.85, 1.0), 1.0),
+     ((1.0, 1.0), 0.003), ((1.0, 0.95), 1.2)],
+)
+def test_radius_sdp_brackets_the_exact_root(ts, angle):
+    u = (math.cos(angle), math.sin(angle))
+    lo, hi = sdp._joint_channel_radius([make_depolarizing(2, t) for t in ts], u)
+    assert lo <= _exact_dep_pair_radius(ts, u) <= hi
+    assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE
+
+
+def test_radius_sdp_identity_triple_meets_werner():
+    u = np.ones(3) / math.sqrt(3.0)
+    lo, hi = sdp._joint_channel_radius([make_identity(2)] * 3, u)
+    # symmetric 1 -> 3 qubit cloning: coordinate (N + d) / (N (1 + d)) = 5/9
+    assert lo * u[0] <= 5.0 / 9.0 <= hi * u[0]
+    assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE
+
+
+def test_radius_sdp_witness_at_lo(monkeypatch):
+    chans = [make_depolarizing(2, 0.9), make_identity(2)]
+    u = (math.cos(0.6), math.sin(0.6))
+    runs = []
+    engine = sdp._max_affine_min_eig
+    monkeypatch.setattr(sdp, "_max_affine_min_eig",
+                        lambda *args: runs.append((args, engine(*args))) or runs[-1][1])
+    lo, _ = sdp._joint_channel_radius(chans, u)
+    (j0, basis, direction), (x, *_) = runs[0]
+    witness = j0 + lo * direction + np.tensordot(x, basis, axes=1)
+    assert np.linalg.eigvalsh(witness)[0] >= -1e-12
+    for i, c in enumerate(_scaled(chans, lo, u)):
+        marginal = partial_trace(witness, [2, 2, 2], {0, i + 1})
+        assert np.abs(marginal - c.choi).max() <= 1e-9
+
+
+def test_oracle_ray_bisects_when_the_radius_sdp_does_not_decide(monkeypatch):
+    ts, tol = (0.9, 0.95), 1e-3
+    chans = [make_depolarizing(2, t) for t in ts]
+    u = (math.cos(0.6), math.sin(0.6))
+    radius = sdp._joint_channel_radius
+
+    def capped(*args):
+        # too few Newton steps to close the bracket; the solves that bisect
+        # keep the full budget
+        with monkeypatch.context() as m:
+            m.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", 20)
+            lo, hi = radius(*args)
+        assert hi - lo > tol
+        return lo, hi
+
+    monkeypatch.setattr(region, "_joint_channel_radius", capped)
+    ray = scan_rays(chans, [u], use_oracle=True, bisect_tol=tol).rays[0]
+    assert abs(ray.oracle_radius - _exact_dep_pair_radius(ts, u)) <= tol
+    assert ray.oracle_radius == bisect_boundary(
+        lambda r: region._oracle_inside(chans, u, r), 1.0 / max(u), tol
+    )
 
 
 def _amplitude_damping(gamma):

@@ -18,6 +18,7 @@ from qincompat.sdp import (
     FEASIBLE_BAND,
     DominationProblem,
     Feasibility,
+    OracleBudgetError,
     SolverStatus,
     _diagonal_basis,
     _embed_for_partial_trace,
@@ -419,7 +420,7 @@ def test_oracle_failed_line_search_keeps_the_band_rule(monkeypatch):
 
 def test_budget_error_names_dimension():
     # d=2, N=4 costs 4 * 32^2 = 4096, over the budget of 2000
-    with pytest.raises(ValueError, match="2\\^5 = 32.*4096.*budget 2000"):
+    with pytest.raises(OracleBudgetError, match="2\\^5 = 32.*4096.*budget 2000"):
         solve_joint_channel([make_depolarizing(2, 0.5)] * 4)
 
 
@@ -466,5 +467,5 @@ def test_induced_povms_of_compatible_pair(rng):
 def test_povm_joint_budget():
     p = Povm(2, tuple(np.eye(2) / 4 for _ in range(4)))
     # 4^5 outcomes times d=2: dim 2048, dim^2 over the budget of 2000
-    with pytest.raises(ValueError, match="2048.*budget 2000"):
+    with pytest.raises(OracleBudgetError, match="2048.*budget 2000"):
         solve_povm_joint([p, p, p, p, p])
