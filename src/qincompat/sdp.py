@@ -44,13 +44,15 @@
     bounds it from above.
 
 Both barriers are centered by one routine, ``_center``: damped Newton at a
-fixed mu, a Cholesky-guarded Armijo line search along the slack direction
-dS, and one centering rule (squared Newton decrement at most mu * 2^-12).
-Each solver supplies its Newton system, its mu schedule and its
-certificate.  The domination Newton step is preconditioned CG on
-block-diagonal Hermitian matrices.  The oracle step builds its Newton
-system from matmuls over the basis flattened once (the Hessian as one real
-product of the (Re, Im) views).
+fixed mu and a Cholesky-guarded Armijo line search along the slack
+direction dS, until the squared Newton decrement is at most mu times the
+caller's threshold: 2^-12 where a certificate is read (every oracle stage,
+the criterion's last), 1 on the criterion's earlier stages, whose mu falls
+1000-fold per stage.  Each solver supplies its Newton system, its mu
+schedule and its certificate.  The domination Newton step is
+preconditioned CG on block-diagonal Hermitian matrices.  The oracle step
+builds its Newton system from matmuls over the basis flattened once (the
+Hessian as one real product of the (Re, Im) views).
 """
 
 from __future__ import annotations
@@ -76,10 +78,12 @@ _BARRIER_SHIFT = 1e-12
 # entries of sum_i |G_i| below this fraction of its largest split no blocks
 _BLOCK_ZERO = 1e-13
 _MU_FACTOR = 0.2
+# the criterion reads its certificate from the last stage only: long steps
+_DOMINATION_MU_FACTOR = 1e-3
 _ARMIJO = 0.01
-# a stage is centered once the squared Newton decrement is below mu * 2^-12;
-# at mu / 16 the oracle's dual bound from a stage's last iterate stays too
-# far above lambda* to decide some verdicts near the boundary
+# a certificate is read from iterates centered to dec2 <= mu * 2^-12; at
+# mu / 16 the oracle's dual bound from a stage's last iterate stays too far
+# above lambda* to decide some verdicts near the boundary
 _CENTERED = 2.0 ** -12
 
 
@@ -153,12 +157,12 @@ def _chol_logdet(s):
     return 2.0 * float(np.log(diags).sum())
 
 
-def _center(z, s, logdet, cost, mu, newton, steps, max_steps):
+def _center(z, s, logdet, cost, mu, newton, steps, max_steps, centered):
     """Damped Newton on cost(z) - mu * log det S(z) at fixed mu, S affine in z.
 
     ``newton(u)`` maps the inverse slack u = S^-1 to ``(dz, dS, dcost,
     dec2)``: the step, its image in S, its change of the linear cost and
-    the squared Newton decrement.  Centered once dec2 <= max(mu * 2^-12,
+    the squared Newton decrement.  Centered once dec2 <= max(mu * centered,
     1e-13 (1 + |cost|)).  Each step halves t until S + t dS has a Cholesky
     factor and passes the Armijo test.  Returns ``(z, S, logdet, cost, u,
     steps, ok)``, u the inverse of the returned S; ``ok`` is False when a
@@ -171,7 +175,7 @@ def _center(z, s, logdet, cost, mu, newton, steps, max_steps):
         if steps >= max_steps:
             return z, s, logdet, cost, u, steps, True
         dz, ds, dcost, dec2 = newton(u)
-        if dec2 <= max(mu * _CENTERED, 1e-13 * (1.0 + abs(cost))):
+        if dec2 <= max(mu * centered, 1e-13 * (1.0 + abs(cost))):
             return z, s, logdet, cost, u, steps, True
         steps += 1
         phi0 = cost - mu * logdet
@@ -320,7 +324,8 @@ def solve_domination(
     status = SolverStatus.NUMERICAL_FAILURE if logdet is None else SolverStatus.OPTIMAL
     while status is SolverStatus.OPTIMAL:
         h, s_stack, logdet, cost, u_stack, steps, ok = _center(
-            h, s_stack, logdet, cost, mu, newton, steps, _DOMINATION_MAX_NEWTON_STEPS
+            h, s_stack, logdet, cost, mu, newton, steps, _DOMINATION_MAX_NEWTON_STEPS,
+            _CENTERED if mu <= mu_final else 1.0,
         )
         if not ok:
             status = SolverStatus.NUMERICAL_FAILURE
@@ -328,7 +333,7 @@ def solve_domination(
             status = SolverStatus.MAX_ITERATIONS
         elif mu <= mu_final:
             break
-        mu = max(mu * _MU_FACTOR, mu_final)
+        mu = max(mu * _DOMINATION_MU_FACTOR, mu_final)
 
     h = (h + _adjoint(h)) / 2.0
     optimizer = _assemble(h, rows, cols, dim) + dropped * np.eye(dim)
@@ -457,7 +462,7 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray, direction=None):
         if logdet is None:
             raise RuntimeError("barrier iterate left the feasible cone")
         z, _, _, _, u, steps, ok = _center(
-            z, s, logdet, -z[m], mu, newton, steps, _ORACLE_MAX_NEWTON_STEPS
+            z, s, logdet, -z[m], mu, newton, steps, _ORACLE_MAX_NEWTON_STEPS, _CENTERED
         )
         x, t = z[:m], float(z[m])
 
@@ -465,13 +470,17 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray, direction=None):
         t_att = t if direction is not None else t + float(np.linalg.eigvalsh(s)[0])
         # certificate: scale the inverse slack to <Y, A> = -1, project out
         # the free directions, shift by c I until PSD and rescale so that
-        # <Y, A> = -1 again; then t <= <Y, j0> for every feasible (x, t)
-        y = u / -float(u.reshape(-1).view(np.float64) @ a_re)
-        y_proj = y - along(basis_re @ y.reshape(-1).view(np.float64))
-        c = max(0.0, -float(np.linalg.eigvalsh(y_proj)[0]))
-        ub = (float(np.vdot(y_proj, j0).real) + c * float(np.trace(j0).real)) / (
-            1.0 - c * float(np.trace(a).real)
-        )
+        # <Y, A> = -1 again; then t <= <Y, j0> for every feasible (x, t).
+        # With <U, A> = 0 (a radius solve stopped at its start) there is none
+        ua = float(u.reshape(-1).view(np.float64) @ a_re)
+        ub = np.inf
+        if ua != 0.0 and np.isfinite(ua):
+            y = u / -ua
+            y_proj = y - along(basis_re @ y.reshape(-1).view(np.float64))
+            c = max(0.0, -float(np.linalg.eigvalsh(y_proj)[0]))
+            ub = (float(np.vdot(y_proj, j0).real) + c * float(np.trace(j0).real)) / (
+                1.0 - c * float(np.trace(a).real)
+            )
 
         gap = ub - t_att
         decided = _classify(t_att, ub) is not Feasibility.MARGINAL

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from qincompat.region import (
     region_report_to_dataset,
     scan_rays,
 )
+from helpers import fail_cholesky_after_first_call
 
 SQ2 = math.sqrt(2.0)
 
@@ -313,6 +315,17 @@ def test_radius_sdp_identity_triple_meets_werner():
     # symmetric 1 -> 3 qubit cloning: coordinate (N + d) / (N (1 + d)) = 5/9
     assert lo * u[0] <= 5.0 / 9.0 <= hi * u[0]
     assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE
+
+
+def test_radius_sdp_stopped_at_its_start_has_no_upper_bound(monkeypatch):
+    # at j0 = I / d^N the inverse slack has <U, E> = d^N Tr E = 0, so the
+    # certificate cannot be scaled to <Y, E> = -1
+    fail_cholesky_after_first_call(monkeypatch)
+    chans = [make_depolarizing(2, 0.9), make_depolarizing(2, 0.95)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bracket = sdp._joint_channel_radius(chans, (math.cos(0.6), math.sin(0.6)))
+    assert bracket == (0.0, math.inf)
 
 
 def test_radius_sdp_witness_at_lo(monkeypatch):

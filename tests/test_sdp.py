@@ -10,6 +10,7 @@ from qincompat import (
     make_depolarizing,
     make_identity,
     mub_family,
+    omega,
     z_matrix,
 )
 import qincompat.sdp as sdp
@@ -277,6 +278,33 @@ def test_dual_bound_brackets_closed_form(d, n):
     assert res.lower_bound <= expected <= res.value
     assert res.value - res.lower_bound == res.gap
     assert res.gap <= DOMINATION_GAP_TOL
+
+
+def test_long_step_schedule_on_four_mubs_at_d11():
+    # eleven 4 x 4 blocks; mu / 5 per stage with every stage centered to
+    # mu * 2^-12 took 78 Newton steps
+    ts = np.array([0.4, 0.55, 0.7, 0.85])
+    res = solve_domination(DominationProblem(121, _mub_constraints(11, ts)))
+    assert res.status is SolverStatus.OPTIMAL
+    assert abs(res.value - (1.0 + 10.0 * float((ts ** 2).sum()))) <= 1e-6
+    assert res.iterations <= 40
+
+
+@pytest.mark.parametrize("minus_omega", [False, True], ids=["G", "G-omega"])
+def test_long_step_schedule_on_a_dense_block(rng, minus_omega):
+    # random bases couple every index: one 16 x 16 block (63-64 Newton steps
+    # with mu / 5 per stage); G_i - omega is not PSD, as in the unital
+    # criterion radius
+    chans = [random_channel(rng, 4) for _ in range(2)]
+    cons = tuple(
+        g_matrix(c, random_basis(rng, 4)).m - (omega(4) if minus_omega else 0.0)
+        for c in chans
+    )
+    assert _support_blocks(np.stack(cons)).shape == (1, 16)
+    res = solve_domination(DominationProblem(16, cons))
+    assert res.status is SolverStatus.OPTIMAL
+    assert res.gap <= DOMINATION_GAP_TOL
+    assert res.iterations <= 40
 
 
 def test_weak_duality(rng):
