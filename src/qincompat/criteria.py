@@ -151,9 +151,7 @@ def schur_pair_criterion(b, c, s: float, t: float) -> Verdict:
     when s^2 + beta(C) t^2 > 1 or beta(B) s^2 + t^2 > 1.
     """
     # constructing the channels validates PSD and the unit diagonal
-    chan_b = make_schur(b)
-    make_schur(c)
-    d = chan_b.d
+    d = shared_dimension([make_schur(b), make_schur(c)])
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError(f"noise parameters must lie in [0, 1], got s={s}, t={t}")
     beta_b, beta_c = beta(b), beta(c)

@@ -11,10 +11,9 @@ For unital channels noise scaling is exact on the G-matrices,
 G_i(s) = omega + s^2 (G_i - omega), so the criterion value along a ray
 is 1 + r^2 kappa and one SDP for kappa gives the criterion radius.  Along
 a ray every marginal s_i Phi_i + (1 - s_i) Delta is affine in r, and so
-is the minimum-norm joint operator, so one SDP maximizing r gives the
-oracle radius whenever the ray's end is certified infeasible.  Bisection
-remains only for non-unital criterion rays and for an SDP that does not
-decide.
+is the minimum-norm joint operator, so one SDP maximizing r, clamped to
+the ray's end, gives the oracle radius.  Bisection remains only for
+criterion rays: non-unital ones and those whose SDP does not decide.
 """
 
 from __future__ import annotations
@@ -115,27 +114,20 @@ def _scaled(channels, u, r):
     return [mix_toward_depolarizing(c, min(r * ui, 1.0)) for c, ui in zip(channels, u)]
 
 
-def _oracle_inside(channels, u, r) -> bool:
-    """The oracle does not certify ``_scaled(channels, u, r)`` incompatible."""
-    # the region is closed, so marginal boundary verdicts count as inside
-    result = solve_joint_channel(_scaled(channels, u, r))
-    return result.status is not Feasibility.INFEASIBLE
-
-
 def _oracle_radius(channels, u, r_max: float, tol: float) -> float:
-    """Oracle radius along ``u``: r_max, or the radius SDP's lower bound.
+    """Oracle radius along ``u`` from one radius SDP on ``[0, r_max]``.
 
-    A ray whose end is not certified infeasible has radius r_max, and
-    otherwise the radius SDP has a finite optimum below r_max.  Its bracket
-    is certified: a joint channel exists at ``lo`` and none past ``hi``.
-    A bracket wider than ``tol`` falls back to bisection.
+    Its bracket is certified: a joint channel exists at ``lo`` and none in
+    ``(hi, r_max]``.  The radius is r_max when ``hi`` reaches it, else
+    ``lo``; a bracket wider than ``tol`` raises ``RuntimeError``.
     """
-    if _oracle_inside(channels, u, r_max):
-        return r_max
-    lo, hi = _joint_channel_radius(channels, u)
-    if hi - lo <= tol:
-        return lo
-    return bisect_boundary(lambda r: _oracle_inside(channels, u, r), r_max, tol)
+    lo, hi = _joint_channel_radius(channels, u, r_max)
+    if not hi - lo <= tol:  # a nan bound raises too
+        raise RuntimeError(
+            f"oracle radius along u = ({', '.join(f'{v:.6g}' for v in u)}) not "
+            f"decided: bracket [{lo:.6g}, {hi:.6g}] is wider than {tol:g}"
+        )
+    return r_max if hi >= r_max else lo
 
 
 def _is_unital(channel: Channel) -> bool:
@@ -179,9 +171,9 @@ def scan_rays(
     The criterion measures in the ``select_bases`` defaults.  Its radius
     is one SDP when every channel is unital (unless that SDP fails or its
     bracket is wider than ``bisect_tol``), bisection otherwise; the oracle
-    radius is one solve at the ray's end and, when that end is infeasible,
-    one radius SDP.  Each radius is inside, with an outside point at most
-    ``bisect_tol`` beyond it, or the ray's end.
+    radius is one radius SDP clamped to the ray's end, and a ``RuntimeError``
+    when its bracket is wider than ``bisect_tol``.  Each radius is inside,
+    with an outside point at most ``bisect_tol`` beyond it, or the ray's end.
     Rays are reported in the input order.
     """
     base_channels = list(base_channels)
@@ -279,13 +271,14 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     is empty unless requested.  With the oracle on, the boundary radii
     along both axes and the diagonal are recorded in the metadata; those
     are the maximally compatible mixtures in the respective directions.
-    The diagonal one is one solve at the ray's end plus one radius SDP,
+    The diagonal one is one radius SDP clamped to the diagonal's end,
     inside and at most ``BISECT_TOL`` below the boundary; the axis ones
     are 1.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     pair = [make_schur(b), make_schur(c)]
+    shared_dimension(pair)
     beta_b, beta_c = beta(b), beta(c)
 
     grid = np.linspace(0.0, 1.0, resolution)
@@ -293,7 +286,10 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     for s in grid:
         for t in grid:
             s, t = float(s), float(t)
-            oracle = _oracle_inside(pair, (s, t), 1.0) if use_oracle else None
+            oracle = None
+            if use_oracle:  # the region is closed: marginal verdicts count as inside
+                status = solve_joint_channel(_scaled(pair, (s, t), 1.0)).status
+                oracle = status is not Feasibility.INFEASIBLE
             rows.append([s, t, _schur_ellipse(s, t, beta_b, beta_c)[2], oracle])
 
     meta = {

@@ -36,12 +36,13 @@
 
     A = -I makes t lambda_min, the oracle's verdict.  Along a ray of
     noise-scaled channels the particular solution is I/d^N + r E, with E
-    traceless and orthogonal to the free directions, so A = E gives the
-    compatibility radius (``_joint_channel_radius``).  The attained t bounds
-    the optimum from below; the inverse slack of the last iterate, scaled to
-    <Y, A> = -1, projected off the free directions, shifted by c I until it
-    is PSD and divided by 1 - c Tr A, is a dual point whose value <Y, j0>
-    bounds it from above.
+    traceless and orthogonal to the free directions, so A = E, padded with
+    one diagonal slack entry r_max - r, gives the compatibility radius
+    clamped to the ray's end (``_joint_channel_radius``).  The attained t
+    bounds the optimum from below; the inverse slack of the last iterate,
+    scaled to <Y, A> = -1, projected off the free directions, shifted by c I
+    until it is PSD and divided by 1 - c Tr A, is a dual point whose value
+    <Y, j0> bounds it from above.
 
 Both barriers are centered by one routine, ``_center``: damped Newton at a
 fixed mu and a Cholesky-guarded Armijo line search along the slack
@@ -471,7 +472,7 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray, direction=None):
         # certificate: scale the inverse slack to <Y, A> = -1, project out
         # the free directions, shift by c I until PSD and rescale so that
         # <Y, A> = -1 again; then t <= <Y, j0> for every feasible (x, t).
-        # With <U, A> = 0 (a radius solve stopped at its start) there is none
+        # With <U, A> = 0 or not finite there is none
         ua = float(u.reshape(-1).view(np.float64) @ a_re)
         ub = np.inf
         if ua != 0.0 and np.isfinite(ua):
@@ -619,15 +620,16 @@ def solve_joint_channel(channels) -> FeasibilityResult:
     return _solve_family(*_joint_channel_family(d, [c.choi for c in channels]))
 
 
-def _joint_channel_radius(channels, u):
-    """Certified bracket (lo, hi) on the largest r with compatible s_i = r u_i.
+def _joint_channel_radius(channels, u, r_max: float):
+    """Certified bracket (lo, hi) on min(r*, r_max), r* the largest compatible r.
 
     The marginals s_i Phi_i + (1 - s_i) Delta are affine in r, so the
     minimum-norm joint operator is J(r) = I / d^N + r E with E traceless
     and orthogonal to every free direction, and the radius is one program:
-    max r s.t. J(r) + sum_k x_k B_k >= 0.  A joint channel exists at lo and
-    none past hi.  The caller makes sure the ray's end is infeasible;
-    otherwise the optimum, if finite, lies past it, where some s_i > 1.
+    max r s.t. J(r) + sum_k x_k B_k >= 0 and r_max - r >= 0, the slack
+    r_max - r one diagonal entry padded onto the joint operator.  Its
+    optimum is finite on every ray, E = 0 included.  With s_i = r u_i, a
+    joint channel exists at lo, and none at any r in (hi, r_max].
     """
     d = shared_dimension(channels)
     delta = np.eye(d * d) / d
@@ -635,7 +637,10 @@ def _joint_channel_radius(channels, u):
     j1, _ = _joint_channel_family(
         d, [delta + ui * (c.choi - delta) for c, ui in zip(channels, u)]
     )
-    _, lo, hi, _ = _max_affine_min_eig(j0, basis, j1 - j0)
+    pad = ((0, 0), (0, 1), (0, 1))
+    j0, a = np.pad(np.stack([j0, j1 - j0]), pad)
+    j0[-1, -1], a[-1, -1] = r_max, -1.0
+    _, lo, hi, _ = _max_affine_min_eig(j0, np.pad(basis, pad), a)
     return lo, hi
 
 

@@ -38,6 +38,11 @@ def specs(tmp_path):
             "schur.json",
             {"kind": "schur", "B": [[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]]},
         ),
+        "schur3": write(
+            "schur3.json",
+            {"kind": "schur", "B": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                                    [[0, 0], [0, 0], [1, 0]]]},
+        ),
         "bad_schur": write(
             "bad.json", {"kind": "schur", "B": [[[1, 0], [2, 0]], [[2, 0], [1, 0]]]}
         ),
@@ -177,6 +182,8 @@ def test_region_csv_cells_are_numbers(specs, capsys):
         (["figure", "fig2", "--d", "2,1"], "d=1"),
         (["figure", "fig1", "--B", "{no_b}"], "bad Schur spec"),
         (["figure", "fig1", "--B", "{schur}", "--C", "{listed}"], "bad Schur spec"),
+        (["figure", "fig1", "--B", "{schur}", "--C", "{schur3}"],
+         "all channels must share one square dimension"),
         (["figure", "fig2", "--d", ","], "at least one dimension"),
         (["figure", "fig2", "--d", ""], "at least one dimension"),
         (["figure", "fig2", "--d", "2,x"], "figure fig2 --d takes integers, got 'x'"),
@@ -186,7 +193,8 @@ def test_region_csv_cells_are_numbers(specs, capsys):
         (["region", "{dep08}", "{dep08}", "{dep08}", "--rays", "2"],
          "region scans channel pairs: pass 2 specs, got 3"),
     ],
-    ids=["fig2-d0", "fig2-d1", "fig1-no-B", "fig1-C-list", "fig2-d-empty-comma",
+    ids=["fig2-d0", "fig2-d1", "fig1-no-B", "fig1-C-list", "fig1-C-qutrit",
+         "fig2-d-empty-comma",
          "fig2-d-empty", "fig2-d-not-int-x", "fig2-d-not-int-2.5",
          "check-bases-canonical-fourier", "region-three-specs"],
 )

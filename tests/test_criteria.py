@@ -301,3 +301,9 @@ def test_schur_pair_rejects_bad_input():
         schur_pair_criterion(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2), 0.5, 0.5)
     with pytest.raises(ValueError, match="noise"):
         schur_pair_criterion(np.eye(2), np.eye(2), 1.5, 0.0)
+
+
+def test_schur_pair_of_different_dimensions_is_rejected():
+    qubit = np.array([[1.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(ValueError, match="share one square dimension"):
+        schur_pair_criterion(qubit, np.eye(3), 0.9, 0.9)

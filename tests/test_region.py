@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import qincompat.cli as cli
 import qincompat.region as region
 from qincompat import (
     Channel,
@@ -178,6 +179,13 @@ def test_dataset_csv_and_region_dataset():
     assert csv_text.splitlines()[1] == "1.0,0.0,1.0,"
 
 
+def test_figure1_pair_of_different_dimensions_is_rejected():
+    qubit = np.array([[1.0, 0.5], [0.5, 1.0]])
+    for use_oracle in (False, True):
+        with pytest.raises(ValueError, match="share one square dimension"):
+            emit_figure1_data(qubit, np.eye(3), 3, use_oracle=use_oracle)
+
+
 def test_figure1_symmetric_inputs_symmetric_output():
     b = np.array([[1.0, 0.5], [0.5, 1.0]])
     data = emit_figure1_data(b, b, 7)
@@ -279,18 +287,21 @@ def _exact_dep_pair_radius(ts, u):
 @pytest.mark.parametrize(
     "ts, angle", [((1.0, 1.0), math.pi / 4), ((0.9, 0.95), 0.6), ((0.85, 1.0), 1.0)]
 )
-def test_oracle_ray_regula_falsi(ts, angle, monkeypatch):
+def test_oracle_ray_is_one_radius_sdp(ts, angle, monkeypatch):
     tol = 1e-3
     chans = [make_depolarizing(2, t) for t in ts]
     u = (math.cos(angle), math.sin(angle))
-    solves = []
-    solve = region.solve_joint_channel
+    solves, engine_runs = [], []
+    solve, engine = region.solve_joint_channel, sdp._max_affine_min_eig
     monkeypatch.setattr(region, "solve_joint_channel",
                         lambda pair: solves.append(None) or solve(pair))
+    monkeypatch.setattr(sdp, "_max_affine_min_eig",
+                        lambda *args: engine_runs.append(None) or engine(*args))
     ray = scan_rays(chans, [u], use_oracle=True, bisect_tol=tol).rays[0]
     monkeypatch.undo()
-    # one solve at the ray's end, then the radius SDP
-    assert len(solves) == 1
+    # no lambda* solve: the radius SDP alone, clamped to the ray's end
+    assert len(solves) == 0
+    assert len(engine_runs) == 1
     r = ray.oracle_radius
     assert abs(r - _exact_dep_pair_radius(ts, u)) <= tol
     assert solve(_scaled(chans, r, u)).status is not region.Feasibility.INFEASIBLE
@@ -304,67 +315,94 @@ def test_oracle_ray_regula_falsi(ts, angle, monkeypatch):
 )
 def test_radius_sdp_brackets_the_exact_root(ts, angle):
     u = (math.cos(angle), math.sin(angle))
-    lo, hi = sdp._joint_channel_radius([make_depolarizing(2, t) for t in ts], u)
+    lo, hi = sdp._joint_channel_radius([make_depolarizing(2, t) for t in ts], u, 1.0 / max(u))
     assert lo <= _exact_dep_pair_radius(ts, u) <= hi
     assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE
 
 
 def test_radius_sdp_identity_triple_meets_werner():
     u = np.ones(3) / math.sqrt(3.0)
-    lo, hi = sdp._joint_channel_radius([make_identity(2)] * 3, u)
+    lo, hi = sdp._joint_channel_radius([make_identity(2)] * 3, u, 1.0 / u[0])
     # symmetric 1 -> 3 qubit cloning: coordinate (N + d) / (N (1 + d)) = 5/9
     assert lo * u[0] <= 5.0 / 9.0 <= hi * u[0]
     assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE
 
 
-def test_radius_sdp_stopped_at_its_start_has_no_upper_bound(monkeypatch):
-    # at j0 = I / d^N the inverse slack has <U, E> = d^N Tr E = 0, so the
-    # certificate cannot be scaled to <Y, E> = -1
-    fail_cholesky_after_first_call(monkeypatch)
+def test_radius_sdp_stopped_at_its_start_raises(monkeypatch):
     chans = [make_depolarizing(2, 0.9), make_depolarizing(2, 0.95)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        bracket = sdp._joint_channel_radius(chans, (math.cos(0.6), math.sin(0.6)))
-    assert bracket == (0.0, math.inf)
+    u = (math.cos(0.6), math.sin(0.6))
+    radius = sdp._joint_channel_radius
+
+    def stopped_at_start(*args):
+        # no line search in the radius SDP finds a step; the criterion keeps
+        # its solver
+        with monkeypatch.context() as m:
+            fail_cholesky_after_first_call(m)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return radius(*args)
+
+    # the clamp's slack gives a finite upper bound even at the start point
+    lo, hi = stopped_at_start(chans, u, 1.0 / max(u))
+    assert lo == 0.0 and 1.0 < hi < math.inf
+    monkeypatch.setattr(region, "_joint_channel_radius", stopped_at_start)
+    with pytest.raises(RuntimeError, match=r"bracket \[0, "):
+        scan_rays(chans, [u], use_oracle=True)
 
 
 def test_radius_sdp_witness_at_lo(monkeypatch):
     chans = [make_depolarizing(2, 0.9), make_identity(2)]
     u = (math.cos(0.6), math.sin(0.6))
+    r_max = 1.0 / max(u)
     runs = []
     engine = sdp._max_affine_min_eig
     monkeypatch.setattr(sdp, "_max_affine_min_eig",
                         lambda *args: runs.append((args, engine(*args))) or runs[-1][1])
-    lo, _ = sdp._joint_channel_radius(chans, u)
+    lo, _ = sdp._joint_channel_radius(chans, u, r_max)
     (j0, basis, direction), (x, *_) = runs[0]
-    witness = j0 + lo * direction + np.tensordot(x, basis, axes=1)
+    padded = j0 + lo * direction + np.tensordot(x, basis, axes=1)
+    # the padded corner is the clamp's slack r_max - lo
+    assert padded[-1, -1].real >= 0.0
+    assert abs(padded[-1, -1] - (r_max - lo)) <= 1e-12
+    witness = padded[:-1, :-1]
     assert np.linalg.eigvalsh(witness)[0] >= -1e-12
     for i, c in enumerate(_scaled(chans, lo, u)):
         marginal = partial_trace(witness, [2, 2, 2], {0, i + 1})
         assert np.abs(marginal - c.choi).max() <= 1e-9
 
 
-def test_oracle_ray_bisects_when_the_radius_sdp_does_not_decide(monkeypatch):
-    ts, tol = (0.9, 0.95), 1e-3
-    chans = [make_depolarizing(2, t) for t in ts]
+def test_capped_oracle_ray_raises(monkeypatch, tmp_path, capsys):
+    # a radius SDP stopped at the Newton cap before its bracket closes is
+    # solver trouble, never a radius: a capped solve must not move the
+    # radius away from the exact 1.03334
+    chans = [make_depolarizing(2, t) for t in (0.9, 0.95)]
     u = (math.cos(0.6), math.sin(0.6))
-    radius = sdp._joint_channel_radius
+    specs = []
+    for t in (0.9, 0.95):
+        path = tmp_path / f"dep{t}.json"
+        path.write_text(f'{{"kind": "depolarizing", "d": 2, "t": {t}}}')
+        specs.append(str(path))
+    for cap in (15, 20):
+        monkeypatch.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", cap)
+        with pytest.raises(RuntimeError, match="bracket"):
+            scan_rays(chans, [u], use_oracle=True, bisect_tol=1e-3)
+        assert cli.main(["region", *specs, "--rays", "3", "--oracle"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: oracle radius")
 
-    def capped(*args):
-        # too few Newton steps to close the bracket; the solves that bisect
-        # keep the full budget
-        with monkeypatch.context() as m:
-            m.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", 20)
-            lo, hi = radius(*args)
-        assert hi - lo > tol
-        return lo, hi
 
-    monkeypatch.setattr(region, "_joint_channel_radius", capped)
-    ray = scan_rays(chans, [u], use_oracle=True, bisect_tol=tol).rays[0]
-    assert abs(ray.oracle_radius - _exact_dep_pair_radius(ts, u)) <= tol
-    assert ray.oracle_radius == bisect_boundary(
-        lambda r: region._oracle_inside(chans, u, r), 1.0 / max(u), tol
-    )
+def test_oracle_radius_is_clamped_to_the_ray_end():
+    # near Delta the unclamped optimum lies far past r_max (1e9 here), and a
+    # Delta pair (E = 0) has none
+    dirs = ray_directions(2, 3)
+    near_delta = [make_depolarizing(2, 1e-9), make_depolarizing(2, 0.9)]
+    delta_pair = [make_depolarizing(2, 0.0)] * 2
+    for chans in (near_delta, delta_pair):
+        report = scan_rays(chans, dirs, use_oracle=True)
+        assert [ray.oracle_radius for ray in report.rays] == [1.0 / max(u) for u in dirs]
+    assert [1.0 / max(u) for u in dirs] == pytest.approx([1.0, SQ2, 1.0])
 
 
 def _amplitude_damping(gamma):
