@@ -49,6 +49,10 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
 
 def validate_channel(choi, d_in: int, d_out: int) -> None:
     """Raise ChannelValidationError unless ``choi`` is a CP + TP Choi matrix."""
+    if d_in < 1 or d_out < 1:
+        raise ChannelValidationError(
+            f"dimensions must be at least 1, got {d_in} -> {d_out}"
+        )
     a = as_matrix(choi)
     dim = d_in * d_out
     if a.shape != (dim, dim):
@@ -117,6 +121,8 @@ class Povm:
 
 
 def validate_povm(effects, d: int) -> None:
+    if d < 1:
+        raise PovmValidationError(f"dimension must be at least 1, got {d}")
     if not effects:
         raise PovmValidationError("a POVM needs at least one effect")
     total = np.zeros((d, d), dtype=np.complex128)

@@ -325,8 +325,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, ValueError, OSError, RuntimeError) as exc:
-        # RuntimeError is solver trouble (a barrier iterate left the cone,
-        # inconsistent marginals): report it, never a traceback
+        # RuntimeError is solver trouble (a barrier start point outside the
+        # cone, inconsistent marginals, an open oracle radius bracket):
+        # report it, never a traceback
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -15,14 +15,15 @@
     dim * max_i ||E_i||_2, the trace of the shift that makes the assembled H
     dominate every full G_i.
 
-    The last iterate H implies a dual point: with U_i = (H - G_i + eps I)^-1
-    and S = sum_i U_i, the Y_i = S^-1/2 U_i S^-1/2 are PSD and sum to I, so
-    by weak duality sum_i Tr(Y_i G_i) is a lower bound on the optimum.  The
-    Y_i are block-diagonal, so the bound is taken per block, and it is made
-    safe from round-off: each Y_i is shifted by its round-off negative
-    eigenvalue, the block's sum is divided by lambda_max(sum_i Y_i), and the
-    float error bound gamma_n sum_i |Y_i||G_i| is subtracted.  The reported
-    gap is the measured distance from Tr H down to that bound.
+    The dual point is the one of the last Newton step (see ``_center``):
+    Y_i = mu (U_i - U_i dH U_i) with U_i = (H - G_i + eps I)^-1, PSD and
+    summing to I, so by weak duality sum_i Tr(Y_i G_i) is a lower bound on
+    the optimum.  The Y_i are block-diagonal, so the bound is taken per
+    block, and it is made safe from round-off: each Y_i is shifted by its
+    round-off negative eigenvalue, the block's sum is divided by
+    lambda_max(sum_i Y_i), and the float error bound gamma_n sum_i
+    |Y_i||G_i| is subtracted.  The reported gap is the measured distance
+    from Tr H down to that bound.
 
 (b) ``solve_joint_channel`` / ``solve_povm_joint``: decide whether a joint
     channel (or joint measurement) with prescribed marginals exists.  Over
@@ -39,21 +40,23 @@
     traceless and orthogonal to the free directions, so A = E, padded with
     one diagonal slack entry r_max - r, gives the compatibility radius
     clamped to the ray's end (``_joint_channel_radius``).  The attained t
-    bounds the optimum from below; the inverse slack of the last iterate,
-    scaled to <Y, A> = -1, projected off the free directions, shifted by c I
-    until it is PSD and divided by 1 - c Tr A, is a dual point whose value
-    <Y, j0> bounds it from above.
+    bounds the optimum from below; the dual point of the last Newton step
+    has <Y, B_k> = 0 and <Y, A> = -1, and projected off the free directions
+    and shifted by c I until it is PSD, Y bounds it from above by
+    <Y, j0> / -<Y, A>.
 
-Both barriers are centered by one routine, ``_center``: damped Newton at a
-fixed mu and a Cholesky-guarded Armijo line search along the slack
-direction dS, until the squared Newton decrement is at most mu times the
-caller's threshold: 2^-12 where a certificate is read (every oracle stage,
-the criterion's last), 1 on the criterion's earlier stages, whose mu falls
-1000-fold per stage.  Each solver supplies its Newton system, its mu
-schedule and its certificate.  The domination Newton step is
-preconditioned CG on block-diagonal Hermitian matrices.  The oracle step
-builds its Newton system from matmuls over the basis flattened once (the
-Hessian as one real product of the (Re, Im) views).
+Both barriers follow one policy: mu falls 1000-fold per stage, and one
+routine, ``_center``, centers every stage by damped Newton with a
+Cholesky-guarded Armijo line search along the slack direction dS, until
+the Newton decrement is at most 1 (dec2 <= mu).  It returns the dual
+point of its last Newton step, mu (U - U dS U) with U the inverse slack:
+the Newton equations are the dual's equality constraints, and the point
+is PSD at that decrement (Boyd & Vandenberghe, Convex Optimization,
+11.2.2 and 11.3.3).  Each solver supplies its Newton system and reads
+its certificate.  The domination Newton step is preconditioned CG on
+block-diagonal Hermitian matrices.  The oracle step builds its Newton
+system from matmuls over the basis flattened once (the Hessian as one
+real product of the (Re, Im) views).
 """
 
 from __future__ import annotations
@@ -78,14 +81,9 @@ _DOMINATION_MAX_NEWTON_STEPS = 800
 _BARRIER_SHIFT = 1e-12
 # entries of sum_i |G_i| below this fraction of its largest split no blocks
 _BLOCK_ZERO = 1e-13
-_MU_FACTOR = 0.2
-# the criterion reads its certificate from the last stage only: long steps
-_DOMINATION_MU_FACTOR = 1e-3
+# long steps: the Newton-step dual of _center is exact at decrement 1
+_MU_FACTOR = 1e-3
 _ARMIJO = 0.01
-# a certificate is read from iterates centered to dec2 <= mu * 2^-12; at
-# mu / 16 the oracle's dual bound from a stage's last iterate stays too far
-# above lambda* to decide some verdicts near the boundary
-_CENTERED = 2.0 ** -12
 
 
 class OracleBudgetError(ValueError):
@@ -158,26 +156,27 @@ def _chol_logdet(s):
     return 2.0 * float(np.log(diags).sum())
 
 
-def _center(z, s, logdet, cost, mu, newton, steps, max_steps, centered):
+def _center(z, s, logdet, cost, mu, newton, steps, max_steps):
     """Damped Newton on cost(z) - mu * log det S(z) at fixed mu, S affine in z.
 
     ``newton(u)`` maps the inverse slack u = S^-1 to ``(dz, dS, dcost,
     dec2)``: the step, its image in S, its change of the linear cost and
-    the squared Newton decrement.  Centered once dec2 <= max(mu * centered,
-    1e-13 (1 + |cost|)).  Each step halves t until S + t dS has a Cholesky
-    factor and passes the Armijo test.  Returns ``(z, S, logdet, cost, u,
-    steps, ok)``, u the inverse of the returned S; ``ok`` is False when a
-    line search found no step.  ``steps`` counts on from the given value and
-    stops at ``max_steps``.
+    the squared Newton decrement.  Centered once dec2 <= max(mu, 1e-13 (1 +
+    |cost|)).  Each step halves t until S + t dS has a Cholesky factor and
+    passes the Armijo test.  Returns ``(z, S, logdet, cost, y, steps, ok)``
+    with y = mu (u - u dS u), the dual point of the last Newton step at the
+    returned S: the Newton equations are the dual's equality constraints,
+    and y is PSD once dec2 <= mu, as ||u^1/2 dS u^1/2||_2^2 <= dec2 / mu.
+    ``ok`` is False when a line search found no step.  ``steps`` counts on
+    from the given value and stops at ``max_steps``.
     """
+    ok = True
     while True:
         u = np.linalg.inv(s)
         u = (u + _adjoint(u)) / 2.0
-        if steps >= max_steps:
-            return z, s, logdet, cost, u, steps, True
         dz, ds, dcost, dec2 = newton(u)
-        if dec2 <= max(mu * centered, 1e-13 * (1.0 + abs(cost))):
-            return z, s, logdet, cost, u, steps, True
+        if steps >= max_steps or dec2 <= max(mu, 1e-13 * (1.0 + abs(cost))):
+            break
         steps += 1
         phi0 = cost - mu * logdet
         t = 1.0
@@ -190,8 +189,11 @@ def _center(z, s, logdet, cost, mu, newton, steps, max_steps, centered):
                 break
             t *= 0.5
         else:
-            return z, s, logdet, cost, u, steps, False
+            ok = False
+            break
         z, s, logdet, cost = z + t * dz, s_try, logdet_try, cost + t * dcost
+    y = mu * (u - u @ ds @ u)
+    return z, s, logdet, cost, (y + _adjoint(y)) / 2.0, steps, ok
 
 
 def _newton_cg(u_stack, mu, rhs_mat, tol, max_iter):
@@ -321,12 +323,11 @@ def solve_domination(
 
     steps = 0
     s_stack = h[:, None] - shifted
-    logdet, cost, u_stack = _chol_logdet(s_stack), trace(h), None
+    logdet, cost, y_stack = _chol_logdet(s_stack), trace(h), None
     status = SolverStatus.NUMERICAL_FAILURE if logdet is None else SolverStatus.OPTIMAL
     while status is SolverStatus.OPTIMAL:
-        h, s_stack, logdet, cost, u_stack, steps, ok = _center(
-            h, s_stack, logdet, cost, mu, newton, steps, _DOMINATION_MAX_NEWTON_STEPS,
-            _CENTERED if mu <= mu_final else 1.0,
+        h, s_stack, logdet, cost, y_stack, steps, ok = _center(
+            h, s_stack, logdet, cost, mu, newton, steps, _DOMINATION_MAX_NEWTON_STEPS
         )
         if not ok:
             status = SolverStatus.NUMERICAL_FAILURE
@@ -334,13 +335,13 @@ def solve_domination(
             status = SolverStatus.MAX_ITERATIONS
         elif mu <= mu_final:
             break
-        mu = max(mu * _DOMINATION_MU_FACTOR, mu_final)
+        mu = max(mu * _MU_FACTOR, mu_final)
 
     h = (h + _adjoint(h)) / 2.0
     optimizer = _assemble(h, rows, cols, dim) + dropped * np.eye(dim)
     value = float(np.trace(optimizer).real)
-    lower_bound = -np.inf if u_stack is None else _dual_bound(
-        _dual_point(u_stack), g_blocks, g_eigs[..., 0].max(axis=1)
+    lower_bound = -np.inf if y_stack is None else _dual_bound(
+        y_stack, g_blocks, g_eigs[..., 0].max(axis=1)
     )
     return SdpResult(
         value=value,
@@ -357,13 +358,6 @@ def _assemble(blocks, rows, cols, dim):
     full = np.zeros(blocks.shape[:-3] + (dim, dim), dtype=np.complex128)
     full[..., rows, cols] = blocks
     return full
-
-
-def _dual_point(u_stack):
-    """Y_i = S^-1/2 U_i S^-1/2, S = sum_i U_i, per block; shape (blocks, N, b, b)."""
-    w, v = np.linalg.eigh(u_stack.sum(axis=1))
-    s_inv_half = (v / np.sqrt(w)[:, None, :]) @ _adjoint(v)
-    return s_inv_half[:, None] @ u_stack @ s_inv_half[:, None]
 
 
 def _dual_bound(y, g_blocks, floor):
@@ -405,9 +399,10 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray, direction=None):
 
     A = ``direction`` defaults to -I, making t lambda_min at x; any other A
     must be Hermitian and orthogonal to the basis, with j0 positive definite
-    (the barrier starts at t = 0) and a finite optimum.  Returns ``(x,
-    t_attained, upper_bound, steps)`` of the last stage; t_attained is
-    lambda_min at x for A = -I, else the iterate's t (its slack is PD).
+    (the barrier starts at t = 0; else ``RuntimeError``) and a finite
+    optimum.  Returns ``(x, t_attained, upper_bound, steps)`` of the last
+    stage; t_attained is lambda_min at x for A = -I, else the iterate's t
+    (its slack is PD).
     ``basis`` must be orthonormal in the Frobenius inner product, with
     Hermitian traceless members.  A Newton step is plain matmuls: for
     Hermitian B, Re tr(M B) is the real dot product of the (Re, Im) views of
@@ -454,34 +449,27 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray, direction=None):
     z = np.zeros(m + 1)
     if direction is None:
         z[m] = float(np.linalg.eigvalsh(j0)[0]) - 1.0
+    s = j0 + z[m] * a
+    logdet, cost = _chol_logdet(s), -z[m]
+    if logdet is None:
+        raise RuntimeError("barrier start point is not positive definite")
     mu = 1.0
     steps = 0
-    s = j0 + z[m] * a
 
     while True:
-        logdet = _chol_logdet(s)
-        if logdet is None:
-            raise RuntimeError("barrier iterate left the feasible cone")
-        z, _, _, _, u, steps, ok = _center(
-            z, s, logdet, -z[m], mu, newton, steps, _ORACLE_MAX_NEWTON_STEPS, _CENTERED
+        z, s, logdet, cost, y, steps, ok = _center(
+            z, s, logdet, cost, mu, newton, steps, _ORACLE_MAX_NEWTON_STEPS
         )
-        x, t = z[:m], float(z[m])
-
-        s = j0 + along(x) + t * a
-        t_att = t if direction is not None else t + float(np.linalg.eigvalsh(s)[0])
-        # certificate: scale the inverse slack to <Y, A> = -1, project out
-        # the free directions, shift by c I until PSD and rescale so that
-        # <Y, A> = -1 again; then t <= <Y, j0> for every feasible (x, t).
-        # With <U, A> = 0 or not finite there is none
-        ua = float(u.reshape(-1).view(np.float64) @ a_re)
-        ub = np.inf
-        if ua != 0.0 and np.isfinite(ua):
-            y = u / -ua
-            y_proj = y - along(basis_re @ y.reshape(-1).view(np.float64))
-            c = max(0.0, -float(np.linalg.eigvalsh(y_proj)[0]))
-            ub = (float(np.vdot(y_proj, j0).real) + c * float(np.trace(j0).real)) / (
-                1.0 - c * float(np.trace(a).real)
-            )
+        x, t_att = z[:m], float(z[m])
+        if direction is None:  # lambda_min of the witness itself
+            t_att = float(np.linalg.eigvalsh(j0 + along(x))[0])
+        # certificate: project the Newton-step dual off the free directions
+        # and shift it by c I until PSD; then t <= <Y, j0> / -<Y, A> for
+        # every feasible (x, t), and there is no bound unless -<Y, A> > 0
+        y = y - along(basis_re @ y.reshape(-1).view(np.float64))
+        y += max(0.0, -float(np.linalg.eigvalsh(y)[0])) * np.eye(dim)
+        scale = -float(y.reshape(-1).view(np.float64) @ a_re)
+        ub = float(np.vdot(y, j0).real) / scale if scale > 0.0 else np.inf
 
         gap = ub - t_att
         decided = _classify(t_att, ub) is not Feasibility.MARGINAL

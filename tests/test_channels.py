@@ -235,6 +235,27 @@ def test_povm_validation():
         Povm(2, (np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_depolarizing(0, 0.5),
+        lambda: Channel(0, 0, np.zeros((0, 0))),
+        lambda: Channel(2, 0, np.zeros((0, 0))),
+        lambda: channel_from_spec({"kind": "choi", "d_in": 0, "d_out": 0, "entries": []}),
+    ],
+    ids=["depolarizing-d0", "channel-0-0", "channel-2-0", "choi-spec-0-0"],
+)
+def test_zero_dimension_channel_is_rejected(make):
+    with pytest.raises(ChannelValidationError, match="at least 1"):
+        make()
+
+
+def test_zero_dimension_povm_is_rejected():
+    for effects in ((), (np.zeros((0, 0)),)):
+        with pytest.raises(PovmValidationError, match="at least 1"):
+            Povm(0, effects)
+
+
 def test_channel_arrays_frozen():
     c = make_depolarizing(2, 0.5)
     with pytest.raises(ValueError):

@@ -47,6 +47,10 @@ def specs(tmp_path):
             "bad.json", {"kind": "schur", "B": [[[1, 0], [2, 0]], [[2, 0], [1, 0]]]}
         ),
         "no_b": write("no_b.json", {"kind": "schur"}),
+        "dep_d0": write("dep_d0.json", {"kind": "depolarizing", "d": 0, "t": 0.5}),
+        "choi_d0": write(
+            "choi_d0.json", {"kind": "choi", "d_in": 0, "d_out": 0, "entries": []}
+        ),
         "listed": write("listed.json", [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]),
         "dir": tmp_path,
     }
@@ -106,6 +110,16 @@ def test_validate(specs, capsys):
     report = json.loads(capsys.readouterr().out)
     assert not report["valid"]
     assert report["violations"][0]["error"]
+
+
+@pytest.mark.parametrize("spec", ["dep_d0", "choi_d0"])
+def test_validate_reports_zero_dimension(spec, specs, capsys):
+    assert main(["validate", specs[spec]]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert not report["valid"]
+    assert report["violations"] == [
+        {"spec": specs[spec], "error": "dimensions must be at least 1, got 0 -> 0"}
+    ]
 
 
 def test_assemblage(specs, capsys):
@@ -192,11 +206,14 @@ def test_region_csv_cells_are_numbers(specs, capsys):
          "cannot read canonical-fourier"),
         (["region", "{dep08}", "{dep08}", "{dep08}", "--rays", "2"],
          "region scans channel pairs: pass 2 specs, got 3"),
+        (["check", "{dep_d0}", "{dep_d0}"], "dimensions must be at least 1"),
+        (["check", "{choi_d0}", "{choi_d0}"], "dimensions must be at least 1"),
     ],
     ids=["fig2-d0", "fig2-d1", "fig1-no-B", "fig1-C-list", "fig1-C-qutrit",
          "fig2-d-empty-comma",
          "fig2-d-empty", "fig2-d-not-int-x", "fig2-d-not-int-2.5",
-         "check-bases-canonical-fourier", "region-three-specs"],
+         "check-bases-canonical-fourier", "region-three-specs",
+         "check-depolarizing-d0", "check-choi-d0"],
 )
 def test_bad_input_is_one_error_line(argv, message, specs, capsys):
     assert main([a.format(**specs) for a in argv]) == 1

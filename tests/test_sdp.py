@@ -9,6 +9,7 @@ from qincompat import (
     induced_povm,
     make_depolarizing,
     make_identity,
+    make_schur,
     mub_family,
     omega,
     z_matrix,
@@ -444,6 +445,83 @@ def test_oracle_failed_line_search_keeps_the_band_rule(monkeypatch):
             assert np.linalg.eigvalsh(res.witness)[0] >= FEASIBLE_BAND - 1e-12
         if compatible:
             assert res.status is not Feasibility.INFEASIBLE
+
+
+@pytest.mark.parametrize(
+    "d, n, t, status",
+    [
+        (3, 2, 0.6, Feasibility.FEASIBLE),
+        (3, 2, 0.7, Feasibility.INFEASIBLE),
+        (2, 3, 0.5, Feasibility.FEASIBLE),
+        (2, 3, 0.6, Feasibility.INFEASIBLE),
+    ],
+    ids=["d3-N2-0.6", "d3-N2-0.7", "d2-N3-0.5", "d2-N3-0.6"],
+)
+def test_long_step_oracle_on_the_largest_instances(d, n, t, status):
+    # mu / 5 per stage with every stage centered to mu * 2^-12 took 52-53
+    # Newton steps on each of these
+    res = solve_joint_channel([make_depolarizing(d, t)] * n)
+    assert res.status is status
+    assert res.iterations <= 25
+
+
+def test_center_returns_the_newton_step_dual(monkeypatch, rng):
+    # every dual point _center returns meets the dual's equality constraints
+    # to round-off and is PSD: sum_i Y_i = I per block for the criterion,
+    # <Y, B_k> = 0 and <Y, A> = -1 for the oracle
+    problems, checked = [], []
+    engine, center = sdp._max_affine_min_eig, sdp._center
+
+    def engine_with_problem(j0, basis, direction=None):
+        problems.append((basis, direction))
+        try:
+            return engine(j0, basis, direction)
+        finally:
+            problems.pop()
+
+    def checked_center(*args):
+        out = center(*args)
+        y = out[4]
+        norm = np.linalg.norm(y)
+        if y.ndim == 4:  # criterion blocks (blocks, N, b, b)
+            assert np.abs(y.sum(axis=1) - np.eye(y.shape[-1])).max() <= 1e-9
+            checked.append("criterion")
+        else:
+            basis, a = problems[-1]
+            checked.append("lambda" if a is None else "radius")
+            a = -np.eye(len(y)) if a is None else a
+            assert np.abs(np.einsum("kab,ba->k", basis, y)).max() <= 1e-9 * norm
+            assert abs(np.vdot(a, y).real + 1.0) <= 1e-9
+        assert np.linalg.eigvalsh(y)[..., 0].min() >= -1e-10 * norm
+        return out
+
+    monkeypatch.setattr(sdp, "_max_affine_min_eig", engine_with_problem)
+    monkeypatch.setattr(sdp, "_center", checked_center)
+    solve_domination(DominationProblem(9, _mub_constraints(3, (0.5, 0.7, 0.9))))
+    dense = tuple(
+        g_matrix(random_channel(rng, 3), random_basis(rng, 3)).m - omega(3)
+        for _ in range(2)
+    )
+    solve_domination(DominationProblem(9, dense))
+    # the Schur pair's Choi matrices are rank-deficient
+    schur = [make_schur(np.array([[1.0, b], [b, 1.0]])) for b in (0.5, 0.3)]
+    for channels in (
+        [make_depolarizing(2, 0.6)] * 2,
+        [make_depolarizing(2, 0.75)] * 2,
+        [make_depolarizing(2, 0.5)] * 3,
+        schur,
+    ):
+        solve_joint_channel(channels)
+    u = (np.cos(0.6), np.sin(0.6))
+    for channels in ([make_depolarizing(2, 0.9), make_depolarizing(2, 0.95)], schur):
+        sdp._joint_channel_radius(channels, u, 1.0 / max(u))
+    assert set(checked) == {"criterion", "lambda", "radius"}
+
+
+def test_start_point_outside_the_cone_raises():
+    # a negative clamp r_max puts the radius SDP's start slack outside the cone
+    with pytest.raises(RuntimeError, match="start point"):
+        sdp._joint_channel_radius([make_depolarizing(2, 0.5)] * 2, (1.0, 1.0), -1.0)
 
 
 def test_budget_error_names_dimension():
