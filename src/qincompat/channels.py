@@ -263,6 +263,18 @@ def _matrix_from_pairs(rows) -> np.ndarray:
     )
 
 
+def _spec_dimension(spec: dict, key: str) -> int:
+    """``spec[key]`` as a dimension: an integral number, not a bool."""
+    value = spec[key]
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not float(value).is_integer()
+    ):
+        raise ValueError(f"dimension {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def channel_from_spec(spec: dict) -> Channel:
     """Build a channel from its JSON description.
 
@@ -279,11 +291,11 @@ def channel_from_spec(spec: dict) -> Channel:
         raise ValueError("channel spec must be an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "depolarizing":
-        c = make_depolarizing(int(spec["d"]), float(spec["t"]))
+        c = make_depolarizing(_spec_dimension(spec, "d"), float(spec["t"]))
     elif kind == "schur":
         c = make_schur(_matrix_from_pairs(spec["B"]))
     elif kind == "choi":
-        d_in, d_out = int(spec["d_in"]), int(spec["d_out"])
+        d_in, d_out = _spec_dimension(spec, "d_in"), _spec_dimension(spec, "d_out")
         entries = [_pair_to_complex(p) for p in spec["entries"]]
         dim = d_in * d_out
         if len(entries) != dim * dim:
@@ -303,6 +315,6 @@ def povm_from_spec(spec: dict) -> Povm:
     """Build a POVM from ``{"kind": "povm", "d": 2, "effects": [matrix, ...]}``."""
     if not isinstance(spec, dict) or spec.get("kind") != "povm":
         raise ValueError("povm spec must be an object with kind 'povm'")
-    d = int(spec["d"])
+    d = _spec_dimension(spec, "d")
     effects = tuple(_matrix_from_pairs(rows) for rows in spec["effects"])
     return Povm(d, effects)

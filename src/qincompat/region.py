@@ -14,6 +14,12 @@ a ray every marginal s_i Phi_i + (1 - s_i) Delta is affine in r, and so
 is the minimum-norm joint operator, so one SDP maximizing r, clamped to
 the ray's end, gives the oracle radius.  Bisection remains only for
 criterion rays: non-unital ones and those whose SDP does not decide.
+
+The same SDP runs along any line from a point whose joint operator is
+positive definite.  The ``fig1`` oracle grid uses one per grid line: by
+convexity the compatible cells on a line from an axis point form an
+interval that starts there, so one certified bracket decides every cell
+outside it, and only a cell inside the bracket takes a lambda* solve.
 """
 
 from __future__ import annotations
@@ -114,19 +120,27 @@ def _scaled(channels, u, r):
     return [mix_toward_depolarizing(c, min(r * ui, 1.0)) for c, ui in zip(channels, u)]
 
 
-def _oracle_radius(channels, u, r_max: float, tol: float) -> float:
-    """Oracle radius along ``u`` from one radius SDP on ``[0, r_max]``.
+def _oracle_bracket(channels, start, u, r_max: float, tol: float):
+    """Certified bracket (lo, hi) of one radius SDP along ``start + r u``, r <= r_max.
 
-    Its bracket is certified: a joint channel exists at ``lo`` and none in
-    ``(hi, r_max]``.  The radius is r_max when ``hi`` reaches it, else
-    ``lo``; a bracket wider than ``tol`` raises ``RuntimeError``.
+    A joint channel exists at ``lo`` and none in ``(hi, r_max]``; a
+    bracket wider than ``tol`` raises ``RuntimeError``.
     """
-    lo, hi = _joint_channel_radius(channels, u, r_max)
+    lo, hi = _joint_channel_radius(channels, start, u, r_max)
     if not hi - lo <= tol:  # a nan bound raises too
+        def point(v):
+            return f"({', '.join(f'{x:.6g}' for x in v)})"
+
         raise RuntimeError(
-            f"oracle radius along u = ({', '.join(f'{v:.6g}' for v in u)}) not "
+            f"oracle radius from {point(start)} along u = {point(u)} not "
             f"decided: bracket [{lo:.6g}, {hi:.6g}] is wider than {tol:g}"
         )
+    return lo, hi
+
+
+def _oracle_radius(bracket, r_max: float) -> float:
+    """Radius of an ``_oracle_bracket``: r_max if its ``hi`` reaches it, else ``lo``."""
+    lo, hi = bracket
     return r_max if hi >= r_max else lo
 
 
@@ -209,9 +223,10 @@ def scan_rays(
             crit = _unital_criterion_radius(base_channels, bases, u, r_max, bisect_tol)
         if crit is None:
             crit = bisect_boundary(lambda r: criterion_inside(r, u), r_max, bisect_tol)
-        orac = (
-            _oracle_radius(base_channels, u, r_max, bisect_tol) if use_oracle else None
-        )
+        orac = None
+        if use_oracle:
+            bracket = _oracle_bracket(base_channels, (0.0,) * n, u, r_max, bisect_tol)
+            orac = _oracle_radius(bracket, r_max)
         return RayResult(
             direction=tuple(float(v) for v in u),
             criterion_radius=float(crit),
@@ -264,6 +279,44 @@ def emit_figure2_data(ds, resolution: int) -> dict:
     }
 
 
+def _oracle_grid(pair, grid, diagonal) -> np.ndarray:
+    """Oracle column of the ``fig1`` grid: [i, j] is (grid[i], grid[j]) compatible.
+
+    The region is convex and holds both axes, so along a grid line from
+    an axis point the compatible cells form an interval that starts there,
+    and one radius SDP decides the line: a cell at or below the bracket's
+    ``lo`` is compatible, one above its ``hi`` is not, and one inside it
+    takes a ``solve_joint_channel`` (MARGINAL counted inside, the region
+    being closed).  Each row 0 < s < 1 starts at (s, 0).  The cells (1, t)
+    take one column each from (0, t): a pure Schur channel has a singular
+    Choi matrix, so (1, 0) cannot start a row.  The corner (1, 1) is the
+    end of the ``diagonal`` bracket.
+    """
+    n = len(grid)
+    ok = np.ones((n, n), dtype=bool)  # rho -> Phi(rho) (x) I/d joins Phi and Delta
+
+    def decide(bracket, r, cell):
+        lo, hi = bracket
+        if r <= lo:
+            return True
+        if r > hi:
+            return False
+        status = solve_joint_channel(_scaled(pair, cell, 1.0)).status
+        return status is not Feasibility.INFEASIBLE
+
+    for i in range(1, n - 1):
+        s = float(grid[i])
+        row = _oracle_bracket(pair, (s, 0.0), (0.0, 1.0), 1.0, BISECT_TOL)
+        for j in range(1, n):
+            ok[i, j] = decide(row, float(grid[j]), (s, float(grid[j])))
+    for j in range(1, n - 1):
+        t = float(grid[j])
+        column = _oracle_bracket(pair, (0.0, t), (1.0, 0.0), 1.0, BISECT_TOL)
+        ok[n - 1, j] = decide(column, 1.0, (1.0, t))
+    ok[n - 1, n - 1] = decide(diagonal, math.sqrt(2.0), (1.0, 1.0))
+    return ok
+
+
 def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     """Criterion region (and optional oracle samples) for a Schur pair.
 
@@ -273,7 +326,10 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     are the maximally compatible mixtures in the respective directions.
     The diagonal one is one radius SDP clamped to the diagonal's end,
     inside and at most ``BISECT_TOL`` below the boundary; the axis ones
-    are 1.
+    are 1.  The oracle column takes one radius SDP per grid line
+    (``_oracle_grid``): 2 resolution - 3 SDPs with the diagonal's, and a
+    ``solve_joint_channel`` only for a cell inside a line's bracket.  A
+    line whose bracket is wider than ``BISECT_TOL`` raises ``RuntimeError``.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -282,26 +338,20 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     beta_b, beta_c = beta(b), beta(c)
 
     grid = np.linspace(0.0, 1.0, resolution)
-    rows = []
-    for s in grid:
-        for t in grid:
-            s, t = float(s), float(t)
-            oracle = None
-            if use_oracle:  # the region is closed: marginal verdicts count as inside
-                status = solve_joint_channel(_scaled(pair, (s, t), 1.0)).status
-                oracle = status is not Feasibility.INFEASIBLE
-            rows.append([s, t, _schur_ellipse(s, t, beta_b, beta_c)[2], oracle])
-
     meta = {
         "beta_b": beta_b,
         "beta_c": beta_c,
         "criterion_region": "s^2 + beta_c t^2 <= 1 and beta_b s^2 + t^2 <= 1",
     }
+    oracle = None
     if use_oracle:
-        diag = _oracle_radius(pair, (math.sqrt(0.5),) * 2, math.sqrt(2.0), BISECT_TOL)
-        # rho -> Phi(rho) (x) I/d is a joint channel of any Phi and Delta
+        r_diag = math.sqrt(2.0)
+        diagonal = _oracle_bracket(
+            pair, (0.0, 0.0), (math.sqrt(0.5),) * 2, r_diag, BISECT_TOL
+        )
+        oracle = _oracle_grid(pair, grid, diagonal)
         meta["boundary_points"] = {
-            "diagonal_coordinate": diag / math.sqrt(2.0),
+            "diagonal_coordinate": _oracle_radius(diagonal, r_diag) / r_diag,
             "axis_s": 1.0,
             "axis_t": 1.0,
         }
@@ -310,6 +360,12 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
             "the diagonal; these are the maximally compatible mixtures in "
             "those directions"
         )
+    rows = []
+    for i, s in enumerate(grid):
+        for j, t in enumerate(grid):
+            s, t = float(s), float(t)
+            rows.append([s, t, _schur_ellipse(s, t, beta_b, beta_c)[2],
+                         None if oracle is None else bool(oracle[i, j])])
     return {
         "columns": ["s", "t", "criterion_inside", "oracle_compatible"],
         "rows": rows,

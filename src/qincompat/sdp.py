@@ -35,15 +35,16 @@
 
         t  subject to  j0 + sum_k x_k B_k + t A >= 0.
 
-    A = -I makes t lambda_min, the oracle's verdict.  Along a ray of
-    noise-scaled channels the particular solution is I/d^N + r E, with E
-    traceless and orthogonal to the free directions, so A = E, padded with
-    one diagonal slack entry r_max - r, gives the compatibility radius
-    clamped to the ray's end (``_joint_channel_radius``).  The attained t
-    bounds the optimum from below; the dual point of the last Newton step
-    has <Y, B_k> = 0 and <Y, A> = -1, and projected off the free directions
-    and shifted by c I until it is PSD, Y bounds it from above by
-    <Y, j0> / -<Y, A>.
+    A = -I makes t lambda_min, the oracle's verdict.  Along a line of
+    noise-scaled channels the particular solution is J(start) + r E, with
+    E traceless and orthogonal to the free directions, so A = E, padded
+    with one diagonal slack entry r_max - r, gives the compatibility radius
+    clamped to the line's end (``_joint_channel_radius``; J(0) = I/d^N).
+    The attained t bounds the optimum from below; the dual point of the
+    last Newton step has <Y, B_k> = 0 and <Y, A> = -1, and projected off
+    the free directions and shifted by c I until it is PSD, Y bounds it
+    from above by <Y, j0> / -<Y, A>.  The least bound of all stages is
+    reported.
 
 Both barriers follow one policy: mu falls 1000-fold per stage, and one
 routine, ``_center``, centers every stage by damped Newton with a
@@ -400,9 +401,12 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray, direction=None):
     A = ``direction`` defaults to -I, making t lambda_min at x; any other A
     must be Hermitian and orthogonal to the basis, with j0 positive definite
     (the barrier starts at t = 0; else ``RuntimeError``) and a finite
-    optimum.  Returns ``(x, t_attained, upper_bound, steps)`` of the last
-    stage; t_attained is lambda_min at x for A = -I, else the iterate's t
-    (its slack is PD).
+    optimum.  Returns ``(x, t_attained, upper_bound, steps)``: x and
+    t_attained of the last stage, lambda_min at x for A = -I, else the
+    iterate's t (its slack is PD), and the least upper bound any stage
+    certified.  Each stage's bound holds on its own, and at small mu the
+    recovered dual can lose it to round-off (a line search that finds no
+    step, or a shift c I that swamps Y), so a later stage may bound worse.
     ``basis`` must be orthonormal in the Frobenius inner product, with
     Hermitian traceless members.  A Newton step is plain matmuls: for
     Hermitian B, Re tr(M B) is the real dot product of the (Re, Im) views of
@@ -455,6 +459,7 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray, direction=None):
         raise RuntimeError("barrier start point is not positive definite")
     mu = 1.0
     steps = 0
+    best_ub = np.inf
 
     while True:
         z, s, logdet, cost, y, steps, ok = _center(
@@ -470,6 +475,7 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray, direction=None):
         y += max(0.0, -float(np.linalg.eigvalsh(y)[0])) * np.eye(dim)
         scale = -float(y.reshape(-1).view(np.float64) @ a_re)
         ub = float(np.vdot(y, j0).real) / scale if scale > 0.0 else np.inf
+        best_ub = min(best_ub, ub)
 
         gap = ub - t_att
         decided = _classify(t_att, ub) is not Feasibility.MARGINAL
@@ -479,7 +485,7 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray, direction=None):
             break
         mu *= _MU_FACTOR
 
-    return x, t_att, ub, steps
+    return x, t_att, best_ub, steps
 
 
 def _solve_family(j0, basis) -> FeasibilityResult:
@@ -608,23 +614,30 @@ def solve_joint_channel(channels) -> FeasibilityResult:
     return _solve_family(*_joint_channel_family(d, [c.choi for c in channels]))
 
 
-def _joint_channel_radius(channels, u, r_max: float):
+def _joint_channel_radius(channels, start, u, r_max: float):
     """Certified bracket (lo, hi) on min(r*, r_max), r* the largest compatible r.
 
-    The marginals s_i Phi_i + (1 - s_i) Delta are affine in r, so the
-    minimum-norm joint operator is J(r) = I / d^N + r E with E traceless
-    and orthogonal to every free direction, and the radius is one program:
-    max r s.t. J(r) + sum_k x_k B_k >= 0 and r_max - r >= 0, the slack
-    r_max - r one diagonal entry padded onto the joint operator.  Its
-    optimum is finite on every ray, E = 0 included.  With s_i = r u_i, a
-    joint channel exists at lo, and none at any r in (hi, r_max].
+    The marginals s_i Phi_i + (1 - s_i) Delta with s_i = start_i + r u_i
+    are affine in r, so the minimum-norm joint operator is J(r) = J(start)
+    + r E with E = J(start + u) - J(start) orthogonal to every free
+    direction, and the radius is one program: max r s.t. J(r) + sum_k x_k
+    B_k >= 0 and r_max - r >= 0, the slack r_max - r one diagonal entry
+    padded onto the joint operator.  J(start) must be positive definite;
+    it is whenever sum_i start_i < 1, as J(start) >= (1 - sum_i start_i)
+    I / d^N (start 0 gives I / d^N).  The optimum
+    is finite on every line, E = 0 included.  A joint channel exists at
+    lo, and none at any r in (hi, r_max].
     """
     d = shared_dimension(channels)
     delta = np.eye(d * d) / d
-    j0, basis = _joint_channel_family(d, [delta] * len(channels))
-    j1, _ = _joint_channel_family(
-        d, [delta + ui * (c.choi - delta) for c, ui in zip(channels, u)]
-    )
+
+    def family(weights):
+        return _joint_channel_family(
+            d, [delta + w * (c.choi - delta) for c, w in zip(channels, weights)]
+        )
+
+    j0, basis = family(start)
+    j1, _ = family([s + ui for s, ui in zip(start, u)])
     pad = ((0, 0), (0, 1), (0, 1))
     j0, a = np.pad(np.stack([j0, j1 - j0]), pad)
     j0[-1, -1], a[-1, -1] = r_max, -1.0

@@ -215,6 +215,22 @@ def test_channel_spec_bad_kind():
         channel_from_spec({"kind": "nope"})
 
 
+@pytest.mark.parametrize("value", [1.5, True, "2", float("inf"), float("nan")])
+def test_spec_dimension_must_be_an_integer(value):
+    with pytest.raises(ValueError, match="dimension 'd' must be an integer"):
+        channel_from_spec({"kind": "depolarizing", "d": value, "t": 0.5})
+    with pytest.raises(ValueError, match="dimension 'd_in' must be an integer"):
+        channel_from_spec({"kind": "choi", "d_in": value, "d_out": 2, "entries": []})
+    with pytest.raises(ValueError, match="dimension 'd' must be an integer"):
+        povm_from_spec({"kind": "povm", "d": value, "effects": []})
+
+
+def test_spec_dimension_accepts_integral_floats():
+    # JSON writers may emit 2.0 for an integer
+    c = channel_from_spec({"kind": "depolarizing", "d": 2.0, "t": 0.5})
+    assert c.d == 2 and isinstance(c.d, int)
+
+
 def test_povm_spec():
     spec = {
         "kind": "povm",

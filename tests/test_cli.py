@@ -51,6 +51,14 @@ def specs(tmp_path):
         "choi_d0": write(
             "choi_d0.json", {"kind": "choi", "d_in": 0, "d_out": 0, "entries": []}
         ),
+        "dep_d15": write("dep_d15.json", {"kind": "depolarizing", "d": 1.5, "t": 0.5}),
+        "dep_dtrue": write(
+            "dep_dtrue.json", {"kind": "depolarizing", "d": True, "t": 0.5}
+        ),
+        "choi_d25": write(
+            "choi_d25.json", {"kind": "choi", "d_in": 2, "d_out": 2.5, "entries": []}
+        ),
+        "povm_d15": write("povm_d15.json", {"kind": "povm", "d": 1.5, "effects": []}),
         "listed": write("listed.json", [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]),
         "dir": tmp_path,
     }
@@ -120,6 +128,22 @@ def test_validate_reports_zero_dimension(spec, specs, capsys):
     assert report["violations"] == [
         {"spec": specs[spec], "error": "dimensions must be at least 1, got 0 -> 0"}
     ]
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [
+        ("dep_d15", "dimension 'd' must be an integer, got 1.5"),
+        ("dep_dtrue", "dimension 'd' must be an integer, got True"),
+        ("choi_d25", "dimension 'd_out' must be an integer, got 2.5"),
+        ("povm_d15", "dimension 'd' must be an integer, got 1.5"),
+    ],
+)
+def test_validate_reports_non_integral_dimension(spec, error, specs, capsys):
+    # int() would truncate 1.5 and True to a valid-looking d = 1
+    assert main(["validate", specs[spec]]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["violations"] == [{"spec": specs[spec], "error": error}]
 
 
 def test_assemblage(specs, capsys):
@@ -208,12 +232,19 @@ def test_region_csv_cells_are_numbers(specs, capsys):
          "region scans channel pairs: pass 2 specs, got 3"),
         (["check", "{dep_d0}", "{dep_d0}"], "dimensions must be at least 1"),
         (["check", "{choi_d0}", "{choi_d0}"], "dimensions must be at least 1"),
+        (["check", "{dep_d15}", "{dep_d15}"],
+         "dimension 'd' must be an integer, got 1.5"),
+        (["check", "{dep_dtrue}", "{dep_dtrue}"],
+         "dimension 'd' must be an integer, got True"),
+        (["check", "{choi_d25}", "{choi_d25}"],
+         "dimension 'd_out' must be an integer, got 2.5"),
     ],
     ids=["fig2-d0", "fig2-d1", "fig1-no-B", "fig1-C-list", "fig1-C-qutrit",
          "fig2-d-empty-comma",
          "fig2-d-empty", "fig2-d-not-int-x", "fig2-d-not-int-2.5",
          "check-bases-canonical-fourier", "region-three-specs",
-         "check-depolarizing-d0", "check-choi-d0"],
+         "check-depolarizing-d0", "check-choi-d0", "check-depolarizing-d1.5",
+         "check-depolarizing-d-true", "check-choi-d_out-2.5"],
 )
 def test_bad_input_is_one_error_line(argv, message, specs, capsys):
     assert main([a.format(**specs) for a in argv]) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -34,7 +35,7 @@ from qincompat.region import (
     region_report_to_dataset,
     scan_rays,
 )
-from helpers import fail_cholesky_after_first_call
+from helpers import fail_cholesky_after_first_call, random_schur_matrix
 
 SQ2 = math.sqrt(2.0)
 
@@ -315,14 +316,16 @@ def test_oracle_ray_is_one_radius_sdp(ts, angle, monkeypatch):
 )
 def test_radius_sdp_brackets_the_exact_root(ts, angle):
     u = (math.cos(angle), math.sin(angle))
-    lo, hi = sdp._joint_channel_radius([make_depolarizing(2, t) for t in ts], u, 1.0 / max(u))
+    lo, hi = sdp._joint_channel_radius(
+        [make_depolarizing(2, t) for t in ts], (0.0, 0.0), u, 1.0 / max(u))
     assert lo <= _exact_dep_pair_radius(ts, u) <= hi
     assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE
 
 
 def test_radius_sdp_identity_triple_meets_werner():
     u = np.ones(3) / math.sqrt(3.0)
-    lo, hi = sdp._joint_channel_radius([make_identity(2)] * 3, u, 1.0 / u[0])
+    lo, hi = sdp._joint_channel_radius(
+        [make_identity(2)] * 3, np.zeros(3), u, 1.0 / u[0])
     # symmetric 1 -> 3 qubit cloning: coordinate (N + d) / (N (1 + d)) = 5/9
     assert lo * u[0] <= 5.0 / 9.0 <= hi * u[0]
     assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE
@@ -343,7 +346,7 @@ def test_radius_sdp_stopped_at_its_start_raises(monkeypatch):
                 return radius(*args)
 
     # the clamp's slack gives a finite upper bound even at the start point
-    lo, hi = stopped_at_start(chans, u, 1.0 / max(u))
+    lo, hi = stopped_at_start(chans, (0.0, 0.0), u, 1.0 / max(u))
     assert lo == 0.0 and 1.0 < hi < math.inf
     monkeypatch.setattr(region, "_joint_channel_radius", stopped_at_start)
     with pytest.raises(RuntimeError, match=r"bracket \[0, "):
@@ -358,7 +361,7 @@ def test_radius_sdp_witness_at_lo(monkeypatch):
     engine = sdp._max_affine_min_eig
     monkeypatch.setattr(sdp, "_max_affine_min_eig",
                         lambda *args: runs.append((args, engine(*args))) or runs[-1][1])
-    lo, _ = sdp._joint_channel_radius(chans, u, r_max)
+    lo, _ = sdp._joint_channel_radius(chans, (0.0, 0.0), u, r_max)
     (j0, basis, direction), (x, *_) = runs[0]
     padded = j0 + lo * direction + np.tensordot(x, basis, axes=1)
     # the padded corner is the clamp's slack r_max - lo
@@ -426,3 +429,153 @@ def test_non_unital_pair_bisects():
     expected = _bisected_criterion_radius(chans, u, 1e-3)
     assert expected < 1.0 / max(u)  # the criterion crosses inside the segment
     assert ray.criterion_radius == expected
+
+
+# ---------------------------------------------------------------------------
+# fig1 oracle grid: one radius SDP per grid line
+# ---------------------------------------------------------------------------
+
+def _per_cell_oracle_column(b, c, resolution):
+    """The oracle column from one lambda* solve per cell, MARGINAL counted inside."""
+    pair = [make_schur(b), make_schur(c)]
+    grid = np.linspace(0.0, 1.0, resolution)
+    return [
+        sdp.solve_joint_channel(_scaled(pair, 1.0, (float(s), float(t)))).status
+        is not region.Feasibility.INFEASIBLE
+        for s in grid for t in grid
+    ]
+
+
+def _oracle_column(b, c, resolution):
+    data = emit_figure1_data(b, c, resolution, use_oracle=True)
+    return [row[3] for row in data["rows"]]
+
+
+def _schur_qubit(off):
+    return np.array([[1.0, off], [np.conj(off), 1.0]])
+
+
+def test_figure1_oracle_grid_equals_the_per_cell_column(rng):
+    for _ in range(10):
+        b, c = (random_schur_matrix(rng, 2) for _ in range(2))
+        for resolution in (3, 4, 7):
+            assert _oracle_column(b, c, resolution) == _per_cell_oracle_column(
+                b, c, resolution)
+
+
+@pytest.mark.parametrize(
+    "b",
+    # complete dephasing is compatible with everything, so every line runs to
+    # its end and the end cells fall back to lambda*; all-ones is the identity
+    # channel, whose (2/3, 2/3) lies on the boundary at resolution 7
+    [np.eye(2), np.ones((2, 2))],
+    ids=["dephasing", "identity"],
+)
+def test_figure1_oracle_grid_on_extreme_schur_pairs(b):
+    for resolution in (3, 4, 7):
+        column = _oracle_column(b, b, resolution)
+        assert column == _per_cell_oracle_column(b, b, resolution)
+        grid = np.array(column).reshape(resolution, resolution)
+        assert (grid == grid.T).all()
+        if b[0, 1] == 0.0:
+            assert grid.all()
+
+
+def test_figure1_oracle_grid_is_one_radius_sdp_per_line(monkeypatch):
+    b, c = _schur_qubit(0.5), _schur_qubit(0.3 + 0.2j)
+    reference = {res: _per_cell_oracle_column(b, c, res) for res in (2, 3, 5)}
+    radius, solve = region._joint_channel_radius, region.solve_joint_channel
+    for resolution in (2, 3, 5):
+        lines, solves = [], []
+        monkeypatch.setattr(region, "_joint_channel_radius",
+                            lambda *args: lines.append(args[1]) or radius(*args))
+        monkeypatch.setattr(region, "solve_joint_channel",
+                            lambda pair: solves.append(None) or solve(pair))
+        column = _oracle_column(b, c, resolution)
+        monkeypatch.undo()
+        # rows 0 < s < 1, columns to (1, t) for 0 < t < 1, and the diagonal
+        assert len(lines) == 2 * resolution - 3
+        assert len(solves) == 0
+        assert column == reference[resolution]
+
+
+def test_line_radius_from_an_axis_point_brackets_the_exact_root():
+    chans = [make_depolarizing(2, 1.0)] * 2
+    for s in (0.1, 0.3, 0.5, 0.8, 0.95):
+        lo, hi = sdp._joint_channel_radius(chans, (s, 0.0), (0.0, 1.0), 1.0)
+        assert lo <= exact_pair_root(2, s) <= hi
+        assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE
+        # the same root along the column from (0, t)
+        lo, hi = sdp._joint_channel_radius(chans, (0.0, s), (1.0, 0.0), 1.0)
+        assert lo <= exact_pair_root(2, s) <= hi
+
+
+def test_line_radius_from_the_origin_is_the_ray_program():
+    # start 0: J(0) = I / d^N and E = J(u) - J(0), built as the ray program is
+    chans = [make_depolarizing(2, 0.9), make_schur(_schur_qubit(0.4))]
+    u = (math.cos(0.6), math.sin(0.6))
+    r_max = 1.0 / max(u)
+    delta = np.eye(4) / 2.0
+    j0, basis = sdp._joint_channel_family(2, [delta, delta])
+    j1, _ = sdp._joint_channel_family(
+        2, [delta + ui * (c.choi - delta) for c, ui in zip(chans, u)])
+    pad = ((0, 0), (0, 1), (0, 1))
+    j0, a = np.pad(np.stack([j0, j1 - j0]), pad)
+    j0[-1, -1], a[-1, -1] = r_max, -1.0
+    _, lo, hi, _ = sdp._max_affine_min_eig(j0, np.pad(basis, pad), a)
+    assert sdp._joint_channel_radius(chans, (0.0, 0.0), u, r_max) == (lo, hi)
+
+
+def test_line_radius_from_a_singular_start_raises():
+    # a pure Schur channel's Choi matrix has rank 2 of 4: J(start) is singular
+    chans = [make_schur(_schur_qubit(0.5))] * 2
+    with pytest.raises(RuntimeError, match="start point"):
+        sdp._joint_channel_radius(chans, (1.0, 0.0), (0.0, 1.0), 1.0)
+
+
+def test_capped_figure1_oracle_raises(monkeypatch, tmp_path, capsys):
+    # cap 3 leaves the diagonal's bracket open, cap 7 the row from (0.5, 0)
+    spec = tmp_path / "schur.json"
+    spec.write_text(json.dumps({"B": [[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]]}))
+    for cap, start in ((3, r"\(0, 0\)"), (7, r"\(0\.5, 0\)")):
+        monkeypatch.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", cap)
+        with pytest.raises(RuntimeError, match=f"from {start} .* bracket"):
+            emit_figure1_data(B_SCHUR, B_SCHUR, 3, use_oracle=True)
+        argv = ["figure", "fig1", "--B", str(spec), "--resolution", "3", "--oracle"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: oracle radius from ")
+
+
+def test_open_line_bracket_raises(monkeypatch):
+    # a grid line's bracket wider than BISECT_TOL is never read as verdicts
+    radius = region._joint_channel_radius
+
+    def open_rows(channels, start, u, r_max):
+        lo, hi = radius(channels, start, u, r_max)
+        return (lo, hi) if start[0] in (0.0, 1.0) else (0.0, math.inf)
+
+    monkeypatch.setattr(region, "_joint_channel_radius", open_rows)
+    with pytest.raises(RuntimeError, match=r"from \(0\.5, 0\) along u = \(0, 1\)"):
+        emit_figure1_data(B_SCHUR, B_SCHUR, 3, use_oracle=True)
+
+
+def test_radius_sdp_keeps_the_best_stage_bound(monkeypatch):
+    # a late stage whose dual is lost (no line-search step, a Y that shifts to
+    # 0) bounds nothing; the bracket keeps the bound of the stage before it
+    chans = [make_depolarizing(2, t) for t in (0.9, 0.95)]
+    u = (math.cos(0.6), math.sin(0.6))
+    center = sdp._center
+
+    def lost_after_first_stages(z, s, logdet, cost, mu, *rest):
+        out = center(z, s, logdet, cost, mu, *rest)
+        if mu >= 1e-3:
+            return out
+        z, s, logdet, cost, y, steps, _ = out
+        return z, s, logdet, cost, -np.eye(len(s), dtype=complex), steps, False
+
+    monkeypatch.setattr(sdp, "_center", lost_after_first_stages)
+    lo, hi = sdp._joint_channel_radius(chans, (0.0, 0.0), u, 1.0 / max(u))
+    assert lo <= _exact_dep_pair_radius((0.9, 0.95), u) <= hi < lo + 0.1

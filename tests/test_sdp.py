@@ -514,14 +514,15 @@ def test_center_returns_the_newton_step_dual(monkeypatch, rng):
         solve_joint_channel(channels)
     u = (np.cos(0.6), np.sin(0.6))
     for channels in ([make_depolarizing(2, 0.9), make_depolarizing(2, 0.95)], schur):
-        sdp._joint_channel_radius(channels, u, 1.0 / max(u))
+        sdp._joint_channel_radius(channels, (0.0, 0.0), u, 1.0 / max(u))
     assert set(checked) == {"criterion", "lambda", "radius"}
 
 
 def test_start_point_outside_the_cone_raises():
     # a negative clamp r_max puts the radius SDP's start slack outside the cone
     with pytest.raises(RuntimeError, match="start point"):
-        sdp._joint_channel_radius([make_depolarizing(2, 0.5)] * 2, (1.0, 1.0), -1.0)
+        sdp._joint_channel_radius(
+            [make_depolarizing(2, 0.5)] * 2, (0.0, 0.0), (1.0, 1.0), -1.0)
 
 
 def test_budget_error_names_dimension():
