@@ -203,6 +203,8 @@ def exact_depolarizing_pair(d: int, s: float, t: float) -> bool:
     True iff t + s - (2/d) sqrt((1-t)(1-s)) <= 1, the known necessary and
     sufficient condition.
     """
+    if d < 2:
+        raise ValueError(f"dimension d={d} must be at least 2")
     if not (0.0 <= s <= 1.0 and 0.0 <= t <= 1.0):
         raise ValueError(f"noise parameters must lie in [0, 1], got s={s}, t={t}")
     lhs = t + s - (2.0 / d) * math.sqrt((1.0 - t) * (1.0 - s))

@@ -12,8 +12,8 @@ G_i(s) = omega + s^2 (G_i - omega), so the criterion value along a ray
 is 1 + r^2 kappa and one SDP for kappa gives the criterion radius.  Along
 a ray every marginal s_i Phi_i + (1 - s_i) Delta is affine in r, and so
 is the minimum-norm joint operator, so one SDP maximizing r, clamped to
-the ray's end, gives the oracle radius.  Bisection remains only for
-criterion rays: non-unital ones and those whose SDP does not decide.
+the ray's end, gives the oracle radius.  One rule reads both off their
+certified brackets, and bisection remains only for non-unital criterion rays.
 
 The same SDP runs along any line from a point whose joint operator is
 positive definite.  The ``fig1`` oracle grid uses one per grid line: by
@@ -40,6 +40,7 @@ from .fisher import beta, g_matrix, omega
 from .linalg import partial_trace
 from .sdp import (
     DominationProblem,
+    FEASIBILITY_GAP_FINE,
     Feasibility,
     SolverStatus,
     _joint_channel_radius,
@@ -120,28 +121,28 @@ def _scaled(channels, u, r):
     return [mix_toward_depolarizing(c, min(r * ui, 1.0)) for c, ui in zip(channels, u)]
 
 
-def _oracle_bracket(channels, start, u, r_max: float, tol: float):
-    """Certified bracket (lo, hi) of one radius SDP along ``start + r u``, r <= r_max.
+def _point(v) -> str:
+    return f"({', '.join(f'{x:.6g}' for x in v)})"
 
-    A joint channel exists at ``lo`` and none in ``(hi, r_max]``; a
-    bracket wider than ``tol`` raises ``RuntimeError``.
+
+def _read_bracket(bracket, r_max: float, tol: float, what: str) -> float:
+    """Radius of a bracket (lo, hi) on min(r*, r_max): r_max if hi reaches it, else lo.
+
+    A bracket wider than ``tol`` raises ``RuntimeError`` naming ``what``.
     """
-    lo, hi = _joint_channel_radius(channels, start, u, r_max)
-    if not hi - lo <= tol:  # a nan bound raises too
-        def point(v):
-            return f"({', '.join(f'{x:.6g}' for x in v)})"
-
-        raise RuntimeError(
-            f"oracle radius from {point(start)} along u = {point(u)} not "
-            f"decided: bracket [{lo:.6g}, {hi:.6g}] is wider than {tol:g}"
-        )
-    return lo, hi
-
-
-def _oracle_radius(bracket, r_max: float) -> float:
-    """Radius of an ``_oracle_bracket``: r_max if its ``hi`` reaches it, else ``lo``."""
     lo, hi = bracket
+    if not hi - lo <= tol:  # a nan bound raises too
+        raise RuntimeError(
+            f"{what} not decided: bracket [{lo:.6g}, {hi:.6g}] is wider than {tol:g}"
+        )
     return r_max if hi >= r_max else lo
+
+
+def _oracle_line(channels, start, u, r_max: float, tol: float):
+    """Bracket and radius of one radius SDP along ``start + r u``, r <= r_max."""
+    bracket = _joint_channel_radius(channels, start, u, r_max)
+    what = f"oracle radius from {_point(start)} along u = {_point(u)}"
+    return bracket, _read_bracket(bracket, r_max, tol, what)
 
 
 def _is_unital(channel: Channel) -> bool:
@@ -151,27 +152,28 @@ def _is_unital(channel: Channel) -> bool:
 
 
 def _unital_criterion_radius(base_channels, bases, u, r_max: float, tol: float):
-    """Criterion radius along ``u`` from one SDP, or None when it does not decide.
+    """Criterion radius along ``u`` from one SDP.
 
     With H = omega + r^2 K the criterion value at radius r is 1 + r^2 kappa,
     kappa = min Tr K s.t. K >= u_i^2 (G_i - omega).  At r = sqrt((d - 1) /
     kappa_value) that value is at most d, so no dual bound certifies; past
-    sqrt((d - 1) / kappa_lower) every optimum exceeds d.
+    sqrt((d - 1) / kappa_lower) every optimum exceeds d.  ``_read_bracket``
+    reads that bracket clamped to r_max; a failed kappa SDP raises.
     """
     d = base_channels[0].d
     w = omega(d)
     result = solve_domination(DominationProblem(d * d, tuple(
         ui * ui * (g_matrix(c, e).m - w) for c, e, ui in zip(base_channels, bases, u)
     )))
+    what = f"criterion radius along u = {_point(u)}"
     if result.status is not SolverStatus.OPTIMAL:
-        return None
-    if result.value * r_max * r_max <= d - 1:
-        return r_max
-    r_in = math.sqrt((d - 1) / result.value)
-    if result.lower_bound <= 0.0:
-        return None
-    r_out = math.sqrt((d - 1) / result.lower_bound)
-    return r_in if r_out <= min(r_in + tol, r_max) else None
+        raise RuntimeError(f"{what}: kappa SDP ended {result.status.value}")
+
+    def radius(kappa):  # 1 + r^2 kappa = d, clamped to r_max
+        return r_max if kappa * r_max * r_max <= d - 1 else math.sqrt((d - 1) / kappa)
+
+    bracket = radius(result.value), radius(result.lower_bound)
+    return _read_bracket(bracket, r_max, tol, what)
 
 
 def scan_rays(
@@ -183,11 +185,11 @@ def scan_rays(
     """Find the criterion (and optionally oracle) boundary along each ray.
 
     The criterion measures in the ``select_bases`` defaults.  Its radius
-    is one SDP when every channel is unital (unless that SDP fails or its
-    bracket is wider than ``bisect_tol``), bisection otherwise; the oracle
-    radius is one radius SDP clamped to the ray's end, and a ``RuntimeError``
-    when its bracket is wider than ``bisect_tol``.  Each radius is inside,
-    with an outside point at most ``bisect_tol`` beyond it, or the ray's end.
+    is one SDP when every channel is unital, bisection otherwise; the
+    oracle radius is one radius SDP clamped to the ray's end.  Each radius
+    is inside, with an outside point at most ``bisect_tol`` beyond it, or
+    the ray's end.  An SDP that does not decide (a bracket wider than
+    ``bisect_tol``, a failed solve) raises ``RuntimeError`` naming the ray.
     Rays are reported in the input order.
     """
     base_channels = list(base_channels)
@@ -213,20 +215,20 @@ def scan_rays(
         verdict = zhu_criterion_channels(
             _scaled(base_channels, u, r), bases, basis_labels=labels
         )
+        if verdict.value is None:  # the SDP did not converge
+            raise RuntimeError(f"criterion radius along u = {_point(u)} at "
+                               f"r = {r:.6g}: {verdict.certificate}")
         return verdict.kind is not VerdictKind.INCOMPATIBLE_CERTIFIED
 
     def run_ray(u):
-        live = u[u > 1e-12]
-        r_max = float(1.0 / live.max())
-        crit = None
+        r_max = float(1.0 / u[u > 1e-12].max())
         if unital:
             crit = _unital_criterion_radius(base_channels, bases, u, r_max, bisect_tol)
-        if crit is None:
+        else:
             crit = bisect_boundary(lambda r: criterion_inside(r, u), r_max, bisect_tol)
         orac = None
         if use_oracle:
-            bracket = _oracle_bracket(base_channels, (0.0,) * n, u, r_max, bisect_tol)
-            orac = _oracle_radius(bracket, r_max)
+            _, orac = _oracle_line(base_channels, (0.0,) * n, u, r_max, bisect_tol)
         return RayResult(
             direction=tuple(float(v) for v in u),
             criterion_radius=float(crit),
@@ -286,32 +288,33 @@ def _oracle_grid(pair, grid, diagonal) -> np.ndarray:
     an axis point the compatible cells form an interval that starts there,
     and one radius SDP decides the line: a cell at or below the bracket's
     ``lo`` is compatible, one above its ``hi`` is not, and one inside it
-    takes a ``solve_joint_channel`` (MARGINAL counted inside, the region
-    being closed).  Each row 0 < s < 1 starts at (s, 0).  The cells (1, t)
-    take one column each from (0, t): a pure Schur channel has a singular
-    Choi matrix, so (1, 0) cannot start a row.  The corner (1, 1) is the
-    end of the ``diagonal`` bracket.
+    takes a ``solve_joint_channel``: MARGINAL counts inside (the region is
+    closed) if its gap closed to ``FEASIBILITY_GAP_FINE``, else it raises.
+    Each row 0 < s < 1 starts at (s, 0), and each cell (1, t) takes a column
+    from (0, t): a pure Schur channel has a singular Choi matrix, so (1, 0)
+    cannot start a row.  The corner (1, 1) ends the ``diagonal`` bracket.
     """
     n = len(grid)
     ok = np.ones((n, n), dtype=bool)  # rho -> Phi(rho) (x) I/d joins Phi and Delta
 
     def decide(bracket, r, cell):
         lo, hi = bracket
-        if r <= lo:
-            return True
-        if r > hi:
-            return False
-        status = solve_joint_channel(_scaled(pair, cell, 1.0)).status
-        return status is not Feasibility.INFEASIBLE
+        if r <= lo or r > hi:  # outside the bracket, the line decides
+            return r <= lo
+        result = solve_joint_channel(_scaled(pair, cell, 1.0))
+        if result.status is Feasibility.MARGINAL and result.gap > FEASIBILITY_GAP_FINE:
+            raise RuntimeError(f"oracle cell {_point(cell)} not decided: lambda* "
+                               f"solve stopped at gap {result.gap:.3g}")
+        return result.status is not Feasibility.INFEASIBLE
 
     for i in range(1, n - 1):
         s = float(grid[i])
-        row = _oracle_bracket(pair, (s, 0.0), (0.0, 1.0), 1.0, BISECT_TOL)
+        row, _ = _oracle_line(pair, (s, 0.0), (0.0, 1.0), 1.0, BISECT_TOL)
         for j in range(1, n):
             ok[i, j] = decide(row, float(grid[j]), (s, float(grid[j])))
     for j in range(1, n - 1):
         t = float(grid[j])
-        column = _oracle_bracket(pair, (0.0, t), (1.0, 0.0), 1.0, BISECT_TOL)
+        column, _ = _oracle_line(pair, (0.0, t), (1.0, 0.0), 1.0, BISECT_TOL)
         ok[n - 1, j] = decide(column, 1.0, (1.0, t))
     ok[n - 1, n - 1] = decide(diagonal, math.sqrt(2.0), (1.0, 1.0))
     return ok
@@ -329,7 +332,7 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     are 1.  The oracle column takes one radius SDP per grid line
     (``_oracle_grid``): 2 resolution - 3 SDPs with the diagonal's, and a
     ``solve_joint_channel`` only for a cell inside a line's bracket.  A
-    line whose bracket is wider than ``BISECT_TOL`` raises ``RuntimeError``.
+    solve that does not decide raises ``RuntimeError``.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -346,12 +349,11 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     oracle = None
     if use_oracle:
         r_diag = math.sqrt(2.0)
-        diagonal = _oracle_bracket(
-            pair, (0.0, 0.0), (math.sqrt(0.5),) * 2, r_diag, BISECT_TOL
-        )
+        u = (math.sqrt(0.5),) * 2
+        diagonal, r = _oracle_line(pair, (0.0, 0.0), u, r_diag, BISECT_TOL)
         oracle = _oracle_grid(pair, grid, diagonal)
         meta["boundary_points"] = {
-            "diagonal_coordinate": _oracle_radius(diagonal, r_diag) / r_diag,
+            "diagonal_coordinate": r / r_diag,
             "axis_s": 1.0,
             "axis_t": 1.0,
         }

@@ -408,25 +408,21 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray, direction=None):
     recovered dual can lose it to round-off (a line search that finds no
     step, or a shift c I that swamps Y), so a later stage may bound worse.
     ``basis`` must be orthonormal in the Frobenius inner product, with
-    Hermitian traceless members.  A Newton step is plain matmuls: for
-    Hermitian B, Re tr(M B) is the real dot product of the (Re, Im) views of
-    M and B, so with U = S^-1 and T_k = U B_k U the Hessian Re tr(T_k B_l)
-    is one real product of half the complex flops.  ``_center`` moves S
-    along dS = sum_k dx_k B_k + dt A.
+    Hermitian traceless members, or empty (then t alone moves).  A Newton
+    step is plain matmuls: for Hermitian B, Re tr(M B) is the real dot
+    product of the (Re, Im) views of M and B, so with U = S^-1 and T_k =
+    U B_k U the Hessian Re tr(T_k B_l) is one real product of half the
+    complex flops.  ``_center`` moves S along dS = sum_k dx_k B_k + dt A.
     """
     dim = j0.shape[0]
     m = basis.shape[0]
     a = -np.eye(dim) if direction is None else direction
 
-    if m == 0 and direction is None:
-        lam = float(np.linalg.eigvalsh(j0)[0])
-        return np.zeros(0), lam, lam, 0
-
     if np.abs(np.einsum("kpp->k", basis)).max(initial=0.0) > 1e-8:
         raise ValueError("free directions must be traceless for the optimum bound")
 
     basis_rows = basis.reshape(m * dim, dim)
-    basis_re = np.asarray(basis, np.complex128).reshape(m, -1).view(np.float64)
+    basis_re = np.asarray(basis, np.complex128).reshape(m, dim * dim).view(np.float64)
     a_re = np.asarray(a, np.complex128).reshape(-1).view(np.float64)
 
     def along(coeffs):  # sum_k coeffs[k] basis[k]
@@ -439,7 +435,7 @@ def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray, direction=None):
         gx = mu * (basis_re @ u_re)
         gt = 1.0 + mu * float(u_re @ a_re)
         mat = np.empty((m + 1, m + 1))
-        mat[:m, :m] = mu * (t_stack.reshape(m, -1).view(np.float64) @ basis_re.T)
+        mat[:m, :m] = mu * (t_stack.reshape(m, dim * dim).view(np.float64) @ basis_re.T)
         mat[:m, m] = mat[m, :m] = mu * (basis_re @ uau_re)
         mat[m, m] = mu * float(uau_re @ a_re)
         grad = np.concatenate([gx, [gt]])

@@ -247,6 +247,9 @@ def test_exact_depolarizing_pair():
     assert exact_depolarizing_pair(2, 2.0 / 3.0, 2.0 / 3.0)
     assert exact_depolarizing_pair(5, 1.0, 0.0)
     assert not exact_depolarizing_pair(2, 0.75, 0.75)
+    for d in (0, 1):
+        with pytest.raises(ValueError, match="at least 2"):
+            exact_depolarizing_pair(d, 0.5, 0.5)
 
 
 def test_self_compat_threshold():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qincompat.cli as cli
+import qincompat.criteria as criteria
 import qincompat.region as region
 from qincompat import (
     Channel,
@@ -266,14 +267,69 @@ def test_unital_criterion_radius_is_one_sdp(chans, u, exact, monkeypatch):
     assert _criterion_certifies(chans, ray.criterion_radius + tol, u)
 
 
-def test_unital_ray_bisects_when_its_sdp_fails(monkeypatch):
+def _spec_files(tmp_path, specs):
+    paths = []
+    for i, spec in enumerate(specs):
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(json.dumps(spec))
+        paths.append(str(path))
+    return paths
+
+
+def _region_error(specs, capsys, *flags):
+    """The one stderr line of a ``region`` run on ``specs`` that exits 1."""
+    assert cli.main(["region", *specs, "--rays", "3", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_unital_ray_raises_when_its_sdp_fails(monkeypatch, tmp_path, capsys):
+    # a kappa SDP that is not OPTIMAL is solver trouble, never a radius
     chans = [make_depolarizing(2, 0.9), make_depolarizing(2, 0.95)]
     u = (math.cos(0.6), math.sin(0.6))
     solve = region.solve_domination
     monkeypatch.setattr(region, "solve_domination", lambda problem: dataclasses.replace(
         solve(problem), status=SolverStatus.MAX_ITERATIONS))
+    with pytest.raises(RuntimeError, match=r"u = \(0\.825336, 0\.564642\): kappa"):
+        scan_rays(chans, [u], bisect_tol=1e-3)
+    specs = _spec_files(tmp_path, [{"kind": "depolarizing", "d": 2, "t": t}
+                                   for t in (0.9, 0.95)])
+    assert "kappa SDP ended max-iterations" in _region_error(specs, capsys)
+
+
+def test_unital_ray_straddling_its_end_is_one_sdp(monkeypatch):
+    # kappa's bracket straddles the ray's end, as on the identity pair's axis
+    # rays (r_in = 0.99999993, r_out = 1.0000000156 against r_max = 1): the
+    # radius is r_max from the kappa SDP alone, with no bisection probe
+    chans = [make_depolarizing(2, 0.5), make_depolarizing(2, 0.6)]
+    u = (math.cos(0.6), math.sin(0.6))
+    r_max = 1.0 / max(u)
+    edge = 1.0 / (r_max * r_max)  # (d - 1) / r_max^2
+    calls = []
+    solve = sdp.solve_domination
+
+    def straddling(problem):
+        calls.append(None)
+        return dataclasses.replace(
+            solve(problem), value=edge * (1 + 1e-7), lower_bound=edge * (1 - 1e-7))
+
+    monkeypatch.setattr(region, "solve_domination", straddling)
+    monkeypatch.setattr(criteria, "solve_domination",
+                        lambda *a, **k: calls.append(None) or solve(*a, **k))
     ray = scan_rays(chans, [u], bisect_tol=1e-3).rays[0]
-    assert ray.criterion_radius == _bisected_criterion_radius(chans, u, 1e-3)
+    assert ray.criterion_radius == r_max
+    assert len(calls) == 1
+
+
+def test_one_channel_scan_runs_the_empty_basis_engine():
+    # one channel leaves the oracle no free direction: the radius SDP runs
+    # over r alone
+    ray = scan_rays([make_depolarizing(2, 0.5)], [(1.0,)], use_oracle=True).rays[0]
+    assert ray.criterion_radius == 1.0
+    assert ray.oracle_radius == 1.0
 
 
 def _exact_dep_pair_radius(ts, u):
@@ -380,20 +436,14 @@ def test_capped_oracle_ray_raises(monkeypatch, tmp_path, capsys):
     # radius away from the exact 1.03334; from cap 7 on the bracket closes
     chans = [make_depolarizing(2, t) for t in (0.9, 0.95)]
     u = (math.cos(0.6), math.sin(0.6))
-    specs = []
-    for t in (0.9, 0.95):
-        path = tmp_path / f"dep{t}.json"
-        path.write_text(f'{{"kind": "depolarizing", "d": 2, "t": {t}}}')
-        specs.append(str(path))
+    specs = _spec_files(tmp_path, [{"kind": "depolarizing", "d": 2, "t": t}
+                                   for t in (0.9, 0.95)])
     for cap in (3, 6):
         monkeypatch.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", cap)
         with pytest.raises(RuntimeError, match="bracket"):
             scan_rays(chans, [u], use_oracle=True, bisect_tol=1e-3)
-        assert cli.main(["region", *specs, "--rays", "3", "--oracle"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: oracle radius")
+        line = _region_error(specs, capsys, "--oracle")
+        assert line.startswith("error: oracle radius")
 
 
 def test_oracle_radius_is_clamped_to_the_ray_end():
@@ -429,6 +479,22 @@ def test_non_unital_pair_bisects():
     expected = _bisected_criterion_radius(chans, u, 1e-3)
     assert expected < 1.0 / max(u)  # the criterion crosses inside the segment
     assert ray.criterion_radius == expected
+
+
+def test_unconverged_non_unital_probe_raises(monkeypatch, tmp_path, capsys):
+    # a probe whose SDP did not converge has no verdict; counted inside, it
+    # gave this ray r_max
+    chans = [_amplitude_damping(0.1), _amplitude_damping(0.2)]
+    solve = criteria.solve_domination
+    monkeypatch.setattr(criteria, "solve_domination", lambda problem, **kw: (
+        dataclasses.replace(solve(problem, **kw), status=SolverStatus.MAX_ITERATIONS)))
+    with pytest.raises(RuntimeError, match=r"u = \(0\.764842, 0\.644218\) at r = 0"):
+        scan_rays(chans, [(math.cos(0.7), math.sin(0.7))], bisect_tol=1e-3)
+    specs = _spec_files(tmp_path, [
+        {"kind": "choi", "d_in": 2, "d_out": 2,
+         "entries": [[z.real, z.imag] for z in c.choi.reshape(-1)]}
+        for c in chans])
+    assert "criterion SDP did not converge" in _region_error(specs, capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +613,22 @@ def test_capped_figure1_oracle_raises(monkeypatch, tmp_path, capsys):
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: oracle radius from ")
+
+
+def test_capped_lambda_star_cell_raises(monkeypatch):
+    # B = C = I: every line runs to its end, so the end cells take a lambda*
+    # solve; one stopped by the Newton cap ends MARGINAL with its gap open,
+    # which is no boundary cell
+    solve = region.solve_joint_channel
+
+    def capped(pair):
+        with monkeypatch.context() as m:
+            m.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", 1)
+            return solve(pair)
+
+    monkeypatch.setattr(region, "solve_joint_channel", capped)
+    with pytest.raises(RuntimeError, match=r"oracle cell \(0\.5, 1\) not decided"):
+        emit_figure1_data(np.eye(2), np.eye(2), 3, use_oracle=True)
 
 
 def test_open_line_bracket_raises(monkeypatch):

@@ -548,6 +548,21 @@ def test_witness_packages_as_rectangular_channel(rng):
         joint_witness_channel(infeasible, 2, 2)
 
 
+def test_one_channel_or_povm_runs_the_barrier_over_t_alone(rng):
+    # an empty free basis leaves the witness at j0 and lambda* its least
+    # eigenvalue, now with a certified gap from the same barrier
+    channels = [make_depolarizing(2, 0.5), make_identity(2), random_channel(rng, 3)]
+    povms = [random_povm(rng, 2, 3), Povm(2, tuple(np.outer(v, v) for v in np.eye(2)))]
+    results = [solve_joint_channel([c]) for c in channels]
+    results += [solve_povm_joint([p]) for p in povms]
+    for res in results:
+        assert abs(res.lambda_star - np.linalg.eigvalsh(res.witness)[0]) <= 1e-15
+        assert res.iterations > 0 and 0.0 <= res.gap <= sdp.FEASIBILITY_GAP_COARSE
+    assert [res.status for res in results] == [
+        Feasibility.FEASIBLE, Feasibility.MARGINAL, Feasibility.FEASIBLE,
+        Feasibility.FEASIBLE, Feasibility.MARGINAL]
+
+
 # --- joint measurement oracle ------------------------------------------------
 
 def test_trivial_povms_jointly_measurable():
