@@ -1,29 +1,37 @@
 """Two small dense semidefinite solvers.
 
 (a) ``solve_domination``: minimize Tr H subject to H >= G_i for a list of
-    Hermitian constraints.  A log-det barrier is driven down a geometric
-    schedule with damped Newton centering steps:
-
-        minimize  Tr H - mu * sum_i log det(H - G_i + eps I).
+    Hermitian constraints.
 
     The index set is split into the connected components of the support of
     sum_i |G_i| (entries below 1e-13 of its largest count as zero).  Pinching
     a feasible H onto those blocks keeps it feasible and keeps Tr H, so when
-    every component has the same size b the one barrier runs over stacks of
+    every component has the same size b the solver runs over stacks of
     shape (blocks, N, b, b); any other support is a single block of all
     indices.  The dropped off-block parts E_i are added back as
-    dim * max_i ||E_i||_2, the trace of the shift that makes the assembled H
-    dominate every full G_i.
+    dim * max_i ||E_i||_F, the trace of a shift that makes the assembled H
+    dominate every full G_i (||E||_F >= ||E||_2).
 
-    The dual point is the one of the last Newton step (see ``_center``):
+    Commuting constraints, as the analytic cases have (MUB tuples of
+    depolarizing channels, canonical / Fourier Schur pairs, one constraint),
+    are solved in closed form: in a common eigenbasis V the optimum is
+    diagonal, H = V diag(max_i lambda_ik) V^+ with Y_i the projector onto
+    the directions where G_i attains the max.  That H, shifted by its
+    measured violation, is returned when its certified gap meets the
+    target, with no Newton step; else a log-det barrier is driven down a
+    geometric schedule with damped Newton centering steps:
+
+        minimize  Tr H - mu * sum_i log det(H - G_i + eps I).
+
+    Its dual point is the one of the last Newton step (see ``_center``):
     Y_i = mu (U_i - U_i dH U_i) with U_i = (H - G_i + eps I)^-1, PSD and
-    summing to I, so by weak duality sum_i Tr(Y_i G_i) is a lower bound on
-    the optimum.  The Y_i are block-diagonal, so the bound is taken per
-    block, and it is made safe from round-off: each Y_i is shifted by its
-    round-off negative eigenvalue, the block's sum is divided by
-    lambda_max(sum_i Y_i), and the float error bound gamma_n sum_i
-    |Y_i||G_i| is subtracted.  The reported gap is the measured distance
-    from Tr H down to that bound.
+    summing to I.  By weak duality sum_i Tr(Y_i G_i) is a lower bound on
+    the optimum for either dual point.  The Y_i are block-diagonal, so the
+    bound is taken per block, and it is made safe from round-off: each Y_i
+    is shifted by its round-off negative eigenvalue, the block's sum is
+    divided by lambda_max(sum_i Y_i), and the float error bound gamma_n
+    sum_i |Y_i||G_i| is subtracted.  The reported gap is the measured
+    distance from Tr H down to that bound.
 
 (b) ``solve_joint_channel`` / ``solve_povm_joint``: decide whether a joint
     channel (or joint measurement) with prescribed marginals exists.  Over
@@ -271,43 +279,44 @@ def solve_domination(
 ) -> SdpResult:
     """Minimize Tr H over H dominating every constraint in the PSD order.
 
-    One barrier runs over the blocks of ``_support_blocks``: equal-size
+    The index set splits into the blocks of ``_support_blocks``: equal-size
     connected components of the support of sum_i |G_i|, else one block.
-    ``optimizer`` is the assembled dim x dim iterate plus max_i ||E_i||_2 I,
-    where E_i is the part of G_i off the blocks (entries below the split
-    threshold), so it dominates every full G_i and ``value`` is its trace.
-    ``lower_bound`` is ``_dual_bound`` at the last iterate (-inf if none).
-    A single constraint is its own optimizer: ``value`` is Tr G after no
-    Newton step, and ``lower_bound`` is ``_dual_bound`` at Y = I.
+    ``optimizer`` is the assembled dim x dim block iterate plus max_i
+    ||E_i||_F I, where E_i is the part of G_i off the blocks (entries below
+    the split threshold), so it dominates every full G_i and ``value`` is
+    its trace; ``lower_bound`` is ``_dual_bound`` at its dual point (-inf if
+    none).  The closed form of ``_commuting_optimum``, exact when each
+    block's G_i commute (one constraint included), is returned after no
+    Newton step when its certified gap is at most ``gap_tol``; else one
+    barrier runs over the blocks.
     """
     g_stack = np.stack(problem.constraints)
     n_cons, dim = g_stack.shape[0], problem.dim
-    if n_cons == 1:
-        value = float(np.trace(g_stack[0]).real)
-        lower_bound = _dual_bound(
-            np.eye(dim)[None, None], g_stack[None], np.linalg.eigvalsh(g_stack[0])[:1]
-        )
-        return SdpResult(
-            value=value,
-            optimizer=g_stack[0],
-            lower_bound=lower_bound,
-            gap=value - lower_bound,
-            iterations=0,
-            status=SolverStatus.OPTIMAL,
-        )
     nu = n_cons * dim
     index = _support_blocks(g_stack)
     rows, cols = index[:, :, None], index[:, None, :]
     g_blocks = g_stack[:, rows, cols].swapaxes(0, 1)  # (blocks, N, b, b)
-    off_blocks = g_stack.copy()
-    off_blocks[:, rows, cols] = 0.0
-    dropped = 0.0
-    if off_blocks.any():
-        dropped = float(np.abs(np.linalg.eigvalsh(off_blocks)).max())
+    # what stays of g_stack is E_i, with ||E_i||_F >= ||E_i||_2
+    g_stack[:, rows, cols] = 0.0
+    flat = g_stack.view(np.float64)
+    dropped = float(np.sqrt(np.einsum("kab,kab->k", flat, flat).max()))
     eye = np.eye(index.shape[1])
-    shifted = g_blocks - _BARRIER_SHIFT * eye
-
     g_eigs = np.linalg.eigvalsh(g_blocks)
+
+    def result(h, y_stack, steps, status):
+        h = (h + _adjoint(h)) / 2.0
+        optimizer = _assemble(h, rows, cols, dim) + dropped * np.eye(dim)
+        value = float(np.trace(optimizer).real)
+        lower_bound = -np.inf if y_stack is None else _dual_bound(
+            y_stack, g_blocks, g_eigs[..., 0].max(axis=1)
+        )
+        return SdpResult(value, optimizer, lower_bound, value - lower_bound, steps, status)
+
+    closed = result(*_commuting_optimum(g_blocks, g_eigs), 0, SolverStatus.OPTIMAL)
+    if closed.gap <= gap_tol:
+        return closed
+
+    shifted = g_blocks - _BARRIER_SHIFT * eye
     lam_top = float(g_eigs[..., -1].max())
     h = np.repeat((lam_top + 1.0) * eye[None], len(index), axis=0)
 
@@ -337,21 +346,33 @@ def solve_domination(
         elif mu <= mu_final:
             break
         mu = max(mu * _MU_FACTOR, mu_final)
+    return result(h, y_stack, steps, status)
 
-    h = (h + _adjoint(h)) / 2.0
-    optimizer = _assemble(h, rows, cols, dim) + dropped * np.eye(dim)
-    value = float(np.trace(optimizer).real)
-    lower_bound = -np.inf if y_stack is None else _dual_bound(
-        y_stack, g_blocks, g_eigs[..., 0].max(axis=1)
-    )
-    return SdpResult(
-        value=value,
-        optimizer=optimizer,
-        lower_bound=lower_bound,
-        gap=value - lower_bound,
-        iterations=steps,
-        status=status,
-    )
+
+def _commuting_optimum(g_blocks, g_eigs):
+    """Block iterate H and dual Y of min Tr H s.t. H >= G_i, exact if the G_i commute.
+
+    Per block, V diagonalizes the fixed combination sum_i e^(i/2) G_i (the
+    weights are powers of a transcendental number, so no rational relation
+    among them merges eigenvalues the G_i tell apart), lambda_ik is the
+    diagonal of V^+ G_i V and H = V diag(max_i lambda_ik) V^+, shifted by
+    the measured max_i lambda_max(G_i - H) plus a round-off margin so that
+    it dominates every G_i; Y_i = V 1[argmax_j lambda_jk = i] V^+.  For
+    commuting G_i this is the optimum, sum_k max_i lambda_ik.
+    """
+    n_cons, b = g_blocks.shape[1], g_blocks.shape[-1]
+    weights = np.exp(np.arange(n_cons) / 2.0)
+    _, v = np.linalg.eigh(np.einsum("i,kiab->kab", weights, g_blocks))
+    v_adj = _adjoint(v)
+    lam = np.diagonal(v_adj[:, None] @ g_blocks @ v[:, None], axis1=-2, axis2=-1).real
+    h = (v * lam.max(axis=1)[:, None]) @ v_adj
+    # the measured excess and any later eigvalsh of the assembled optimizer
+    # minus G_i each err by ~ dim eps ||G_i - H||, with ||H|| <= max_i ||G_i||
+    margin = 4.0 * g_blocks.shape[0] * b * np.finfo(float).eps * np.abs(g_eigs).max()
+    excess = np.linalg.eigvalsh(g_blocks - h[:, None])[..., -1].max(axis=1)
+    h = h + (excess + margin)[:, None, None] * np.eye(b)
+    picked = lam.argmax(axis=1)[:, None] == np.arange(n_cons)[:, None]
+    return h, (v[:, None] * picked[..., None, :]) @ v_adj[:, None]
 
 
 def _assemble(blocks, rows, cols, dim):

@@ -108,16 +108,26 @@ def test_povm_criterion_trivial():
     assert abs(v.value - 1.0) < 1e-6
 
 
+def _rotated_basis(theta):
+    # the real qubit basis rotated by theta; rows are the basis vectors
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, s], [-s, c]], dtype=complex)
+
+
 def test_non_convergence_reports_solver_gap(monkeypatch):
     import qincompat.sdp as sdp
 
+    # canonical and Fourier G-matrices commute and take no Newton step, so
+    # the second basis is the real one rotated by pi / 8, which runs the
+    # barrier (13 Newton steps for the identity pair)
     monkeypatch.setattr(sdp, "_DOMINATION_MAX_NEWTON_STEPS", 1)
+    rotated = _rotated_basis(np.pi / 8)
     pc = Povm(2, tuple(np.outer(v, v.conj()) for v in canonical_basis(2)))
-    pf = Povm(2, tuple(np.outer(v, v.conj()) for v in fourier_basis(2)))
+    pr = Povm(2, tuple(np.outer(v, v.conj()) for v in rotated))
     chans = [make_identity(2), make_identity(2)]
     for v in (
-        zhu_criterion_povms([pc, pf]),
-        zhu_criterion_channels(chans, [canonical_basis(2), fourier_basis(2)]),
+        zhu_criterion_povms([pc, pr]),
+        zhu_criterion_channels(chans, [canonical_basis(2), rotated]),
     ):
         assert v.kind is VerdictKind.UNDETERMINED and v.value is None
         assert "did not converge (max-iterations, gap " in v.certificate
@@ -126,7 +136,7 @@ def test_non_convergence_reports_solver_gap(monkeypatch):
 def test_failed_line_search_is_undetermined(monkeypatch):
     fail_cholesky_after_first_call(monkeypatch)
     chans = [make_identity(2), make_identity(2)]
-    v = zhu_criterion_channels(chans, [canonical_basis(2), fourier_basis(2)])
+    v = zhu_criterion_channels(chans, [canonical_basis(2), _rotated_basis(np.pi / 8)])
     assert v.kind is VerdictKind.UNDETERMINED and v.value is None
     assert "did not converge (numerical-failure, gap " in v.certificate
 

@@ -12,6 +12,7 @@ from qincompat import (
     make_schur,
     mub_family,
     omega,
+    schur_pair_criterion,
     z_matrix,
 )
 import qincompat.sdp as sdp
@@ -142,6 +143,23 @@ def _mub_constraints(d, ts):
     )
 
 
+def _random_blocks(rng, n_blocks, b, n_cons):
+    # block-diagonal random PSD constraints sharing one support split; random
+    # blocks do not commute, so the batched (blocks, N, b, b) barrier runs
+    out = []
+    for _ in range(n_cons):
+        g = np.zeros((n_blocks * b, n_blocks * b), dtype=complex)
+        for k in range(n_blocks):
+            g[k * b:(k + 1) * b, k * b:(k + 1) * b] = random_psd(rng, b)
+        out.append(g)
+    return tuple(out)
+
+
+def _dominates(res, cons):
+    # no tolerance: the optimizer minus every constraint is PSD in floats too
+    return all(np.linalg.eigvalsh(res.optimizer - g)[0] >= 0.0 for g in cons)
+
+
 def _difference_classes(blocks, d):
     # the class of basis index a * d + b is a - b mod d
     return (blocks // d - blocks % d) % d
@@ -178,7 +196,7 @@ def test_single_constraint_is_tight():
     assert abs(res.value - 2.0) < 1e-6
     assert np.abs(res.optimizer - g).max() < 1e-3
     assert res.gap <= 1e-6
-    # H = G is optimal: no Newton step
+    # one constraint commutes with itself: the closed form, no Newton step
     assert res.iterations == 0
 
 
@@ -186,11 +204,19 @@ def test_unequal_components_are_one_block():
     g = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], complex)
     # components {0, 1} and {2}
     assert _support_blocks(g[None]).tolist() == [[0, 1, 2]]
-    # a repeated constraint runs the barrier, which one constraint skips
+    # a repeated constraint commutes: the closed form, no Newton step
     res = solve_domination(DominationProblem(3, (g, g)))
-    assert res.status is SolverStatus.OPTIMAL
+    assert res.status is SolverStatus.OPTIMAL and res.iterations == 0
     assert res.lower_bound <= 3.0 <= res.value
     assert np.abs(res.optimizer - g).max() < 1e-3
+    assert _dominates(res, (g,))
+    # a pair on the same support that does not commute runs the barrier
+    g2 = np.array([[2.0, 1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 1.0]], complex)
+    assert _support_blocks(np.stack([g, g2])).tolist() == [[0, 1, 2]]
+    res = solve_domination(DominationProblem(3, (g, g2)))
+    assert res.status is SolverStatus.OPTIMAL and res.iterations > 0
+    assert res.lower_bound <= res.value and res.gap <= DOMINATION_GAP_TOL
+    assert _dominates(res, (g, g2))
 
 
 def test_off_block_noise_keeps_the_bracket(rng):
@@ -251,44 +277,112 @@ def test_mub_constraints_closed_form(rng):
 
 
 def test_dropped_norm_keeps_the_optimizer_feasible():
-    # the 9e-8 coupling is below the split threshold (1e-13 of 1e6), so the
-    # indices split into four 1 x 1 blocks; it exceeds the final barrier
-    # slack (~N gap_tol / (4 nu) = 6e-8), so only the added ||E||_2 I keeps
-    # the optimizer above the full constraint (repeated, so that the
-    # barrier runs: one constraint skips it)
-    g = np.diag([1e6, 1.0, 1.0, 1.0]).astype(complex)
-    g[1, 2] = g[2, 1] = 9e-8
-    assert _support_blocks(g[None]).shape == (4, 1)
-    res = solve_domination(DominationProblem(4, (g, g)))
-    assert res.status is SolverStatus.OPTIMAL
-    # round-off at this scale is ~1e-10
-    assert res.lower_bound - 1e-9 <= 1e6 + 3.0 <= res.value
-    assert np.linalg.eigvalsh(res.optimizer - g)[0] >= 0.0
+    # the 9e-8 coupling of indices 1 and 2 is below the split threshold
+    # (1e-13 of 1e6), so the indices split into the blocks {0, 1} and
+    # {2, 3}, on which the two constraints do not commute and the barrier
+    # runs; it exceeds the final barrier slack (~ gap_tol / (4 nu) = 3e-8),
+    # so only the added ||E_i||_F I keeps the optimizer above the full
+    # constraints
+    a = np.diag([1e6, 1.0, 1.0, 2.0]).astype(complex)
+    a[0, 1] = a[1, 0] = a[2, 3] = a[3, 2] = 0.5
+    b = np.diag([1e6, 2.0, 2.0, 1.0]).astype(complex)
+    for g in (a, b):
+        g[1, 2] = g[2, 1] = 9e-8
+    assert _support_blocks(np.stack([a, b])).tolist() == [[0, 1], [2, 3]]
+    res = solve_domination(DominationProblem(4, (a, b)))
+    assert res.status is SolverStatus.OPTIMAL and res.iterations > 0
+    assert res.lower_bound <= res.value and res.gap <= DOMINATION_GAP_TOL
+    assert _dominates(res, (a, b))
 
 
 @pytest.mark.parametrize(
     "d,n", [(d, n) for d in (2, 3, 5, 7, 11) for n in (2, 3, 4) if n <= d + 1]
 )
 def test_dual_bound_brackets_closed_form(d, n):
-    # over a mutually unbiased family the optimum is 1 + (d - 1) * sum(t_i^2)
+    # over a mutually unbiased family the optimum is 1 + (d - 1) * sum(t_i^2);
+    # the G_i commute, so the closed form decides with no Newton step
     ts = np.linspace(0.5, 0.9, n)
     cons = _mub_constraints(d, ts)
     res = solve_domination(DominationProblem(d * d, cons))
     expected = 1.0 + (d - 1) * float((ts ** 2).sum())
-    assert res.status is SolverStatus.OPTIMAL
+    assert res.status is SolverStatus.OPTIMAL and res.iterations == 0
     assert res.lower_bound <= expected <= res.value
     assert res.value - res.lower_bound == res.gap
-    assert res.gap <= DOMINATION_GAP_TOL
+    assert res.gap <= 1e-9
+    assert _dominates(res, cons)
 
 
-def test_long_step_schedule_on_four_mubs_at_d11():
-    # eleven 4 x 4 blocks; mu / 5 per stage with every stage centered to
-    # mu * 2^-12 took 78 Newton steps
-    ts = np.array([0.4, 0.55, 0.7, 0.85])
-    res = solve_domination(DominationProblem(121, _mub_constraints(11, ts)))
+def test_long_step_schedule_on_equal_random_blocks(rng):
+    # four random PSD constraints on eleven 4 x 4 blocks: one barrier over
+    # (11, 4, 4, 4) stacks; MUB tuples of this shape commute and take no
+    # Newton step
+    cons = _random_blocks(rng, 11, 4, 4)
+    assert _support_blocks(np.stack(cons)).shape == (11, 4)
+    res = solve_domination(DominationProblem(44, cons))
     assert res.status is SolverStatus.OPTIMAL
-    assert abs(res.value - (1.0 + 10.0 * float((ts ** 2).sum()))) <= 1e-6
-    assert res.iterations <= 40
+    assert res.gap <= DOMINATION_GAP_TOL
+    assert 0 < res.iterations <= 40
+    assert _dominates(res, cons)
+
+
+def _kappa_constraints(d, ts, u):
+    # the unital criterion radius SDP: u_i^2 (G_i - omega), not PSD
+    return tuple(ui * ui * (g - omega(d)) for g, ui in zip(_mub_constraints(d, ts), u))
+
+
+def _schur_pair_constraints(b, c, s, t):
+    # canonical / Fourier G-matrices of two noise-scaled Schur channels
+    from qincompat.region import mix_toward_depolarizing
+
+    d = len(b)
+    chans = [mix_toward_depolarizing(make_schur(m), w) for m, w in ((b, s), (c, t))]
+    return tuple(
+        g_matrix(ch, e).m for ch, e in zip(chans, (canonical_basis(d), fourier_basis(d)))
+    )
+
+
+_B = np.array([[1.0, 0.5], [0.5, 1.0]])
+_B3 = np.array([[1.0, 0.3, 0.2j], [0.3, 1.0, 0.4], [-0.2j, 0.4, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "cons, exact",
+    [
+        (_schur_pair_constraints(_B, _B, 0.9, 0.9),
+         schur_pair_criterion(_B, _B, 0.9, 0.9).value),
+        (_schur_pair_constraints(_B3, _B3, 0.8, 0.6),
+         schur_pair_criterion(_B3, _B3, 0.8, 0.6).value),
+        # kappa = (d - 1) sum_i u_i^2 t_i^2
+        (_kappa_constraints(5, (0.7, 0.9), (0.6, 0.8)), 4.0 * (0.36 * 0.49 + 0.64 * 0.81)),
+        (_kappa_constraints(3, (1.0, 1.0), (1.0, 0.0)), 2.0),
+        ((np.diag([-1.0, 2.0, 0.5]).astype(complex),), 1.5),
+    ],
+    ids=["schur-d2", "schur-d3", "kappa-d5", "kappa-d3-axis", "one-constraint"],
+)
+def test_commuting_constraints_are_closed_form(cons, exact):
+    # MUB tuples: test_dual_bound_brackets_closed_form; a repeated
+    # constraint: test_unequal_components_are_one_block
+    res = solve_domination(DominationProblem(len(cons[0]), cons))
+    assert res.status is SolverStatus.OPTIMAL and res.iterations == 0
+    assert res.lower_bound <= exact <= res.value
+    assert res.gap == res.value - res.lower_bound <= 1e-9
+    assert _dominates(res, cons)
+
+
+def test_non_commuting_perturbation_runs_the_barrier(rng):
+    # 1e-7 Hermitian noise couples the five MUB blocks into one and breaks
+    # commutation; the optimum moves by at most dim * max_i ||P_i||_2
+    ts = np.array([0.5, 0.7, 0.9])
+    noise = [random_hermitian(rng, 25, scale=1e-7) for _ in ts]
+    cons = tuple(g + p for g, p in zip(_mub_constraints(5, ts), noise))
+    assert _support_blocks(np.stack(cons)).shape == (1, 25)
+    res = solve_domination(DominationProblem(25, cons))
+    assert res.status is SolverStatus.OPTIMAL and res.iterations > 0
+    assert res.lower_bound <= res.value and res.gap <= DOMINATION_GAP_TOL
+    moved = 25 * max(np.abs(np.linalg.eigvalsh(p)).max() for p in noise)
+    exact = 1.0 + 4.0 * float((ts ** 2).sum())
+    assert res.lower_bound - moved <= exact <= res.value + moved
+    assert _dominates(res, cons)
 
 
 @pytest.mark.parametrize("minus_omega", [False, True], ids=["G", "G-omega"])
@@ -497,7 +591,7 @@ def test_center_returns_the_newton_step_dual(monkeypatch, rng):
 
     monkeypatch.setattr(sdp, "_max_affine_min_eig", engine_with_problem)
     monkeypatch.setattr(sdp, "_center", checked_center)
-    solve_domination(DominationProblem(9, _mub_constraints(3, (0.5, 0.7, 0.9))))
+    solve_domination(DominationProblem(12, _random_blocks(rng, 3, 4, 3)))
     dense = tuple(
         g_matrix(random_channel(rng, 3), random_basis(rng, 3)).m - omega(3)
         for _ in range(2)
