@@ -25,7 +25,6 @@ from .channels import (
     povm_from_spec,
 )
 from .fisher import (
-    GMatrix,
     MubFamily,
     beta,
     canonical_basis,
@@ -75,7 +74,6 @@ __all__ = [
     "DominationProblem",
     "Feasibility",
     "FeasibilityResult",
-    "GMatrix",
     "MubFamily",
     "Povm",
     "PovmValidationError",

@@ -211,24 +211,31 @@ def make_schur(b) -> Channel:
 # ---------------------------------------------------------------------------
 
 def adjoint_apply(c: Channel, a) -> np.ndarray:
-    """Heisenberg-picture action, <A, Phi(rho)> = <Phi*(A), rho>."""
-    m = as_matrix(a)
-    if m.shape != (c.d_out, c.d_out):
+    """Heisenberg-picture action, <A, Phi(rho)> = <Phi*(A), rho>.
+
+    ``a`` is one operator or a stack of them, shape (..., d_out, d_out).
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    if m.shape[-2:] != (c.d_out, c.d_out):
         raise ValueError(
             f"operator has shape {m.shape}, channel output dimension is {c.d_out}"
         )
-    return np.einsum("iajb,ab->ij", c.as_tensor().conj(), m)
+    return np.tensordot(m, c.as_tensor().conj(), axes=([-2, -1], [1, 3]))
 
 
-def induced_povm(c: Channel, e) -> Povm:
-    """POVM with effects Phi*(|e_i><e_i|) for the rows e_i of ``e``."""
+def induced_effects(c: Channel, e) -> np.ndarray:
+    """Stack of the effects Phi*(|e_s><e_s|) for the rows e_s of ``e``."""
     basis = check_basis(e)
     if basis.shape[0] != c.d_out:
         raise ValueError(
             f"basis dimension {basis.shape[0]} does not match output dimension {c.d_out}"
         )
-    effects = [adjoint_apply(c, np.outer(v, v.conj())) for v in basis]
-    return Povm(c.d_in, tuple(effects))
+    return adjoint_apply(c, basis[:, :, None] * basis[:, None, :].conj())
+
+
+def induced_povm(c: Channel, e) -> Povm:
+    """POVM with effects Phi*(|e_i><e_i|) for the rows e_i of ``e``."""
+    return Povm(c.d_in, tuple(induced_effects(c, e)))
 
 
 def marginal_channel(joint: Channel, dims, keep: int) -> Channel:

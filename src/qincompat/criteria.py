@@ -121,7 +121,7 @@ def zhu_criterion_channels(
     if basis_labels is None:
         basis_labels = [f"basis-{i}" for i in range(len(bases))]
 
-    gs = [g_matrix(c, e).m for c, e in zip(channels, bases)]
+    gs = [g_matrix(c, e) for c, e in zip(channels, bases)]
     return _criterion_verdict(
         d, gs, f"bases: {', '.join(basis_labels)}", sdp_gap
     )
@@ -131,7 +131,7 @@ def zhu_criterion_povms(povms) -> Verdict:
     """Fisher-information incompatibility criterion for POVMs."""
     povms = list(povms)
     d = shared_dimension(povms, "POVM")
-    gs = [g_matrix_povm(p).m for p in povms]
+    gs = [g_matrix_povm(p) for p in povms]
     return _criterion_verdict(d, gs, f"{len(povms)} POVMs", DOMINATION_GAP_TOL)
 
 

@@ -1,24 +1,26 @@
 """Fisher-information geometry at the maximally mixed state.
 
-Each measurement (or channel combined with a measurement basis) gets a PSD
-matrix on the doubled space H_d (x) H_d.  The trace of that matrix, in
-excess of the dimension, is what the incompatibility criterion thresholds
-on, and its overlap structure decides when the criterion has an analytic
-value.
+Each measurement (or channel combined with a measurement basis) gets its
+G-matrix, a PSD d^2 x d^2 array on the doubled space H_d (x) H_d.  The
+trace of a common dominator of these matrices, in excess of the dimension,
+is what the incompatibility criterion thresholds on, and their overlap
+structure decides when the criterion has an analytic value.  Every
+G-matrix dominates omega(d) by Cauchy-Schwarz over the effects, so that
+bound is not checked at run time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, Povm, induced_povm
-from .linalg import check_basis, check_hermitian, min_eigenvalue, vec
+from .channels import Channel, Povm, induced_effects
+from .linalg import check_basis, check_hermitian, vec
 
 # Effects below this trace carry no statistics and would divide by dust.
 ZERO_EFFECT_TOL = 1e-12
-GMATRIX_PSD_TOL = 1e-9
 
 
 def canonical_basis(d: int) -> np.ndarray:
@@ -59,50 +61,34 @@ def z_matrix(e) -> np.ndarray:
     return z
 
 
-@dataclass(frozen=True)
-class GMatrix:
-    """Fisher-information matrix of a measurement at the maximally mixed state.
+def _g_from_effects(effects: np.ndarray) -> np.ndarray:
+    """G = sum_s |vec(A_s)><vec(A_s)| / Tr(A_s) over a stack of effects A_s.
 
-    Dominates omega(d) in the PSD order for every POVM; that bound is
-    checked on construction.
+    Effects whose trace is at most ``ZERO_EFFECT_TOL`` are skipped.
     """
-
-    d: int
-    m: np.ndarray
-
-    def __post_init__(self):
-        a = check_hermitian(self.m)
-        if a.shape != (self.d * self.d,) * 2:
-            raise ValueError(
-                f"G-matrix has shape {a.shape}, expected dimension {self.d ** 2}"
-            )
-        lam = min_eigenvalue(a - omega(self.d))
-        if lam < -GMATRIX_PSD_TOL:
-            raise ValueError(
-                f"G-matrix does not dominate the maximally entangled state: "
-                f"min eigenvalue of G - omega is {lam:.3e}"
-            )
-        frozen = np.array(a)
-        frozen.setflags(write=False)
-        object.__setattr__(self, "m", frozen)
+    d = effects.shape[-1]
+    if d < 2:
+        raise ValueError("dimension must be at least 2")
+    tr = np.trace(effects, axis1=1, axis2=2).real
+    keep = tr > ZERO_EFFECT_TOL
+    v = effects[keep].reshape(-1, d * d)
+    return (v.T / tr[keep]) @ v.conj()
 
 
-def g_matrix_povm(p: Povm) -> GMatrix:
-    """G = sum_s |vec(A_s)><vec(A_s)| / Tr(A_s) over the nonzero effects."""
-    g = np.zeros((p.d * p.d,) * 2, dtype=np.complex128)
-    for eff in p.effects:
-        tr = float(np.trace(eff).real)
-        if tr <= ZERO_EFFECT_TOL:
-            continue
-        v = vec(eff)
-        g += np.outer(v, v.conj()) / tr
-    return GMatrix(p.d, g)
+def g_matrix_povm(p: Povm) -> np.ndarray:
+    """G-matrix of a validated POVM, a d^2 x d^2 array."""
+    return _g_from_effects(np.array(p.effects))
 
 
-def g_matrix(c: Channel, e) -> GMatrix:
-    """G-matrix of the measurement induced by channel ``c`` and basis ``e``."""
+def g_matrix(c: Channel, e) -> np.ndarray:
+    """G-matrix of the measurement induced by channel ``c`` and basis ``e``.
+
+    One contraction of the Choi matrix gives the d effects, one product
+    gives the d^2 x d^2 array.  Raises ``ValueError`` for a non-square
+    channel, a basis of another dimension, or d < 2.
+    """
     c.d  # raises for a non-square channel
-    return g_matrix_povm(induced_povm(c, e))
+    return _g_from_effects(induced_effects(c, e))
 
 
 def beta(b) -> float:
@@ -191,9 +177,13 @@ def mub_family(d: int) -> MubFamily:
     return MubFamily(d, tuple(bases))
 
 
-def orthogonal_modulo_omega(g1: GMatrix, g2: GMatrix, tol: float) -> bool:
-    """True iff <g1 - omega, g2 - omega> vanishes within ``tol``."""
-    if g1.d != g2.d:
-        raise ValueError(f"dimension mismatch: {g1.d} vs {g2.d}")
-    w = omega(g1.d)
-    return abs(np.vdot(g1.m - w, g2.m - w)) <= tol
+def orthogonal_modulo_omega(g1, g2, tol: float) -> bool:
+    """True iff <g1 - omega, g2 - omega> vanishes within ``tol``.
+
+    ``g1`` and ``g2`` are d^2 x d^2 G-matrices of one dimension d.
+    """
+    g1, g2 = np.asarray(g1), np.asarray(g2)
+    if g1.shape != g2.shape:
+        raise ValueError(f"shape mismatch: {g1.shape} vs {g2.shape}")
+    w = omega(math.isqrt(g1.shape[0]))
+    return abs(np.vdot(g1 - w, g2 - w)) <= tol

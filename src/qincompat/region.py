@@ -98,12 +98,12 @@ def ray_directions(n_channels: int, count: int):
 def bisect_boundary(inside, r_max: float, tol: float) -> float:
     """Largest certified-inside radius along a ray, by bisection.
 
-    ``inside`` must be monotone (single crossing) and true at 0.  Returns a
-    radius r with inside(r) true and inside(r') false for some r' <= r +
-    tol, or r_max when the whole segment is inside.
+    ``inside`` must be monotone (single crossing) and true at 0, which is
+    assumed, not probed.  For the criterion it always holds: at r = 0 every
+    channel is Delta, every G-matrix is omega and the value is 1 < d.
+    Returns a radius r with inside(r) true and inside(r') false for some
+    r' <= r + tol, or r_max when the whole segment is inside.
     """
-    if not inside(0.0):
-        raise RuntimeError("ray origin claimed outside a region that contains 0")
     if inside(r_max):
         return r_max
     lo, hi = 0.0, r_max
@@ -163,7 +163,7 @@ def _unital_criterion_radius(base_channels, bases, u, r_max: float, tol: float):
     d = base_channels[0].d
     w = omega(d)
     result = solve_domination(DominationProblem(d * d, tuple(
-        ui * ui * (g_matrix(c, e).m - w) for c, e, ui in zip(base_channels, bases, u)
+        ui * ui * (g_matrix(c, e) - w) for c, e, ui in zip(base_channels, bases, u)
     )))
     what = f"criterion radius along u = {_point(u)}"
     if result.status is not SolverStatus.OPTIMAL:

@@ -58,7 +58,7 @@ def test_criterion_01_analytic_sdp_value():
         for n in range(2, d + 2):
             ts = rng.uniform(0.0, 1.0, n)
             cons = tuple(
-                g_matrix(make_depolarizing(d, t), e).m
+                g_matrix(make_depolarizing(d, t), e)
                 for t, e in zip(ts, fam.bases)
             )
             res = solve_domination(DominationProblem(d * d, cons))
@@ -215,8 +215,8 @@ def test_criterion_08_noise_scaling():
         mixed = Channel(
             d, d, t * base.choi + (1 - t) * np.eye(d * d) / d, label="mixed"
         )
-        lhs = g_matrix(mixed, e).m
-        rhs = t * t * g_matrix(base, e).m + (1 - t * t) * omega(d)
+        lhs = g_matrix(mixed, e)
+        rhs = t * t * g_matrix(base, e) + (1 - t * t) * omega(d)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     assert worst < 1e-12, f"worst deviation {worst:.2e}"
     _report(8, "noise scaling of G", f"50 triples, worst dev {worst:.1e}", t0)
@@ -230,7 +230,7 @@ def test_criterion_09_g_dominates_omega():
         d = int(rng.integers(2, 5))
         k = int(rng.integers(2, 6))
         g = g_matrix_povm(random_povm(rng, d, k))
-        worst = min(worst, min_eigenvalue(g.m - omega(d)))
+        worst = min(worst, min_eigenvalue(g - omega(d)))
     assert worst >= -1e-9, f"min eigenvalue {worst:.2e}"
     _report(9, "G dominates omega", f"200 POVMs, min eig {worst:.1e}", t0)
 

@@ -60,6 +60,10 @@ def specs(tmp_path):
         ),
         "povm_d15": write("povm_d15.json", {"kind": "povm", "d": 1.5, "effects": []}),
         "listed": write("listed.json", [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]),
+        "dep_d1": write("dep_d1.json", {"kind": "depolarizing", "d": 1, "t": 1.0}),
+        "bases_1x1": write("bases_1x1.json", {"bases": [[[[1, 0]]], [[[1, 0]]]]}),
+        "bases_3x3": write("bases_3x3.json", {"bases": [
+            [[[float(i == j), 0] for j in range(3)] for i in range(3)]] * 2}),
         "dir": tmp_path,
     }
 
@@ -238,13 +242,18 @@ def test_region_csv_cells_are_numbers(specs, capsys):
          "dimension 'd' must be an integer, got True"),
         (["check", "{choi_d25}", "{choi_d25}"],
          "dimension 'd_out' must be an integer, got 2.5"),
+        (["check", "{dep_d1}", "{dep_d1}", "--bases", "{bases_1x1}"],
+         "dimension must be at least 2"),
+        (["check", "{dep08}", "{dep08}", "--bases", "{bases_3x3}"],
+         "basis dimension 3 does not match output dimension 2"),
     ],
     ids=["fig2-d0", "fig2-d1", "fig1-no-B", "fig1-C-list", "fig1-C-qutrit",
          "fig2-d-empty-comma",
          "fig2-d-empty", "fig2-d-not-int-x", "fig2-d-not-int-2.5",
          "check-bases-canonical-fourier", "region-three-specs",
          "check-depolarizing-d0", "check-choi-d0", "check-depolarizing-d1.5",
-         "check-depolarizing-d-true", "check-choi-d_out-2.5"],
+         "check-depolarizing-d-true", "check-choi-d_out-2.5",
+         "check-d1-user-bases", "check-qutrit-bases-on-qubits"],
 )
 def test_bad_input_is_one_error_line(argv, message, specs, capsys):
     assert main([a.format(**specs) for a in argv]) == 1

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qincompat import (
-    GMatrix,
+    Channel,
+    adjoint_apply,
     beta,
     canonical_basis,
     fourier_basis,
@@ -21,7 +22,7 @@ from qincompat import (
 )
 from qincompat import Povm
 from qincompat.linalg import min_eigenvalue, partial_trace
-from helpers import random_basis, random_povm, random_schur_matrix
+from helpers import random_basis, random_channel, random_povm, random_schur_matrix
 
 
 def test_omega_entries():
@@ -77,13 +78,13 @@ def test_g_matrix_identity_channel(rng):
     for d in (2, 3):
         e = random_basis(rng, d)
         g = g_matrix(make_identity(d), e)
-        assert np.abs(g.m - z_matrix(e)).max() < 1e-12
+        assert np.abs(g - z_matrix(e)).max() < 1e-12
 
 
 def test_g_matrix_fully_depolarizing(rng):
     for d in (2, 3):
         g = g_matrix(make_depolarizing(d, 0.0), random_basis(rng, d))
-        assert np.abs(g.m - omega(d)).max() < 1e-12
+        assert np.abs(g - omega(d)).max() < 1e-12
 
 
 def test_g_matrix_noise_scaling_depolarizing(rng):
@@ -92,7 +93,7 @@ def test_g_matrix_noise_scaling_depolarizing(rng):
     for t in (0.0, 0.3, 1.0):
         g = g_matrix(make_depolarizing(d, t), e)
         expected = t * t * z_matrix(e) + (1 - t * t) * omega(d)
-        assert np.abs(g.m - expected).max() < 1e-12
+        assert np.abs(g - expected).max() < 1e-12
 
 
 def test_g_matrix_noise_scaling_schur(rng):
@@ -108,26 +109,26 @@ def test_g_matrix_noise_scaling_schur(rng):
 
         mixed = Channel(d, d, mixed_choi, label="mixed")
         g = g_matrix(mixed, e)
-        expected = t * t * g0.m + (1 - t * t) * omega(d)
-        assert np.abs(g.m - expected).max() < 1e-12
+        expected = t * t * g0 + (1 - t * t) * omega(d)
+        assert np.abs(g - expected).max() < 1e-12
 
 
 def test_g_matrix_povm_trivial():
     p = Povm(2, (np.eye(2),))
     g = g_matrix_povm(p)
-    assert np.abs(g.m - omega(2)).max() < 1e-12
+    assert np.abs(g - omega(2)).max() < 1e-12
 
 
 def test_g_matrix_povm_canonical_projectors():
     p = Povm(2, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
     g = g_matrix_povm(p)
-    assert np.abs(g.m - z_matrix(canonical_basis(2))).max() < 1e-12
+    assert np.abs(g - z_matrix(canonical_basis(2))).max() < 1e-12
 
 
 def test_g_matrix_povm_coin_flip():
     p = Povm(2, (np.eye(2) / 2, np.eye(2) / 2))
     g = g_matrix_povm(p)
-    assert np.abs(g.m - omega(2)).max() < 1e-12
+    assert np.abs(g - omega(2)).max() < 1e-12
 
 
 def test_g_matrix_povm_agrees_with_channel_route(rng):
@@ -137,13 +138,13 @@ def test_g_matrix_povm_agrees_with_channel_route(rng):
     e = random_basis(rng, 3)
     via_channel = g_matrix(c, e)
     via_povm = g_matrix_povm(induced_povm(c, e))
-    assert np.abs(via_channel.m - via_povm.m).max() < 1e-12
+    assert np.abs(via_channel - via_povm).max() < 1e-12
 
 
 def test_g_matrix_skips_zero_effects():
     p = Povm(2, (np.eye(2), np.zeros((2, 2))))
     g = g_matrix_povm(p)
-    assert np.abs(g.m - omega(2)).max() < 1e-12
+    assert np.abs(g - omega(2)).max() < 1e-12
 
 
 def test_g_dominates_omega_on_random_povms(rng):
@@ -151,12 +152,56 @@ def test_g_dominates_omega_on_random_povms(rng):
         d = int(rng.integers(2, 5))
         k = int(rng.integers(2, 6))
         g = g_matrix_povm(random_povm(rng, d, k))
-        assert min_eigenvalue(g.m - omega(d)) >= -1e-9
+        assert min_eigenvalue(g - omega(d)) >= -1e-9
+    for _ in range(100):
+        d = int(rng.integers(2, 6))
+        g = g_matrix(random_channel(rng, d), random_basis(rng, d))
+        assert min_eigenvalue(g - omega(d)) >= -1e-9
 
 
-def test_gmatrix_type_rejects_non_dominating():
-    with pytest.raises(ValueError, match="dominate"):
-        GMatrix(2, np.eye(4) * 0.01)
+def _reference_g_matrix(c, e):
+    """Per-vector formula: A_s = Phi*(|e_s><e_s|), G = sum_s vec(A_s) vec(A_s)^dag / Tr A_s."""
+    g = np.zeros((c.d * c.d,) * 2, dtype=np.complex128)
+    for v in e:
+        a = adjoint_apply(c, np.outer(v, v.conj()))
+        tr = np.trace(a).real
+        if tr > 1e-12:
+            g += np.outer(a.reshape(-1), a.reshape(-1).conj()) / tr
+    return g
+
+
+def _replacement_channel(d):
+    """rho -> |0><0|, whose Phi* sends every |e><e| to |<0|e>|^2 I."""
+    zero = np.zeros((d, d))
+    zero[0, 0] = 1.0
+    return Channel(d, d, np.kron(np.eye(d), zero), label="replace-by-0")
+
+
+def test_g_matrix_matches_per_vector_reference(rng):
+    for d in (2, 3, 5):
+        for _ in range(5):
+            c, e = random_channel(rng, d), random_basis(rng, d)
+            assert np.abs(g_matrix(c, e) - _reference_g_matrix(c, e)).max() < 1e-12
+    for d in (2, 3):
+        c = _replacement_channel(d)
+        # the |1>, ..., |d-1> effects have zero trace and are skipped
+        assert np.abs(adjoint_apply(c, np.diag(np.eye(d)[1]))).max() == 0.0
+        g = g_matrix(c, canonical_basis(d))
+        assert np.abs(g - _reference_g_matrix(c, canonical_basis(d))).max() < 1e-12
+        assert np.abs(g - omega(d)).max() < 1e-12
+
+
+def test_g_matrix_rejects_dimension_below_two():
+    c = make_identity(1)
+    with pytest.raises(ValueError, match="at least 2"):
+        g_matrix(c, np.eye(1))
+    with pytest.raises(ValueError, match="at least 2"):
+        g_matrix_povm(Povm(1, (np.eye(1),)))
+
+
+def test_g_matrix_rejects_basis_of_wrong_dimension():
+    with pytest.raises(ValueError, match=r"basis dimension 3 .* output dimension 2"):
+        g_matrix(make_identity(2), canonical_basis(3))
 
 
 def test_beta_identity_and_all_ones():

@@ -80,7 +80,7 @@ def test_is_psd_g_minus_omega(rng):
     for _ in range(10):
         p = random_povm(rng, 2, 3)
         g = g_matrix_povm(p)
-        assert np.linalg.eigvalsh(g.m - omega(2))[0] >= -1e-9
+        assert np.linalg.eigvalsh(g - omega(2))[0] >= -1e-9
 
 
 def test_check_hermitian_rejects():

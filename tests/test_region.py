@@ -483,12 +483,12 @@ def test_non_unital_pair_bisects():
 
 def test_unconverged_non_unital_probe_raises(monkeypatch, tmp_path, capsys):
     # a probe whose SDP did not converge has no verdict; counted inside, it
-    # gave this ray r_max
+    # gave this ray r_max.  The first probe is the ray's end, r_max = 1 / 0.764842
     chans = [_amplitude_damping(0.1), _amplitude_damping(0.2)]
     solve = criteria.solve_domination
     monkeypatch.setattr(criteria, "solve_domination", lambda problem, **kw: (
         dataclasses.replace(solve(problem, **kw), status=SolverStatus.MAX_ITERATIONS)))
-    with pytest.raises(RuntimeError, match=r"u = \(0\.764842, 0\.644218\) at r = 0"):
+    with pytest.raises(RuntimeError, match=r"u = \(0\.764842, 0\.644218\) at r = 1\.30746"):
         scan_rays(chans, [(math.cos(0.7), math.sin(0.7))], bisect_tol=1e-3)
     specs = _spec_files(tmp_path, [
         {"kind": "choi", "d_in": 2, "d_out": 2,

@@ -139,7 +139,7 @@ def test_embed_is_partial_trace_adjoint(rng):
 def _mub_constraints(d, ts):
     fam = mub_family(d)
     return tuple(
-        g_matrix(make_depolarizing(d, t), e).m for t, e in zip(ts, fam.bases)
+        g_matrix(make_depolarizing(d, t), e) for t, e in zip(ts, fam.bases)
     )
 
 
@@ -173,8 +173,8 @@ def test_support_blocks_follow_difference_classes(rng):
     assert sorted(blocks.ravel()) == list(range(25))
 
     pair = (
-        g_matrix(make_depolarizing(4, 0.7), canonical_basis(4)).m,
-        g_matrix(make_depolarizing(4, 0.8), fourier_basis(4)).m,
+        g_matrix(make_depolarizing(4, 0.7), canonical_basis(4)),
+        g_matrix(make_depolarizing(4, 0.8), fourier_basis(4)),
     )
     blocks = _support_blocks(np.stack(pair))
     assert blocks.shape == (4, 4)
@@ -182,7 +182,7 @@ def test_support_blocks_follow_difference_classes(rng):
     assert (classes == classes[:, :1]).all()
 
     for d in (2, 3, 4):
-        gs = [g_matrix(random_channel(rng, d), random_basis(rng, d)).m
+        gs = [g_matrix(random_channel(rng, d), random_basis(rng, d))
               for _ in range(2)]
         assert _support_blocks(np.stack(gs)).shape == (1, d * d)
 
@@ -268,7 +268,7 @@ def test_mub_constraints_closed_form(rng):
         for n in range(2, d + 2):
             ts = rng.uniform(0.0, 1.0, n)
             cons = tuple(
-                g_matrix(make_depolarizing(d, t), e).m
+                g_matrix(make_depolarizing(d, t), e)
                 for t, e in zip(ts, fam.bases)
             )
             res = solve_domination(DominationProblem(d * d, cons))
@@ -337,7 +337,7 @@ def _schur_pair_constraints(b, c, s, t):
     d = len(b)
     chans = [mix_toward_depolarizing(make_schur(m), w) for m, w in ((b, s), (c, t))]
     return tuple(
-        g_matrix(ch, e).m for ch, e in zip(chans, (canonical_basis(d), fourier_basis(d)))
+        g_matrix(ch, e) for ch, e in zip(chans, (canonical_basis(d), fourier_basis(d)))
     )
 
 
@@ -392,7 +392,7 @@ def test_long_step_schedule_on_a_dense_block(rng, minus_omega):
     # criterion radius
     chans = [random_channel(rng, 4) for _ in range(2)]
     cons = tuple(
-        g_matrix(c, random_basis(rng, 4)).m - (omega(4) if minus_omega else 0.0)
+        g_matrix(c, random_basis(rng, 4)) - (omega(4) if minus_omega else 0.0)
         for c in chans
     )
     assert _support_blocks(np.stack(cons)).shape == (1, 16)
@@ -428,7 +428,7 @@ def test_orthogonal_closed_form():
     fam = mub_family(d)
     ts = (0.9, 0.6, 0.8)
     cons = tuple(
-        g_matrix(make_depolarizing(d, t), e).m for t, e in zip(ts, fam.bases)
+        g_matrix(make_depolarizing(d, t), e) for t, e in zip(ts, fam.bases)
     )
     res = solve_domination(DominationProblem(d * d, cons))
     expected = 1.0 - len(cons) + sum(np.trace(c).real for c in cons)
@@ -593,7 +593,7 @@ def test_center_returns_the_newton_step_dual(monkeypatch, rng):
     monkeypatch.setattr(sdp, "_center", checked_center)
     solve_domination(DominationProblem(12, _random_blocks(rng, 3, 4, 3)))
     dense = tuple(
-        g_matrix(random_channel(rng, 3), random_basis(rng, 3)).m - omega(3)
+        g_matrix(random_channel(rng, 3), random_basis(rng, 3)) - omega(3)
         for _ in range(2)
     )
     solve_domination(DominationProblem(9, dense))
