@@ -37,22 +37,24 @@
     channel (or joint measurement) with prescribed marginals exists.  Over
     Kronecker strings of per-factor Hermitian bases with member 0 the
     normalized identity, the marginals fix exactly the strings with at most
-    one non-identity constrained factor.  The others span the free
-    directions, an inclusion-exclusion sum of the embedded targets is the
-    minimum-norm particular solution j0, and one barrier engine maximizes
+    one non-identity constrained factor, each coefficient read off one
+    target.  One barrier engine solves the oracle's programs in dual form
+    over those fixed strings (Vandenberghe & Boyd, SIAM Rev. 38, 49
+    (1996)).  The verdict is
 
-        t  subject to  j0 + sum_k x_k B_k + t A >= 0.
+        lambda* = min <Y, j0>  subject to  Y = I/D + sum_k a_k F_k >= 0,
 
-    A = -I makes t lambda_min, the oracle's verdict.  Along a line of
-    noise-scaled channels the particular solution is J(start) + r E, with
-    E traceless and orthogonal to the free directions, so A = E, padded
-    with one diagonal slack entry r_max - r, gives the compatibility radius
-    clamped to the line's end (``_joint_channel_radius``; J(0) = I/d^N).
-    The attained t bounds the optimum from below; the dual point of the
-    last Newton step has <Y, B_k> = 0 and <Y, A> = -1, and projected off
-    the free directions and shifted by c I until it is PSD, Y bounds it
-    from above by <Y, j0> / -<Y, A>.  The least bound of all stages is
-    reported.
+    with F_k the traceless fixed strings and j0 the fixed part of any joint
+    operator with the marginals.  Each iterate Y is PSD, so its value
+    bounds lambda* from above; the Newton-step dual carries the fixed
+    coefficients of j0, and j0 plus its free part is a witness whose
+    lambda_min bounds lambda* from below.  Along a line of noise-scaled
+    channels the fixed coefficients are J(start) + r E, and the radius
+    clamped to the line's end has the dual min <Y, J(start)> + r_max y_s
+    over Y >= 0 in the fixed span with y_s = 1 + <Y, E> >= 0
+    (``_joint_channel_radius``): the iterate's value is the upper end, and
+    the Newton-step dual's slack entry z_s gives the lower end r_max - z_s
+    with a witness at those marginals.
 
 Both barriers follow one policy: mu falls 1000-fold per stage, and one
 routine, ``_center``, centers every stage by damped Newton with a
@@ -64,8 +66,8 @@ is PSD at that decrement (Boyd & Vandenberghe, Convex Optimization,
 11.2.2 and 11.3.3).  Each solver supplies its Newton system and reads
 its certificate.  The domination Newton step is preconditioned CG on
 block-diagonal Hermitian matrices.  The oracle step builds its Newton
-system from matmuls over the basis flattened once (the Hessian as one
-real product of the (Re, Im) views).
+system from matmuls over the fixed strings flattened once (the Hessian as
+one real product of the (Re, Im) views).
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from enum import Enum
 import numpy as np
 
 from .channels import Channel, shared_dimension
-from .linalg import check_hermitian, partial_trace
+from .linalg import check_hermitian
 
 DOMINATION_GAP_TOL = 1e-6
 FEASIBILITY_GAP_COARSE = 1e-5
@@ -404,7 +406,7 @@ def _dual_bound(y, g_blocks, floor):
 
 
 # ---------------------------------------------------------------------------
-# affine lambda_min maximization engine
+# dual-form oracle engine
 # ---------------------------------------------------------------------------
 
 def _classify(lam: float, ub: float) -> Feasibility:
@@ -416,100 +418,78 @@ def _classify(lam: float, ub: float) -> Feasibility:
     return Feasibility.MARGINAL
 
 
-def _max_affine_min_eig(j0: np.ndarray, basis: np.ndarray, direction=None):
-    """Maximize t subject to j0 + sum_k x_k basis[k] + t A >= 0 over (x, t).
+def _max_affine_min_eig(s, strings, c, mu, read):
+    """Minimize c.z subject to S(z) = s + sum_k z_k strings[k] >= 0, from z = 0.
 
-    A = ``direction`` defaults to -I, making t lambda_min at x; any other A
-    must be Hermitian and orthogonal to the basis, with j0 positive definite
-    (the barrier starts at t = 0; else ``RuntimeError``) and a finite
-    optimum.  Returns ``(x, t_attained, upper_bound, steps)``: x and
-    t_attained of the last stage, lambda_min at x for A = -I, else the
-    iterate's t (its slack is PD), and the least upper bound any stage
-    certified.  Each stage's bound holds on its own, and at small mu the
-    recovered dual can lose it to round-off (a line search that finds no
-    step, or a shift c I that swamps Y), so a later stage may bound worse.
-    ``basis`` must be orthonormal in the Frobenius inner product, with
-    Hermitian traceless members, or empty (then t alone moves).  A Newton
-    step is plain matmuls: for Hermitian B, Re tr(M B) is the real dot
-    product of the (Re, Im) views of M and B, so with U = S^-1 and T_k =
-    U B_k U the Hessian Re tr(T_k B_l) is one real product of half the
-    complex flops.  ``_center`` moves S along dS = sum_k dx_k B_k + dt A.
+    The oracle's programs in dual form.  ``s`` must be positive definite
+    and ``strings`` Hermitian and linearly independent; mu starts at
+    ``mu``.  After each stage ``read(cost, y)`` maps the iterate's cost c.z
+    and the Newton-step dual y of ``_center`` (<y, strings[k]> = c_k) to a
+    certified bracket ``(lo, hi, witness)``.  The stages stop once it is
+    closed (the fine gap, or the coarse one with the band rule decided),
+    after a line search that found no step, or at the Newton cap; the last
+    ``(lo, hi, witness, steps)`` is returned.  A Newton step is plain
+    matmuls: for Hermitian F, Re tr(M F) is the real dot product of the
+    (Re, Im) views of M and F, so with U = S^-1 and T_k = U F_k U the
+    Hessian Re tr(T_k F_l) is one real product of half the complex flops.
+    Near a degenerate optimum its condition number passes 1 / eps, and a
+    plain solve returns round-off as the step, which ruins y; a ridge of
+    1e-13 of its largest diagonal entry damps the directions lost.
     """
-    dim = j0.shape[0]
-    m = basis.shape[0]
-    a = -np.eye(dim) if direction is None else direction
-
-    if np.abs(np.einsum("kpp->k", basis)).max(initial=0.0) > 1e-8:
-        raise ValueError("free directions must be traceless for the optimum bound")
-
-    basis_rows = basis.reshape(m * dim, dim)
-    basis_re = np.asarray(basis, np.complex128).reshape(m, dim * dim).view(np.float64)
-    a_re = np.asarray(a, np.complex128).reshape(-1).view(np.float64)
-
-    def along(coeffs):  # sum_k coeffs[k] basis[k]
-        return (coeffs @ basis_re).view(np.complex128).reshape(dim, dim)
+    m, dim = strings.shape[0], strings.shape[1]
+    rows = strings.reshape(m * dim, dim)
+    flat = np.asarray(strings, np.complex128).reshape(m, dim * dim).view(np.float64)
 
     def newton(u):
-        t_stack = u @ (basis_rows @ u).reshape(m, dim, dim)
-        u_re = u.reshape(-1).view(np.float64)
-        uau_re = (u @ a @ u).reshape(-1).view(np.float64)
-        gx = mu * (basis_re @ u_re)
-        gt = 1.0 + mu * float(u_re @ a_re)
-        mat = np.empty((m + 1, m + 1))
-        mat[:m, :m] = mu * (t_stack.reshape(m, dim * dim).view(np.float64) @ basis_re.T)
-        mat[:m, m] = mat[m, :m] = mu * (basis_re @ uau_re)
-        mat[m, m] = mu * float(uau_re @ a_re)
-        grad = np.concatenate([gx, [gt]])
-        try:
-            dz = np.linalg.solve(mat, grad)
-        except np.linalg.LinAlgError:
-            dz = np.linalg.lstsq(mat, grad, rcond=None)[0]
-        return dz, along(dz[:m]) + dz[m] * a, -dz[m], float(grad @ dz)
+        t_stack = u @ (rows @ u).reshape(m, dim, dim)
+        grad = mu * (flat @ u.reshape(-1).view(np.float64)) - c  # minus the gradient
+        hess = mu * (t_stack.reshape(m, dim * dim).view(np.float64) @ flat.T)
+        hess[np.diag_indices(m)] += 1e-13 * hess.diagonal().max()
+        dz = np.linalg.solve(hess, grad)
+        ds = (dz @ flat).view(np.complex128).reshape(dim, dim)
+        return dz, ds, float(c @ dz), float(grad @ dz)
 
-    # z = (x, t); the cost minimized is -t
-    z = np.zeros(m + 1)
-    if direction is None:
-        z[m] = float(np.linalg.eigvalsh(j0)[0]) - 1.0
-    s = j0 + z[m] * a
-    logdet, cost = _chol_logdet(s), -z[m]
-    if logdet is None:
-        raise RuntimeError("barrier start point is not positive definite")
-    mu = 1.0
-    steps = 0
-    best_ub = np.inf
-
+    z, logdet, cost, steps = np.zeros(m), _chol_logdet(s), 0.0, 0
     while True:
         z, s, logdet, cost, y, steps, ok = _center(
             z, s, logdet, cost, mu, newton, steps, _ORACLE_MAX_NEWTON_STEPS
         )
-        x, t_att = z[:m], float(z[m])
-        if direction is None:  # lambda_min of the witness itself
-            t_att = float(np.linalg.eigvalsh(j0 + along(x))[0])
-        # certificate: project the Newton-step dual off the free directions
-        # and shift it by c I until PSD; then t <= <Y, j0> / -<Y, A> for
-        # every feasible (x, t), and there is no bound unless -<Y, A> > 0
-        y = y - along(basis_re @ y.reshape(-1).view(np.float64))
-        y += max(0.0, -float(np.linalg.eigvalsh(y)[0])) * np.eye(dim)
-        scale = -float(y.reshape(-1).view(np.float64) @ a_re)
-        ub = float(np.vdot(y, j0).real) / scale if scale > 0.0 else np.inf
-        best_ub = min(best_ub, ub)
-
-        gap = ub - t_att
-        decided = _classify(t_att, ub) is not Feasibility.MARGINAL
+        lo, hi, witness = read(cost, y)
+        gap = hi - lo
+        decided = _classify(lo, hi) is not Feasibility.MARGINAL
         if gap <= FEASIBILITY_GAP_FINE or (gap <= FEASIBILITY_GAP_COARSE and decided):
             break
         if not ok or mu <= 1e-13 or steps >= _ORACLE_MAX_NEWTON_STEPS:
             break
         mu *= _MU_FACTOR
+    return lo, hi, witness, steps
 
-    return x, t_att, best_ub, steps
+
+def _witness(strings, coeffs, y):
+    """``y`` with its coefficients on the orthonormal ``strings`` set to ``coeffs``."""
+    own = (strings.reshape(len(strings), -1).conj() @ y.reshape(-1)).real
+    return y + np.tensordot(coeffs - own, strings, axes=1)
 
 
-def _solve_family(j0, basis) -> FeasibilityResult:
-    """Maximize lambda_min over j0 + span(basis) and classify the bracket."""
-    x, lam, ub, steps = _max_affine_min_eig(j0, basis)
-    witness = j0 + np.tensordot(x, basis, axes=1)
-    witness = (witness + witness.conj().T) / 2.0
+def _solve_family(coeffs, strings) -> FeasibilityResult:
+    """lambda* of the joint operators with fixed coefficients ``coeffs``, classified.
+
+    lambda* = min <Y, j0> over Y = I / D + sum_k a_k F_k >= 0, with j0 =
+    sum coeffs * strings and F_k the traceless fixed strings (strings[0] is
+    I / sqrt(D)).  The iterate's value <I / D, j0> + c.a is the upper end;
+    the attained value is lambda_min of j0 plus the free part of the
+    Newton-step dual y, a matrix with the fixed coefficients of j0.
+    """
+    dim = strings.shape[-1]
+
+    def read(cost, y):
+        witness = _witness(strings, coeffs, y)
+        ub = coeffs[0] / np.sqrt(dim) + cost
+        return float(np.linalg.eigvalsh(witness)[0]), ub, witness
+
+    lam, ub, witness, steps = _max_affine_min_eig(
+        np.eye(dim, dtype=np.complex128) / dim, strings[1:], coeffs[1:], 1.0, read
+    )
     return FeasibilityResult(
         lambda_star=lam,
         witness=witness,
@@ -543,57 +523,49 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return np.concatenate([_diagonal_basis(d), upper + lower, 1j * (lower - upper)])
 
 
-def _embed_for_partial_trace(small: np.ndarray, dims, keep) -> np.ndarray:
-    """Adjoint of the partial trace: <embed(A), M> == <A, Tr_discarded(M)>."""
-    dims = list(dims)
-    k = len(dims)
-    kept = sorted(keep)
-    traced = [i for i in range(k) if i not in kept]
-    d_tr = int(np.prod([dims[i] for i in traced])) if traced else 1
-    big = np.kron(small, np.eye(d_tr, dtype=np.complex128))
-    order = kept + traced
-    dims_in_order = [dims[i] for i in order]
-    t = big.reshape(dims_in_order + dims_in_order)
-    perm = list(np.argsort(order))
-    t = t.transpose(perm + [p + k for p in perm])
-    total = int(np.prod(dims))
-    return np.ascontiguousarray(t.reshape(total, total))
-
-
 def _marginal_family(dims, factor_bases, shared, targets):
-    """Minimum-norm ``j0`` with the given marginals and a basis of the rest.
+    """The strings the marginals fix and the joint operator's coefficients on them.
 
     ``factor_bases[i]`` is an orthonormal Hermitian basis of factor i with
     member 0 the normalized identity.  ``targets`` are the marginals on each
-    other factor (in order) with ``shared``; the one on ``shared`` alone is
-    the identity.  ``basis`` stacks the Kronecker strings with two or
-    more non-identity constrained factors, the strings no marginal sees.
+    other factor (in order) with ``shared``, over the two factors in
+    ascending order, each of shape (..., n, n); the one on ``shared`` alone
+    is the identity.  The marginals fix exactly the Kronecker strings with
+    at most one non-identity constrained factor.  One whose non-identity
+    factor is i has the coefficient <b_shared (x) b_i, target_i> / sqrt(the
+    product of the other constrained dimensions); with none, only the
+    identity string's is nonzero.  A target whose marginal on ``shared``
+    is not the identity raises ``RuntimeError``.  Returns ``(coeffs,
+    strings)`` of shapes (..., m) and (m, D, D), strings[0] = I / sqrt(D).
     """
-    dims = list(dims)
     total = int(np.prod(dims))
     constrained = [i for i in range(len(dims)) if i != shared]
-    # inclusion-exclusion: the pair terms count the shared marginal N times
-    marginals = [({shared}, np.eye(dims[shared]), 1 - len(targets))] + [
-        ({shared, i}, t, dims[i]) for i, t in zip(constrained, targets)
-    ]
-    j0 = sum(
-        w * dims[shared] / total * _embed_for_partial_trace(t, dims, keep)
-        for keep, t, w in marginals
-    )
-    for keep, t, _ in marginals:
-        residual = float(np.linalg.norm(partial_trace(j0, dims, keep) - t))
-        if residual > 1e-8 * (1.0 + float(np.linalg.norm(t))):
+    labels = np.indices([len(b) for b in factor_bases]).reshape(len(dims), -1)
+    fixed = (labels[constrained] > 0).sum(axis=0) <= 1
+    labels = labels[:, fixed]
+    still = (labels[constrained] == 0).all(axis=0)
+    coeffs = np.zeros(targets[0].shape[:-2] + (len(still),))
+    coeffs[..., 0] = dims[shared] / np.sqrt(total)
+    for i, t in zip(constrained, targets):
+        first, second = sorted((shared, i))
+        b0, b1 = factor_bases[first], factor_bases[second]
+        t = t.reshape(t.shape[:-2] + (dims[first], dims[second]) * 2)
+        table = np.einsum("apr,bqs,...pqrs->...ab", b0.conj(), b1.conj(), t).real
+        own = table[..., labels[first], labels[second]]
+        own *= np.sqrt(dims[shared] * dims[i] / total)
+        # strings no constrained factor moves see the shared marginal, I
+        residual = float(np.abs(own[..., still] - coeffs[..., still]).max())
+        if residual > 1e-8 * (1.0 + float(np.abs(own).max())):
             raise RuntimeError(
                 f"marginal constraints are inconsistent: residual {residual:.3e}"
             )
+        coeffs[..., labels[i] > 0] = own[..., labels[i] > 0]
 
     strings = factor_bases[0]
     for b in factor_bases[1:]:
         k, n = strings.shape[0] * b.shape[0], strings.shape[1] * b.shape[1]
         strings = np.einsum("aij,bkl->abikjl", strings, b).reshape(k, n, n)
-    labels = np.indices([len(b) for b in factor_bases]).reshape(len(dims), -1)
-    non_identity = (labels[constrained] > 0).sum(axis=0)
-    return j0, strings[non_identity >= 2]
+    return coeffs, strings[fixed]
 
 
 # ---------------------------------------------------------------------------
@@ -635,30 +607,46 @@ def _joint_channel_radius(channels, start, u, r_max: float):
     """Certified bracket (lo, hi) on min(r*, r_max), r* the largest compatible r.
 
     The marginals s_i Phi_i + (1 - s_i) Delta with s_i = start_i + r u_i
-    are affine in r, so the minimum-norm joint operator is J(r) = J(start)
-    + r E with E = J(start + u) - J(start) orthogonal to every free
-    direction, and the radius is one program: max r s.t. J(r) + sum_k x_k
-    B_k >= 0 and r_max - r >= 0, the slack r_max - r one diagonal entry
-    padded onto the joint operator.  J(start) must be positive definite;
-    it is whenever sum_i start_i < 1, as J(start) >= (1 - sum_i start_i)
-    I / d^N (start 0 gives I / d^N).  The optimum
-    is finite on every line, E = 0 included.  A joint channel exists at
-    lo, and none at any r in (hi, r_max].
+    are affine in r, and so are the fixed coefficients: J(start) + r E.
+    The radius, max r s.t. some joint operator with them is PSD and r <=
+    r_max, has the dual min <Y, J(start)> + r_max y_s over Y >= 0 in the
+    fixed span with y_s = 1 + <Y, E> >= 0: one barrier over Y padded with
+    the entry y_s, from Y = I, y_s = 1 at mu = 0.1.  Its iterate's value is
+    ``hi``.  The Newton-step dual has slack entry z_s and the fixed
+    coefficients of J(start) + (r_max - z_s) E, so with its free part it is
+    a witness at ``lo`` = r_max - z_s; when round-off leaves that witness
+    indefinite, mixing it toward J(start) makes it PSD and lowers ``lo``.
+    J(start) must be positive definite (else ``RuntimeError``); it is
+    whenever sum_i start_i < 1, as J(start) >= (1 - sum_i start_i) I / d^N.
+    A joint channel exists at lo, and none at any r in (hi, r_max].
     """
     d = shared_dimension(channels)
     delta = np.eye(d * d) / d
+    coeffs, strings = _joint_channel_family(d, [
+        delta + np.multiply.outer([s, s + ui], c.choi - delta)
+        for c, s, ui in zip(channels, start, u)
+    ])
+    j, e = coeffs[0], coeffs[1] - coeffs[0]
+    lam_start = float(np.linalg.eigvalsh(np.tensordot(j, strings, axes=1))[0])
+    if not lam_start > 0.0:
+        raise RuntimeError("the joint operator at the line's start point is not "
+                           f"positive definite: lambda_min {lam_start:.3e}")
+    dim = strings.shape[-1]
+    padded = np.pad(strings, ((0, 0), (0, 1), (0, 1)))
+    padded[:, -1, -1] = e
 
-    def family(weights):
-        return _joint_channel_family(
-            d, [delta + w * (c.choi - delta) for c, w in zip(channels, weights)]
-        )
+    def read(cost, y):
+        lo = r_max - y[-1, -1].real
+        lam = float(np.linalg.eigvalsh(_witness(strings, j + lo * e, y[:-1, :-1]))[0])
+        if lam < 0.0:  # mix by lam / (lam - lam_start) toward J(start)
+            lo *= lam_start / (lam_start - lam)
+        # J(start) certifies 0, and a witness past r_max mixes down to it; at
+        # Y = I, y_s = 1 the cost is Tr J(start) + r_max = d + r_max
+        return float(np.clip(lo, 0.0, r_max)), d + r_max + cost, None
 
-    j0, basis = family(start)
-    j1, _ = family([s + ui for s, ui in zip(start, u)])
-    pad = ((0, 0), (0, 1), (0, 1))
-    j0, a = np.pad(np.stack([j0, j1 - j0]), pad)
-    j0[-1, -1], a[-1, -1] = r_max, -1.0
-    _, lo, hi, _ = _max_affine_min_eig(j0, np.pad(basis, pad), a)
+    lo, hi, _, _ = _max_affine_min_eig(
+        np.eye(dim + 1, dtype=np.complex128), padded, j + r_max * e, 0.1, read
+    )
     return lo, hi
 
 
@@ -695,7 +683,7 @@ def solve_povm_joint(povms) -> FeasibilityResult:
 
     # one classical outcome register per POVM, then the system; diagonal
     # register bases keep every candidate block-diagonal
-    j0, basis = _marginal_family(
+    return _solve_family(*_marginal_family(
         counts + [d],
         [_diagonal_basis(k) for k in counts] + [_hermitian_basis(d)],
         len(povms),
@@ -703,5 +691,4 @@ def solve_povm_joint(povms) -> FeasibilityResult:
             sum(np.kron(np.diag(row), e) for row, e in zip(np.eye(k), p.effects))
             for k, p in zip(counts, povms)
         ],
-    )
-    return _solve_family(j0, basis)
+    ))

@@ -20,7 +20,6 @@ from qincompat import (
 )
 from qincompat import sdp
 from qincompat.criteria import exact_depolarizing_pair
-from qincompat.linalg import partial_trace
 from qincompat.sdp import SolverStatus
 from qincompat.region import (
     RayResult,
@@ -401,33 +400,27 @@ def test_radius_sdp_stopped_at_its_start_raises(monkeypatch):
                 warnings.simplefilter("error")
                 return radius(*args)
 
-    # the clamp's slack gives a finite upper bound even at the start point
+    # the start point's value is a finite upper bound, and the first Newton
+    # step's dual, mixed toward J(0) until PSD, still certifies the lower end
     lo, hi = stopped_at_start(chans, (0.0, 0.0), u, 1.0 / max(u))
-    assert lo == 0.0 and 1.0 < hi < math.inf
+    assert 0.0 <= lo <= _exact_dep_pair_radius((0.9, 0.95), u) <= hi < math.inf
+    assert hi - lo > region.BISECT_TOL
     monkeypatch.setattr(region, "_joint_channel_radius", stopped_at_start)
-    with pytest.raises(RuntimeError, match=r"bracket \[0, "):
+    with pytest.raises(RuntimeError, match=r"bracket \["):
         scan_rays(chans, [u], use_oracle=True)
 
 
-def test_radius_sdp_witness_at_lo(monkeypatch):
+def test_radius_sdp_witness_at_lo():
+    # a joint channel exists at the bracket's lower end, and none just past
+    # its upper end
     chans = [make_depolarizing(2, 0.9), make_identity(2)]
     u = (math.cos(0.6), math.sin(0.6))
-    r_max = 1.0 / max(u)
-    runs = []
-    engine = sdp._max_affine_min_eig
-    monkeypatch.setattr(sdp, "_max_affine_min_eig",
-                        lambda *args: runs.append((args, engine(*args))) or runs[-1][1])
-    lo, _ = sdp._joint_channel_radius(chans, (0.0, 0.0), u, r_max)
-    (j0, basis, direction), (x, *_) = runs[0]
-    padded = j0 + lo * direction + np.tensordot(x, basis, axes=1)
-    # the padded corner is the clamp's slack r_max - lo
-    assert padded[-1, -1].real >= 0.0
-    assert abs(padded[-1, -1] - (r_max - lo)) <= 1e-12
-    witness = padded[:-1, :-1]
-    assert np.linalg.eigvalsh(witness)[0] >= -1e-12
-    for i, c in enumerate(_scaled(chans, lo, u)):
-        marginal = partial_trace(witness, [2, 2, 2], {0, i + 1})
-        assert np.abs(marginal - c.choi).max() <= 1e-9
+    lo, hi = sdp._joint_channel_radius(chans, (0.0, 0.0), u, 1.0 / max(u))
+    assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE
+    at_lo = sdp.solve_joint_channel(_scaled(chans, lo, u))
+    assert at_lo.status is not region.Feasibility.INFEASIBLE
+    past_hi = sdp.solve_joint_channel(_scaled(chans, hi + 1e-3, u))
+    assert past_hi.status is region.Feasibility.INFEASIBLE
 
 
 def test_capped_oracle_ray_raises(monkeypatch, tmp_path, capsys):
@@ -577,19 +570,17 @@ def test_line_radius_from_an_axis_point_brackets_the_exact_root():
 
 
 def test_line_radius_from_the_origin_is_the_ray_program():
-    # start 0: J(0) = I / d^N and E = J(u) - J(0), built as the ray program is
+    # start 0 is the ray scan_rays solves, and a line started on the ray at
+    # r0 u meets the same boundary point r0 later
     chans = [make_depolarizing(2, 0.9), make_schur(_schur_qubit(0.4))]
     u = (math.cos(0.6), math.sin(0.6))
     r_max = 1.0 / max(u)
-    delta = np.eye(4) / 2.0
-    j0, basis = sdp._joint_channel_family(2, [delta, delta])
-    j1, _ = sdp._joint_channel_family(
-        2, [delta + ui * (c.choi - delta) for c, ui in zip(chans, u)])
-    pad = ((0, 0), (0, 1), (0, 1))
-    j0, a = np.pad(np.stack([j0, j1 - j0]), pad)
-    j0[-1, -1], a[-1, -1] = r_max, -1.0
-    _, lo, hi, _ = sdp._max_affine_min_eig(j0, np.pad(basis, pad), a)
-    assert sdp._joint_channel_radius(chans, (0.0, 0.0), u, r_max) == (lo, hi)
+    lo, hi = sdp._joint_channel_radius(chans, (0.0, 0.0), u, r_max)
+    assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE and hi < r_max
+    assert scan_rays(chans, [u], use_oracle=True).rays[0].oracle_radius == lo
+    r0 = 0.4
+    lo0, hi0 = sdp._joint_channel_radius(chans, (r0 * u[0], r0 * u[1]), u, r_max - r0)
+    assert max(lo, r0 + lo0) <= min(hi, r0 + hi0)
 
 
 def test_line_radius_from_a_singular_start_raises():
@@ -600,12 +591,21 @@ def test_line_radius_from_a_singular_start_raises():
 
 
 def test_capped_figure1_oracle_raises(monkeypatch, tmp_path, capsys):
-    # cap 3 leaves the diagonal's bracket open, cap 7 the row from (0.5, 0)
+    # a grid line's radius SDP stopped at the Newton cap with its bracket open
+    # is solver trouble, never grid verdicts: the diagonal's, or a row's
     spec = tmp_path / "schur.json"
     spec.write_text(json.dumps({"B": [[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]]}))
-    for cap, start in ((3, r"\(0, 0\)"), (7, r"\(0\.5, 0\)")):
-        monkeypatch.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", cap)
-        with pytest.raises(RuntimeError, match=f"from {start} .* bracket"):
+    radius = region._joint_channel_radius
+    for capped_start, name in (((0.0, 0.0), r"\(0, 0\)"), ((0.5, 0.0), r"\(0\.5, 0\)")):
+
+        def capped(channels, start, u, r_max, capped_start=capped_start):
+            with monkeypatch.context() as m:
+                if tuple(start) == capped_start:
+                    m.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", 3)
+                return radius(channels, start, u, r_max)
+
+        monkeypatch.setattr(region, "_joint_channel_radius", capped)
+        with pytest.raises(RuntimeError, match=f"from {name} .* bracket"):
             emit_figure1_data(B_SCHUR, B_SCHUR, 3, use_oracle=True)
         argv = ["figure", "fig1", "--B", str(spec), "--resolution", "3", "--oracle"]
         assert cli.main(argv) == 1
@@ -644,9 +644,10 @@ def test_open_line_bracket_raises(monkeypatch):
         emit_figure1_data(B_SCHUR, B_SCHUR, 3, use_oracle=True)
 
 
-def test_radius_sdp_keeps_the_best_stage_bound(monkeypatch):
-    # a late stage whose dual is lost (no line-search step, a Y that shifts to
-    # 0) bounds nothing; the bracket keeps the bound of the stage before it
+def test_radius_sdp_lost_dual_keeps_a_valid_bracket(monkeypatch):
+    # a late stage whose dual is lost (no line-search step, a dual of -I)
+    # certifies nothing: its witness is mixed toward J(0) until PSD, so the
+    # lower end stays inside, and the upper end is still the iterate's value
     chans = [make_depolarizing(2, t) for t in (0.9, 0.95)]
     u = (math.cos(0.6), math.sin(0.6))
     center = sdp._center
@@ -660,4 +661,4 @@ def test_radius_sdp_keeps_the_best_stage_bound(monkeypatch):
 
     monkeypatch.setattr(sdp, "_center", lost_after_first_stages)
     lo, hi = sdp._joint_channel_radius(chans, (0.0, 0.0), u, 1.0 / max(u))
-    assert lo <= _exact_dep_pair_radius((0.9, 0.95), u) <= hi < lo + 0.1
+    assert 0.0 <= lo <= _exact_dep_pair_radius((0.9, 0.95), u) <= hi

@@ -24,7 +24,6 @@ from qincompat.sdp import (
     OracleBudgetError,
     SolverStatus,
     _diagonal_basis,
-    _embed_for_partial_trace,
     _hermitian_basis,
     _marginal_family,
     _newton_cg,
@@ -49,18 +48,22 @@ from helpers import (
 # --- analytic marginal family ------------------------------------------------
 
 def _channel_family_args(rng, d, n):
-    chois = [random_channel(rng, d).choi for _ in range(n)]
-    return [d] * (n + 1), [_hermitian_basis(d)] * (n + 1), 0, chois
+    # the Choi matrix of a random d -> d^n channel: its input marginal is I
+    joint = random_channel(rng, d, d ** n).choi
+    return [d] * (n + 1), [_hermitian_basis(d)] * (n + 1), 0, joint
 
 
 def _povm_family_args(rng, d, counts):
-    povms = [random_povm(rng, d, k) for k in counts]
-    targets = [
-        sum(np.kron(np.diag(row), e) for row, e in zip(np.eye(k), p.effects))
-        for k, p in zip(counts, povms)
-    ]
+    # a random joint POVM, one outcome register per marginal, then the system
+    effects = random_povm(rng, d, int(np.prod(counts))).effects
+    outcomes = np.eye(int(np.prod(counts)))
+    joint = sum(np.kron(np.diag(row), e) for row, e in zip(outcomes, effects))
     bases = [_diagonal_basis(k) for k in counts] + [_hermitian_basis(d)]
-    return list(counts) + [d], bases, len(counts), targets
+    return list(counts) + [d], bases, len(counts), joint
+
+
+def _marginals(dims, shared, joint):
+    return [partial_trace(joint, dims, {shared, i}) for i in range(len(dims)) if i != shared]
 
 
 @pytest.mark.parametrize(
@@ -74,35 +77,39 @@ def _povm_family_args(rng, d, counts):
     ids=["channel-d2-N2", "channel-d2-N3", "channel-d3-N2", "povm-2x3"],
 )
 def test_marginal_family(make_args):
-    dims, bases, shared, targets = make_args(np.random.default_rng(5))
+    dims, bases, shared, joint = make_args(np.random.default_rng(5))
     for fb, dim in zip(bases, dims):
         assert np.abs(fb[0] - np.eye(dim) / np.sqrt(dim)).max() < 1e-15
         assert np.abs(fb - fb.conj().transpose(0, 2, 1)).max() == 0.0
-    j0, basis = _marginal_family(dims, bases, shared, targets)
+    coeffs, strings = _marginal_family(dims, bases, shared, _marginals(dims, shared, joint))
 
+    # at most one non-identity constrained factor: each of the d_s^2 shared
+    # members times either no such factor or one non-identity member
     sizes = [len(fb) for i, fb in enumerate(bases) if i != shared]
-    expected = dims[shared] ** 2 * (
-        int(np.prod(sizes)) - 1 - sum(k - 1 for k in sizes)
-    )
-    assert basis.shape == (expected, j0.shape[0], j0.shape[0])
-    flat = basis.reshape(len(basis), -1)
-    assert np.abs(flat.conj() @ flat.T - np.eye(len(basis))).max() < 1e-12
-    assert np.abs(np.einsum("kpp->k", basis)).max() < 1e-12
-
+    expected = dims[shared] ** 2 * (1 + sum(k - 1 for k in sizes))
+    total = joint.shape[0]
+    assert strings.shape == (expected, total, total)
+    assert np.abs(strings[0] - np.eye(total) / np.sqrt(total)).max() < 1e-15
+    flat = strings.reshape(len(strings), -1)
+    assert np.abs(flat.conj() @ flat.T - np.eye(len(strings))).max() < 1e-12
+    # every string is seen by some marginal
     others = [i for i in range(len(dims)) if i != shared]
-    keeps = [{shared}] + [{shared, i} for i in others]
-    for member in basis:
-        for keep in keeps:
-            assert np.abs(partial_trace(member, dims, keep)).max() < 1e-12
-    for keep, target in zip(keeps, [np.eye(dims[shared])] + targets):
-        assert np.abs(partial_trace(j0, dims, keep) - target).max() < 1e-12
-    # minimum norm: j0 has no component along the free directions
-    assert np.abs(flat.conj() @ j0.reshape(-1)).max() < 1e-12
+    for member in strings:
+        assert max(np.linalg.norm(partial_trace(member, dims, {shared, i}))
+                   for i in others) > 0.5
+    # the coefficients read off the marginals are those of any joint operator
+    # with them
+    assert coeffs.shape == (expected,)
+    assert np.abs(coeffs - (flat.conj() @ joint.reshape(-1)).real).max() < 1e-12
+    j0 = np.tensordot(coeffs, strings, axes=1)
+    for target, marginal in zip(_marginals(dims, shared, joint), _marginals(dims, shared, j0)):
+        assert np.abs(marginal - target).max() < 1e-12
 
 
 def test_marginal_family_rejects_inconsistent_targets():
     rng = np.random.default_rng(6)
-    dims, bases, shared, targets = _channel_family_args(rng, 2, 2)
+    dims, bases, shared, joint = _channel_family_args(rng, 2, 2)
+    targets = _marginals(dims, shared, joint)
     # a Choi matrix of trace 2d has input marginal 2I, not the shared I
     with pytest.raises(RuntimeError, match="inconsistent"):
         _marginal_family(dims, bases, shared, [2.0 * targets[0]] + targets[1:])
@@ -122,16 +129,6 @@ def test_newton_cg_solves_sandwich_sum(rng):
         for u_block, x_block, rhs_block in zip(u_stack, x, rhs):
             lhs = mu * sum(u @ x_block @ u for u in u_block)
             assert np.linalg.norm(lhs - rhs_block) <= 1e-9 * np.linalg.norm(rhs)
-
-
-def test_embed_is_partial_trace_adjoint(rng):
-    dims = [2, 3, 2]
-    keep = {0, 2}
-    small = random_hermitian(rng, 4)
-    big = random_hermitian(rng, 12)
-    lhs = np.vdot(_embed_for_partial_trace(small, dims, keep), big)
-    rhs = np.vdot(small, partial_trace(big, dims, keep))
-    assert abs(lhs - rhs) < 1e-12
 
 
 # --- domination solver -------------------------------------------------------
@@ -552,24 +549,24 @@ def test_oracle_failed_line_search_keeps_the_band_rule(monkeypatch):
     ids=["d3-N2-0.6", "d3-N2-0.7", "d2-N3-0.5", "d2-N3-0.6"],
 )
 def test_long_step_oracle_on_the_largest_instances(d, n, t, status):
-    # mu / 5 per stage with every stage centered to mu * 2^-12 took 52-53
-    # Newton steps on each of these
+    # the dual barrier over the fixed strings decides each in 5-8 Newton steps
     res = solve_joint_channel([make_depolarizing(d, t)] * n)
     assert res.status is status
-    assert res.iterations <= 25
+    assert res.iterations <= 10
 
 
 def test_center_returns_the_newton_step_dual(monkeypatch, rng):
     # every dual point _center returns meets the dual's equality constraints
     # to round-off and is PSD: sum_i Y_i = I per block for the criterion,
-    # <Y, B_k> = 0 and <Y, A> = -1 for the oracle
+    # <Y, G_k> = c_k over the oracle engine's strings G_k and costs c
     problems, checked = [], []
     engine, center = sdp._max_affine_min_eig, sdp._center
+    mode = []
 
-    def engine_with_problem(j0, basis, direction=None):
-        problems.append((basis, direction))
+    def engine_with_problem(s, strings, c, mu, read):
+        problems.append((strings, c))
         try:
-            return engine(j0, basis, direction)
+            return engine(s, strings, c, mu, read)
         finally:
             problems.pop()
 
@@ -581,11 +578,10 @@ def test_center_returns_the_newton_step_dual(monkeypatch, rng):
             assert np.abs(y.sum(axis=1) - np.eye(y.shape[-1])).max() <= 1e-9
             checked.append("criterion")
         else:
-            basis, a = problems[-1]
-            checked.append("lambda" if a is None else "radius")
-            a = -np.eye(len(y)) if a is None else a
-            assert np.abs(np.einsum("kab,ba->k", basis, y)).max() <= 1e-9 * norm
-            assert abs(np.vdot(a, y).real + 1.0) <= 1e-9
+            strings, c = problems[-1]
+            checked.append(mode[-1])
+            residual = np.einsum("kab,ba->k", strings, y).real - c
+            assert np.abs(residual).max() <= 1e-9 * max(1.0, norm)
         assert np.linalg.eigvalsh(y)[..., 0].min() >= -1e-10 * norm
         return out
 
@@ -599,6 +595,7 @@ def test_center_returns_the_newton_step_dual(monkeypatch, rng):
     solve_domination(DominationProblem(9, dense))
     # the Schur pair's Choi matrices are rank-deficient
     schur = [make_schur(np.array([[1.0, b], [b, 1.0]])) for b in (0.5, 0.3)]
+    mode.append("lambda")
     for channels in (
         [make_depolarizing(2, 0.6)] * 2,
         [make_depolarizing(2, 0.75)] * 2,
@@ -606,17 +603,12 @@ def test_center_returns_the_newton_step_dual(monkeypatch, rng):
         schur,
     ):
         solve_joint_channel(channels)
+    solve_povm_joint([random_povm(rng, 2, 2), random_povm(rng, 2, 3)])
+    mode.append("radius")
     u = (np.cos(0.6), np.sin(0.6))
     for channels in ([make_depolarizing(2, 0.9), make_depolarizing(2, 0.95)], schur):
         sdp._joint_channel_radius(channels, (0.0, 0.0), u, 1.0 / max(u))
     assert set(checked) == {"criterion", "lambda", "radius"}
-
-
-def test_start_point_outside_the_cone_raises():
-    # a negative clamp r_max puts the radius SDP's start slack outside the cone
-    with pytest.raises(RuntimeError, match="start point"):
-        sdp._joint_channel_radius(
-            [make_depolarizing(2, 0.5)] * 2, (0.0, 0.0), (1.0, 1.0), -1.0)
 
 
 def test_budget_error_names_dimension():
