@@ -12,6 +12,7 @@ Exit codes for ``check``: 0 compatible-certified, 2 incompatible-certified,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -315,10 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call and reused; parse_args keeps no state between calls
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; the contract reserves 1
         return EXIT_USAGE if exc.code else EXIT_OK

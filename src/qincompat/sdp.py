@@ -12,14 +12,16 @@
     dim * max_i ||E_i||_F, the trace of a shift that makes the assembled H
     dominate every full G_i (||E||_F >= ||E||_2).
 
-    Commuting constraints, as the analytic cases have (MUB tuples of
-    depolarizing channels, canonical / Fourier Schur pairs, one constraint),
-    are solved in closed form: in a common eigenbasis V the optimum is
-    diagonal, H = V diag(max_i lambda_ik) V^+ with Y_i the projector onto
-    the directions where G_i attains the max.  That H, shifted by its
+    Pairs have a closed form, commuting or not: H = G_2 + (G_1 - G_2)_+,
+    Y_1 the projector onto the positive part of G_1 - G_2, Y_2 = I - Y_1
+    (Zhu, Sci. Rep. 5, 14317 (2015)).  So do commuting constraints (MUB
+    tuples of depolarizing channels, one constraint): in a common
+    eigenbasis V, H = V diag(max_i lambda_ik) V^+ with Y_i the projector
+    onto the directions where G_i attains the max.  That H, shifted by its
     measured violation, is returned when its certified gap meets the
-    target, with no Newton step; else a log-det barrier is driven down a
-    geometric schedule with damped Newton centering steps:
+    target, with no Newton step; else (three or more constraints that do
+    not commute) a log-det barrier is driven down a geometric schedule
+    with damped Newton centering steps:
 
         minimize  Tr H - mu * sum_i log det(H - G_i + eps I).
 
@@ -287,9 +289,9 @@ def solve_domination(
     ||E_i||_F I, where E_i is the part of G_i off the blocks (entries below
     the split threshold), so it dominates every full G_i and ``value`` is
     its trace; ``lower_bound`` is ``_dual_bound`` at its dual point (-inf if
-    none).  The closed form of ``_commuting_optimum``, exact when each
-    block's G_i commute (one constraint included), is returned after no
-    Newton step when its certified gap is at most ``gap_tol``; else one
+    none).  The closed form (``_closed_form``), exact for a pair and when
+    each block's G_i commute (one constraint included), is returned after
+    no Newton step when its certified gap is at most ``gap_tol``; else one
     barrier runs over the blocks.
     """
     g_stack = np.stack(problem.constraints)
@@ -314,7 +316,7 @@ def solve_domination(
         )
         return SdpResult(value, optimizer, lower_bound, value - lower_bound, steps, status)
 
-    closed = result(*_commuting_optimum(g_blocks, g_eigs), 0, SolverStatus.OPTIMAL)
+    closed = result(*_closed_form(g_blocks, g_eigs), 0, SolverStatus.OPTIMAL)
     if closed.gap <= gap_tol:
         return closed
 
@@ -351,30 +353,38 @@ def solve_domination(
     return result(h, y_stack, steps, status)
 
 
-def _commuting_optimum(g_blocks, g_eigs):
-    """Block iterate H and dual Y of min Tr H s.t. H >= G_i, exact if the G_i commute.
+def _closed_form(g_blocks, g_eigs):
+    """Block iterate H and dual Y of min Tr H s.t. H >= G_i, exact for pairs or commuting G_i.
 
-    Per block, V diagonalizes the fixed combination sum_i e^(i/2) G_i (the
-    weights are powers of a transcendental number, so no rational relation
-    among them merges eigenvalues the G_i tell apart), lambda_ik is the
-    diagonal of V^+ G_i V and H = V diag(max_i lambda_ik) V^+, shifted by
-    the measured max_i lambda_max(G_i - H) plus a round-off margin so that
-    it dominates every G_i; Y_i = V 1[argmax_j lambda_jk = i] V^+.  For
-    commuting G_i this is the optimum, sum_k max_i lambda_ik.
+    Per block, a pair takes H = G_2 + (G_1 - G_2)_+ with Y_1 the projector
+    onto the positive part of G_1 - G_2 and Y_2 = I - Y_1, which is the
+    optimum with no commutation (Zhu, Sci. Rep. 5, 14317 (2015)).  Else V
+    diagonalizes the fixed combination sum_i e^(i/2) G_i (the weights are
+    powers of a transcendental number, so no rational relation among them
+    merges eigenvalues the G_i tell apart), lambda_ik is the diagonal of
+    V^+ G_i V, H = V diag(max_i lambda_ik) V^+ and Y_i = V 1[argmax_j
+    lambda_jk = i] V^+, the optimum sum_k max_i lambda_ik when the G_i
+    commute.  H is then shifted by the measured max_i lambda_max(G_i - H)
+    plus a round-off margin so that it dominates every G_i.
     """
     n_cons, b = g_blocks.shape[1], g_blocks.shape[-1]
-    weights = np.exp(np.arange(n_cons) / 2.0)
-    _, v = np.linalg.eigh(np.einsum("i,kiab->kab", weights, g_blocks))
-    v_adj = _adjoint(v)
-    lam = np.diagonal(v_adj[:, None] @ g_blocks @ v[:, None], axis1=-2, axis2=-1).real
-    h = (v * lam.max(axis=1)[:, None]) @ v_adj
+    if n_cons == 2:
+        delta, v = np.linalg.eigh(g_blocks[:, 0] - g_blocks[:, 1])
+        h = g_blocks[:, 1] + (v * np.maximum(delta, 0.0)[:, None]) @ _adjoint(v)
+        picked = np.stack([delta > 0.0, delta <= 0.0], axis=1)
+    else:
+        weights = np.exp(np.arange(n_cons) / 2.0)
+        _, v = np.linalg.eigh(np.einsum("i,kiab->kab", weights, g_blocks))
+        lam = np.diagonal(_adjoint(v)[:, None] @ g_blocks @ v[:, None],
+                          axis1=-2, axis2=-1).real
+        h = (v * lam.max(axis=1)[:, None]) @ _adjoint(v)
+        picked = lam.argmax(axis=1)[:, None] == np.arange(n_cons)[:, None]
     # the measured excess and any later eigvalsh of the assembled optimizer
     # minus G_i each err by ~ dim eps ||G_i - H||, with ||H|| <= max_i ||G_i||
     margin = 4.0 * g_blocks.shape[0] * b * np.finfo(float).eps * np.abs(g_eigs).max()
     excess = np.linalg.eigvalsh(g_blocks - h[:, None])[..., -1].max(axis=1)
     h = h + (excess + margin)[:, None, None] * np.eye(b)
-    picked = lam.argmax(axis=1)[:, None] == np.arange(n_cons)[:, None]
-    return h, (v[:, None] * picked[..., None, :]) @ v_adj[:, None]
+    return h, (v[:, None] * picked[..., None, :]) @ _adjoint(v)[:, None]
 
 
 def _assemble(blocks, rows, cols, dim):
@@ -561,11 +571,12 @@ def _marginal_family(dims, factor_bases, shared, targets):
             )
         coeffs[..., labels[i] > 0] = own[..., labels[i] > 0]
 
-    strings = factor_bases[0]
-    for b in factor_bases[1:]:
-        k, n = strings.shape[0] * b.shape[0], strings.shape[1] * b.shape[1]
-        strings = np.einsum("aij,bkl->abikjl", strings, b).reshape(k, n, n)
-    return coeffs, strings[fixed]
+    strings = factor_bases[0][labels[0]]
+    # the Kronecker strings of the fixed labels only
+    for b, label in zip(factor_bases[1:], labels[1:]):
+        m, n = len(label), strings.shape[1] * b.shape[1]
+        strings = np.einsum("mij,mkl->mikjl", strings, b[label]).reshape(m, n, n)
+    return coeffs, strings
 
 
 # ---------------------------------------------------------------------------

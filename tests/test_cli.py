@@ -323,6 +323,18 @@ def test_usage_error_exit_code(capsys):
     assert main(["bogus"]) == 1
 
 
+def test_calls_in_a_row_share_one_parser(specs, capsys):
+    # the parser is built once per process; a usage error leaves nothing
+    # behind for the next call
+    assert main(["check", specs["dep08"], specs["dep08"]]) == 2
+    first = capsys.readouterr().out
+    assert main(["check", specs["dep08"], "--k", "1"]) == 1
+    assert main(["check", specs["delta"], specs["delta"], "--oracle"]) == 0
+    assert main(["check", specs["dep08"], specs["dep08"]]) == 2
+    assert capsys.readouterr().out.endswith(first)
+    assert qincompat.cli._parser() is qincompat.cli._parser()
+
+
 def test_solver_runtime_error_is_reported(specs, capsys, monkeypatch):
     def broken_oracle(*args, **kwargs):
         raise RuntimeError("barrier iterate left the feasible cone")

@@ -114,31 +114,45 @@ def _rotated_basis(theta):
     return np.array([[c, s], [-s, c]], dtype=complex)
 
 
+def _qubit_triple():
+    # the real qubit basis and its rotations by pi / 8 and 3 pi / 16: the
+    # G-matrices do not commute, so the identity triple runs the barrier (19
+    # Newton steps); any two of them are a pair, solved in closed form
+    return [canonical_basis(2), _rotated_basis(np.pi / 8), _rotated_basis(3 * np.pi / 16)]
+
+
+def _projective(basis):
+    return Povm(2, tuple(np.outer(v, v.conj()) for v in basis))
+
+
 def test_non_convergence_reports_solver_gap(monkeypatch):
     import qincompat.sdp as sdp
 
-    # canonical and Fourier G-matrices commute and take no Newton step, so
-    # the second basis is the real one rotated by pi / 8, which runs the
-    # barrier (13 Newton steps for the identity pair)
     monkeypatch.setattr(sdp, "_DOMINATION_MAX_NEWTON_STEPS", 1)
-    rotated = _rotated_basis(np.pi / 8)
-    pc = Povm(2, tuple(np.outer(v, v.conj()) for v in canonical_basis(2)))
-    pr = Povm(2, tuple(np.outer(v, v.conj()) for v in rotated))
-    chans = [make_identity(2), make_identity(2)]
+    bases = _qubit_triple()
+    chans = [make_identity(2)] * 3
     for v in (
-        zhu_criterion_povms([pc, pr]),
-        zhu_criterion_channels(chans, [canonical_basis(2), rotated]),
+        zhu_criterion_povms([_projective(e) for e in bases]),
+        zhu_criterion_channels(chans, bases),
     ):
         assert v.kind is VerdictKind.UNDETERMINED and v.value is None
         assert "did not converge (max-iterations, gap " in v.certificate
+    # the pair takes no Newton step, so the cap does not reach it
+    v = zhu_criterion_channels(chans[:2], bases[:2])
+    assert v.kind is VerdictKind.INCOMPATIBLE_CERTIFIED
+    assert abs(v.value - (2.0 + np.sqrt(0.5))) < 1e-12
 
 
 def test_failed_line_search_is_undetermined(monkeypatch):
     fail_cholesky_after_first_call(monkeypatch)
-    chans = [make_identity(2), make_identity(2)]
-    v = zhu_criterion_channels(chans, [canonical_basis(2), _rotated_basis(np.pi / 8)])
+    bases = _qubit_triple()
+    chans = [make_identity(2)] * 3
+    v = zhu_criterion_channels(chans, bases)
     assert v.kind is VerdictKind.UNDETERMINED and v.value is None
     assert "did not converge (numerical-failure, gap " in v.certificate
+    # the pair's closed form factors no slack
+    v = zhu_criterion_channels(chans[:2], bases[:2])
+    assert v.kind is VerdictKind.INCOMPATIBLE_CERTIFIED
 
 
 def test_schur_pair_criterion_certifies():

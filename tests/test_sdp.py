@@ -6,6 +6,7 @@ from qincompat import (
     canonical_basis,
     fourier_basis,
     g_matrix,
+    g_matrix_povm,
     induced_povm,
     make_depolarizing,
     make_identity,
@@ -14,6 +15,7 @@ from qincompat import (
     omega,
     schur_pair_criterion,
     z_matrix,
+    zhu_criterion_povms,
 )
 import qincompat.sdp as sdp
 from qincompat.sdp import (
@@ -104,6 +106,36 @@ def test_marginal_family(make_args):
     j0 = np.tensordot(coeffs, strings, axes=1)
     for target, marginal in zip(_marginals(dims, shared, joint), _marginals(dims, shared, j0)):
         assert np.abs(marginal - target).max() < 1e-12
+
+
+def _all_strings_masked(dims, bases, shared):
+    # every Kronecker string, then those with at most one non-identity
+    # constrained factor
+    strings = bases[0]
+    for b in bases[1:]:
+        k, n = strings.shape[0] * b.shape[0], strings.shape[1] * b.shape[1]
+        strings = np.einsum("aij,bkl->abikjl", strings, b).reshape(k, n, n)
+    labels = np.indices([len(b) for b in bases]).reshape(len(dims), -1)
+    constrained = [i for i in range(len(dims)) if i != shared]
+    return strings[(labels[constrained] > 0).sum(axis=0) <= 1]
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        lambda rng: _channel_family_args(rng, 2, 2),
+        lambda rng: _channel_family_args(rng, 3, 2),
+        lambda rng: _channel_family_args(rng, 2, 3),
+        lambda rng: _povm_family_args(rng, 2, (2, 3)),
+    ],
+    ids=["channel-d2-N2", "channel-d3-N2", "channel-d2-N3", "povm-2x3"],
+)
+def test_fixed_strings_are_the_masked_full_build(make_args):
+    dims, bases, shared, joint = make_args(np.random.default_rng(7))
+    _, strings = _marginal_family(dims, bases, shared, _marginals(dims, shared, joint))
+    full = _all_strings_masked(dims, bases, shared)
+    assert strings.dtype == full.dtype and strings.shape == full.shape
+    assert strings.tobytes() == full.tobytes()
 
 
 def test_marginal_family_rejects_inconsistent_targets():
@@ -207,13 +239,20 @@ def test_unequal_components_are_one_block():
     assert res.lower_bound <= 3.0 <= res.value
     assert np.abs(res.optimizer - g).max() < 1e-3
     assert _dominates(res, (g,))
-    # a pair on the same support that does not commute runs the barrier
+    # a pair on the same support that does not commute: the pair closed form
     g2 = np.array([[2.0, 1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 1.0]], complex)
     assert _support_blocks(np.stack([g, g2])).tolist() == [[0, 1, 2]]
     res = solve_domination(DominationProblem(3, (g, g2)))
+    assert res.status is SolverStatus.OPTIMAL and res.iterations == 0
+    assert res.lower_bound <= res.value and res.gap <= 1e-9
+    assert _dominates(res, (g, g2))
+    # a non-commuting triple on that support runs the barrier over one block
+    g3 = np.array([[0.5, -1.0j, 0.0], [1.0j, 2.0, 0.0], [0.0, 0.0, 1.5]], complex)
+    assert _support_blocks(np.stack([g, g2, g3])).tolist() == [[0, 1, 2]]
+    res = solve_domination(DominationProblem(3, (g, g2, g3)))
     assert res.status is SolverStatus.OPTIMAL and res.iterations > 0
     assert res.lower_bound <= res.value and res.gap <= DOMINATION_GAP_TOL
-    assert _dominates(res, (g, g2))
+    assert _dominates(res, (g, g2, g3))
 
 
 def test_off_block_noise_keeps_the_bracket(rng):
@@ -276,20 +315,25 @@ def test_mub_constraints_closed_form(rng):
 def test_dropped_norm_keeps_the_optimizer_feasible():
     # the 9e-8 coupling of indices 1 and 2 is below the split threshold
     # (1e-13 of 1e6), so the indices split into the blocks {0, 1} and
-    # {2, 3}, on which the two constraints do not commute and the barrier
-    # runs; it exceeds the final barrier slack (~ gap_tol / (4 nu) = 3e-8),
-    # so only the added ||E_i||_F I keeps the optimizer above the full
-    # constraints
+    # {2, 3}, on which the constraints do not commute.  It exceeds the
+    # pair closed form's slack (none) and the triple's final barrier slack
+    # (~ gap_tol / (4 nu) = 2e-8), so only the added ||E_i||_F I keeps the
+    # optimizer above the full constraints
     a = np.diag([1e6, 1.0, 1.0, 2.0]).astype(complex)
     a[0, 1] = a[1, 0] = a[2, 3] = a[3, 2] = 0.5
     b = np.diag([1e6, 2.0, 2.0, 1.0]).astype(complex)
-    for g in (a, b):
+    c = np.diag([1e6, 1.5, 1.5, 1.5]).astype(complex)
+    c[0, 1], c[1, 0] = 0.5j, -0.5j
+    c[2, 3] = c[3, 2] = -0.5
+    for g in (a, b, c):
         g[1, 2] = g[2, 1] = 9e-8
-    assert _support_blocks(np.stack([a, b])).tolist() == [[0, 1], [2, 3]]
-    res = solve_domination(DominationProblem(4, (a, b)))
-    assert res.status is SolverStatus.OPTIMAL and res.iterations > 0
-    assert res.lower_bound <= res.value and res.gap <= DOMINATION_GAP_TOL
-    assert _dominates(res, (a, b))
+    assert _support_blocks(np.stack([a, b, c])).tolist() == [[0, 1], [2, 3]]
+    for cons, closed in (((a, b), True), ((a, b, c), False)):
+        res = solve_domination(DominationProblem(4, cons))
+        assert res.status is SolverStatus.OPTIMAL
+        assert (res.iterations == 0) is closed
+        assert res.lower_bound <= res.value and res.gap <= DOMINATION_GAP_TOL
+        assert _dominates(res, cons)
 
 
 @pytest.mark.parametrize(
@@ -366,6 +410,53 @@ def test_commuting_constraints_are_closed_form(cons, exact):
     assert _dominates(res, cons)
 
 
+def _pair_optimum(a, b):
+    # min Tr H s.t. H >= a, b is Tr b + Tr (a - b)_+ = (Tr a + Tr b + ||a - b||_1) / 2
+    return float(np.trace(a + b).real + np.abs(np.linalg.eigvalsh(a - b)).sum()) / 2.0
+
+
+def _random_pairs(rng, d):
+    # a random PSD pair of size d, and the G-matrices of two random
+    # (non-unital) channels in random bases, one d^2 x d^2 block
+    yield random_psd(rng, d), random_psd(rng, d)
+    yield tuple(g_matrix(random_channel(rng, d), random_basis(rng, d)) for _ in range(2))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_pair_closed_form_needs_no_commutation(rng, d):
+    for _ in range(5):
+        for pair in _random_pairs(rng, d):
+            a, b = pair
+            assert np.abs(a @ b - b @ a).max() > 1e-6
+            res = solve_domination(DominationProblem(len(a), pair))
+            exact = _pair_optimum(a, b)
+            assert res.status is SolverStatus.OPTIMAL and res.iterations == 0
+            assert res.lower_bound <= exact <= res.value
+            assert res.gap <= 1e-9
+            assert _dominates(res, pair)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_pair_closed_form_agrees_with_the_barrier(rng, d):
+    # every G-matrix dominates omega, so adding it as a third constraint
+    # keeps the optimum and makes the solver run the barrier
+    pair = tuple(g_matrix(random_channel(rng, d), random_basis(rng, d)) for _ in range(2))
+    closed = solve_domination(DominationProblem(d * d, pair))
+    barrier = solve_domination(DominationProblem(d * d, pair + (omega(d),)))
+    assert closed.iterations == 0 and barrier.iterations > 0
+    assert barrier.status is SolverStatus.OPTIMAL
+    assert barrier.lower_bound <= closed.value and closed.lower_bound <= barrier.value
+    assert abs(barrier.value - closed.value) <= DOMINATION_GAP_TOL
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_povm_pair_criterion_is_the_pair_optimum(rng, d):
+    povms = [random_povm(rng, d, d + 1) for _ in range(2)]
+    v = zhu_criterion_povms(povms)
+    exact = _pair_optimum(*(g_matrix_povm(p) for p in povms))
+    assert abs(v.value - exact) <= 1e-9 * exact
+
+
 def test_non_commuting_perturbation_runs_the_barrier(rng):
     # 1e-7 Hermitian noise couples the five MUB blocks into one and breaks
     # commutation; the optimum moves by at most dim * max_i ||P_i||_2
@@ -384,10 +475,10 @@ def test_non_commuting_perturbation_runs_the_barrier(rng):
 
 @pytest.mark.parametrize("minus_omega", [False, True], ids=["G", "G-omega"])
 def test_long_step_schedule_on_a_dense_block(rng, minus_omega):
-    # random bases couple every index: one 16 x 16 block (63-64 Newton steps
-    # with mu / 5 per stage); G_i - omega is not PSD, as in the unital
-    # criterion radius
-    chans = [random_channel(rng, 4) for _ in range(2)]
+    # random bases couple every index: one 16 x 16 block; three constraints
+    # do not commute, so the barrier runs (a pair closes with no step);
+    # G_i - omega is not PSD, as in the unital criterion radius
+    chans = [random_channel(rng, 4) for _ in range(3)]
     cons = tuple(
         g_matrix(c, random_basis(rng, 4)) - (omega(4) if minus_omega else 0.0)
         for c in chans
@@ -396,7 +487,7 @@ def test_long_step_schedule_on_a_dense_block(rng, minus_omega):
     res = solve_domination(DominationProblem(16, cons))
     assert res.status is SolverStatus.OPTIMAL
     assert res.gap <= DOMINATION_GAP_TOL
-    assert res.iterations <= 40
+    assert 0 < res.iterations <= 40
 
 
 def test_weak_duality(rng):
