@@ -270,16 +270,15 @@ def _matrix_from_pairs(rows) -> np.ndarray:
     )
 
 
-def _spec_dimension(spec: dict, key: str) -> int:
-    """``spec[key]`` as a dimension: an integral number, not a bool."""
+def _spec_number(spec: dict, key: str, kind=float):
+    """``spec[key]`` as a JSON number, not a bool or a string; integral for ``kind=int``."""
     value = spec[key]
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not float(value).is_integer()
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        kind is int and not float(value).is_integer()
     ):
-        raise ValueError(f"dimension {key!r} must be an integer, got {value!r}")
-    return int(value)
+        rule = "dimension {!r} must be an integer" if kind is int else "{!r} must be a number"
+        raise ValueError(f"{rule.format(key)}, got {value!r}")
+    return kind(value)
 
 
 def channel_from_spec(spec: dict) -> Channel:
@@ -298,11 +297,11 @@ def channel_from_spec(spec: dict) -> Channel:
         raise ValueError("channel spec must be an object with a 'kind' field")
     kind = spec["kind"]
     if kind == "depolarizing":
-        c = make_depolarizing(_spec_dimension(spec, "d"), float(spec["t"]))
+        c = make_depolarizing(_spec_number(spec, "d", int), _spec_number(spec, "t"))
     elif kind == "schur":
         c = make_schur(_matrix_from_pairs(spec["B"]))
     elif kind == "choi":
-        d_in, d_out = _spec_dimension(spec, "d_in"), _spec_dimension(spec, "d_out")
+        d_in, d_out = _spec_number(spec, "d_in", int), _spec_number(spec, "d_out", int)
         entries = [_pair_to_complex(p) for p in spec["entries"]]
         dim = d_in * d_out
         if len(entries) != dim * dim:
@@ -322,6 +321,6 @@ def povm_from_spec(spec: dict) -> Povm:
     """Build a POVM from ``{"kind": "povm", "d": 2, "effects": [matrix, ...]}``."""
     if not isinstance(spec, dict) or spec.get("kind") != "povm":
         raise ValueError("povm spec must be an object with kind 'povm'")
-    d = _spec_dimension(spec, "d")
+    d = _spec_number(spec, "d", int)
     effects = tuple(_matrix_from_pairs(rows) for rows in spec["effects"])
     return Povm(d, effects)

@@ -74,6 +74,7 @@ one real product of the (Re, Im) views).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -86,8 +87,9 @@ DOMINATION_GAP_TOL = 1e-6
 FEASIBILITY_GAP_COARSE = 1e-5
 FEASIBILITY_GAP_FINE = 5e-8
 FEASIBLE_BAND = 1e-7
-# N * (d^(N+1))^2; 2000 admits d=2 with N <= 3 and d=3 pairs, nothing larger
-ORACLE_BUDGET = 2000
+# m * D^2, the entries of the stack of m fixed strings of dimension D; 2^22
+# admits d=2 with N <= 6, d=3 with N <= 3 and d=4 pairs, nothing larger
+ORACLE_BUDGET = 2 ** 22
 _ORACLE_MAX_NEWTON_STEPS = 4000
 _DOMINATION_MAX_NEWTON_STEPS = 800
 
@@ -100,7 +102,7 @@ _ARMIJO = 0.01
 
 
 class OracleBudgetError(ValueError):
-    """An oracle instance is larger than ``ORACLE_BUDGET`` allows."""
+    """An oracle instance's fixed-string stack has more than ``ORACLE_BUDGET`` entries."""
 
 
 class SolverStatus(Enum):
@@ -547,10 +549,20 @@ def _marginal_family(dims, factor_bases, shared, targets):
     identity string's is nonzero.  A target whose marginal on ``shared``
     is not the identity raises ``RuntimeError``.  Returns ``(coeffs,
     strings)`` of shapes (..., m) and (m, D, D), strings[0] = I / sqrt(D).
+    A stack of m D^2 > ``ORACLE_BUDGET`` entries raises ``OracleBudgetError``
+    before any array is built.
     """
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     constrained = [i for i in range(len(dims)) if i != shared]
-    labels = np.indices([len(b) for b in factor_bases]).reshape(len(dims), -1)
+    sizes = [len(b) for b in factor_bases]
+    m = sizes[shared] * (1 + sum(sizes[i] - 1 for i in constrained))
+    if m * total * total > ORACLE_BUDGET:
+        raise OracleBudgetError(
+            f"oracle over factors of dimensions {tuple(dims)} has m = {m} fixed "
+            f"strings of dimension D = {total}: m * D^2 = {m * total * total} is "
+            f"over the oracle budget {ORACLE_BUDGET}"
+        )
+    labels = np.indices(sizes).reshape(len(dims), -1)
     fixed = (labels[constrained] > 0).sum(axis=0) <= 1
     labels = labels[:, fixed]
     still = (labels[constrained] == 0).all(axis=0)
@@ -584,17 +596,9 @@ def _marginal_family(dims, factor_bases, shared, targets):
 # ---------------------------------------------------------------------------
 
 def _joint_channel_family(d: int, targets):
-    """``_marginal_family`` of a d -> d^N joint Choi matrix, within the budget."""
-    n = len(targets)
-    big_dim = d ** (n + 1)
-    cost = n * big_dim * big_dim
-    if cost > ORACLE_BUDGET:
-        raise OracleBudgetError(
-            f"joint Choi matrix of dimension {d}^{n + 1} = {big_dim} needs "
-            f"N * dim^2 = {cost}, over the oracle budget {ORACLE_BUDGET}"
-        )
-    # factor 0 is the input, factors 1..N the outputs
-    return _marginal_family([d] * (n + 1), [_hermitian_basis(d)] * (n + 1), 0, targets)
+    """``_marginal_family`` of a d -> d^N joint Choi matrix: factor 0 is the input."""
+    n = len(targets) + 1
+    return _marginal_family([d] * n, [_hermitian_basis(d)] * n, 0, targets)
 
 
 def solve_joint_channel(channels) -> FeasibilityResult:
@@ -606,8 +610,9 @@ def solve_joint_channel(channels) -> FeasibilityResult:
     joint channel exists.  FEASIBLE needs the attained ``lambda_star`` at
     least ``FEASIBLE_BAND``, INFEASIBLE the dual bound ``lambda_star + gap``
     at most ``-FEASIBLE_BAND``; anything between is MARGINAL.  Instances
-    whose cost N * dim^2 exceeds ``ORACLE_BUDGET`` (d=2 with N >= 4, d=3
-    with N >= 3) are refused with an ``OracleBudgetError``.
+    whose m = N d^4 - (N - 1) d^2 fixed strings of dimension D = d^(N+1)
+    need m D^2 > ``ORACLE_BUDGET`` (d=2 with N >= 7, d=3 with N >= 4, d=4
+    with N >= 3, d >= 5) are refused with an ``OracleBudgetError``.
     """
     channels = list(channels)
     d = shared_dimension(channels)
@@ -680,18 +685,12 @@ def solve_povm_joint(povms) -> FeasibilityResult:
     The joint measurement is a block-diagonal variable with one d x d block
     per joint outcome; marginal matching is affine and positivity of every
     block is the PSD constraint, so the same lambda_min engine applies.
+    POVMs of k_i outcomes fix m = d^2 (1 + sum_i (k_i - 1)) strings of
+    dimension D = d prod_i k_i; m D^2 > ``ORACLE_BUDGET`` is refused.
     """
     povms = list(povms)
     d = shared_dimension(povms, "POVM")
     counts = [len(p) for p in povms]
-    n_out = int(np.prod(counts))
-    big_dim = n_out * d
-    if big_dim * big_dim > ORACLE_BUDGET:
-        raise OracleBudgetError(
-            f"joint measurement block matrix of dimension {n_out} * {d} = {big_dim} "
-            f"needs dim^2 = {big_dim * big_dim}, over the oracle budget {ORACLE_BUDGET}"
-        )
-
     # one classical outcome register per POVM, then the system; diagonal
     # register bases keep every candidate block-diagonal
     return _solve_family(*_marginal_family(

@@ -53,8 +53,8 @@ def test_oracle_runtime_error_keeps_criterion_verdict(monkeypatch):
 
 
 def test_oracle_over_budget_keeps_criterion_verdict(monkeypatch):
-    # pairs cost 2 * 8^2 = 128, the triple 3 * 16^2 = 768
-    monkeypatch.setattr(qincompat.sdp, "ORACLE_BUDGET", 500)
+    # pairs cost m * D^2 = 28 * 8^2 = 1,792, the triple 40 * 16^2 = 10,240
+    monkeypatch.setattr(qincompat.sdp, "ORACLE_BUDGET", 5000)
     chans = [make_depolarizing(2, 0.5)] * 3
     report = classify(chans, 2, use_oracle=True)
     assert report.labels == {AssemblageLabel.NK_COMPATIBLE}
@@ -64,8 +64,9 @@ def test_oracle_over_budget_keeps_criterion_verdict(monkeypatch):
     assert verdict.kind is before.kind is VerdictKind.UNDETERMINED
     assert verdict.value == before.value
     assert verdict.certificate == (
-        before.certificate + "; oracle skipped: joint Choi matrix of dimension "
-        "2^4 = 16 needs N * dim^2 = 768, over the oracle budget 500"
+        before.certificate + "; oracle skipped: oracle over factors of dimensions "
+        "(2, 2, 2, 2) has m = 40 fixed strings of dimension D = 16: m * D^2 = 10240 "
+        "is over the oracle budget 5000"
     )
 
 

@@ -58,6 +58,10 @@ def specs(tmp_path):
         "choi_d25": write(
             "choi_d25.json", {"kind": "choi", "d_in": 2, "d_out": 2.5, "entries": []}
         ),
+        "dep_ttrue": write(
+            "dep_ttrue.json", {"kind": "depolarizing", "d": 2, "t": True}
+        ),
+        "dep_tstr": write("dep_tstr.json", {"kind": "depolarizing", "d": 2, "t": "0.8"}),
         "povm_d15": write("povm_d15.json", {"kind": "povm", "d": 1.5, "effects": []}),
         "listed": write("listed.json", [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]),
         "dep_d1": write("dep_d1.json", {"kind": "depolarizing", "d": 1, "t": 1.0}),
@@ -242,6 +246,8 @@ def test_region_csv_cells_are_numbers(specs, capsys):
          "dimension 'd' must be an integer, got True"),
         (["check", "{choi_d25}", "{choi_d25}"],
          "dimension 'd_out' must be an integer, got 2.5"),
+        (["check", "{dep_ttrue}"], "'t' must be a number, got True"),
+        (["check", "{dep_tstr}"], "'t' must be a number, got '0.8'"),
         (["check", "{dep_d1}", "{dep_d1}", "--bases", "{bases_1x1}"],
          "dimension must be at least 2"),
         (["check", "{dep08}", "{dep08}", "--bases", "{bases_3x3}"],
@@ -252,7 +258,7 @@ def test_region_csv_cells_are_numbers(specs, capsys):
          "fig2-d-empty", "fig2-d-not-int-x", "fig2-d-not-int-2.5",
          "check-bases-canonical-fourier", "region-three-specs",
          "check-depolarizing-d0", "check-choi-d0", "check-depolarizing-d1.5",
-         "check-depolarizing-d-true", "check-choi-d_out-2.5",
+         "check-depolarizing-d-true", "check-choi-d_out-2.5", "t-true", "t-string",
          "check-d1-user-bases", "check-qutrit-bases-on-qubits"],
 )
 def test_bad_input_is_one_error_line(argv, message, specs, capsys):

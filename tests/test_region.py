@@ -377,12 +377,14 @@ def test_radius_sdp_brackets_the_exact_root(ts, angle):
     assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE
 
 
-def test_radius_sdp_identity_triple_meets_werner():
-    u = np.ones(3) / math.sqrt(3.0)
+@pytest.mark.parametrize("n", [3, 4, 5], ids=["N3", "N4", "N5"])
+def test_radius_sdp_identity_copies_meet_werner(n):
+    u = np.ones(n) / math.sqrt(n)
     lo, hi = sdp._joint_channel_radius(
-        [make_identity(2)] * 3, np.zeros(3), u, 1.0 / u[0])
-    # symmetric 1 -> 3 qubit cloning: coordinate (N + d) / (N (1 + d)) = 5/9
-    assert lo * u[0] <= 5.0 / 9.0 <= hi * u[0]
+        [make_identity(2)] * n, np.zeros(n), u, 1.0 / u[0])
+    # symmetric 1 -> N qubit cloning: coordinate (N + d) / (N (1 + d)), 5/9,
+    # 1/2 and 7/15
+    assert lo * u[0] <= (n + 2.0) / (3.0 * n) <= hi * u[0]
     assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,27 @@ def test_fixed_strings_are_the_masked_full_build(make_args):
     full = _all_strings_masked(dims, bases, shared)
     assert strings.dtype == full.dtype and strings.shape == full.shape
     assert strings.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make_args",
+    [
+        lambda rng: _channel_family_args(rng, 2, 3),
+        lambda rng: _channel_family_args(rng, 3, 2),
+        lambda rng: _povm_family_args(rng, 2, (2, 3)),
+    ],
+    ids=["channel-d2-N3", "channel-d3-N2", "povm-2x3"],
+)
+def test_budget_counts_the_fixed_string_stack(make_args, monkeypatch):
+    # the budget is spent on the entries of the stack the family builds
+    dims, bases, shared, joint = make_args(np.random.default_rng(8))
+    targets = _marginals(dims, shared, joint)
+    _, strings = _marginal_family(dims, bases, shared, targets)
+    monkeypatch.setattr(sdp, "ORACLE_BUDGET", strings.size)
+    _marginal_family(dims, bases, shared, targets)
+    monkeypatch.setattr(sdp, "ORACLE_BUDGET", strings.size - 1)
+    with pytest.raises(OracleBudgetError, match=f"m = {len(strings)} .* = {strings.size} "):
+        _marginal_family(dims, bases, shared, targets)
 
 
 def test_marginal_family_rejects_inconsistent_targets():
@@ -580,13 +603,14 @@ def test_oracle_permutation_symmetry(rng):
     assert abs(r1.lambda_star - r2.lambda_star) < 1e-6
 
 
-def test_werner_cloning_threshold_three_copies():
-    # optimal 1 -> N cloning of a qubit: t* = (N + d) / (N (1 + d)) = 5/9
-    # (Werner, PRA 58, 1827 (1998)); three copies use m = 216 free coordinates
-    t_star = 5.0 / 9.0
-    inside = solve_joint_channel([make_depolarizing(2, t_star - 1e-3)] * 3)
+@pytest.mark.parametrize("d, n", [(2, 3), (2, 4), (2, 5)], ids=["d2-N3", "d2-N4", "d2-N5"])
+def test_werner_cloning_threshold(d, n):
+    # optimal 1 -> N cloning: t* = (N + d) / (N (1 + d)), 5/9, 1/2 and 7/15
+    # (Werner, PRA 58, 1827 (1998)); N = 4 and 5 were past the old N * D^2 rule
+    t_star = (n + d) / (n * (1.0 + d))
+    inside = solve_joint_channel([make_depolarizing(d, t_star - 1e-3)] * n)
     assert inside.status is Feasibility.FEASIBLE
-    outside = solve_joint_channel([make_depolarizing(2, t_star + 1e-3)] * 3)
+    outside = solve_joint_channel([make_depolarizing(d, t_star + 1e-3)] * n)
     assert outside.status is Feasibility.INFEASIBLE
 
 
@@ -703,9 +727,28 @@ def test_center_returns_the_newton_step_dual(monkeypatch, rng):
 
 
 def test_budget_error_names_dimension():
-    # d=2, N=4 costs 4 * 32^2 = 4096, over the budget of 2000
-    with pytest.raises(OracleBudgetError, match="2\\^5 = 32.*4096.*budget 2000"):
-        solve_joint_channel([make_depolarizing(2, 0.5)] * 4)
+    # d=3, N=4: m = 4 * 3^4 - 3 * 3^2 = 297 fixed strings of dimension
+    # D = 3^5 = 243 make m * D^2 = 17,537,553, over the budget of 2^22
+    with pytest.raises(OracleBudgetError, match=(
+        r"dimensions \(3, 3, 3, 3, 3\) has m = 297 fixed strings of dimension "
+        r"D = 243: m \* D\^2 = 17537553 is over the oracle budget 4194304"
+    )):
+        solve_joint_channel([make_depolarizing(3, 0.5)] * 4)
+
+
+def test_budget_check_comes_before_any_array():
+    # nine qubit channels: m = 4 * (1 + 9 * 3) = 112 strings of dimension
+    # 2^10 are refused; a check after the label grid would first allocate
+    # its 4^10 * 10 int64 entries, ~84 MB
+    channels = [make_depolarizing(2, 0.5)] * 9
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleBudgetError, match="m = 112 .* D = 1024"):
+            solve_joint_channel(channels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_certified_gap_small():
@@ -726,8 +769,8 @@ def test_witness_packages_as_rectangular_channel(rng):
 
 
 def test_one_channel_or_povm_runs_the_barrier_over_t_alone(rng):
-    # an empty free basis leaves the witness at j0 and lambda* its least
-    # eigenvalue, now with a certified gap from the same barrier
+    # one channel or POVM fixes every string, so the witness is j0 and
+    # lambda* its least eigenvalue, with a certified gap from the barrier
     channels = [make_depolarizing(2, 0.5), make_identity(2), random_channel(rng, 3)]
     povms = [random_povm(rng, 2, 3), Povm(2, tuple(np.outer(v, v) for v in np.eye(2)))]
     results = [solve_joint_channel([c]) for c in channels]
@@ -765,6 +808,9 @@ def test_induced_povms_of_compatible_pair(rng):
 
 def test_povm_joint_budget():
     p = Povm(2, tuple(np.eye(2) / 4 for _ in range(4)))
-    # 4^5 outcomes times d=2: dim 2048, dim^2 over the budget of 2000
-    with pytest.raises(OracleBudgetError, match="2048.*budget 2000"):
+    # five 4-outcome qubit POVMs: m = 4 * (1 + 5 * 3) = 64 strings of
+    # dimension D = 4^5 * 2 = 2048, m * D^2 over the budget of 2^22
+    with pytest.raises(OracleBudgetError, match=(
+        r"m = 64 .* D = 2048: m \* D\^2 = 268435456 is over the oracle budget 4194304"
+    )):
         solve_povm_joint([p, p, p, p, p])
