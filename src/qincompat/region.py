@@ -16,10 +16,10 @@ the ray's end, gives the oracle radius.  One rule reads both off their
 certified brackets, and bisection remains only for non-unital criterion rays.
 
 The same SDP runs along any line from a point whose joint operator is
-positive definite.  The ``fig1`` oracle grid uses one per grid line: by
-convexity the compatible cells on a line from an axis point form an
-interval that starts there, so one certified bracket decides every cell
-outside it, and only a cell inside the bracket takes a lambda* solve.
+positive definite.  The ``fig1`` oracle grid uses one per row and the
+diagonal: by convexity the compatible cells on a line from an axis point
+form an interval that starts there, so one certified bracket decides every
+cell outside it; a cell inside it, or on the edge s = 1, takes lambda*.
 """
 
 from __future__ import annotations
@@ -284,38 +284,36 @@ def emit_figure2_data(ds, resolution: int) -> dict:
 def _oracle_grid(pair, grid, diagonal) -> np.ndarray:
     """Oracle column of the ``fig1`` grid: [i, j] is (grid[i], grid[j]) compatible.
 
-    The region is convex and holds both axes, so along a grid line from
-    an axis point the compatible cells form an interval that starts there,
-    and one radius SDP decides the line: a cell at or below the bracket's
-    ``lo`` is compatible, one above its ``hi`` is not, and one inside it
-    takes a ``solve_joint_channel``: MARGINAL counts inside (the region is
-    closed) if its gap closed to ``FEASIBILITY_GAP_FINE``, else it raises.
-    Each row 0 < s < 1 starts at (s, 0), and each cell (1, t) takes a column
-    from (0, t): a pure Schur channel has a singular Choi matrix, so (1, 0)
-    cannot start a row.  The corner (1, 1) ends the ``diagonal`` bracket.
+    The region is convex and holds both axes, so along the row from (s, 0),
+    0 < s < 1, the compatible cells form an interval that starts there, and
+    one radius SDP decides it: a cell at or below the bracket's ``lo`` is
+    compatible, one above its ``hi`` is not.  The corner reads ``diagonal``.
+    A cell inside a bracket, and each (1, t), takes ``solve_joint_channel``:
+    MARGINAL counts inside (the region is closed) if its gap closed to
+    ``FEASIBILITY_GAP_FINE``, else it raises.  A pure Schur Choi matrix is
+    singular, and so is every joint operator with it as a marginal: (1, 0)
+    starts no line, and a compatible (1, t) has lambda* = 0: no ``lo`` reaches it.
     """
     n = len(grid)
     ok = np.ones((n, n), dtype=bool)  # rho -> Phi(rho) (x) I/d joins Phi and Delta
 
-    def decide(bracket, r, cell):
-        lo, hi = bracket
-        if r <= lo or r > hi:  # outside the bracket, the line decides
-            return r <= lo
+    def compatible(cell):
         result = solve_joint_channel(_scaled(pair, cell, 1.0))
         if result.status is Feasibility.MARGINAL and result.gap > FEASIBILITY_GAP_FINE:
             raise RuntimeError(f"oracle cell {_point(cell)} not decided: lambda* "
                                f"solve stopped at gap {result.gap:.3g}")
         return result.status is not Feasibility.INFEASIBLE
 
+    def decide(bracket, r, cell):  # outside its bracket, the line decides
+        lo, hi = bracket
+        return r <= lo or (r <= hi and compatible(cell))
+
     for i in range(1, n - 1):
         s = float(grid[i])
         row, _ = _oracle_line(pair, (s, 0.0), (0.0, 1.0), 1.0, BISECT_TOL)
         for j in range(1, n):
             ok[i, j] = decide(row, float(grid[j]), (s, float(grid[j])))
-    for j in range(1, n - 1):
-        t = float(grid[j])
-        column, _ = _oracle_line(pair, (0.0, t), (1.0, 0.0), 1.0, BISECT_TOL)
-        ok[n - 1, j] = decide(column, 1.0, (1.0, t))
+        ok[n - 1, i] = compatible((1.0, s))  # no line starts at (1, 0)
     ok[n - 1, n - 1] = decide(diagonal, math.sqrt(2.0), (1.0, 1.0))
     return ok
 
@@ -329,10 +327,10 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     are the maximally compatible mixtures in the respective directions.
     The diagonal one is one radius SDP clamped to the diagonal's end,
     inside and at most ``BISECT_TOL`` below the boundary; the axis ones
-    are 1.  The oracle column takes one radius SDP per grid line
-    (``_oracle_grid``): 2 resolution - 3 SDPs with the diagonal's, and a
-    ``solve_joint_channel`` only for a cell inside a line's bracket.  A
-    solve that does not decide raises ``RuntimeError``.
+    are 1.  The oracle column (``_oracle_grid``) takes resolution - 1
+    radius SDPs, one per row and the diagonal's, and a ``solve_joint_channel``
+    per edge cell (1, t) and per cell inside a line's bracket.  A solve that
+    does not decide raises ``RuntimeError``.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")

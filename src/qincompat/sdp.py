@@ -630,11 +630,12 @@ def _joint_channel_radius(channels, start, u, r_max: float):
     the entry y_s, from Y = I, y_s = 1 at mu = 0.1.  Its iterate's value is
     ``hi``.  The Newton-step dual has slack entry z_s and the fixed
     coefficients of J(start) + (r_max - z_s) E, so with its free part it is
-    a witness at ``lo`` = r_max - z_s; when round-off leaves that witness
-    indefinite, mixing it toward J(start) makes it PSD and lowers ``lo``.
-    J(start) must be positive definite (else ``RuntimeError``); it is
-    whenever sum_i start_i < 1, as J(start) >= (1 - sum_i start_i) I / d^N.
-    A joint channel exists at lo, and none at any r in (hi, r_max].
+    a witness at ``lo`` = r_max - z_s, read off the padded stack (the one
+    kept) with z_s zeroed; when round-off leaves that witness indefinite,
+    mixing it toward J(start) makes it PSD and lowers ``lo``.  J(start) must
+    be positive definite (else ``RuntimeError``); it is whenever sum_i
+    start_i < 1, as J(start) >= (1 - sum_i start_i) I / d^N.  A joint
+    channel exists at lo, and none at any r in (hi, r_max].
     """
     d = shared_dimension(channels)
     delta = np.eye(d * d) / d
@@ -647,13 +648,14 @@ def _joint_channel_radius(channels, start, u, r_max: float):
     if not lam_start > 0.0:
         raise RuntimeError("the joint operator at the line's start point is not "
                            f"positive definite: lambda_min {lam_start:.3e}")
-    dim = strings.shape[-1]
     padded = np.pad(strings, ((0, 0), (0, 1), (0, 1)))
     padded[:, -1, -1] = e
+    del strings
 
     def read(cost, y):
         lo = r_max - y[-1, -1].real
-        lam = float(np.linalg.eigvalsh(_witness(strings, j + lo * e, y[:-1, :-1]))[0])
+        y[-1, -1] = 0.0  # then the padded strings read the same coefficients
+        lam = float(np.linalg.eigvalsh(_witness(padded, j + lo * e, y)[:-1, :-1])[0])
         if lam < 0.0:  # mix by lam / (lam - lam_start) toward J(start)
             lo *= lam_start / (lam_start - lam)
         # J(start) certifies 0, and a witness past r_max mixes down to it; at
@@ -661,7 +663,7 @@ def _joint_channel_radius(channels, start, u, r_max: float):
         return float(np.clip(lo, 0.0, r_max)), d + r_max + cost, None
 
     lo, hi, _, _ = _max_affine_min_eig(
-        np.eye(dim + 1, dtype=np.complex128), padded, j + r_max * e, 0.1, read
+        np.eye(padded.shape[-1], dtype=np.complex128), padded, j + r_max * e, 0.1, read
     )
     return lo, hi
 

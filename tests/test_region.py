@@ -547,16 +547,25 @@ def test_figure1_oracle_grid_is_one_radius_sdp_per_line(monkeypatch):
     reference = {res: _per_cell_oracle_column(b, c, res) for res in (2, 3, 5)}
     radius, solve = region._joint_channel_radius, region.solve_joint_channel
     for resolution in (2, 3, 5):
-        lines, solves = [], []
+        starts, statuses = [], []
+
+        def solve_recorded(pair):
+            result = solve(pair)
+            statuses.append(result.status)
+            return result
+
         monkeypatch.setattr(region, "_joint_channel_radius",
-                            lambda *args: lines.append(args[1]) or radius(*args))
-        monkeypatch.setattr(region, "solve_joint_channel",
-                            lambda pair: solves.append(None) or solve(pair))
+                            lambda *args: starts.append(tuple(args[1])) or radius(*args))
+        monkeypatch.setattr(region, "solve_joint_channel", solve_recorded)
         column = _oracle_column(b, c, resolution)
         monkeypatch.undo()
-        # rows 0 < s < 1, columns to (1, t) for 0 < t < 1, and the diagonal
-        assert len(lines) == 2 * resolution - 3
-        assert len(solves) == 0
+        # rows from (s, 0), 0 < s < 1, and the diagonal from the origin; no
+        # line starts at (0, t), so each cell (1, t), 0 < t < 1, takes one
+        # lambda* solve, and every one of this pair's is incompatible
+        assert len(starts) == resolution - 1
+        assert all(t == 0.0 and 0.0 <= s < 1.0 for s, t in starts)
+        assert starts.count((0.0, 0.0)) == 1
+        assert statuses == [region.Feasibility.INFEASIBLE] * (resolution - 2)
         assert column == reference[resolution]
 
 

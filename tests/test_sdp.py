@@ -751,6 +751,24 @@ def test_budget_check_comes_before_any_array():
     assert peak < 2 ** 20
 
 
+def test_radius_sdp_holds_one_string_stack():
+    # the qutrit identity pair's diagonal: m = 153 strings of dimension D = 27.
+    # A Newton step holds the padded stack and two products of its size; a
+    # second, unpadded stack kept for the witness would add one more (4.27 stacks)
+    stack = 153 * 27 ** 2 * 16
+    u = (np.sqrt(0.5),) * 2
+    tracemalloc.start()
+    try:
+        lo, hi = sdp._joint_channel_radius(
+            [make_depolarizing(3, 1.0)] * 2, (0.0, 0.0), u, np.sqrt(2.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.75 * stack
+    # Werner's 1 -> 2 qutrit cloning bound s* = 5/8 on both channels
+    assert lo <= 5 / 8 * np.sqrt(2.0) <= hi
+
+
 def test_certified_gap_small():
     res = solve_joint_channel([make_identity(2), make_identity(2)])
     assert res.gap <= 1e-4
