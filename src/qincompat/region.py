@@ -11,11 +11,13 @@ For unital channels noise scaling is exact on the G-matrices,
 G_i(s) = omega + s^2 (G_i - omega), so the criterion value along a ray
 is 1 + r^2 kappa and one SDP for kappa gives the criterion radius.  Along
 a ray every marginal s_i Phi_i + (1 - s_i) Delta is affine in r, and so
-is the minimum-norm joint operator, so one SDP maximizing r, clamped to
-the ray's end, gives the oracle radius.  One rule reads both off their
+is the minimum-norm joint operator, J(r) = J(0) + r E.  So J(r_max) -
+lambda J(0) = (1 - lambda) J(r_max / (1 - lambda)), and one lambda* solve
+at the ray's end, measured against J(0), gives the oracle radius r_max /
+(1 - lambda*), or r_max when lambda* >= 0.  One rule reads both off their
 certified brackets, and bisection remains only for non-unital criterion rays.
 
-The same SDP runs along any line from a point whose joint operator is
+The same solve runs along any line from a point whose joint operator is
 positive definite.  The ``fig1`` oracle grid uses one per row and the
 diagonal: by convexity the compatible cells on a line from an axis point
 form an interval that starts there, so one certified bracket decides every
@@ -99,8 +101,11 @@ def bisect_boundary(inside, r_max: float, tol: float) -> float:
     """Largest certified-inside radius along a ray, by bisection.
 
     ``inside`` must be monotone (single crossing) and true at 0, which is
-    assumed, not probed.  For the criterion it always holds: at r = 0 every
-    channel is Delta, every G-matrix is omega and the value is 1 < d.
+    assumed, not probed.  For the criterion it always holds: each G_i(r)
+    is a sum of x x^+ / tau with x and tau > 0 affine in r, so it is
+    operator-convex, the criterion value is convex, and at r = 0 (every
+    channel Delta, every G-matrix omega) it is 1 < d, so the radii the
+    criterion does not certify form [0, r*] up to the solver gap.
     Returns a radius r with inside(r) true and inside(r') false for some
     r' <= r + tol, or r_max when the whole segment is inside.
     """
@@ -139,7 +144,7 @@ def _read_bracket(bracket, r_max: float, tol: float, what: str) -> float:
 
 
 def _oracle_line(channels, start, u, r_max: float, tol: float):
-    """Bracket and radius of one radius SDP along ``start + r u``, r <= r_max."""
+    """Bracket and radius of one radius solve along ``start + r u``, r <= r_max."""
     bracket = _joint_channel_radius(channels, start, u, r_max)
     what = f"oracle radius from {_point(start)} along u = {_point(u)}"
     return bracket, _read_bracket(bracket, r_max, tol, what)
@@ -186,11 +191,12 @@ def scan_rays(
 
     The criterion measures in the ``select_bases`` defaults.  Its radius
     is one SDP when every channel is unital, bisection otherwise; the
-    oracle radius is one radius SDP clamped to the ray's end.  Each radius
-    is inside, with an outside point at most ``bisect_tol`` beyond it, or
-    the ray's end.  An SDP that does not decide (a bracket wider than
-    ``bisect_tol``, a failed solve) raises ``RuntimeError`` naming the ray.
-    Rays are reported in the input order.
+    oracle radius is one lambda* solve at the ray's end, measured against
+    the origin's joint operator.  Each radius is inside, with an outside
+    point at most ``bisect_tol`` beyond it, or the ray's end.  An SDP that
+    does not decide (a bracket wider than ``bisect_tol``, a failed solve)
+    raises ``RuntimeError`` naming the ray.  Rays are reported in the input
+    order.
     """
     base_channels = list(base_channels)
     # every ray reaches r_max = 1 / max(u) >= 1, so a tolerance of 1 or more
@@ -286,7 +292,7 @@ def _oracle_grid(pair, grid, diagonal) -> np.ndarray:
 
     The region is convex and holds both axes, so along the row from (s, 0),
     0 < s < 1, the compatible cells form an interval that starts there, and
-    one radius SDP decides it: a cell at or below the bracket's ``lo`` is
+    one radius solve decides it: a cell at or below the bracket's ``lo`` is
     compatible, one above its ``hi`` is not.  The corner reads ``diagonal``.
     A cell inside a bracket, and each (1, t), takes ``solve_joint_channel``:
     MARGINAL counts inside (the region is closed) if its gap closed to
@@ -325,10 +331,10 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     is empty unless requested.  With the oracle on, the boundary radii
     along both axes and the diagonal are recorded in the metadata; those
     are the maximally compatible mixtures in the respective directions.
-    The diagonal one is one radius SDP clamped to the diagonal's end,
-    inside and at most ``BISECT_TOL`` below the boundary; the axis ones
-    are 1.  The oracle column (``_oracle_grid``) takes resolution - 1
-    radius SDPs, one per row and the diagonal's, and a ``solve_joint_channel``
+    The diagonal one is one radius solve along the diagonal, inside and
+    at most ``BISECT_TOL`` below the boundary; the axis ones are 1.  The
+    oracle column (``_oracle_grid``) takes resolution - 1 radius solves,
+    one per row and the diagonal's, and a ``solve_joint_channel``
     per edge cell (1, t) and per cell inside a line's bracket.  A solve that
     does not decide raises ``RuntimeError``.
     """

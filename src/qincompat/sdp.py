@@ -40,7 +40,7 @@
     Kronecker strings of per-factor Hermitian bases with member 0 the
     normalized identity, the marginals fix exactly the strings with at most
     one non-identity constrained factor, each coefficient read off one
-    target.  One barrier engine solves the oracle's programs in dual form
+    target.  One barrier engine solves the oracle's program in dual form
     over those fixed strings (Vandenberghe & Boyd, SIAM Rev. 38, 49
     (1996)).  The verdict is
 
@@ -50,13 +50,12 @@
     operator with the marginals.  Each iterate Y is PSD, so its value
     bounds lambda* from above; the Newton-step dual carries the fixed
     coefficients of j0, and j0 plus its free part is a witness whose
-    lambda_min bounds lambda* from below.  Along a line of noise-scaled
-    channels the fixed coefficients are J(start) + r E, and the radius
-    clamped to the line's end has the dual min <Y, J(start)> + r_max y_s
-    over Y >= 0 in the fixed span with y_s = 1 + <Y, E> >= 0
-    (``_joint_channel_radius``): the iterate's value is the upper end, and
-    the Newton-step dual's slack entry z_s gives the lower end r_max - z_s
-    with a witness at those marginals.
+    lambda_min bounds lambda* from below.  That is lambda* against R = I;
+    against a positive definite R, W >= lambda R and <Y, R> = 1.  Along a
+    line of noise-scaled channels J(r) = J(start) + r E, so J(r_max) -
+    lambda J(start) = (1 - lambda) J(r_max / (1 - lambda)): the radius is
+    r_max / (1 - lambda*) with lambda* of the line's end against J(start),
+    and r_max when lambda* >= 0 (``_joint_channel_radius``).
 
 Both barriers follow one policy: mu falls 1000-fold per stage, and one
 routine, ``_center``, centers every stage by damped Newton with a
@@ -433,17 +432,18 @@ def _classify(lam: float, ub: float) -> Feasibility:
 def _max_affine_min_eig(s, strings, c, mu, read):
     """Minimize c.z subject to S(z) = s + sum_k z_k strings[k] >= 0, from z = 0.
 
-    The oracle's programs in dual form.  ``s`` must be positive definite
-    and ``strings`` Hermitian and linearly independent; mu starts at
-    ``mu``.  After each stage ``read(cost, y)`` maps the iterate's cost c.z
-    and the Newton-step dual y of ``_center`` (<y, strings[k]> = c_k) to a
-    certified bracket ``(lo, hi, witness)``.  The stages stop once it is
-    closed (the fine gap, or the coarse one with the band rule decided),
-    after a line search that found no step, or at the Newton cap; the last
-    ``(lo, hi, witness, steps)`` is returned.  A Newton step is plain
-    matmuls: for Hermitian F, Re tr(M F) is the real dot product of the
-    (Re, Im) views of M and F, so with U = S^-1 and T_k = U F_k U the
-    Hessian Re tr(T_k F_l) is one real product of half the complex flops.
+    The oracle's one program (``_solve_family``) in dual form.  ``s`` must
+    be positive definite and ``strings`` Hermitian and linearly
+    independent; mu starts at ``mu``.  After each stage ``read(cost, y)``
+    maps the iterate's cost c.z and the Newton-step dual y of ``_center``
+    (<y, strings[k]> = c_k) to a certified bracket ``(lo, hi, witness)``.
+    The stages stop once it is closed (the fine gap, or the coarse one with
+    the band rule decided), after a line search that found no step, or at
+    the Newton cap; the last ``(lo, hi, witness, steps)`` is returned.  A
+    Newton step is plain matmuls: for Hermitian F, Re tr(M F) is the real
+    dot product of the (Re, Im) views of M and F, so with U = S^-1 and T_k
+    = U F_k U the Hessian Re tr(T_k F_l) is one real product of half the
+    complex flops.
     Near a degenerate optimum its condition number passes 1 / eps, and a
     plain solve returns round-off as the step, which ruins y; a ridge of
     1e-13 of its largest diagonal entry damps the directions lost.
@@ -477,30 +477,42 @@ def _max_affine_min_eig(s, strings, c, mu, read):
     return lo, hi, witness, steps
 
 
-def _witness(strings, coeffs, y):
-    """``y`` with its coefficients on the orthonormal ``strings`` set to ``coeffs``."""
-    own = (strings.reshape(len(strings), -1).conj() @ y.reshape(-1)).real
-    return y + np.tensordot(coeffs - own, strings, axes=1)
+def _solve_family(coeffs, strings, ref=None, mu=1.0) -> FeasibilityResult:
+    """lambda* of the joint operators with coefficients ``coeffs`` against R, classified.
 
-
-def _solve_family(coeffs, strings) -> FeasibilityResult:
-    """lambda* of the joint operators with fixed coefficients ``coeffs``, classified.
-
-    lambda* = min <Y, j0> over Y = I / D + sum_k a_k F_k >= 0, with j0 =
-    sum coeffs * strings and F_k the traceless fixed strings (strings[0] is
-    I / sqrt(D)).  The iterate's value <I / D, j0> + c.a is the upper end;
-    the attained value is lambda_min of j0 plus the free part of the
-    Newton-step dual y, a matrix with the fixed coefficients of j0.
+    lambda* is the largest lambda with W >= lambda R for a W with the fixed
+    coefficients of j0 = sum coeffs * strings; R = sum ref * strings is
+    positive definite (I when ``ref`` is None).  Its dual, min <Y, j0> over
+    Y >= 0 in the fixed span with <Y, R> = 1, runs from mu = ``mu`` over Y
+    = I / Tr R + sum_k z_k G_k, G_k = F_k - (ref_k / Tr R) I with F_k =
+    strings[k] (shifted in place): the value j_0 / ref_0 + c.z, c_k = j_k -
+    ref_k j_0 / ref_0, is the upper end, and lambda_min(L^-1 W L^-+), L L^+
+    = R, the lower end, W being j0 plus the free part of the Newton-step
+    dual.  R enters scaled to trace D, I + sum_k rel_k F_k: I for R = I.
     """
-    dim = strings.shape[-1]
+    m, dim = strings.shape[0], strings.shape[-1]
+    if ref is None:
+        ref = np.sqrt(dim) * (np.arange(m) == 0)
+    scale = np.sqrt(dim) / ref[0]  # D / Tr R
+    rel = ref[1:] * scale
+    half = np.linalg.inv(np.linalg.cholesky(
+        np.eye(dim) + np.tensordot(rel, strings[1:], axes=1)))
+    shift, diag = rel / dim, np.arange(dim)
+    strings[1:, diag, diag] -= shift[:, None]
+    flat = strings.reshape(m, -1)
 
     def read(cost, y):
-        witness = _witness(strings, coeffs, y)
-        ub = coeffs[0] / np.sqrt(dim) + cost
-        return float(np.linalg.eigvalsh(witness)[0]), ub, witness
+        own = (flat @ y.reshape(-1).conj()).real
+        own[1:] += shift * np.trace(y).real
+        delta = coeffs - own
+        witness = y + np.tensordot(delta, strings, axes=1)
+        witness[diag, diag] += delta[1:] @ shift
+        lam = np.linalg.eigvalsh(half @ witness @ _adjoint(half))[0] * scale
+        return float(lam), coeffs[0] / ref[0] + cost, witness
 
     lam, ub, witness, steps = _max_affine_min_eig(
-        np.eye(dim, dtype=np.complex128) / dim, strings[1:], coeffs[1:], 1.0, read
+        np.eye(dim, dtype=np.complex128) * (scale / dim), strings[1:],
+        coeffs[1:] - ref[1:] * (coeffs[0] / ref[0]), mu, read,
     )
     return FeasibilityResult(
         lambda_star=lam,
@@ -623,49 +635,27 @@ def _joint_channel_radius(channels, start, u, r_max: float):
     """Certified bracket (lo, hi) on min(r*, r_max), r* the largest compatible r.
 
     The marginals s_i Phi_i + (1 - s_i) Delta with s_i = start_i + r u_i
-    are affine in r, and so are the fixed coefficients: J(start) + r E.
-    The radius, max r s.t. some joint operator with them is PSD and r <=
-    r_max, has the dual min <Y, J(start)> + r_max y_s over Y >= 0 in the
-    fixed span with y_s = 1 + <Y, E> >= 0: one barrier over Y padded with
-    the entry y_s, from Y = I, y_s = 1 at mu = 0.1.  Its iterate's value is
-    ``hi``.  The Newton-step dual has slack entry z_s and the fixed
-    coefficients of J(start) + (r_max - z_s) E, so with its free part it is
-    a witness at ``lo`` = r_max - z_s, read off the padded stack (the one
-    kept) with z_s zeroed; when round-off leaves that witness indefinite,
-    mixing it toward J(start) makes it PSD and lowers ``lo``.  J(start) must
-    be positive definite (else ``RuntimeError``); it is whenever sum_i
-    start_i < 1, as J(start) >= (1 - sum_i start_i) I / d^N.  A joint
-    channel exists at lo, and none at any r in (hi, r_max].
+    are affine in r, and so are the fixed coefficients: J(r) = J(start) +
+    r E.  So J(r_max) - lambda J(start) = (1 - lambda) J(r_max / (1 -
+    lambda)), and min(r*, r_max) = r_max / (1 - min(lambda*, 0)) with
+    lambda* of the line's end against J(start), one ``_solve_family`` from
+    mu = 0.1.  J(start) must be positive definite (else ``RuntimeError``);
+    it is whenever sum_i start_i < 1, as J(start) >= (1 - sum_i start_i) I
+    / d^N.  A joint channel exists at lo, and none at any r in (hi, r_max].
     """
     d = shared_dimension(channels)
     delta = np.eye(d * d) / d
     coeffs, strings = _joint_channel_family(d, [
-        delta + np.multiply.outer([s, s + ui], c.choi - delta)
+        delta + np.multiply.outer([s, s + r_max * ui], c.choi - delta)
         for c, s, ui in zip(channels, start, u)
     ])
-    j, e = coeffs[0], coeffs[1] - coeffs[0]
-    lam_start = float(np.linalg.eigvalsh(np.tensordot(j, strings, axes=1))[0])
+    lam_start = float(np.linalg.eigvalsh(np.tensordot(coeffs[0], strings, axes=1))[0])
     if not lam_start > 0.0:
         raise RuntimeError("the joint operator at the line's start point is not "
                            f"positive definite: lambda_min {lam_start:.3e}")
-    padded = np.pad(strings, ((0, 0), (0, 1), (0, 1)))
-    padded[:, -1, -1] = e
-    del strings
-
-    def read(cost, y):
-        lo = r_max - y[-1, -1].real
-        y[-1, -1] = 0.0  # then the padded strings read the same coefficients
-        lam = float(np.linalg.eigvalsh(_witness(padded, j + lo * e, y)[:-1, :-1])[0])
-        if lam < 0.0:  # mix by lam / (lam - lam_start) toward J(start)
-            lo *= lam_start / (lam_start - lam)
-        # J(start) certifies 0, and a witness past r_max mixes down to it; at
-        # Y = I, y_s = 1 the cost is Tr J(start) + r_max = d + r_max
-        return float(np.clip(lo, 0.0, r_max)), d + r_max + cost, None
-
-    lo, hi, _, _ = _max_affine_min_eig(
-        np.eye(padded.shape[-1], dtype=np.complex128), padded, j + r_max * e, 0.1, read
-    )
-    return lo, hi
+    result = _solve_family(coeffs[1], strings, coeffs[0], 0.1)
+    lam = result.lambda_star
+    return tuple(float(r_max / (1.0 - min(x, 0.0))) for x in (lam, lam + result.gap))
 
 
 def joint_witness_channel(result: FeasibilityResult, d: int, n: int) -> Channel:

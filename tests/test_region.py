@@ -324,8 +324,8 @@ def test_unital_ray_straddling_its_end_is_one_sdp(monkeypatch):
 
 
 def test_one_channel_scan_runs_the_empty_basis_engine():
-    # one channel leaves the oracle no free direction: the radius SDP runs
-    # over r alone
+    # one channel leaves the oracle no free direction: the witness is the
+    # ray end's joint operator itself, measured against J(0)
     ray = scan_rays([make_depolarizing(2, 0.5)], [(1.0,)], use_oracle=True).rays[0]
     assert ray.criterion_radius == 1.0
     assert ray.oracle_radius == 1.0
@@ -355,7 +355,8 @@ def test_oracle_ray_is_one_radius_sdp(ts, angle, monkeypatch):
                         lambda *args: engine_runs.append(None) or engine(*args))
     ray = scan_rays(chans, [u], use_oracle=True, bisect_tol=tol).rays[0]
     monkeypatch.undo()
-    # no lambda* solve: the radius SDP alone, clamped to the ray's end
+    # no solve_joint_channel call: one lambda* solve at the ray's end,
+    # measured against J(0)
     assert len(solves) == 0
     assert len(engine_runs) == 1
     r = ray.oracle_radius
@@ -394,7 +395,7 @@ def test_radius_sdp_stopped_at_its_start_raises(monkeypatch):
     radius = sdp._joint_channel_radius
 
     def stopped_at_start(*args):
-        # no line search in the radius SDP finds a step; the criterion keeps
+        # no line search in the radius solve finds a step; the criterion keeps
         # its solver
         with monkeypatch.context() as m:
             fail_cholesky_after_first_call(m)
@@ -403,7 +404,7 @@ def test_radius_sdp_stopped_at_its_start_raises(monkeypatch):
                 return radius(*args)
 
     # the start point's value is a finite upper bound, and the first Newton
-    # step's dual, mixed toward J(0) until PSD, still certifies the lower end
+    # step's witness, measured against J(0), still certifies the lower end
     lo, hi = stopped_at_start(chans, (0.0, 0.0), u, 1.0 / max(u))
     assert 0.0 <= lo <= _exact_dep_pair_radius((0.9, 0.95), u) <= hi < math.inf
     assert hi - lo > region.BISECT_TOL
@@ -426,14 +427,15 @@ def test_radius_sdp_witness_at_lo():
 
 
 def test_capped_oracle_ray_raises(monkeypatch, tmp_path, capsys):
-    # a radius SDP stopped at the Newton cap before its bracket closes is
+    # a radius solve stopped at the Newton cap before its bracket closes is
     # solver trouble, never a radius: a capped solve must not move the
-    # radius away from the exact 1.03334; from cap 7 on the bracket closes
+    # radius away from the exact 1.03334.  Caps up to 5 leave a bracket open
+    # on both paths; the CLI's three rays close from cap 6, this ray from 7
     chans = [make_depolarizing(2, t) for t in (0.9, 0.95)]
     u = (math.cos(0.6), math.sin(0.6))
     specs = _spec_files(tmp_path, [{"kind": "depolarizing", "d": 2, "t": t}
                                    for t in (0.9, 0.95)])
-    for cap in (3, 6):
+    for cap in (3, 5):
         monkeypatch.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", cap)
         with pytest.raises(RuntimeError, match="bracket"):
             scan_rays(chans, [u], use_oracle=True, bisect_tol=1e-3)
@@ -442,8 +444,8 @@ def test_capped_oracle_ray_raises(monkeypatch, tmp_path, capsys):
 
 
 def test_oracle_radius_is_clamped_to_the_ray_end():
-    # near Delta the unclamped optimum lies far past r_max (1e9 here), and a
-    # Delta pair (E = 0) has none
+    # near Delta (t = 1e-9) and on a Delta pair (E = 0) lambda* >= 0 at each
+    # ray's end: the whole ray is compatible, and its radius is r_max
     dirs = ray_directions(2, 3)
     near_delta = [make_depolarizing(2, 1e-9), make_depolarizing(2, 0.9)]
     delta_pair = [make_depolarizing(2, 0.0)] * 2
@@ -493,7 +495,7 @@ def test_unconverged_non_unital_probe_raises(monkeypatch, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# fig1 oracle grid: one radius SDP per grid line
+# fig1 oracle grid: one radius solve per grid line
 # ---------------------------------------------------------------------------
 
 def _per_cell_oracle_column(b, c, resolution):
@@ -602,7 +604,7 @@ def test_line_radius_from_a_singular_start_raises():
 
 
 def test_capped_figure1_oracle_raises(monkeypatch, tmp_path, capsys):
-    # a grid line's radius SDP stopped at the Newton cap with its bracket open
+    # a grid line's radius solve stopped at the Newton cap with its bracket open
     # is solver trouble, never grid verdicts: the diagonal's, or a row's
     spec = tmp_path / "schur.json"
     spec.write_text(json.dumps({"B": [[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]]}))
@@ -657,8 +659,9 @@ def test_open_line_bracket_raises(monkeypatch):
 
 def test_radius_sdp_lost_dual_keeps_a_valid_bracket(monkeypatch):
     # a late stage whose dual is lost (no line-search step, a dual of -I)
-    # certifies nothing: its witness is mixed toward J(0) until PSD, so the
-    # lower end stays inside, and the upper end is still the iterate's value
+    # has no free part: its witness is the end's fixed part, whose least
+    # eigenvalue against J(0) is still a lower end, and the upper end is
+    # still the iterate's value
     chans = [make_depolarizing(2, t) for t in (0.9, 0.95)]
     u = (math.cos(0.6), math.sin(0.6))
     center = sdp._center

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qincompat import (
+    Channel,
     Povm,
     canonical_basis,
     fourier_basis,
@@ -751,10 +752,41 @@ def test_budget_check_comes_before_any_array():
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("case", ["id2-pair", "random-qubit-pairs", "id2-triple", "id3-pair"])
+def test_ray_radius_is_lambda_star_at_the_ray_end(case, rng):
+    # from the origin J(0) = I / d^N, so the radius is r_max / (1 - d^N lambda*)
+    # with lambda* of solve_joint_channel at the ray's end, r_max once it is >= 0
+    from qincompat.region import mix_toward_depolarizing
+
+    def rank2_qubit_channel():  # a random isometry C^2 -> C^2 (x) C^2, non-unital
+        kraus = random_unitary(rng, 4)[:, :2].reshape(2, 2, 2).transpose(1, 0, 2)
+        vecs = kraus.transpose(0, 2, 1).reshape(2, 4)
+        return Channel(2, 2, vecs.T @ vecs.conj(), label="rank-2")
+
+    u2 = (np.cos(0.6), np.sin(0.6))
+    tuples = {
+        "id2-pair": [([make_identity(2)] * 2, u2)],
+        "random-qubit-pairs": [([rank2_qubit_channel(), rank2_qubit_channel()], u2)
+                               for _ in range(3)],
+        "id2-triple": [([make_identity(2)] * 3, (1 / np.sqrt(3),) * 3)],
+        "id3-pair": [([make_identity(3)] * 2, u2)],
+    }[case]
+    for channels, u in tuples:
+        d, n, r_max = channels[0].d, len(channels), 1.0 / max(u)
+        lo, hi = sdp._joint_channel_radius(channels, np.zeros(n), u, r_max)
+        end = solve_joint_channel([mix_toward_depolarizing(c, min(r_max * ui, 1.0))
+                                   for c, ui in zip(channels, u)])
+        ends = [r_max / (1.0 - min(d ** n * lam, 0.0))
+                for lam in (end.lambda_star, end.lambda_star + end.gap)]
+        assert max(lo, ends[0]) <= min(hi, ends[1])
+        assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE
+
+
 def test_radius_sdp_holds_one_string_stack():
     # the qutrit identity pair's diagonal: m = 153 strings of dimension D = 27.
-    # A Newton step holds the padded stack and two products of its size; a
-    # second, unpadded stack kept for the witness would add one more (4.27 stacks)
+    # A Newton step holds the stack and two products of its size; a second
+    # stack (a copy for the witness, or one padded by a slack entry) would
+    # add one more
     stack = 153 * 27 ** 2 * 16
     u = (np.sqrt(0.5),) * 2
     tracemalloc.start()
