@@ -18,10 +18,15 @@ at the ray's end, measured against J(0), gives the oracle radius r_max /
 certified brackets, and bisection remains only for non-unital criterion rays.
 
 The same solve runs along any line from a point whose joint operator is
-positive definite.  The ``fig1`` oracle grid uses one per row and the
-diagonal: by convexity the compatible cells on a line from an axis point
-form an interval that starts there, so one certified bracket decides every
-cell outside it; a cell inside it, or on the edge s = 1, takes lambda*.
+positive definite.  The ``fig1`` oracle grid decides by theorem every cell
+with s + t <= 1 (compatible) and every edge cell whose pure Schur channel
+meets a coherent partner (incompatible: a channel compatible with Phi
+factors through Phi's complementary channel, which for a pure Schur
+channel erases coherences).  The rest take one solve per row that still
+has such a cell, and the diagonal's: by convexity the compatible cells on
+a line from an axis point form an interval that starts there, so one
+certified bracket decides every cell outside it; a cell inside it, or an
+open cell on the edge s = 1, takes lambda*.
 """
 
 from __future__ import annotations
@@ -287,21 +292,46 @@ def emit_figure2_data(ds, resolution: int) -> dict:
     }
 
 
-def _oracle_grid(pair, grid, diagonal) -> np.ndarray:
+def _coherent(m) -> bool:
+    """Some off-diagonal entry of ``m`` exceeds ``VALIDATION_TOL`` in modulus."""
+    return bool(np.abs(m - np.diag(np.diag(m))).max() > VALIDATION_TOL)
+
+
+def _oracle_grid(pair, coherent, grid, diagonal) -> np.ndarray:
     """Oracle column of the ``fig1`` grid: [i, j] is (grid[i], grid[j]) compatible.
+
+    ``coherent`` tells, per Schur matrix of ``pair``, whether it has an
+    off-diagonal entry (``_coherent``).  Two theorems decide cells with no
+    solve.  A cell with s + t <= 1 is compatible: with probability s, t and
+    1 - s - t the joint channel outputs Phi_B(rho) (x) I/d, I/d (x)
+    Phi_C(rho) and I/d (x) I/d.  Every channel compatible with Phi factors
+    through Phi's complementary channel (Heinosaari & Miyadera, J. Phys. A
+    50, 135302 (2017)); with B_ij = <g_i, g_j> that of the pure Schur
+    channel Phi_B is rho -> sum_i rho_ii |g_i><g_i|, which erases every
+    coherence, while t Phi_C + (1 - t) Delta keeps t C_ij off the diagonal.
+    So (1, t), t > 0, is incompatible when C is coherent, (s, 1), s > 0,
+    when B is, and the corner when either is.
 
     The region is convex and holds both axes, so along the row from (s, 0),
     0 < s < 1, the compatible cells form an interval that starts there, and
-    one radius solve decides it: a cell at or below the bracket's ``lo`` is
-    compatible, one above its ``hi`` is not.  The corner reads ``diagonal``.
-    A cell inside a bracket, and each (1, t), takes ``solve_joint_channel``:
-    MARGINAL counts inside (the region is closed) if its gap closed to
+    one radius solve, run only for a row with a cell still open, decides it:
+    a cell at or below the bracket's ``lo`` is compatible, one above its
+    ``hi`` is not.  An open corner reads ``diagonal``.  An open cell inside
+    a bracket, and an open (1, t), takes ``solve_joint_channel``: MARGINAL
+    counts inside (the region is closed) if its gap closed to
     ``FEASIBILITY_GAP_FINE``, else it raises.  A pure Schur Choi matrix is
     singular, and so is every joint operator with it as a marginal: (1, 0)
-    starts no line, and a compatible (1, t) has lambda* = 0: no ``lo`` reaches it.
+    starts no line, and a compatible (1, t) has lambda* = 0: no ``lo``
+    reaches it.
     """
     n = len(grid)
-    ok = np.ones((n, n), dtype=bool)  # rho -> Phi(rho) (x) I/d joins Phi and Delta
+    open_cells = np.add.outer(grid, grid) > 1.0 + 1e-12
+    ok = ~open_cells
+    coherent_b, coherent_c = coherent
+    if coherent_c:
+        open_cells[n - 1] = False
+    if coherent_b:
+        open_cells[:, n - 1] = False
 
     def compatible(cell):
         result = solve_joint_channel(_scaled(pair, cell, 1.0))
@@ -316,11 +346,14 @@ def _oracle_grid(pair, grid, diagonal) -> np.ndarray:
 
     for i in range(1, n - 1):
         s = float(grid[i])
-        row, _ = _oracle_line(pair, (s, 0.0), (0.0, 1.0), 1.0, BISECT_TOL)
-        for j in range(1, n):
-            ok[i, j] = decide(row, float(grid[j]), (s, float(grid[j])))
-        ok[n - 1, i] = compatible((1.0, s))  # no line starts at (1, 0)
-    ok[n - 1, n - 1] = decide(diagonal, math.sqrt(2.0), (1.0, 1.0))
+        if open_cells[i].any():
+            row, _ = _oracle_line(pair, (s, 0.0), (0.0, 1.0), 1.0, BISECT_TOL)
+            for j in np.flatnonzero(open_cells[i]):
+                ok[i, j] = decide(row, float(grid[j]), (s, float(grid[j])))
+        if open_cells[n - 1, i]:  # no line starts at (1, 0)
+            ok[n - 1, i] = compatible((1.0, s))
+    if open_cells[n - 1, n - 1]:
+        ok[n - 1, n - 1] = decide(diagonal, math.sqrt(2.0), (1.0, 1.0))
     return ok
 
 
@@ -333,10 +366,12 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     are the maximally compatible mixtures in the respective directions.
     The diagonal one is one radius solve along the diagonal, inside and
     at most ``BISECT_TOL`` below the boundary; the axis ones are 1.  The
-    oracle column (``_oracle_grid``) takes resolution - 1 radius solves,
-    one per row and the diagonal's, and a ``solve_joint_channel``
-    per edge cell (1, t) and per cell inside a line's bracket.  A solve that
-    does not decide raises ``RuntimeError``.
+    oracle column (``_oracle_grid``) decides by theorem every cell with s +
+    t <= 1 and every edge cell whose partner matrix is coherent; from
+    resolution 3 on, a coherent pair takes resolution - 2 radius solves
+    (the diagonal's and the rows' with s >= 2 / (resolution - 1)) and no
+    lambda* solve unless a cell falls inside a line's bracket.  A solve
+    that does not decide raises ``RuntimeError``.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -355,7 +390,7 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
         r_diag = math.sqrt(2.0)
         u = (math.sqrt(0.5),) * 2
         diagonal, r = _oracle_line(pair, (0.0, 0.0), u, r_diag, BISECT_TOL)
-        oracle = _oracle_grid(pair, grid, diagonal)
+        oracle = _oracle_grid(pair, (_coherent(b), _coherent(c)), grid, diagonal)
         meta["boundary_points"] = {
             "diagonal_coordinate": r / r_diag,
             "axis_s": 1.0,

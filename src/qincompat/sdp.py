@@ -58,9 +58,12 @@
     and r_max when lambda* >= 0 (``_joint_channel_radius``).
 
 Both barriers follow one policy: mu falls 1000-fold per stage, and one
-routine, ``_center``, centers every stage by damped Newton with a
-Cholesky-guarded Armijo line search along the slack direction dS, until
-the Newton decrement is at most 1 (dec2 <= mu).  It returns the dual
+routine, ``_center``, centers every stage by damped Newton with an
+Armijo line search along the slack direction dS, until the Newton
+decrement is at most 1 (dec2 <= mu).  The search reads every trial step
+off the eigenvalues of K dS K^+, K = L^-1 for the Cholesky factor L of the
+slack S, and takes one Cholesky per Newton step, of the accepted slack,
+which gives the next step's K and U = K^+ K.  It returns the dual
 point of its last Newton step, mu (U - U dS U) with U the inverse slack:
 the Newton equations are the dual's equality constraints, and the point
 is PSD at that decrement (Boyd & Vandenberghe, Convex Optimization,
@@ -158,56 +161,60 @@ class FeasibilityResult:
 # domination solver
 # ---------------------------------------------------------------------------
 
-def _chol_logdet(s):
-    """Total log-det of a positive definite matrix (or stack) by Cholesky, else None."""
+def _inv_chol(s):
+    """K = L^-1 with L L^+ = s, for a positive definite matrix (or stack), else None."""
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         return None
-    diags = np.diagonal(chol, axis1=-2, axis2=-1).real
-    if np.any(diags <= 0.0):
+    if np.any(np.diagonal(chol, axis1=-2, axis2=-1).real <= 0.0):
         return None
-    return 2.0 * float(np.log(diags).sum())
+    return np.linalg.inv(chol)
 
 
-def _center(z, s, logdet, cost, mu, newton, steps, max_steps):
+def _center(z, s, k, cost, mu, newton, steps, max_steps):
     """Damped Newton on cost(z) - mu * log det S(z) at fixed mu, S affine in z.
 
-    ``newton(u)`` maps the inverse slack u = S^-1 to ``(dz, dS, dcost,
-    dec2)``: the step, its image in S, its change of the linear cost and
-    the squared Newton decrement.  Centered once dec2 <= max(mu, 1e-13 (1 +
-    |cost|)).  Each step halves t until S + t dS has a Cholesky factor and
-    passes the Armijo test.  Returns ``(z, S, logdet, cost, y, steps, ok)``
-    with y = mu (u - u dS u), the dual point of the last Newton step at the
-    returned S: the Newton equations are the dual's equality constraints,
-    and y is PSD once dec2 <= mu, as ||u^1/2 dS u^1/2||_2^2 <= dec2 / mu.
-    ``ok`` is False when a line search found no step.  ``steps`` counts on
-    from the given value and stops at ``max_steps``.
+    ``k`` is ``_inv_chol(s)``.  ``newton(u)`` maps the inverse slack u =
+    S^-1 = K^+ K to ``(dz, dS, dcost, dec2)``: the step, its image in S,
+    its change of the linear cost and the squared Newton decrement.
+    Centered once dec2 <= max(mu, 1e-13 (1 + |cost|)).  Each step halves t
+    from 1 by the Armijo rule, read off the eigenvalues lambda_i of K dS
+    K^+: S + t dS is positive definite iff 1 + t min lambda > 0, and log
+    det(S + t dS) - log det S = sum_i log(1 + t lambda_i), so t passes iff
+    t dcost - mu sum_i log(1 + t lambda_i) <= -_ARMIJO t dec2.  The passing
+    S + t dS takes the step's one Cholesky factor, the next step's K; one
+    that fails from round-off halves t on.  Returns ``(z, S, K, cost, y,
+    steps, ok)`` with y = mu (u - u dS u), the dual point of the last Newton
+    step at the returned S: the Newton equations are the dual's equality
+    constraints, and y is PSD once dec2 <= mu, as ||u^1/2 dS u^1/2||_2^2 <=
+    dec2 / mu.  ``ok`` is False when a line search found no step.
+    ``steps`` counts on from the given value and stops at ``max_steps``.
     """
     ok = True
     while True:
-        u = np.linalg.inv(s)
+        u = _adjoint(k) @ k
         u = (u + _adjoint(u)) / 2.0
         dz, ds, dcost, dec2 = newton(u)
         if steps >= max_steps or dec2 <= max(mu, 1e-13 * (1.0 + abs(cost))):
             break
         steps += 1
-        phi0 = cost - mu * logdet
+        lam = np.linalg.eigvalsh(k @ ds @ _adjoint(k)).reshape(-1)
         t = 1.0
         while t > 1e-13:
-            s_try = s + t * ds
-            logdet_try = _chol_logdet(s_try)
-            if logdet_try is not None and (
-                cost + t * dcost - mu * logdet_try <= phi0 - _ARMIJO * t * dec2
-            ):
-                break
+            if (1.0 + t * lam.min() > 0.0
+                    and t * dcost - mu * float(np.log1p(t * lam).sum())
+                    <= -_ARMIJO * t * dec2):
+                k_try = _inv_chol(s + t * ds)
+                if k_try is not None:
+                    break
             t *= 0.5
         else:
             ok = False
             break
-        z, s, logdet, cost = z + t * dz, s_try, logdet_try, cost + t * dcost
+        z, s, k, cost = z + t * dz, s + t * ds, k_try, cost + t * dcost
     y = mu * (u - u @ ds @ u)
-    return z, s, logdet, cost, (y + _adjoint(y)) / 2.0, steps, ok
+    return z, s, k, cost, (y + _adjoint(y)) / 2.0, steps, ok
 
 
 def _newton_cg(u_stack, mu, rhs_mat, tol, max_iter):
@@ -338,11 +345,11 @@ def solve_domination(
 
     steps = 0
     s_stack = h[:, None] - shifted
-    logdet, cost, y_stack = _chol_logdet(s_stack), trace(h), None
-    status = SolverStatus.NUMERICAL_FAILURE if logdet is None else SolverStatus.OPTIMAL
+    k, cost, y_stack = _inv_chol(s_stack), trace(h), None
+    status = SolverStatus.NUMERICAL_FAILURE if k is None else SolverStatus.OPTIMAL
     while status is SolverStatus.OPTIMAL:
-        h, s_stack, logdet, cost, y_stack, steps, ok = _center(
-            h, s_stack, logdet, cost, mu, newton, steps, _DOMINATION_MAX_NEWTON_STEPS
+        h, s_stack, k, cost, y_stack, steps, ok = _center(
+            h, s_stack, k, cost, mu, newton, steps, _DOMINATION_MAX_NEWTON_STEPS
         )
         if not ok:
             status = SolverStatus.NUMERICAL_FAILURE
@@ -461,10 +468,10 @@ def _max_affine_min_eig(s, strings, c, mu, read):
         ds = (dz @ flat).view(np.complex128).reshape(dim, dim)
         return dz, ds, float(c @ dz), float(grad @ dz)
 
-    z, logdet, cost, steps = np.zeros(m), _chol_logdet(s), 0.0, 0
+    z, k, cost, steps = np.zeros(m), _inv_chol(s), 0.0, 0
     while True:
-        z, s, logdet, cost, y, steps, ok = _center(
-            z, s, logdet, cost, mu, newton, steps, _ORACLE_MAX_NEWTON_STEPS
+        z, s, k, cost, y, steps, ok = _center(
+            z, s, k, cost, mu, newton, steps, _ORACLE_MAX_NEWTON_STEPS
         )
         lo, hi, witness = read(cost, y)
         gap = hi - lo

@@ -5,18 +5,19 @@ import numpy as np
 from qincompat import Channel, Povm, marginal_channel, sdp
 from qincompat.linalg import partial_trace
 
-_chol_logdet = sdp._chol_logdet
+_inv_chol = sdp._inv_chol
 
 
 def fail_cholesky_after_first_call(monkeypatch):
-    """Every later ``sdp._chol_logdet`` call fails, so no line search finds a step."""
+    """Every ``sdp._inv_chol`` call after a solver's first, the Cholesky of
+    each line search's accepted slack, fails, so no line search finds a step."""
     calls = []
 
     def first_call_only(s):
         calls.append(None)
-        return _chol_logdet(s) if len(calls) == 1 else None
+        return _inv_chol(s) if len(calls) == 1 else None
 
-    monkeypatch.setattr(sdp, "_chol_logdet", first_call_only)
+    monkeypatch.setattr(sdp, "_inv_chol", first_call_only)
 
 
 def random_hermitian(rng, d, scale=1.0):

@@ -545,30 +545,58 @@ def test_figure1_oracle_grid_on_extreme_schur_pairs(b):
 
 
 def test_figure1_oracle_grid_is_one_radius_sdp_per_line(monkeypatch):
-    b, c = _schur_qubit(0.5), _schur_qubit(0.3 + 0.2j)
-    reference = {res: _per_cell_oracle_column(b, c, res) for res in (2, 3, 5)}
+    # B coherent with C coherent, then with C = I (complete dephasing)
+    b = _schur_qubit(0.5)
     radius, solve = region._joint_channel_radius, region.solve_joint_channel
-    for resolution in (2, 3, 5):
-        starts, statuses = [], []
+    for c in (_schur_qubit(0.3 + 0.2j), np.eye(2)):
+        for resolution in (2, 3, 5, 8):
+            starts, statuses = [], []
 
-        def solve_recorded(pair):
-            result = solve(pair)
-            statuses.append(result.status)
-            return result
+            def solve_recorded(pair):
+                result = solve(pair)
+                statuses.append(result.status)
+                return result
 
-        monkeypatch.setattr(region, "_joint_channel_radius",
-                            lambda *args: starts.append(tuple(args[1])) or radius(*args))
-        monkeypatch.setattr(region, "solve_joint_channel", solve_recorded)
-        column = _oracle_column(b, c, resolution)
-        monkeypatch.undo()
-        # rows from (s, 0), 0 < s < 1, and the diagonal from the origin; no
-        # line starts at (0, t), so each cell (1, t), 0 < t < 1, takes one
-        # lambda* solve, and every one of this pair's is incompatible
-        assert len(starts) == resolution - 1
-        assert all(t == 0.0 and 0.0 <= s < 1.0 for s, t in starts)
-        assert starts.count((0.0, 0.0)) == 1
-        assert statuses == [region.Feasibility.INFEASIBLE] * (resolution - 2)
-        assert column == reference[resolution]
+            monkeypatch.setattr(region, "_joint_channel_radius",
+                                lambda *args: starts.append(tuple(args[1])) or radius(*args))
+            monkeypatch.setattr(region, "solve_joint_channel", solve_recorded)
+            column = _oracle_column(b, c, resolution)
+            monkeypatch.undo()
+            grid = np.linspace(0.0, 1.0, resolution)
+            # the diagonal from the origin, and a row from (s, 0) only where a
+            # cell 1 - s < t < 1 is open: s >= 2 / (resolution - 1); (s, 1)
+            # is decided by B's coherence
+            assert starts == [(0.0, 0.0)] + [(s, 0.0) for s in grid[2:-1]]
+            assert len(starts) == max(resolution - 2, 1)
+            # every (1, t), 0 < t < 1, is decided by C's coherence, or takes
+            # one lambda* solve when C = I; no cell lies inside a bracket
+            if c[0, 1] == 0.0:
+                assert len(statuses) == resolution - 2
+            else:
+                assert statuses == []
+            cells = np.array(column).reshape(resolution, resolution)
+            assert cells[np.add.outer(grid, grid) <= 1.0 + 1e-12].all()
+            assert not cells[1:, -1].any()
+            if c[0, 1] != 0.0:
+                assert not cells[-1, 1:].any()
+            assert column == _per_cell_oracle_column(b, c, resolution)
+
+
+def test_figure1_edge_cells_follow_the_complementary_channel(tmp_path, capsys):
+    # every joint operator with a pure Schur marginal is singular, so a
+    # lambda* solve at (1, t) cannot exceed 0, and at (1, 0.005) it ends
+    # MARGINAL, which counts inside where the criterion certifies
+    # incompatibility.  Phi_B's complementary channel erases coherences, and
+    # t Phi_C keeps t C_01 = 0.1 t, so every (1, t > 0) is incompatible
+    spec, out = tmp_path / "schur.json", tmp_path / "fig1.json"
+    spec.write_text(json.dumps({"B": [[[1, 0], [0.1, 0]], [[0.1, 0], [1, 0]]]}))
+    argv = ["figure", "fig1", "--B", str(spec), "--resolution", "200", "--oracle",
+            "--output", str(out)]
+    assert cli.main(argv) == 0
+    assert "soundness check passed" in capsys.readouterr().err
+    rows = json.loads(out.read_text())["rows"]
+    edge = [row for row in rows if row[0] == 1.0 and row[1] > 0.0]
+    assert len(edge) == 199 and not any(row[3] for row in edge)
 
 
 def test_line_radius_from_an_axis_point_brackets_the_exact_root():
@@ -605,11 +633,13 @@ def test_line_radius_from_a_singular_start_raises():
 
 def test_capped_figure1_oracle_raises(monkeypatch, tmp_path, capsys):
     # a grid line's radius solve stopped at the Newton cap with its bracket open
-    # is solver trouble, never grid verdicts: the diagonal's, or a row's
+    # is solver trouble, never grid verdicts: the diagonal's, or a row's (at
+    # resolution 5 the rows from (0.5, 0) and (0.75, 0) have open cells)
     spec = tmp_path / "schur.json"
     spec.write_text(json.dumps({"B": [[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]]}))
     radius = region._joint_channel_radius
-    for capped_start, name in (((0.0, 0.0), r"\(0, 0\)"), ((0.5, 0.0), r"\(0\.5, 0\)")):
+    for capped_start, name in (((0.0, 0.0), r"\(0, 0\)"), ((0.5, 0.0), r"\(0\.5, 0\)"),
+                               ((0.75, 0.0), r"\(0\.75, 0\)")):
 
         def capped(channels, start, u, r_max, capped_start=capped_start):
             with monkeypatch.context() as m:
@@ -619,8 +649,8 @@ def test_capped_figure1_oracle_raises(monkeypatch, tmp_path, capsys):
 
         monkeypatch.setattr(region, "_joint_channel_radius", capped)
         with pytest.raises(RuntimeError, match=f"from {name} .* bracket"):
-            emit_figure1_data(B_SCHUR, B_SCHUR, 3, use_oracle=True)
-        argv = ["figure", "fig1", "--B", str(spec), "--resolution", "3", "--oracle"]
+            emit_figure1_data(B_SCHUR, B_SCHUR, 5, use_oracle=True)
+        argv = ["figure", "fig1", "--B", str(spec), "--resolution", "5", "--oracle"]
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -645,7 +675,8 @@ def test_capped_lambda_star_cell_raises(monkeypatch):
 
 
 def test_open_line_bracket_raises(monkeypatch):
-    # a grid line's bracket wider than BISECT_TOL is never read as verdicts
+    # a grid line's bracket wider than BISECT_TOL is never read as verdicts;
+    # at resolution 5 the first row with an open cell starts at (0.5, 0)
     radius = region._joint_channel_radius
 
     def open_rows(channels, start, u, r_max):
@@ -654,7 +685,7 @@ def test_open_line_bracket_raises(monkeypatch):
 
     monkeypatch.setattr(region, "_joint_channel_radius", open_rows)
     with pytest.raises(RuntimeError, match=r"from \(0\.5, 0\) along u = \(0, 1\)"):
-        emit_figure1_data(B_SCHUR, B_SCHUR, 3, use_oracle=True)
+        emit_figure1_data(B_SCHUR, B_SCHUR, 5, use_oracle=True)
 
 
 def test_radius_sdp_lost_dual_keeps_a_valid_bracket(monkeypatch):
@@ -666,12 +697,12 @@ def test_radius_sdp_lost_dual_keeps_a_valid_bracket(monkeypatch):
     u = (math.cos(0.6), math.sin(0.6))
     center = sdp._center
 
-    def lost_after_first_stages(z, s, logdet, cost, mu, *rest):
-        out = center(z, s, logdet, cost, mu, *rest)
+    def lost_after_first_stages(z, s, k, cost, mu, *rest):
+        out = center(z, s, k, cost, mu, *rest)
         if mu >= 1e-3:
             return out
-        z, s, logdet, cost, y, steps, _ = out
-        return z, s, logdet, cost, -np.eye(len(s), dtype=complex), steps, False
+        z, s, k, cost, y, steps, _ = out
+        return z, s, k, cost, -np.eye(len(s), dtype=complex), steps, False
 
     monkeypatch.setattr(sdp, "_center", lost_after_first_stages)
     lo, hi = sdp._joint_channel_radius(chans, (0.0, 0.0), u, 1.0 / max(u))

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -185,6 +186,67 @@ def test_newton_cg_solves_sandwich_sum(rng):
         for u_block, x_block, rhs_block in zip(u_stack, x, rhs):
             lhs = mu * sum(u @ x_block @ u for u in u_block)
             assert np.linalg.norm(lhs - rhs_block) <= 1e-9 * np.linalg.norm(rhs)
+
+
+def _cholesky_armijo_step(s, ds, dcost, dec2, mu):
+    """Halve t from 1 until S + t dS has a Cholesky factor and its total
+    log-det passes the Armijo test; None if t drops to 1e-13."""
+
+    def logdet(m):
+        try:
+            chol = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            return None
+        return 2.0 * float(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum())
+
+    phi0 = -mu * logdet(s)
+    t = 1.0
+    while t > 1e-13:
+        logdet_try = logdet(s + t * ds)
+        if logdet_try is not None and (
+            t * dcost - mu * logdet_try <= phi0 - sdp._ARMIJO * t * dec2
+        ):
+            return t
+        t *= 0.5
+    return None
+
+
+@pytest.mark.parametrize("shape", [(), (3, 4)], ids=["dense", "blocks"])
+def test_line_search_eigenvalue_rule_picks_the_cholesky_step(rng, shape):
+    # one _center step on S (dense 6 x 6, or a (blocks, N, b, b) stack whose
+    # step dS is shared by the N slacks of a block, as in the criterion) with
+    # dec2 = mu ||K dS K^+||_F^2 and slope dcost - mu tr(S^-1 dS) = -c dec2:
+    # c = 1 is a Newton step, c near _ARMIJO makes the Armijo test bind; the
+    # t it takes is the Cholesky-Armijo reference's
+    n = 6 if not shape else 3
+    picked = set()
+    for scale, c in itertools.product((1.5, 4.0, 20.0, 100.0, 1000.0), (1.0, 0.05, 0.02)):
+        for _ in range(4):
+            s = np.stack([random_psd(rng, n) + 0.1 * np.eye(n)
+                          for _ in range(int(np.prod(shape)))]).reshape(shape + (n, n))
+            ds = np.stack([random_hermitian(rng, n) for _ in range(len(s) if shape else 1)])
+            ds = ds[:, None] if shape else ds[0]
+            k = np.linalg.inv(np.linalg.cholesky(s))
+            lam = np.linalg.eigvalsh(k @ ds @ k.conj().swapaxes(-1, -2))
+            ds *= scale / np.linalg.norm(lam)
+            lam *= scale / np.linalg.norm(lam)
+            mu = float(rng.uniform(1e-3, 1.0))
+            dec2 = mu * float((lam ** 2).sum())
+            dcost = mu * float(lam.sum()) - c * dec2
+            reference = _cholesky_armijo_step(s, ds, dcost, dec2, mu)
+
+            def newton(u):
+                return np.ones(1), ds, dcost, dec2
+
+            z, s_new, k, _, _, steps, ok = sdp._center(
+                np.zeros(1), s, sdp._inv_chol(s), 0.0, mu, newton, 0, 1)
+            assert steps == 1 and ok and reference is not None
+            assert z[0] == reference
+            picked.add(reference)
+            assert np.allclose(s_new, s + reference * ds)
+            assert np.allclose(k @ s_new @ k.conj().swapaxes(-1, -2), np.eye(n))
+    # full steps and damped ones
+    assert 1.0 in picked and min(picked) < 0.1
 
 
 # --- domination solver -------------------------------------------------------
