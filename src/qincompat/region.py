@@ -17,16 +17,14 @@ at the ray's end, measured against J(0), gives the oracle radius r_max /
 (1 - lambda*), or r_max when lambda* >= 0.  One rule reads both off their
 certified brackets, and bisection remains only for non-unital criterion rays.
 
-The same solve runs along any line from a point whose joint operator is
-positive definite.  The ``fig1`` oracle grid decides by theorem every cell
-with s + t <= 1 (compatible) and every edge cell whose pure Schur channel
-meets a coherent partner (incompatible: a channel compatible with Phi
-factors through Phi's complementary channel, which for a pure Schur
-channel erases coherences).  The rest take one solve per row that still
-has such a cell, and the diagonal's: by convexity the compatible cells on
-a line from an axis point form an interval that starts there, so one
-certified bracket decides every cell outside it; a cell inside it, or an
-open cell on the edge s = 1, takes lambda*.
+The ``fig1`` oracle grid decides by theorem every cell with s + t <= 1
+(compatible) and every edge cell whose pure Schur channel meets a
+coherent partner (incompatible).  Rays from the origin decide the rest,
+the diagonal first, then one through the open cell at the median angle:
+each ray's bracket decides the cells on it, the convex hull of the points
+certified compatible the cells inside it, and the ray's dual half-plane
+the cells beyond it (sandwich approximation of a convex set; Rote,
+Computing 48, 337 (1992)).
 """
 
 from __future__ import annotations
@@ -148,11 +146,11 @@ def _read_bracket(bracket, r_max: float, tol: float, what: str) -> float:
     return r_max if hi >= r_max else lo
 
 
-def _oracle_line(channels, start, u, r_max: float, tol: float):
-    """Bracket and radius of one radius solve along ``start + r u``, r <= r_max."""
-    bracket = _joint_channel_radius(channels, start, u, r_max)
-    what = f"oracle radius from {_point(start)} along u = {_point(u)}"
-    return bracket, _read_bracket(bracket, r_max, tol, what)
+def _oracle_line(channels, u, r_max: float, tol: float):
+    """Bracket, dual half-plane and radius of the radius solve along ``u``, r <= r_max."""
+    bracket, plane = _joint_channel_radius(channels, u, r_max)
+    what = f"oracle radius along u = {_point(u)}"
+    return bracket, plane, _read_bracket(bracket, r_max, tol, what)
 
 
 def _is_unital(channel: Channel) -> bool:
@@ -239,7 +237,7 @@ def scan_rays(
             crit = bisect_boundary(lambda r: criterion_inside(r, u), r_max, bisect_tol)
         orac = None
         if use_oracle:
-            _, orac = _oracle_line(base_channels, (0.0,) * n, u, r_max, bisect_tol)
+            orac = _oracle_line(base_channels, u, r_max, bisect_tol)[2]
         return RayResult(
             direction=tuple(float(v) for v in u),
             criterion_radius=float(crit),
@@ -297,13 +295,25 @@ def _coherent(m) -> bool:
     return bool(np.abs(m - np.diag(np.diag(m))).max() > VALIDATION_TOL)
 
 
-def _oracle_grid(pair, coherent, grid, diagonal) -> np.ndarray:
-    """Oracle column of the ``fig1`` grid: [i, j] is (grid[i], grid[j]) compatible.
+def _upper_hull(points):
+    """Vertices of the upper hull of (x, y) ``points`` by increasing x (monotone chain)."""
+    hull = []
+    for p in sorted(points):
+        while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+                                  >= (hull[-1][1] - hull[-2][1]) * (p[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(p)
+    return hull
 
-    ``coherent`` tells, per Schur matrix of ``pair``, whether it has an
-    off-diagonal entry (``_coherent``).  Two theorems decide cells with no
-    solve.  A cell with s + t <= 1 is compatible: with probability s, t and
-    1 - s - t the joint channel outputs Phi_B(rho) (x) I/d, I/d (x)
+
+def _oracle_grid(pair, coherent, grid):
+    """Oracle column of the ``fig1`` grid and the diagonal's radius.
+
+    Cell [i, j] of the column tells whether (grid[i], grid[j]) is
+    compatible.  ``coherent`` tells, per Schur matrix of ``pair``, whether it
+    has an off-diagonal entry (``_coherent``).  Two theorems decide cells
+    with no solve.  A cell with s + t <= 1 is compatible: with probability
+    s, t and 1 - s - t the joint channel outputs Phi_B(rho) (x) I/d, I/d (x)
     Phi_C(rho) and I/d (x) I/d.  Every channel compatible with Phi factors
     through Phi's complementary channel (Heinosaari & Miyadera, J. Phys. A
     50, 135302 (2017)); with B_ij = <g_i, g_j> that of the pure Schur
@@ -312,17 +322,17 @@ def _oracle_grid(pair, coherent, grid, diagonal) -> np.ndarray:
     So (1, t), t > 0, is incompatible when C is coherent, (s, 1), s > 0,
     when B is, and the corner when either is.
 
-    The region is convex and holds both axes, so along the row from (s, 0),
-    0 < s < 1, the compatible cells form an interval that starts there, and
-    one radius solve, run only for a row with a cell still open, decides it:
-    a cell at or below the bracket's ``lo`` is compatible, one above its
-    ``hi`` is not.  An open corner reads ``diagonal``.  An open cell inside
-    a bracket, and an open (1, t), takes ``solve_joint_channel``: MARGINAL
-    counts inside (the region is closed) if its gap closed to
-    ``FEASIBILITY_GAP_FINE``, else it raises.  A pure Schur Choi matrix is
-    singular, and so is every joint operator with it as a marginal: (1, 0)
-    starts no line, and a compatible (1, t) has lambda* = 0: no ``lo``
-    reaches it.
+    The other cells are decided by rays from the origin, each one radius
+    solve to the square's edge with the radius measured as max(s, t): the
+    diagonal first, then one through the open cell at the median angle.
+    A ray decides its open cells by its bracket: at or below ``lo``
+    compatible, above ``hi`` not, and between them ``solve_joint_channel``,
+    whose MARGINAL counts inside (the region is closed) if its gap closed
+    to ``FEASIBILITY_GAP_FINE``, else it raises.  The region is convex, so
+    every open cell in the hull of the certified points (the origin, both
+    unit points, each ray's lo u and every compatible cell) is compatible,
+    and every open cell where a ray's dual half-plane has 1 + x.b < 0 is
+    not.  Each ray decides at least the cell it passes through.
     """
     n = len(grid)
     open_cells = np.add.outer(grid, grid) > 1.0 + 1e-12
@@ -332,6 +342,9 @@ def _oracle_grid(pair, coherent, grid, diagonal) -> np.ndarray:
         open_cells[n - 1] = False
     if coherent_b:
         open_cells[:, n - 1] = False
+    i, j = np.indices((n, n))
+    s, t = grid[i], grid[j]
+    radius = np.maximum(s, t)  # along each ray, whose end has max(u) = 1
 
     def compatible(cell):
         result = solve_joint_channel(_scaled(pair, cell, 1.0))
@@ -340,21 +353,24 @@ def _oracle_grid(pair, coherent, grid, diagonal) -> np.ndarray:
                                f"solve stopped at gap {result.gap:.3g}")
         return result.status is not Feasibility.INFEASIBLE
 
-    def decide(bracket, r, cell):  # outside its bracket, the line decides
-        lo, hi = bracket
-        return r <= lo or (r <= hi and compatible(cell))
-
-    for i in range(1, n - 1):
-        s = float(grid[i])
-        if open_cells[i].any():
-            row, _ = _oracle_line(pair, (s, 0.0), (0.0, 1.0), 1.0, BISECT_TOL)
-            for j in np.flatnonzero(open_cells[i]):
-                ok[i, j] = decide(row, float(grid[j]), (s, float(grid[j])))
-        if open_cells[n - 1, i]:  # no line starts at (1, 0)
-            ok[n - 1, i] = compatible((1.0, s))
-    if open_cells[n - 1, n - 1]:
-        ok[n - 1, n - 1] = decide(diagonal, math.sqrt(2.0), (1.0, 1.0))
-    return ok
+    hull, cell, diagonal = [(0.0, 1.0), (1.0, 0.0)], (n - 1, n - 1), None
+    while cell is not None:
+        u = grid[list(cell)] / grid[list(cell)].max()
+        (lo, hi), plane, r = _oracle_line(pair, u, 1.0, BISECT_TOL)
+        diagonal = r if diagonal is None else diagonal
+        on = open_cells & (i * cell[1] == j * cell[0])
+        ok |= on & (radius <= lo)
+        for a, b in np.argwhere(on & (radius > lo) & (radius <= hi)):
+            ok[a, b] = compatible((grid[a], grid[b]))
+        # the hull of the certified points is 0 <= t <= their upper hull at s
+        hull = _upper_hull(hull + [tuple(lo * u)] + list(zip(s[on & ok], t[on & ok])))
+        inside = open_cells & ~on & (t <= np.interp(s, *zip(*hull)))
+        ok |= inside
+        open_cells &= ~on & ~inside & (1.0 + s * plane[0] + t * plane[1] >= 0.0)
+        todo = np.argwhere(open_cells)
+        cell = None if not len(todo) else tuple(todo[
+            np.argsort(np.arctan2(todo[:, 1], todo[:, 0]))[len(todo) // 2]])
+    return ok, diagonal
 
 
 def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
@@ -364,14 +380,14 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     is empty unless requested.  With the oracle on, the boundary radii
     along both axes and the diagonal are recorded in the metadata; those
     are the maximally compatible mixtures in the respective directions.
-    The diagonal one is one radius solve along the diagonal, inside and
-    at most ``BISECT_TOL`` below the boundary; the axis ones are 1.  The
-    oracle column (``_oracle_grid``) decides by theorem every cell with s +
-    t <= 1 and every edge cell whose partner matrix is coherent; from
-    resolution 3 on, a coherent pair takes resolution - 2 radius solves
-    (the diagonal's and the rows' with s >= 2 / (resolution - 1)) and no
-    lambda* solve unless a cell falls inside a line's bracket.  A solve
-    that does not decide raises ``RuntimeError``.
+    The diagonal one is the oracle grid's first ray, inside and at most
+    ``BISECT_TOL`` below the boundary; the axis ones are 1.  The oracle
+    column (``_oracle_grid``) decides by theorem every cell with s + t <= 1
+    and every edge cell whose partner matrix is coherent, and the rest by
+    rays from the origin and convexity: one radius solve per ray (one to
+    32 on coherent qubit pairs at resolution 200), and no lambda* solve
+    unless a cell falls inside a ray's bracket.  A solve that does not
+    decide raises ``RuntimeError``.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -387,12 +403,9 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     }
     oracle = None
     if use_oracle:
-        r_diag = math.sqrt(2.0)
-        u = (math.sqrt(0.5),) * 2
-        diagonal, r = _oracle_line(pair, (0.0, 0.0), u, r_diag, BISECT_TOL)
-        oracle = _oracle_grid(pair, (_coherent(b), _coherent(c)), grid, diagonal)
+        oracle, r = _oracle_grid(pair, (_coherent(b), _coherent(c)), grid)
         meta["boundary_points"] = {
-            "diagonal_coordinate": r / r_diag,
+            "diagonal_coordinate": r,
             "axis_s": 1.0,
             "axis_t": 1.0,
         }

@@ -50,12 +50,12 @@
     operator with the marginals.  Each iterate Y is PSD, so its value
     bounds lambda* from above; the Newton-step dual carries the fixed
     coefficients of j0, and j0 plus its free part is a witness whose
-    lambda_min bounds lambda* from below.  That is lambda* against R = I;
-    against a positive definite R, W >= lambda R and <Y, R> = 1.  Along a
-    line of noise-scaled channels J(r) = J(start) + r E, so J(r_max) -
-    lambda J(start) = (1 - lambda) J(r_max / (1 - lambda)): the radius is
-    r_max / (1 - lambda*) with lambda* of the line's end against J(start),
-    and r_max when lambda* >= 0 (``_joint_channel_radius``).
+    lambda_min bounds lambda* from below.  Along a ray of noise-scaled
+    channels J(r) = J(0) + r E with J(0) = I / d^N, so J(r_max) - lambda
+    J(0) = (1 - lambda) J(r_max / (1 - lambda)): the radius is r_max / (1 -
+    lambda*) with lambda* of d^N J(r_max) against I, and r_max when lambda*
+    >= 0; its last iterate Y bounds lambda* at every noise vector x by 1 +
+    x.b, a dual half-plane (``_joint_channel_radius``).
 
 Both barriers follow one policy: mu falls 1000-fold per stage, and one
 routine, ``_center``, centers every stage by damped Newton with an
@@ -446,7 +446,7 @@ def _max_affine_min_eig(s, strings, c, mu, read):
     (<y, strings[k]> = c_k) to a certified bracket ``(lo, hi, witness)``.
     The stages stop once it is closed (the fine gap, or the coarse one with
     the band rule decided), after a line search that found no step, or at
-    the Newton cap; the last ``(lo, hi, witness, steps)`` is returned.  A
+    the Newton cap; the last ``(lo, hi, witness, steps, z)`` is returned.  A
     Newton step is plain matmuls: for Hermitian F, Re tr(M F) is the real
     dot product of the (Re, Im) views of M and F, so with U = S^-1 and T_k
     = U F_k U the Hessian Re tr(T_k F_l) is one real product of half the
@@ -481,53 +481,38 @@ def _max_affine_min_eig(s, strings, c, mu, read):
         if not ok or mu <= 1e-13 or steps >= _ORACLE_MAX_NEWTON_STEPS:
             break
         mu *= _MU_FACTOR
-    return lo, hi, witness, steps
+    return lo, hi, witness, steps, z
 
 
-def _solve_family(coeffs, strings, ref=None, mu=1.0) -> FeasibilityResult:
-    """lambda* of the joint operators with coefficients ``coeffs`` against R, classified.
+def _solve_family(coeffs, strings, mu=1.0):
+    """Classified lambda* of the joint operators with coefficients ``coeffs``, and final z.
 
-    lambda* is the largest lambda with W >= lambda R for a W with the fixed
-    coefficients of j0 = sum coeffs * strings; R = sum ref * strings is
-    positive definite (I when ``ref`` is None).  Its dual, min <Y, j0> over
-    Y >= 0 in the fixed span with <Y, R> = 1, runs from mu = ``mu`` over Y
-    = I / Tr R + sum_k z_k G_k, G_k = F_k - (ref_k / Tr R) I with F_k =
-    strings[k] (shifted in place): the value j_0 / ref_0 + c.z, c_k = j_k -
-    ref_k j_0 / ref_0, is the upper end, and lambda_min(L^-1 W L^-+), L L^+
-    = R, the lower end, W being j0 plus the free part of the Newton-step
-    dual.  R enters scaled to trace D, I + sum_k rel_k F_k: I for R = I.
+    lambda* is the largest lambda with W >= lambda I for a W with the fixed
+    coefficients of j0 = sum coeffs * strings.  Its dual, min <Y, j0> over
+    Y >= 0 in the fixed span with Tr Y = 1, runs from mu = ``mu`` over Y =
+    I / D + sum_k z_k F_k, F_k = strings[k]: the value j_0 / sqrt(D) + c.z,
+    c_k = j_k, is the upper end, and lambda_min(W) the lower end, W being j0
+    plus the free part of the Newton-step dual.  The final z's Y is PSD:
+    the line search's Cholesky of it passed.
     """
     m, dim = strings.shape[0], strings.shape[-1]
-    if ref is None:
-        ref = np.sqrt(dim) * (np.arange(m) == 0)
-    scale = np.sqrt(dim) / ref[0]  # D / Tr R
-    rel = ref[1:] * scale
-    half = np.linalg.inv(np.linalg.cholesky(
-        np.eye(dim) + np.tensordot(rel, strings[1:], axes=1)))
-    shift, diag = rel / dim, np.arange(dim)
-    strings[1:, diag, diag] -= shift[:, None]
     flat = strings.reshape(m, -1)
 
     def read(cost, y):
-        own = (flat @ y.reshape(-1).conj()).real
-        own[1:] += shift * np.trace(y).real
-        delta = coeffs - own
+        delta = coeffs - (flat @ y.reshape(-1).conj()).real
         witness = y + np.tensordot(delta, strings, axes=1)
-        witness[diag, diag] += delta[1:] @ shift
-        lam = np.linalg.eigvalsh(half @ witness @ _adjoint(half))[0] * scale
-        return float(lam), coeffs[0] / ref[0] + cost, witness
+        lam = float(np.linalg.eigvalsh(witness)[0])
+        return lam, coeffs[0] / np.sqrt(dim) + cost, witness
 
-    lam, ub, witness, steps = _max_affine_min_eig(
-        np.eye(dim, dtype=np.complex128) * (scale / dim), strings[1:],
-        coeffs[1:] - ref[1:] * (coeffs[0] / ref[0]), mu, read,
-    )
+    lam, ub, witness, steps, z = _max_affine_min_eig(
+        np.eye(dim, dtype=np.complex128) / dim, strings[1:], coeffs[1:], mu, read)
     return FeasibilityResult(
         lambda_star=lam,
         witness=witness,
         status=_classify(lam, ub),
         gap=ub - lam,
         iterations=steps,
-    )
+    ), z
 
 
 # ---------------------------------------------------------------------------
@@ -635,34 +620,35 @@ def solve_joint_channel(channels) -> FeasibilityResult:
     """
     channels = list(channels)
     d = shared_dimension(channels)
-    return _solve_family(*_joint_channel_family(d, [c.choi for c in channels]))
+    return _solve_family(*_joint_channel_family(d, [c.choi for c in channels]))[0]
 
 
-def _joint_channel_radius(channels, start, u, r_max: float):
-    """Certified bracket (lo, hi) on min(r*, r_max), r* the largest compatible r.
+def _joint_channel_radius(channels, u, r_max: float):
+    """Bracket (lo, hi) on min(r*, r_max), r* the largest compatible r along u; plane b.
 
-    The marginals s_i Phi_i + (1 - s_i) Delta with s_i = start_i + r u_i
-    are affine in r, and so are the fixed coefficients: J(r) = J(start) +
-    r E.  So J(r_max) - lambda J(start) = (1 - lambda) J(r_max / (1 -
-    lambda)), and min(r*, r_max) = r_max / (1 - min(lambda*, 0)) with
-    lambda* of the line's end against J(start), one ``_solve_family`` from
-    mu = 0.1.  J(start) must be positive definite (else ``RuntimeError``);
-    it is whenever sum_i start_i < 1, as J(start) >= (1 - sum_i start_i) I
-    / d^N.  A joint channel exists at lo, and none at any r in (hi, r_max].
+    The marginals s_i Phi_i + (1 - s_i) Delta with s = r u are affine in r,
+    and so are the fixed coefficients: J(r) = J(0) + r E with J(0) = I /
+    d^N.  So J(r_max) - lambda J(0) = (1 - lambda) J(r_max / (1 - lambda)),
+    and min(r*, r_max) = r_max / (1 - min(lambda*, 0)) with lambda* of the
+    ray's end against J(0): that of d^N J(r_max) against I, one
+    ``_solve_family`` from mu = 0.1.  A joint channel exists at lo, and none
+    at any r in (hi, r_max].  Its final Y = I / D + sum_k z_k F_k is PSD
+    with Tr Y = 1, so lambda* of J(x) against J(0) is at most <d^N Y, J(x)>
+    = 1 + x.b at every noise vector x, b_i = d^N z.(the non-identity fixed
+    coefficients at the unit point e_i, which are linear in x): no joint
+    channel exists where 1 + x.b < 0.
     """
-    d = shared_dimension(channels)
+    d, n = shared_dimension(channels), len(channels)
     delta = np.eye(d * d) / d
+    points = np.vstack([r_max * np.asarray(u, dtype=float), np.eye(n)])
     coeffs, strings = _joint_channel_family(d, [
-        delta + np.multiply.outer([s, s + r_max * ui], c.choi - delta)
-        for c, s, ui in zip(channels, start, u)
+        delta + np.multiply.outer(points[:, i], c.choi - delta)
+        for i, c in enumerate(channels)
     ])
-    lam_start = float(np.linalg.eigvalsh(np.tensordot(coeffs[0], strings, axes=1))[0])
-    if not lam_start > 0.0:
-        raise RuntimeError("the joint operator at the line's start point is not "
-                           f"positive definite: lambda_min {lam_start:.3e}")
-    result = _solve_family(coeffs[1], strings, coeffs[0], 0.1)
+    result, z = _solve_family(coeffs[0] * d ** n, strings, 0.1)
     lam = result.lambda_star
-    return tuple(float(r_max / (1.0 - min(x, 0.0))) for x in (lam, lam + result.gap))
+    bracket = tuple(float(r_max / (1.0 - min(x, 0.0))) for x in (lam, lam + result.gap))
+    return bracket, d ** n * (coeffs[1:, 1:] @ z)
 
 
 def joint_witness_channel(result: FeasibilityResult, d: int, n: int) -> Channel:
@@ -700,4 +686,4 @@ def solve_povm_joint(povms) -> FeasibilityResult:
             sum(np.kron(np.diag(row), e) for row, e in zip(np.eye(k), p.effects))
             for k, p in zip(counts, povms)
         ],
-    ))
+    ))[0]

@@ -372,8 +372,8 @@ def test_oracle_ray_is_one_radius_sdp(ts, angle, monkeypatch):
 )
 def test_radius_sdp_brackets_the_exact_root(ts, angle):
     u = (math.cos(angle), math.sin(angle))
-    lo, hi = sdp._joint_channel_radius(
-        [make_depolarizing(2, t) for t in ts], (0.0, 0.0), u, 1.0 / max(u))
+    (lo, hi), _ = sdp._joint_channel_radius(
+        [make_depolarizing(2, t) for t in ts], u, 1.0 / max(u))
     assert lo <= _exact_dep_pair_radius(ts, u) <= hi
     assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE
 
@@ -381,8 +381,7 @@ def test_radius_sdp_brackets_the_exact_root(ts, angle):
 @pytest.mark.parametrize("n", [3, 4, 5], ids=["N3", "N4", "N5"])
 def test_radius_sdp_identity_copies_meet_werner(n):
     u = np.ones(n) / math.sqrt(n)
-    lo, hi = sdp._joint_channel_radius(
-        [make_identity(2)] * n, np.zeros(n), u, 1.0 / u[0])
+    (lo, hi), _ = sdp._joint_channel_radius([make_identity(2)] * n, u, 1.0 / u[0])
     # symmetric 1 -> N qubit cloning: coordinate (N + d) / (N (1 + d)), 5/9,
     # 1/2 and 7/15
     assert lo * u[0] <= (n + 2.0) / (3.0 * n) <= hi * u[0]
@@ -405,7 +404,7 @@ def test_radius_sdp_stopped_at_its_start_raises(monkeypatch):
 
     # the start point's value is a finite upper bound, and the first Newton
     # step's witness, measured against J(0), still certifies the lower end
-    lo, hi = stopped_at_start(chans, (0.0, 0.0), u, 1.0 / max(u))
+    (lo, hi), _ = stopped_at_start(chans, u, 1.0 / max(u))
     assert 0.0 <= lo <= _exact_dep_pair_radius((0.9, 0.95), u) <= hi < math.inf
     assert hi - lo > region.BISECT_TOL
     monkeypatch.setattr(region, "_joint_channel_radius", stopped_at_start)
@@ -418,7 +417,7 @@ def test_radius_sdp_witness_at_lo():
     # its upper end
     chans = [make_depolarizing(2, 0.9), make_identity(2)]
     u = (math.cos(0.6), math.sin(0.6))
-    lo, hi = sdp._joint_channel_radius(chans, (0.0, 0.0), u, 1.0 / max(u))
+    (lo, hi), _ = sdp._joint_channel_radius(chans, u, 1.0 / max(u))
     assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE
     at_lo = sdp.solve_joint_channel(_scaled(chans, lo, u))
     assert at_lo.status is not region.Feasibility.INFEASIBLE
@@ -495,7 +494,7 @@ def test_unconverged_non_unital_probe_raises(monkeypatch, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# fig1 oracle grid: one radius solve per grid line
+# fig1 oracle grid: rays from the origin, decided by convexity
 # ---------------------------------------------------------------------------
 
 def _per_cell_oracle_column(b, c, resolution):
@@ -524,13 +523,19 @@ def test_figure1_oracle_grid_equals_the_per_cell_column(rng):
         for resolution in (3, 4, 7):
             assert _oracle_column(b, c, resolution) == _per_cell_oracle_column(
                 b, c, resolution)
+    # at resolution 21 several rays run, and the hull of the certified points
+    # and the rays' half-planes decide most open cells
+    b = _schur_qubit(0.5)
+    for c in (_schur_qubit(0.3 + 0.2j), np.eye(2)):
+        assert _oracle_column(b, c, 21) == _per_cell_oracle_column(b, c, 21)
 
 
 @pytest.mark.parametrize(
     "b",
-    # complete dephasing is compatible with everything, so every line runs to
-    # its end and the end cells fall back to lambda*; all-ones is the identity
-    # channel, whose (2/3, 2/3) lies on the boundary at resolution 7
+    # complete dephasing is compatible with everything, so the diagonal runs
+    # to the corner, whose lambda* is 0: the corner takes a lambda* solve and
+    # its hull is the square; all-ones is the identity channel, whose
+    # (2/3, 2/3) lies on the boundary at resolution 7
     [np.eye(2), np.ones((2, 2))],
     ids=["dephasing", "identity"],
 )
@@ -550,35 +555,50 @@ def test_figure1_oracle_grid_is_one_radius_sdp_per_line(monkeypatch):
     radius, solve = region._joint_channel_radius, region.solve_joint_channel
     for c in (_schur_qubit(0.3 + 0.2j), np.eye(2)):
         for resolution in (2, 3, 5, 8):
-            starts, statuses = [], []
+            rays, cells = [], []
+
+            def radius_recorded(channels, u, r_max):
+                bracket, plane = radius(channels, u, r_max)
+                rays.append((np.array(u), bracket))
+                return bracket, plane
 
             def solve_recorded(pair):
-                result = solve(pair)
-                statuses.append(result.status)
-                return result
+                # a noise-scaled channel's label ends in its weight
+                cells.append([float(ch.label.rsplit("*", 1)[1]) for ch in pair])
+                return solve(pair)
 
-            monkeypatch.setattr(region, "_joint_channel_radius",
-                                lambda *args: starts.append(tuple(args[1])) or radius(*args))
+            monkeypatch.setattr(region, "_joint_channel_radius", radius_recorded)
             monkeypatch.setattr(region, "solve_joint_channel", solve_recorded)
             column = _oracle_column(b, c, resolution)
             monkeypatch.undo()
             grid = np.linspace(0.0, 1.0, resolution)
-            # the diagonal from the origin, and a row from (s, 0) only where a
-            # cell 1 - s < t < 1 is open: s >= 2 / (resolution - 1); (s, 1)
-            # is decided by B's coherence
-            assert starts == [(0.0, 0.0)] + [(s, 0.0) for s in grid[2:-1]]
-            assert len(starts) == max(resolution - 2, 1)
-            # every (1, t), 0 < t < 1, is decided by C's coherence, or takes
-            # one lambda* solve when C = I; no cell lies inside a bracket
-            if c[0, 1] == 0.0:
-                assert len(statuses) == resolution - 2
-            else:
-                assert statuses == []
-            cells = np.array(column).reshape(resolution, resolution)
-            assert cells[np.add.outer(grid, grid) <= 1.0 + 1e-12].all()
-            assert not cells[1:, -1].any()
+            s, t = np.meshgrid(grid, grid, indexing="ij")
+            # the theorems leave open the cells with s + t > 1 off B's edge
+            # (s, 1), and off C's edge (1, t) when C is coherent
+            open_cells = (s + t > 1.0 + 1e-12) & (t < 1.0)
             if c[0, 1] != 0.0:
-                assert not cells[-1, 1:].any()
+                open_cells &= s < 1.0
+            # the diagonal first, then rays to the square's edge, each through
+            # a cell no theorem and no earlier ray decided
+            assert np.array_equal(rays[0][0], [1.0, 1.0])
+            for k, (u, _) in enumerate(rays):
+                assert u.max() == 1.0
+                on = open_cells & (np.abs(s * u[1] - t * u[0]) <= 1e-12)
+                assert k == 0 or on.any()
+                open_cells &= ~on
+            # a lambda* solve takes only a cell inside its ray's bracket: an
+            # edge cell (1, t) when C = I, whose lambda* is 0, and none here
+            # for the coherent pair
+            for cell in cells:
+                assert any(abs(cell[0] * u[1] - cell[1] * u[0]) <= 1e-6
+                           and lo - 1e-6 < max(cell) <= hi + 1e-6 for u, (lo, hi) in rays)
+            if c[0, 1] != 0.0:
+                assert cells == []
+            verdicts = np.array(column).reshape(resolution, resolution)
+            assert verdicts[s + t <= 1.0 + 1e-12].all()
+            assert not verdicts[1:, -1].any()
+            if c[0, 1] != 0.0:
+                assert not verdicts[-1, 1:].any()
             assert column == _per_cell_oracle_column(b, c, resolution)
 
 
@@ -599,70 +619,74 @@ def test_figure1_edge_cells_follow_the_complementary_channel(tmp_path, capsys):
     assert len(edge) == 199 and not any(row[3] for row in edge)
 
 
-def test_line_radius_from_an_axis_point_brackets_the_exact_root():
-    chans = [make_depolarizing(2, 1.0)] * 2
-    for s in (0.1, 0.3, 0.5, 0.8, 0.95):
-        lo, hi = sdp._joint_channel_radius(chans, (s, 0.0), (0.0, 1.0), 1.0)
-        assert lo <= exact_pair_root(2, s) <= hi
-        assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE
-        # the same root along the column from (0, t)
-        lo, hi = sdp._joint_channel_radius(chans, (0.0, s), (1.0, 0.0), 1.0)
-        assert lo <= exact_pair_root(2, s) <= hi
-
-
 def test_line_radius_from_the_origin_is_the_ray_program():
-    # start 0 is the ray scan_rays solves, and a line started on the ray at
-    # r0 u meets the same boundary point r0 later
+    # the bracket's lower end is scan_rays' oracle radius
     chans = [make_depolarizing(2, 0.9), make_schur(_schur_qubit(0.4))]
     u = (math.cos(0.6), math.sin(0.6))
     r_max = 1.0 / max(u)
-    lo, hi = sdp._joint_channel_radius(chans, (0.0, 0.0), u, r_max)
+    (lo, hi), _ = sdp._joint_channel_radius(chans, u, r_max)
     assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE and hi < r_max
     assert scan_rays(chans, [u], use_oracle=True).rays[0].oracle_radius == lo
-    r0 = 0.4
-    lo0, hi0 = sdp._joint_channel_radius(chans, (r0 * u[0], r0 * u[1]), u, r_max - r0)
-    assert max(lo, r0 + lo0) <= min(hi, r0 + hi0)
 
 
-def test_line_radius_from_a_singular_start_raises():
-    # a pure Schur channel's Choi matrix has rank 2 of 4: J(start) is singular
-    chans = [make_schur(_schur_qubit(0.5))] * 2
-    with pytest.raises(RuntimeError, match="start point"):
-        sdp._joint_channel_radius(chans, (1.0, 0.0), (0.0, 1.0), 1.0)
+@pytest.mark.parametrize(
+    "d, ts, angle",
+    [(2, (1.0, 1.0), math.pi / 4), (2, (1.0, 1.0), 0.3), (2, (1.0, 1.0), 1.2),
+     (2, (0.9, 0.95), 0.6), (2, (0.85, 1.0), 1.0), (3, (1.0, 1.0), math.pi / 4)],
+)
+def test_radius_half_plane_is_an_outer_bound(d, ts, angle):
+    # no joint channel exists where 1 + x.b < 0: every such point of a
+    # 101 x 101 grid is incompatible by the exact pair condition, and the
+    # plane vanishes at the bracket's upper end
+    u = np.array([math.cos(angle), math.sin(angle)])
+    (lo, hi), plane = sdp._joint_channel_radius(
+        [make_depolarizing(d, t) for t in ts], u, 1.0 / u.max())
+    assert hi < 1.0 / u.max()
+    assert abs(1.0 + hi * (u @ plane)) <= 1e-12
+    x = np.linspace(0.0, 1.0, 101)
+    cut = [(s, t) for s in x for t in x if 1.0 + s * plane[0] + t * plane[1] < 0.0]
+    assert cut
+    assert not any(exact_depolarizing_pair(d, ts[0] * s, ts[1] * t) for s, t in cut)
 
 
 def test_capped_figure1_oracle_raises(monkeypatch, tmp_path, capsys):
-    # a grid line's radius solve stopped at the Newton cap with its bracket open
-    # is solver trouble, never grid verdicts: the diagonal's, or a row's (at
-    # resolution 5 the rows from (0.5, 0) and (0.75, 0) have open cells)
+    # a ray's radius solve stopped at the Newton cap with its bracket open is
+    # solver trouble, never grid verdicts: the diagonal's, or a later ray's
+    # (at resolution 21 the ray after the diagonal passes through (0.85, 0.9))
     spec = tmp_path / "schur.json"
     spec.write_text(json.dumps({"B": [[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]]}))
     radius = region._joint_channel_radius
-    for capped_start, name in (((0.0, 0.0), r"\(0, 0\)"), ((0.5, 0.0), r"\(0\.5, 0\)"),
-                               ((0.75, 0.0), r"\(0\.75, 0\)")):
+    for capped_u, name in (((1.0, 1.0), r"\(1, 1\)"),
+                           ((0.85 / 0.9, 1.0), r"\(0\.944444, 1\)")):
 
-        def capped(channels, start, u, r_max, capped_start=capped_start):
+        def capped(channels, u, r_max, capped_u=capped_u):
             with monkeypatch.context() as m:
-                if tuple(start) == capped_start:
+                if np.allclose(u, capped_u):
                     m.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", 3)
-                return radius(channels, start, u, r_max)
+                return radius(channels, u, r_max)
 
         monkeypatch.setattr(region, "_joint_channel_radius", capped)
-        with pytest.raises(RuntimeError, match=f"from {name} .* bracket"):
-            emit_figure1_data(B_SCHUR, B_SCHUR, 5, use_oracle=True)
-        argv = ["figure", "fig1", "--B", str(spec), "--resolution", "5", "--oracle"]
+        with pytest.raises(RuntimeError, match=f"oracle radius along u = {name} .* bracket"):
+            emit_figure1_data(B_SCHUR, B_SCHUR, 21, use_oracle=True)
+        argv = ["figure", "fig1", "--B", str(spec), "--resolution", "21", "--oracle"]
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: oracle radius from ")
+        assert len(lines) == 1 and lines[0].startswith("error: oracle radius along u = ")
 
 
 def test_capped_lambda_star_cell_raises(monkeypatch):
-    # B = C = I: every line runs to its end, so the end cells take a lambda*
-    # solve; one stopped by the Newton cap ends MARGINAL with its gap open,
-    # which is no boundary cell
-    solve = region.solve_joint_channel
+    # B = C = I: the diagonal runs to the corner, whose lambda* is 0, so the
+    # corner (1, 1) is the only cell that takes a lambda* solve; one stopped by
+    # the Newton cap ends MARGINAL with its gap open, which is no boundary cell
+    solve, cells = region.solve_joint_channel, []
+    monkeypatch.setattr(region, "solve_joint_channel",
+                        lambda pair: cells.append(None) or solve(pair))
+    for resolution in (3, 8):
+        data = emit_figure1_data(np.eye(2), np.eye(2), resolution, use_oracle=True)
+        assert all(row[3] for row in data["rows"])
+    assert len(cells) == 2
 
     def capped(pair):
         with monkeypatch.context() as m:
@@ -670,22 +694,22 @@ def test_capped_lambda_star_cell_raises(monkeypatch):
             return solve(pair)
 
     monkeypatch.setattr(region, "solve_joint_channel", capped)
-    with pytest.raises(RuntimeError, match=r"oracle cell \(0\.5, 1\) not decided"):
+    with pytest.raises(RuntimeError, match=r"oracle cell \(1, 1\) not decided"):
         emit_figure1_data(np.eye(2), np.eye(2), 3, use_oracle=True)
 
 
 def test_open_line_bracket_raises(monkeypatch):
-    # a grid line's bracket wider than BISECT_TOL is never read as verdicts;
-    # at resolution 5 the first row with an open cell starts at (0.5, 0)
+    # a ray's bracket wider than BISECT_TOL is never read as verdicts; at
+    # resolution 21 the ray after the diagonal passes through (0.85, 0.9)
     radius = region._joint_channel_radius
 
-    def open_rows(channels, start, u, r_max):
-        lo, hi = radius(channels, start, u, r_max)
-        return (lo, hi) if start[0] in (0.0, 1.0) else (0.0, math.inf)
+    def open_rays(channels, u, r_max):
+        bracket, plane = radius(channels, u, r_max)
+        return (bracket if u[0] == u[1] else (0.0, math.inf)), plane
 
-    monkeypatch.setattr(region, "_joint_channel_radius", open_rows)
-    with pytest.raises(RuntimeError, match=r"from \(0\.5, 0\) along u = \(0, 1\)"):
-        emit_figure1_data(B_SCHUR, B_SCHUR, 5, use_oracle=True)
+    monkeypatch.setattr(region, "_joint_channel_radius", open_rays)
+    with pytest.raises(RuntimeError, match=r"oracle radius along u = \(0\.944444, 1\)"):
+        emit_figure1_data(B_SCHUR, B_SCHUR, 21, use_oracle=True)
 
 
 def test_radius_sdp_lost_dual_keeps_a_valid_bracket(monkeypatch):
@@ -705,5 +729,5 @@ def test_radius_sdp_lost_dual_keeps_a_valid_bracket(monkeypatch):
         return z, s, k, cost, -np.eye(len(s), dtype=complex), steps, False
 
     monkeypatch.setattr(sdp, "_center", lost_after_first_stages)
-    lo, hi = sdp._joint_channel_radius(chans, (0.0, 0.0), u, 1.0 / max(u))
+    (lo, hi), _ = sdp._joint_channel_radius(chans, u, 1.0 / max(u))
     assert 0.0 <= lo <= _exact_dep_pair_radius((0.9, 0.95), u) <= hi

@@ -785,7 +785,7 @@ def test_center_returns_the_newton_step_dual(monkeypatch, rng):
     mode.append("radius")
     u = (np.cos(0.6), np.sin(0.6))
     for channels in ([make_depolarizing(2, 0.9), make_depolarizing(2, 0.95)], schur):
-        sdp._joint_channel_radius(channels, (0.0, 0.0), u, 1.0 / max(u))
+        sdp._joint_channel_radius(channels, u, 1.0 / max(u))
     assert set(checked) == {"criterion", "lambda", "radius"}
 
 
@@ -835,7 +835,7 @@ def test_ray_radius_is_lambda_star_at_the_ray_end(case, rng):
     }[case]
     for channels, u in tuples:
         d, n, r_max = channels[0].d, len(channels), 1.0 / max(u)
-        lo, hi = sdp._joint_channel_radius(channels, np.zeros(n), u, r_max)
+        (lo, hi), _ = sdp._joint_channel_radius(channels, u, r_max)
         end = solve_joint_channel([mix_toward_depolarizing(c, min(r_max * ui, 1.0))
                                    for c, ui in zip(channels, u)])
         ends = [r_max / (1.0 - min(d ** n * lam, 0.0))
@@ -853,8 +853,8 @@ def test_radius_sdp_holds_one_string_stack():
     u = (np.sqrt(0.5),) * 2
     tracemalloc.start()
     try:
-        lo, hi = sdp._joint_channel_radius(
-            [make_depolarizing(3, 1.0)] * 2, (0.0, 0.0), u, np.sqrt(2.0))
+        (lo, hi), _ = sdp._joint_channel_radius(
+            [make_depolarizing(3, 1.0)] * 2, u, np.sqrt(2.0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
