@@ -21,6 +21,7 @@ from .assemblage import classify
 from .channels import (
     ChannelValidationError,
     PovmValidationError,
+    _matrix_from_pairs,
     channel_from_spec,
     povm_from_spec,
     shared_dimension,
@@ -31,6 +32,7 @@ from .criteria import (
     select_bases,
     zhu_criterion_channels,
 )
+from .linalg import check_basis
 from .region import (
     dataset_to_csv,
     emit_figure1_data,
@@ -72,8 +74,6 @@ def _load_channel(path: str):
 
 
 def _load_schur(path: str):
-    from .channels import _matrix_from_pairs
-
     try:
         return _matrix_from_pairs(_load_json(path)["B"])
     except (ValueError, KeyError, TypeError) as exc:
@@ -85,9 +85,6 @@ def _load_bases(arg: str, d: int, count: int):
         return select_bases(d, count)
     spec = _load_json(arg)
     try:
-        from .channels import _matrix_from_pairs
-        from .linalg import check_basis
-
         bases = [check_basis(_matrix_from_pairs(rows)) for rows in spec["bases"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"bad bases spec {arg}: {exc}") from exc

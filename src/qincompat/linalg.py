@@ -1,8 +1,9 @@
 """Dense complex matrix primitives.
 
-Shape, Hermiticity and orthonormal-basis checks, row-major vectorization,
-partial traces and the smallest eigenvalue.  Every function is pure and
-returns fresh arrays, so values can be shared freely between threads.
+Shape, finiteness, Hermiticity and orthonormal-basis checks, row-major
+vectorization, partial traces and the smallest eigenvalue.  Every function
+is pure and returns fresh arrays, so values can be shared freely between
+threads.
 
 Vectorization is row-major: ``vec(m)[d*i + j] == m[i, j]``.  With this
 choice ``vec(|e><e|) == kron(e, conj(e))``, which the Fisher-geometry
@@ -35,10 +36,14 @@ def check_square(m) -> np.ndarray:
 
 
 def check_hermitian(m) -> np.ndarray:
-    """Return ``m`` as a complex array, raising if it is not Hermitian."""
+    """Return ``m`` as a complex array, raising if it is not Hermitian or not finite."""
     a = check_square(m)
+    scale = np.linalg.norm(a)
+    # NaN passes every "defect > tol" test; a finite norm rules it out unscanned
+    if not np.isfinite(scale) and not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry (NaN or infinity)")
     defect = np.linalg.norm(a - a.conj().T)
-    if defect > HERMITICITY_RTOL * max(1.0, np.linalg.norm(a)):
+    if defect > HERMITICITY_RTOL * max(1.0, scale):
         raise ValueError(
             f"matrix is not Hermitian: ||M - M^dag|| = {defect:.3e} exceeds "
             f"tolerance {HERMITICITY_RTOL:.1e} (relative)"
@@ -47,8 +52,10 @@ def check_hermitian(m) -> np.ndarray:
 
 
 def check_basis(e) -> np.ndarray:
-    """Validate an orthonormal basis given as rows of a d x d array."""
+    """Validate an orthonormal basis of finite entries given as rows of a d x d array."""
     a = check_square(e)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry (NaN or infinity)")
     gram = a.conj() @ a.T
     defect = np.abs(gram - np.eye(a.shape[0])).max()
     if defect > HERMITICITY_RTOL:

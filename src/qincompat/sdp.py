@@ -17,11 +17,11 @@
     (Zhu, Sci. Rep. 5, 14317 (2015)).  So do commuting constraints (MUB
     tuples of depolarizing channels, one constraint): in a common
     eigenbasis V, H = V diag(max_i lambda_ik) V^+ with Y_i the projector
-    onto the directions where G_i attains the max.  That H, shifted by its
-    measured violation, is returned when its certified gap meets the
-    target, with no Newton step; else (three or more constraints that do
-    not commute) a log-det barrier is driven down a geometric schedule
-    with damped Newton centering steps:
+    onto the directions where G_i attains the max.  That H is returned
+    when its certified gap meets the target, with no Newton step; else
+    (three or more constraints that do not commute) a log-det barrier is
+    driven down a geometric schedule with damped Newton centering steps,
+    until a stage's certified gap meets it:
 
         minimize  Tr H - mu * sum_i log det(H - G_i + eps I).
 
@@ -32,8 +32,11 @@
     bound is taken per block, and it is made safe from round-off: each Y_i
     is shifted by its round-off negative eigenvalue, the block's sum is
     divided by lambda_max(sum_i Y_i), and the float error bound gamma_n
-    sum_i |Y_i||G_i| is subtracted.  The reported gap is the measured
-    distance from Tr H down to that bound.
+    sum_i |Y_i||G_i| is subtracted.  Every candidate H, the closed form
+    and each stage's iterate, is read one way: each block is shifted by
+    its measured max_i lambda_max(G_i - H) plus a round-off margin, and
+    the reported gap is the distance from the shifted Tr H down to that
+    bound, so it is never negative.
 
 (b) ``solve_joint_channel`` / ``solve_povm_joint``: decide whether a joint
     channel (or joint measurement) with prescribed marginals exists.  Over
@@ -57,7 +60,9 @@
     >= 0; its last iterate Y bounds lambda* at every noise vector x by 1 +
     x.b, a dual half-plane (``_joint_channel_radius``).
 
-Both barriers follow one policy: mu falls 1000-fold per stage, and one
+One stage loop, ``_barrier``, runs both barriers under one policy: mu
+falls 1000-fold per stage down to a floor, and both solvers read a
+certified bracket after every stage, stopping once it is closed.  One
 routine, ``_center``, centers every stage by damped Newton with an
 Armijo line search along the slack direction dS, until the Newton
 decrement is at most 1 (dec2 <= mu).  The search reads every trial step
@@ -140,6 +145,11 @@ class DominationProblem:
 
 @dataclass(frozen=True)
 class SdpResult:
+    """lower_bound <= min Tr H <= value = Tr optimizer, the optimizer dominating every G_i.
+
+    OPTIMAL means exactly 0 <= gap = value - lower_bound <= the solve's gap_tol.
+    """
+
     value: float
     optimizer: np.ndarray
     lower_bound: float
@@ -175,7 +185,7 @@ def _inv_chol(s):
 def _center(z, s, k, cost, mu, newton, steps, max_steps):
     """Damped Newton on cost(z) - mu * log det S(z) at fixed mu, S affine in z.
 
-    ``k`` is ``_inv_chol(s)``.  ``newton(u)`` maps the inverse slack u =
+    ``k`` is ``_inv_chol(s)``.  ``newton(u, mu)`` maps the inverse slack u =
     S^-1 = K^+ K to ``(dz, dS, dcost, dec2)``: the step, its image in S,
     its change of the linear cost and the squared Newton decrement.
     Centered once dec2 <= max(mu, 1e-13 (1 + |cost|)).  Each step halves t
@@ -195,7 +205,7 @@ def _center(z, s, k, cost, mu, newton, steps, max_steps):
     while True:
         u = _adjoint(k) @ k
         u = (u + _adjoint(u)) / 2.0
-        dz, ds, dcost, dec2 = newton(u)
+        dz, ds, dcost, dec2 = newton(u, mu)
         if steps >= max_steps or dec2 <= max(mu, 1e-13 * (1.0 + abs(cost))):
             break
         steps += 1
@@ -215,6 +225,27 @@ def _center(z, s, k, cost, mu, newton, steps, max_steps):
         z, s, k, cost = z + t * dz, s + t * ds, k_try, cost + t * dcost
     y = mu * (u - u @ ds @ u)
     return z, s, k, cost, (y + _adjoint(y)) / 2.0, steps, ok
+
+
+def _barrier(z, s, cost, mu, mu_min, newton, read, closed, max_steps):
+    """Center from S(z) = s down mu's schedule; the last ``(lo, hi, payload, z, steps, ok)``.
+
+    After each ``_center`` stage ``read(z, cost, y)`` maps the iterate and
+    its Newton-step dual y to a certified bracket ``(lo, hi, payload)``.
+    The stages stop once ``closed(lo, hi)``, after a line search found no
+    step (``ok`` False), after the stage at ``mu_min`` or at ``max_steps``;
+    else mu = max(mu * ``_MU_FACTOR``, ``mu_min``).  A start S that is not
+    positive definite is read at once with y = None and ``ok`` False.
+    """
+    k, steps = _inv_chol(s), 0
+    if k is None:
+        return (*read(z, cost, None), z, steps, False)
+    while True:
+        z, s, k, cost, y, steps, ok = _center(z, s, k, cost, mu, newton, steps, max_steps)
+        lo, hi, payload = read(z, cost, y)
+        if closed(lo, hi) or not ok or mu <= mu_min or steps >= max_steps:
+            return lo, hi, payload, z, steps, ok
+        mu = max(mu * _MU_FACTOR, mu_min)
 
 
 def _newton_cg(u_stack, mu, rhs_mat, tol, max_iter):
@@ -293,18 +324,22 @@ def solve_domination(
 
     The index set splits into the blocks of ``_support_blocks``: equal-size
     connected components of the support of sum_i |G_i|, else one block.
-    ``optimizer`` is the assembled dim x dim block iterate plus max_i
-    ||E_i||_F I, where E_i is the part of G_i off the blocks (entries below
-    the split threshold), so it dominates every full G_i and ``value`` is
-    its trace; ``lower_bound`` is ``_dual_bound`` at its dual point (-inf if
-    none).  The closed form (``_closed_form``), exact for a pair and when
-    each block's G_i commute (one constraint included), is returned after
-    no Newton step when its certified gap is at most ``gap_tol``; else one
-    barrier runs over the blocks.
+    The closed form (``_closed_form``, exact for a pair and when each
+    block's G_i commute) and each barrier stage are read one way: each
+    block is shifted by its measured max_i lambda_max(G_i - H) plus a
+    round-off margin, and ``optimizer``, the assembled iterate plus max_i
+    ||E_i||_F I (E_i the part of G_i off the blocks), dominates every full
+    G_i; ``lower_bound`` is ``_dual_bound`` at its dual point.  The closed
+    form is returned after no Newton step when its certified gap is at most
+    ``gap_tol`` > 0; else one barrier runs over the blocks until a stage's
+    is.  OPTIMAL means exactly that, 0 <= gap <= gap_tol; a barrier that
+    reaches mu = gap_tol / (4 N dim) or its Newton cap first ends
+    MAX_ITERATIONS, one whose line search found no step NUMERICAL_FAILURE.
     """
+    if not gap_tol > 0.0:
+        raise ValueError(f"gap_tol must be positive, got {gap_tol!r}")
     g_stack = np.stack(problem.constraints)
     n_cons, dim = g_stack.shape[0], problem.dim
-    nu = n_cons * dim
     index = _support_blocks(g_stack)
     rows, cols = index[:, :, None], index[:, None, :]
     g_blocks = g_stack[:, rows, cols].swapaxes(0, 1)  # (blocks, N, b, b)
@@ -314,54 +349,46 @@ def solve_domination(
     dropped = float(np.sqrt(np.einsum("kab,kab->k", flat, flat).max()))
     eye = np.eye(index.shape[1])
     g_eigs = np.linalg.eigvalsh(g_blocks)
+    floor = g_eigs[..., 0].max(axis=1)
+    # the measured excess and any later eigvalsh of the assembled optimizer
+    # minus G_i each err by ~ dim eps ||G_i - H||, with ||H|| <= max_i ||G_i||
+    margin = 4.0 * len(index) * len(eye) * np.finfo(float).eps * np.abs(g_eigs).max()
 
-    def result(h, y_stack, steps, status):
-        h = (h + _adjoint(h)) / 2.0
-        optimizer = _assemble(h, rows, cols, dim) + dropped * np.eye(dim)
-        value = float(np.trace(optimizer).real)
-        lower_bound = -np.inf if y_stack is None else _dual_bound(
-            y_stack, g_blocks, g_eigs[..., 0].max(axis=1)
-        )
-        return SdpResult(value, optimizer, lower_bound, value - lower_bound, steps, status)
+    def read(h, _cost, y_stack):
+        excess = np.linalg.eigvalsh(g_blocks - h[:, None])[..., -1].max(axis=1)
+        h = h + (excess + margin)[:, None, None] * eye
+        optimizer = _assemble((h + _adjoint(h)) / 2.0, rows, cols, dim)
+        optimizer += dropped * np.eye(dim)
+        lower = -np.inf if y_stack is None else _dual_bound(y_stack, g_blocks, floor)
+        return lower, float(np.trace(optimizer).real), optimizer
 
-    closed = result(*_closed_form(g_blocks, g_eigs), 0, SolverStatus.OPTIMAL)
-    if closed.gap <= gap_tol:
-        return closed
-
-    shifted = g_blocks - _BARRIER_SHIFT * eye
-    lam_top = float(g_eigs[..., -1].max())
-    h = np.repeat((lam_top + 1.0) * eye[None], len(index), axis=0)
-
-    mu = 1.0
-    mu_final = gap_tol / (4.0 * nu)
+    def closed(lo, hi):
+        return hi - lo <= gap_tol
 
     def trace(m):
         return float(np.einsum("kii->", m).real)
 
-    def newton(u_stack):
+    def newton(u_stack, mu):
         grad = eye - mu * u_stack.sum(axis=1)
         step = _newton_cg(u_stack, mu, -grad, 1e-12, 4 * dim * dim)
         return step, step[:, None], trace(step), float(np.vdot(step, -grad).real)
 
-    steps = 0
-    s_stack = h[:, None] - shifted
-    k, cost, y_stack = _inv_chol(s_stack), trace(h), None
-    status = SolverStatus.NUMERICAL_FAILURE if k is None else SolverStatus.OPTIMAL
-    while status is SolverStatus.OPTIMAL:
-        h, s_stack, k, cost, y_stack, steps, ok = _center(
-            h, s_stack, k, cost, mu, newton, steps, _DOMINATION_MAX_NEWTON_STEPS
+    h, y_stack = _closed_form(g_blocks)
+    lo, hi, optimizer = read(h, None, y_stack)
+    steps, ok = 0, True
+    if not closed(lo, hi):
+        h = np.repeat((float(g_eigs[..., -1].max()) + 1.0) * eye[None], len(index), axis=0)
+        lo, hi, optimizer, _, steps, ok = _barrier(
+            h, h[:, None] - (g_blocks - _BARRIER_SHIFT * eye), trace(h), 1.0,
+            gap_tol / (4.0 * n_cons * dim), newton, read, closed,
+            _DOMINATION_MAX_NEWTON_STEPS,
         )
-        if not ok:
-            status = SolverStatus.NUMERICAL_FAILURE
-        elif steps >= _DOMINATION_MAX_NEWTON_STEPS:
-            status = SolverStatus.MAX_ITERATIONS
-        elif mu <= mu_final:
-            break
-        mu = max(mu * _MU_FACTOR, mu_final)
-    return result(h, y_stack, steps, status)
+    status = (SolverStatus.OPTIMAL if closed(lo, hi)
+              else SolverStatus.MAX_ITERATIONS if ok else SolverStatus.NUMERICAL_FAILURE)
+    return SdpResult(hi, optimizer, lo, hi - lo, steps, status)
 
 
-def _closed_form(g_blocks, g_eigs):
+def _closed_form(g_blocks):
     """Block iterate H and dual Y of min Tr H s.t. H >= G_i, exact for pairs or commuting G_i.
 
     Per block, a pair takes H = G_2 + (G_1 - G_2)_+ with Y_1 the projector
@@ -372,10 +399,9 @@ def _closed_form(g_blocks, g_eigs):
     merges eigenvalues the G_i tell apart), lambda_ik is the diagonal of
     V^+ G_i V, H = V diag(max_i lambda_ik) V^+ and Y_i = V 1[argmax_j
     lambda_jk = i] V^+, the optimum sum_k max_i lambda_ik when the G_i
-    commute.  H is then shifted by the measured max_i lambda_max(G_i - H)
-    plus a round-off margin so that it dominates every G_i.
+    commute.
     """
-    n_cons, b = g_blocks.shape[1], g_blocks.shape[-1]
+    n_cons = g_blocks.shape[1]
     if n_cons == 2:
         delta, v = np.linalg.eigh(g_blocks[:, 0] - g_blocks[:, 1])
         h = g_blocks[:, 1] + (v * np.maximum(delta, 0.0)[:, None]) @ _adjoint(v)
@@ -387,11 +413,6 @@ def _closed_form(g_blocks, g_eigs):
                           axis1=-2, axis2=-1).real
         h = (v * lam.max(axis=1)[:, None]) @ _adjoint(v)
         picked = lam.argmax(axis=1)[:, None] == np.arange(n_cons)[:, None]
-    # the measured excess and any later eigvalsh of the assembled optimizer
-    # minus G_i each err by ~ dim eps ||G_i - H||, with ||H|| <= max_i ||G_i||
-    margin = 4.0 * g_blocks.shape[0] * b * np.finfo(float).eps * np.abs(g_eigs).max()
-    excess = np.linalg.eigvalsh(g_blocks - h[:, None])[..., -1].max(axis=1)
-    h = h + (excess + margin)[:, None, None] * np.eye(b)
     return h, (v[:, None] * picked[..., None, :]) @ _adjoint(v)[:, None]
 
 
@@ -436,30 +457,31 @@ def _classify(lam: float, ub: float) -> Feasibility:
     return Feasibility.MARGINAL
 
 
-def _max_affine_min_eig(s, strings, c, mu, read):
-    """Minimize c.z subject to S(z) = s + sum_k z_k strings[k] >= 0, from z = 0.
+def _max_affine_min_eig(coeffs, strings, mu=1.0):
+    """Classified lambda* of the joint operators with coefficients ``coeffs``, and final z.
 
-    The oracle's one program (``_solve_family``) in dual form.  ``s`` must
-    be positive definite and ``strings`` Hermitian and linearly
-    independent; mu starts at ``mu``.  After each stage ``read(cost, y)``
-    maps the iterate's cost c.z and the Newton-step dual y of ``_center``
-    (<y, strings[k]> = c_k) to a certified bracket ``(lo, hi, witness)``.
-    The stages stop once it is closed (the fine gap, or the coarse one with
-    the band rule decided), after a line search that found no step, or at
-    the Newton cap; the last ``(lo, hi, witness, steps, z)`` is returned.  A
-    Newton step is plain matmuls: for Hermitian F, Re tr(M F) is the real
-    dot product of the (Re, Im) views of M and F, so with U = S^-1 and T_k
-    = U F_k U the Hessian Re tr(T_k F_l) is one real product of half the
-    complex flops.
-    Near a degenerate optimum its condition number passes 1 / eps, and a
-    plain solve returns round-off as the step, which ruins y; a ridge of
-    1e-13 of its largest diagonal entry damps the directions lost.
+    lambda* is the largest lambda with W >= lambda I for a W with the fixed
+    coefficients of j0 = sum coeffs * strings (strings[0] = I / sqrt(D)).
+    ``_barrier`` runs its dual from z = 0 and mu = ``mu``: min c.z, c_k =
+    coeffs[k], over Y = I / D + sum_k z_k F_k >= 0, F_k = strings[k], k >=
+    1.  Each stage reads j_0 / sqrt(D) + c.z as the upper end and
+    lambda_min(W) as the lower, W being j0 plus the free part of the
+    Newton-step dual y (<y, F_k> = c_k); it is closed at the fine gap, or
+    the coarse one with the band rule decided.  The final z's Y is PSD: the
+    line search's Cholesky of it passed.  A Newton step is plain matmuls:
+    for Hermitian F, Re tr(M F) is the real dot product of the (Re, Im)
+    views of M and F, so with U = Y^-1 and T_k = U F_k U the Hessian Re
+    tr(T_k F_l) is one real product of half the complex flops.  Near a
+    degenerate optimum its condition number passes 1 / eps, and a plain
+    solve returns round-off as the step, which ruins y; a ridge of 1e-13 of
+    its largest diagonal entry damps the directions lost.
     """
-    m, dim = strings.shape[0], strings.shape[1]
-    rows = strings.reshape(m * dim, dim)
-    flat = np.asarray(strings, np.complex128).reshape(m, dim * dim).view(np.float64)
+    m, dim = strings.shape[0] - 1, strings.shape[-1]
+    c = coeffs[1:]
+    rows = strings[1:].reshape(m * dim, dim)
+    flat = np.asarray(strings[1:], np.complex128).reshape(m, dim * dim).view(np.float64)
 
-    def newton(u):
+    def newton(u, mu):
         t_stack = u @ (rows @ u).reshape(m, dim, dim)
         grad = mu * (flat @ u.reshape(-1).view(np.float64)) - c  # minus the gradient
         hess = mu * (t_stack.reshape(m, dim * dim).view(np.float64) @ flat.T)
@@ -468,51 +490,21 @@ def _max_affine_min_eig(s, strings, c, mu, read):
         ds = (dz @ flat).view(np.complex128).reshape(dim, dim)
         return dz, ds, float(c @ dz), float(grad @ dz)
 
-    z, k, cost, steps = np.zeros(m), _inv_chol(s), 0.0, 0
-    while True:
-        z, s, k, cost, y, steps, ok = _center(
-            z, s, k, cost, mu, newton, steps, _ORACLE_MAX_NEWTON_STEPS
-        )
-        lo, hi, witness = read(cost, y)
-        gap = hi - lo
-        decided = _classify(lo, hi) is not Feasibility.MARGINAL
-        if gap <= FEASIBILITY_GAP_FINE or (gap <= FEASIBILITY_GAP_COARSE and decided):
-            break
-        if not ok or mu <= 1e-13 or steps >= _ORACLE_MAX_NEWTON_STEPS:
-            break
-        mu *= _MU_FACTOR
-    return lo, hi, witness, steps, z
-
-
-def _solve_family(coeffs, strings, mu=1.0):
-    """Classified lambda* of the joint operators with coefficients ``coeffs``, and final z.
-
-    lambda* is the largest lambda with W >= lambda I for a W with the fixed
-    coefficients of j0 = sum coeffs * strings.  Its dual, min <Y, j0> over
-    Y >= 0 in the fixed span with Tr Y = 1, runs from mu = ``mu`` over Y =
-    I / D + sum_k z_k F_k, F_k = strings[k]: the value j_0 / sqrt(D) + c.z,
-    c_k = j_k, is the upper end, and lambda_min(W) the lower end, W being j0
-    plus the free part of the Newton-step dual.  The final z's Y is PSD:
-    the line search's Cholesky of it passed.
-    """
-    m, dim = strings.shape[0], strings.shape[-1]
-    flat = strings.reshape(m, -1)
-
-    def read(cost, y):
-        delta = coeffs - (flat @ y.reshape(-1).conj()).real
+    def read(_z, cost, y):
+        delta = coeffs - (strings.reshape(m + 1, -1) @ y.reshape(-1).conj()).real
         witness = y + np.tensordot(delta, strings, axes=1)
         lam = float(np.linalg.eigvalsh(witness)[0])
         return lam, coeffs[0] / np.sqrt(dim) + cost, witness
 
-    lam, ub, witness, steps, z = _max_affine_min_eig(
-        np.eye(dim, dtype=np.complex128) / dim, strings[1:], coeffs[1:], mu, read)
-    return FeasibilityResult(
-        lambda_star=lam,
-        witness=witness,
-        status=_classify(lam, ub),
-        gap=ub - lam,
-        iterations=steps,
-    ), z
+    def closed(lo, hi):
+        gap = hi - lo
+        return gap <= FEASIBILITY_GAP_FINE or (
+            gap <= FEASIBILITY_GAP_COARSE and _classify(lo, hi) is not Feasibility.MARGINAL)
+
+    lam, ub, witness, z, steps, _ = _barrier(
+        np.zeros(m), np.eye(dim, dtype=np.complex128) / dim, 0.0, mu, 1e-14,
+        newton, read, closed, _ORACLE_MAX_NEWTON_STEPS)
+    return FeasibilityResult(lam, witness, _classify(lam, ub), ub - lam, steps), z
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +612,7 @@ def solve_joint_channel(channels) -> FeasibilityResult:
     """
     channels = list(channels)
     d = shared_dimension(channels)
-    return _solve_family(*_joint_channel_family(d, [c.choi for c in channels]))[0]
+    return _max_affine_min_eig(*_joint_channel_family(d, [c.choi for c in channels]))[0]
 
 
 def _joint_channel_radius(channels, u, r_max: float):
@@ -631,12 +623,12 @@ def _joint_channel_radius(channels, u, r_max: float):
     d^N.  So J(r_max) - lambda J(0) = (1 - lambda) J(r_max / (1 - lambda)),
     and min(r*, r_max) = r_max / (1 - min(lambda*, 0)) with lambda* of the
     ray's end against J(0): that of d^N J(r_max) against I, one
-    ``_solve_family`` from mu = 0.1.  A joint channel exists at lo, and none
-    at any r in (hi, r_max].  Its final Y = I / D + sum_k z_k F_k is PSD
-    with Tr Y = 1, so lambda* of J(x) against J(0) is at most <d^N Y, J(x)>
-    = 1 + x.b at every noise vector x, b_i = d^N z.(the non-identity fixed
-    coefficients at the unit point e_i, which are linear in x): no joint
-    channel exists where 1 + x.b < 0.
+    ``_max_affine_min_eig`` from mu = 0.1.  A joint channel exists at lo,
+    and none at any r in (hi, r_max].  Its final Y = I / D + sum_k z_k F_k
+    is PSD with Tr Y = 1, so lambda* of J(x) against J(0) is at most <d^N
+    Y, J(x)> = 1 + x.b at every noise vector x, b_i = d^N z.(the
+    non-identity fixed coefficients at the unit point e_i, which are linear
+    in x): no joint channel exists where 1 + x.b < 0.
     """
     d, n = shared_dimension(channels), len(channels)
     delta = np.eye(d * d) / d
@@ -645,7 +637,7 @@ def _joint_channel_radius(channels, u, r_max: float):
         delta + np.multiply.outer(points[:, i], c.choi - delta)
         for i, c in enumerate(channels)
     ])
-    result, z = _solve_family(coeffs[0] * d ** n, strings, 0.1)
+    result, z = _max_affine_min_eig(coeffs[0] * d ** n, strings, 0.1)
     lam = result.lambda_star
     bracket = tuple(float(r_max / (1.0 - min(x, 0.0))) for x in (lam, lam + result.gap))
     return bracket, d ** n * (coeffs[1:, 1:] @ z)
@@ -678,7 +670,7 @@ def solve_povm_joint(povms) -> FeasibilityResult:
     counts = [len(p) for p in povms]
     # one classical outcome register per POVM, then the system; diagonal
     # register bases keep every candidate block-diagonal
-    return _solve_family(*_marginal_family(
+    return _max_affine_min_eig(*_marginal_family(
         counts + [d],
         [_diagonal_basis(k) for k in counts] + [_hermitian_basis(d)],
         len(povms),

@@ -65,6 +65,10 @@ def specs(tmp_path):
         "povm_d15": write("povm_d15.json", {"kind": "povm", "d": 1.5, "effects": []}),
         "listed": write("listed.json", [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]),
         "dep_d1": write("dep_d1.json", {"kind": "depolarizing", "d": 1, "t": 1.0}),
+        # the qubit identity's Choi matrix with a NaN first entry; json
+        # writes and reads the NaN literal
+        "choi_nan": write("choi_nan.json", {"kind": "choi", "d_in": 2, "d_out": 2, "entries": [
+            [float("nan") if k == 0 else float(k in (0, 3, 12, 15)), 0] for k in range(16)]}),
         "bases_1x1": write("bases_1x1.json", {"bases": [[[[1, 0]]], [[[1, 0]]]]}),
         "bases_3x3": write("bases_3x3.json", {"bases": [
             [[[float(i == j), 0] for j in range(3)] for i in range(3)]] * 2}),
@@ -152,6 +156,17 @@ def test_validate_reports_non_integral_dimension(spec, error, specs, capsys):
     assert main(["validate", specs[spec]]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["violations"] == [{"spec": specs[spec], "error": error}]
+
+
+def test_validate_reports_non_finite_entries(specs, capsys):
+    # NaN passes every "defect > tol" test, so it is refused on entry
+    assert main(["validate", specs["dep08"], specs["choi_nan"]]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert not report["valid"]
+    assert report["violations"] == [{
+        "spec": specs["choi_nan"],
+        "error": "matrix has a non-finite entry (NaN or infinity)",
+    }]
 
 
 def test_assemblage(specs, capsys):
@@ -252,6 +267,8 @@ def test_region_csv_cells_are_numbers(specs, capsys):
          "dimension must be at least 2"),
         (["check", "{dep08}", "{dep08}", "--bases", "{bases_3x3}"],
          "basis dimension 3 does not match output dimension 2"),
+        (["check", "{choi_nan}", "{choi_nan}"],
+         "matrix has a non-finite entry (NaN or infinity)"),
     ],
     ids=["fig2-d0", "fig2-d1", "fig1-no-B", "fig1-C-list", "fig1-C-qutrit",
          "fig2-d-empty-comma",
@@ -259,7 +276,7 @@ def test_region_csv_cells_are_numbers(specs, capsys):
          "check-bases-canonical-fourier", "region-three-specs",
          "check-depolarizing-d0", "check-choi-d0", "check-depolarizing-d1.5",
          "check-depolarizing-d-true", "check-choi-d_out-2.5", "t-true", "t-string",
-         "check-d1-user-bases", "check-qutrit-bases-on-qubits"],
+         "check-d1-user-bases", "check-qutrit-bases-on-qubits", "check-choi-nan"],
 )
 def test_bad_input_is_one_error_line(argv, message, specs, capsys):
     assert main([a.format(**specs) for a in argv]) == 1

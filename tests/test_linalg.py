@@ -88,6 +88,16 @@ def test_check_hermitian_rejects():
         check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_non_finite_entries_are_rejected(bad):
+    # a NaN defect is never above a tolerance, so each check would pass it
+    m = np.eye(2, dtype=complex)
+    m[0, 0] = bad
+    for check in (check_hermitian, check_basis):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            check(m)
+
+
 def test_check_basis(rng):
     check_basis(random_basis(rng, 4))
     with pytest.raises(ValueError, match="orthonormal"):

@@ -19,6 +19,7 @@ from qincompat import (
     omega,
     schur_pair_criterion,
     z_matrix,
+    zhu_criterion_channels,
     zhu_criterion_povms,
 )
 import qincompat.sdp as sdp
@@ -235,7 +236,7 @@ def test_line_search_eigenvalue_rule_picks_the_cholesky_step(rng, shape):
             dcost = mu * float(lam.sum()) - c * dec2
             reference = _cholesky_armijo_step(s, ds, dcost, dec2, mu)
 
-            def newton(u):
+            def newton(u, mu):
                 return np.ones(1), ds, dcost, dec2
 
             z, s_new, k, _, _, steps, ok = sdp._center(
@@ -401,10 +402,11 @@ def test_mub_constraints_closed_form(rng):
 def test_dropped_norm_keeps_the_optimizer_feasible():
     # the 9e-8 coupling of indices 1 and 2 is below the split threshold
     # (1e-13 of 1e6), so the indices split into the blocks {0, 1} and
-    # {2, 3}, on which the constraints do not commute.  It exceeds the
-    # pair closed form's slack (none) and the triple's final barrier slack
-    # (~ gap_tol / (4 nu) = 2e-8), so only the added ||E_i||_F I keeps the
-    # optimizer above the full constraints
+    # {2, 3}, on which the constraints do not commute.  Every candidate,
+    # the pair's closed form and each barrier stage of the triple, is
+    # shifted by its excess measured per block, which never sees the
+    # coupling, plus a round-off margin far below it, so only the added
+    # ||E_i||_F I keeps the optimizer above the full constraints
     a = np.diag([1e6, 1.0, 1.0, 2.0]).astype(complex)
     a[0, 1] = a[1, 0] = a[2, 3] = a[3, 2] = 0.5
     b = np.diag([1e6, 2.0, 2.0, 1.0]).astype(complex)
@@ -420,6 +422,49 @@ def test_dropped_norm_keeps_the_optimizer_feasible():
         assert (res.iterations == 0) is closed
         assert res.lower_bound <= res.value and res.gap <= DOMINATION_GAP_TOL
         assert _dominates(res, cons)
+
+
+def _rot_triple(t):
+    # the real qubit basis rotated by 0, pi / 8 and 3 pi / 16: the
+    # G-matrices of three equal depolarizing channels do not commute
+    bases = [np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]], dtype=complex)
+             for a in (0.0, np.pi / 8, 3 * np.pi / 16)]
+    return bases, tuple(g_matrix(make_depolarizing(2, t), e) for e in bases)
+
+
+@pytest.mark.parametrize("t", [1.0, 0.7], ids=["identity", "t0.7"])
+def test_every_barrier_stage_is_read_like_the_closed_form(t):
+    # each stage's iterate is shifted by its measured excess, so even at a
+    # tolerance near round-off the optimizer dominates in floats and the
+    # gap is never negative; OPTIMAL is exactly a certified gap within
+    # gap_tol, which 1e-13 is below: the schedule ends MAX_ITERATIONS
+    _, cons = _rot_triple(t)
+    for gap_tol in (1e-12, 1e-13):
+        res = solve_domination(DominationProblem(4, cons), gap_tol=gap_tol)
+        assert res.iterations > 0 and res.gap >= 0.0 and _dominates(res, cons)
+        assert res.status is not SolverStatus.NUMERICAL_FAILURE
+        assert (res.status is SolverStatus.OPTIMAL) == (res.gap <= gap_tol)
+    assert res.status is SolverStatus.MAX_ITERATIONS
+
+
+def test_barrier_start_outside_the_cone_is_a_numerical_failure():
+    # at scale 1e16 the start (lambda_max + 1) I loses its 1 to round-off,
+    # so its slack has no Cholesky factor: _barrier reads the start with
+    # no dual point, no Newton step and no lower bound
+    pauli = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+    cons = tuple(1e16 * (np.eye(2) + 0.5 * p) for p in pauli)
+    res = solve_domination(DominationProblem(2, cons))
+    assert res.status is SolverStatus.NUMERICAL_FAILURE and res.iterations == 0
+    assert res.lower_bound == -np.inf and _dominates(res, cons)
+
+
+@pytest.mark.parametrize("gap_tol", [0.0, -1e-6, float("nan")])
+def test_gap_tolerance_must_be_positive(gap_tol):
+    bases, cons = _rot_triple(1.0)
+    with pytest.raises(ValueError, match="gap_tol must be positive"):
+        solve_domination(DominationProblem(4, cons), gap_tol=gap_tol)
+    with pytest.raises(ValueError, match="gap_tol must be positive"):
+        zhu_criterion_channels([make_identity(2)] * 3, bases, sdp_gap=gap_tol)
 
 
 @pytest.mark.parametrize(
@@ -741,10 +786,10 @@ def test_center_returns_the_newton_step_dual(monkeypatch, rng):
     engine, center = sdp._max_affine_min_eig, sdp._center
     mode = []
 
-    def engine_with_problem(s, strings, c, mu, read):
-        problems.append((strings, c))
+    def engine_with_problem(coeffs, strings, mu=1.0):
+        problems.append((strings[1:], coeffs[1:]))
         try:
-            return engine(s, strings, c, mu, read)
+            return engine(coeffs, strings, mu)
         finally:
             problems.pop()
 
