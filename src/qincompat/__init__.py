@@ -25,7 +25,6 @@ from .channels import (
     povm_from_spec,
 )
 from .fisher import (
-    MubFamily,
     beta,
     canonical_basis,
     fourier_basis,
@@ -74,7 +73,6 @@ __all__ = [
     "DominationProblem",
     "Feasibility",
     "FeasibilityResult",
-    "MubFamily",
     "Povm",
     "PovmValidationError",
     "RayResult",

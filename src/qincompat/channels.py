@@ -20,14 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    as_matrix,
-    check_basis,
-    check_hermitian,
-    min_eigenvalue,
-    partial_trace,
-    vec,
-)
+from .linalg import check_basis, check_hermitian, partial_trace, vec
 
 # Constructors are exact in exact arithmetic; this only absorbs float noise.
 VALIDATION_TOL = 1e-9
@@ -41,40 +34,43 @@ class PovmValidationError(ValueError):
     pass
 
 
-def _frozen_array(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
+def _psd_matrix(m, size, error, name: str) -> np.ndarray:
+    """``m`` as a read-only finite Hermitian PSD complex128 copy, else ``error``.
+
+    ``size`` is the expected dimension, or None for any non-empty square
+    matrix.  Shape and positivity messages name the matrix ``name``.  A
+    channel has one matrix, so ``check_hermitian``'s messages go out bare;
+    those of a POVM's effects start with the effect's name.
+    """
+    try:
+        a = check_hermitian(np.array(m, dtype=np.complex128))
+    except ValueError as exc:
+        raise error(str(exc) if error is ChannelValidationError else f"{name}: {exc}") from exc
+    if not len(a) or size is not None and len(a) != size:  # square by check_hermitian
+        expected = "a non-empty square matrix" if size is None else f"({size}, {size})"
+        raise error(f"{name} has shape {a.shape}, expected {expected}")
+    lam = float(np.linalg.eigvalsh(a)[0])
+    if lam < -VALIDATION_TOL:
+        raise error(f"{name} is not positive semidefinite: eigenvalue {lam:.3e}")
+    a.setflags(write=False)
+    return a
 
 
-def validate_channel(choi, d_in: int, d_out: int) -> None:
-    """Raise ChannelValidationError unless ``choi`` is a CP + TP Choi matrix."""
+def validate_channel(choi, d_in: int, d_out: int) -> np.ndarray:
+    """``choi`` as a checked read-only array; ChannelValidationError unless CP + TP."""
     if d_in < 1 or d_out < 1:
         raise ChannelValidationError(
             f"dimensions must be at least 1, got {d_in} -> {d_out}"
         )
-    a = as_matrix(choi)
-    dim = d_in * d_out
-    if a.shape != (dim, dim):
-        raise ChannelValidationError(
-            f"Choi matrix has shape {a.shape}, expected ({dim}, {dim}) "
-            f"for a {d_in} -> {d_out} channel"
-        )
-    try:
-        a = check_hermitian(a)
-    except ValueError as exc:
-        raise ChannelValidationError(str(exc)) from exc
-    lam = min_eigenvalue(a)
-    if lam < -VALIDATION_TOL:
-        raise ChannelValidationError(
-            f"not completely positive: Choi matrix has eigenvalue {lam:.3e}"
-        )
+    a = _psd_matrix(choi, d_in * d_out, ChannelValidationError,
+                    f"Choi matrix of a {d_in} -> {d_out} channel")
     marg = partial_trace(a, [d_in, d_out], keep={0})
     defect = np.abs(marg - np.eye(d_in)).max()
     if defect > VALIDATION_TOL:
         raise ChannelValidationError(
             f"not trace preserving: Tr_out(choi) deviates from identity by {defect:.3e}"
         )
+    return a
 
 
 @dataclass(frozen=True)
@@ -87,8 +83,7 @@ class Channel:
     label: str = ""
 
     def __post_init__(self):
-        validate_channel(self.choi, self.d_in, self.d_out)
-        object.__setattr__(self, "choi", _frozen_array(self.choi))
+        object.__setattr__(self, "choi", validate_channel(self.choi, self.d_in, self.d_out))
 
     @property
     def d(self) -> int:
@@ -112,41 +107,26 @@ class Povm:
     effects: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        effs = tuple(_frozen_array(as_matrix(e)) for e in self.effects)
-        validate_povm(effs, self.d)
-        object.__setattr__(self, "effects", effs)
+        object.__setattr__(self, "effects", validate_povm(self.effects, self.d))
 
     def __len__(self) -> int:
         return len(self.effects)
 
 
-def validate_povm(effects, d: int) -> None:
+def validate_povm(effects, d: int) -> tuple:
+    """The effects as checked read-only arrays; PovmValidationError unless a POVM."""
     if d < 1:
         raise PovmValidationError(f"dimension must be at least 1, got {d}")
+    effects = tuple(_psd_matrix(e, d, PovmValidationError, f"effect {k}")
+                    for k, e in enumerate(effects))
     if not effects:
         raise PovmValidationError("a POVM needs at least one effect")
-    total = np.zeros((d, d), dtype=np.complex128)
-    for k, e in enumerate(effects):
-        a = as_matrix(e)
-        if a.shape != (d, d):
-            raise PovmValidationError(
-                f"effect {k} has shape {a.shape}, expected ({d}, {d})"
-            )
-        try:
-            a = check_hermitian(a)
-        except ValueError as exc:
-            raise PovmValidationError(f"effect {k}: {exc}") from exc
-        lam = min_eigenvalue(a)
-        if lam < -VALIDATION_TOL:
-            raise PovmValidationError(
-                f"effect {k} is not positive semidefinite: eigenvalue {lam:.3e}"
-            )
-        total += a
-    defect = np.abs(total - np.eye(d)).max()
+    defect = np.abs(sum(effects) - np.eye(d)).max()
     if defect > VALIDATION_TOL:
         raise PovmValidationError(
             f"effects do not sum to the identity: max deviation {defect:.3e}"
         )
+    return effects
 
 
 def shared_dimension(items, kind: str = "channel") -> int:
@@ -187,13 +167,8 @@ def make_depolarizing(d: int, t: float) -> Channel:
 
 def make_schur(b) -> Channel:
     """Entrywise multiplication X -> b o X for PSD b with unit diagonal."""
-    a = check_hermitian(b)
-    d = a.shape[0]
-    lam = min_eigenvalue(a)
-    if lam < -VALIDATION_TOL:
-        raise ChannelValidationError(
-            f"Schur matrix is not positive semidefinite: eigenvalue {lam:.3e}"
-        )
+    a = _psd_matrix(b, None, ChannelValidationError, "Schur matrix")
+    d = len(a)
     diag_defect = np.abs(np.diag(a) - 1.0).max()
     if diag_defect > VALIDATION_TOL:
         raise ChannelValidationError(

@@ -68,9 +68,8 @@ def select_bases(d: int, count: int):
     if count < 1:
         raise ValueError("at least one basis is required")
     if is_prime(d) and count <= d + 1:
-        fam = mub_family(d)
         names = ["canonical", "fourier"] + [f"mub-{k}" for k in range(2, d + 1)]
-        return list(fam.bases[:count]), names[:count]
+        return list(mub_family(d)[:count]), names[:count]
     pair, names = [canonical_basis(d), fourier_basis(d)], ["canonical", "fourier"]
     return [pair[i % 2] for i in range(count)], [names[i % 2] for i in range(count)]
 

@@ -12,7 +12,6 @@ bound is not checked at run time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,35 +126,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class MubFamily:
-    """A family of pairwise unbiased orthonormal bases."""
-
-    d: int
-    bases: tuple = ()
-
-    def __post_init__(self):
-        bases = tuple(np.array(check_basis(b)) for b in self.bases)
-        for b in bases:
-            b.setflags(write=False)
-        target = 1.0 / np.sqrt(self.d)
-        for i in range(len(bases)):
-            for j in range(i + 1, len(bases)):
-                overlaps = np.abs(bases[i].conj() @ bases[j].T)
-                defect = np.abs(overlaps - target).max()
-                if defect > 1e-9:
-                    raise ValueError(
-                        f"bases {i} and {j} are not unbiased: "
-                        f"overlap defect {defect:.3e}"
-                    )
-        object.__setattr__(self, "bases", bases)
-
-    def __len__(self) -> int:
-        return len(self.bases)
-
-
-def mub_family(d: int) -> MubFamily:
-    """The d + 1 pairwise unbiased bases of a prime dimension.
+def mub_family(d: int) -> tuple:
+    """The d + 1 pairwise unbiased bases of a prime dimension, one vector per row.
 
     For d = 2 these are the three Pauli eigenbases.  For odd prime d the
     k-th basis has vectors e_j(s) = exp(2*pi*i*(k*s^2 + j*s)/d)/sqrt(d),
@@ -174,7 +146,7 @@ def mub_family(d: int) -> MubFamily:
         for k in range(d):
             phase = (k * s * s + j * s) % d
             bases.append(np.exp(2j * np.pi * phase / d) / np.sqrt(d))
-    return MubFamily(d, tuple(bases))
+    return tuple(bases)
 
 
 def orthogonal_modulo_omega(g1, g2, tol: float) -> bool:

@@ -1,9 +1,11 @@
 """Dense complex matrix primitives.
 
 Shape, finiteness, Hermiticity and orthonormal-basis checks, row-major
-vectorization, partial traces and the smallest eigenvalue.  Every function
-is pure and returns fresh arrays, so values can be shared freely between
-threads.
+vectorization and partial traces.  Every function is pure.  ``vec`` and
+``partial_trace`` return fresh arrays; ``as_matrix``, ``check_square``,
+``check_hermitian`` and ``check_basis`` return their input itself when it
+is already a complex128 matrix, so a caller that keeps the result copies
+it first.
 
 Vectorization is row-major: ``vec(m)[d*i + j] == m[i, j]``.  With this
 choice ``vec(|e><e|) == kron(e, conj(e))``, which the Fisher-geometry
@@ -114,7 +116,3 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     reduced = np.einsum(expr, t)
     dk = int(np.prod([dims[i] for i in kept]))
     return np.ascontiguousarray(reduced.reshape(dk, dk))
-
-
-def min_eigenvalue(m) -> float:
-    return float(np.linalg.eigvalsh(check_hermitian(m))[0])

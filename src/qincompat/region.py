@@ -45,12 +45,9 @@ from .fisher import beta, g_matrix, omega
 from .linalg import partial_trace
 from .sdp import (
     DominationProblem,
-    FEASIBILITY_GAP_FINE,
-    Feasibility,
     SolverStatus,
     _joint_channel_radius,
     solve_domination,
-    solve_joint_channel,
 )
 
 BISECT_TOL = 1e-3
@@ -326,13 +323,14 @@ def _oracle_grid(pair, coherent, grid):
     solve to the square's edge with the radius measured as max(s, t): the
     diagonal first, then one through the open cell at the median angle.
     A ray decides its open cells by its bracket: at or below ``lo``
-    compatible, above ``hi`` not, and between them ``solve_joint_channel``,
-    whose MARGINAL counts inside (the region is closed) if its gap closed
-    to ``FEASIBILITY_GAP_FINE``, else it raises.  The region is convex, so
-    every open cell in the hull of the certified points (the origin, both
-    unit points, each ray's lo u and every compatible cell) is compatible,
-    and every open cell where a ray's dual half-plane has 1 + x.b < 0 is
-    not.  Each ray decides at least the cell it passes through.
+    compatible, above ``hi`` not, and between them by a radius solve along
+    the ray that ends at the cell, compatible iff ``_read_bracket`` reads
+    the cell's radius (it raises on an open bracket).  The region is
+    convex, so every open cell in the hull of the certified points (the
+    origin, both unit points, each ray's lo u and every compatible cell) is
+    compatible, and every open cell where a ray's dual half-plane has
+    1 + x.b < 0 is not.  Each ray decides at least the cell it passes
+    through.
     """
     n = len(grid)
     open_cells = np.add.outer(grid, grid) > 1.0 + 1e-12
@@ -346,13 +344,6 @@ def _oracle_grid(pair, coherent, grid):
     s, t = grid[i], grid[j]
     radius = np.maximum(s, t)  # along each ray, whose end has max(u) = 1
 
-    def compatible(cell):
-        result = solve_joint_channel(_scaled(pair, cell, 1.0))
-        if result.status is Feasibility.MARGINAL and result.gap > FEASIBILITY_GAP_FINE:
-            raise RuntimeError(f"oracle cell {_point(cell)} not decided: lambda* "
-                               f"solve stopped at gap {result.gap:.3g}")
-        return result.status is not Feasibility.INFEASIBLE
-
     hull, cell, diagonal = [(0.0, 1.0), (1.0, 0.0)], (n - 1, n - 1), None
     while cell is not None:
         u = grid[list(cell)] / grid[list(cell)].max()
@@ -361,7 +352,7 @@ def _oracle_grid(pair, coherent, grid):
         on = open_cells & (i * cell[1] == j * cell[0])
         ok |= on & (radius <= lo)
         for a, b in np.argwhere(on & (radius > lo) & (radius <= hi)):
-            ok[a, b] = compatible((grid[a], grid[b]))
+            ok[a, b] = _oracle_line(pair, u, radius[a, b], BISECT_TOL)[2] == radius[a, b]
         # the hull of the certified points is 0 <= t <= their upper hull at s
         hull = _upper_hull(hull + [tuple(lo * u)] + list(zip(s[on & ok], t[on & ok])))
         inside = open_cells & ~on & (t <= np.interp(s, *zip(*hull)))
@@ -385,9 +376,9 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     column (``_oracle_grid``) decides by theorem every cell with s + t <= 1
     and every edge cell whose partner matrix is coherent, and the rest by
     rays from the origin and convexity: one radius solve per ray (one to
-    32 on coherent qubit pairs at resolution 200), and no lambda* solve
-    unless a cell falls inside a ray's bracket.  A solve that does not
-    decide raises ``RuntimeError``.
+    32 on coherent qubit pairs at resolution 200), and one more per cell
+    inside a ray's bracket, that ray's solve ended at the cell.  A solve
+    that does not decide raises ``RuntimeError``.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")

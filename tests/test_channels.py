@@ -61,7 +61,8 @@ def test_schur_figure_matrix_valid():
 
 
 def test_schur_errors_are_distinct():
-    with pytest.raises(ChannelValidationError, match="positive semidefinite"):
+    # the PSD message reports the least eigenvalue
+    with pytest.raises(ChannelValidationError, match=r"positive semidefinite: eigenvalue -1\.000e\+00"):
         make_schur(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ChannelValidationError, match="diagonal"):
         make_schur(np.array([[2.0, 0.1], [0.1, 2.0]]))
@@ -247,7 +248,7 @@ def test_povm_spec():
 def test_povm_validation():
     with pytest.raises(PovmValidationError, match="sum"):
         Povm(2, (np.eye(2) * 0.4, np.eye(2) * 0.4))
-    with pytest.raises(PovmValidationError, match="positive"):
+    with pytest.raises(PovmValidationError, match=r"^effect 1 is not positive semidefinite: eigenvalue -5\.000e-01"):
         Povm(2, (np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
 
 
@@ -276,3 +277,42 @@ def test_channel_arrays_frozen():
     c = make_depolarizing(2, 0.5)
     with pytest.raises(ValueError):
         c.choi[0, 0] = 9.0
+
+
+@pytest.mark.parametrize("shape", [(16,), (2, 4, 2)], ids=["1d", "3d"])
+def test_choi_that_is_not_a_matrix_is_rejected(shape):
+    with pytest.raises(ChannelValidationError, match="expected a matrix"):
+        Channel(2, 2, make_identity(2).choi.reshape(shape))
+
+
+def test_effect_that_is_not_a_matrix_is_rejected():
+    with pytest.raises(PovmValidationError, match="^effect 1: expected a matrix"):
+        Povm(2, (np.eye(2), np.zeros(2)))
+
+
+@pytest.mark.parametrize(
+    "b, message",
+    [(np.array([[1.0, 0.5], [0.1, 1.0]]), "not Hermitian"),
+     (np.zeros((0, 0)), r"shape \(0, 0\), expected a non-empty square matrix")],
+    ids=["non-hermitian", "empty"],
+)
+def test_bad_schur_matrix_is_a_channel_validation_error(b, message):
+    with pytest.raises(ChannelValidationError, match=message):
+        make_schur(b)
+
+
+def test_each_matrix_is_hermitian_checked_once(monkeypatch):
+    import qincompat.channels as channels
+    import qincompat.linalg as linalg
+
+    choi, checked = make_identity(2).choi, []
+    check = linalg.check_hermitian
+    for module in (channels, linalg):
+        monkeypatch.setattr(module, "check_hermitian",
+                            lambda m: checked.append(None) or check(m))
+    Channel(2, 2, choi)
+    assert len(checked) == 1
+    Povm(2, (np.eye(2) / 4,) * 4)
+    assert len(checked) == 1 + 4
+    make_schur(np.array([[1.0, 0.5], [0.5, 1.0]]))  # the Schur matrix and its Choi matrix
+    assert len(checked) == 1 + 4 + 2

@@ -29,7 +29,7 @@ def test_depolarizing_pair_point_eight():
     d = 2
     fam = mub_family(d)
     chans = [make_depolarizing(d, 0.8)] * 2
-    v = zhu_criterion_channels(chans, fam.bases[:2])
+    v = zhu_criterion_channels(chans, fam[:2])
     assert v.kind is VerdictKind.INCOMPATIBLE_CERTIFIED
     # closed form 1 + (d-1)(t^2 + s^2) = 2.28
     assert abs(v.value - 2.28) < 1e-6
@@ -250,7 +250,7 @@ def test_depolarizing_criterion_matches_sdp_route(rng):
             ts = rng.uniform(0.0, 1.0, n)
             analytic = depolarizing_criterion(d, ts)
             sdp = zhu_criterion_channels(
-                [make_depolarizing(d, t) for t in ts], fam.bases[:n]
+                [make_depolarizing(d, t) for t in ts], fam[:n]
             )
             assert analytic.kind == sdp.kind
             assert abs(analytic.value - sdp.value) < 1e-5
@@ -296,7 +296,7 @@ def test_depolarizing_matches_sdp_route_d5():
     ts = [0.55, 0.4, 0.35]
     analytic = depolarizing_criterion(5, ts)
     sdp = zhu_criterion_channels(
-        [make_depolarizing(5, t) for t in ts], fam.bases[: len(ts)]
+        [make_depolarizing(5, t) for t in ts], fam[: len(ts)]
     )
     assert analytic.kind == sdp.kind
     assert abs(analytic.value - sdp.value) < 1e-5

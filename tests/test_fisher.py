@@ -21,7 +21,7 @@ from qincompat import (
     z_matrix,
 )
 from qincompat import Povm
-from qincompat.linalg import min_eigenvalue, partial_trace
+from qincompat.linalg import partial_trace
 from helpers import random_basis, random_channel, random_povm, random_schur_matrix
 
 
@@ -152,11 +152,11 @@ def test_g_dominates_omega_on_random_povms(rng):
         d = int(rng.integers(2, 5))
         k = int(rng.integers(2, 6))
         g = g_matrix_povm(random_povm(rng, d, k))
-        assert min_eigenvalue(g - omega(d)) >= -1e-9
+        assert np.linalg.eigvalsh(g - omega(d))[0] >= -1e-9
     for _ in range(100):
         d = int(rng.integers(2, 6))
         g = g_matrix(random_channel(rng, d), random_basis(rng, d))
-        assert min_eigenvalue(g - omega(d)) >= -1e-9
+        assert np.linalg.eigvalsh(g - omega(d))[0] >= -1e-9
 
 
 def _reference_g_matrix(c, e):
@@ -275,7 +275,7 @@ def test_mub_family_pairwise_unbiased():
         fam = mub_family(d)
         for i in range(len(fam)):
             for j in range(i + 1, len(fam)):
-                overlaps = np.abs(fam.bases[i].conj() @ fam.bases[j].T)
+                overlaps = np.abs(fam[i].conj() @ fam[j].T)
                 assert np.abs(overlaps - 1.0 / np.sqrt(d)).max() < 1e-9
 
 
@@ -287,7 +287,7 @@ def test_mub_family_nonprime_error():
 def test_mub_second_member_is_fourier():
     for d in (2, 3, 5):
         fam = mub_family(d)
-        assert np.abs(fam.bases[1] - fourier_basis(d)).max() < 1e-12
+        assert np.abs(fam[1] - fourier_basis(d)).max() < 1e-12
 
 
 def test_orthogonal_modulo_omega_schur(rng):
@@ -309,7 +309,7 @@ def test_orthogonal_modulo_omega_mub_scaled():
     fam = mub_family(d)
     gs = [
         g_matrix(make_depolarizing(d, t), e)
-        for t, e in zip((0.9, 0.5, 0.7), fam.bases)
+        for t, e in zip((0.9, 0.5, 0.7), fam)
     ]
     for i in range(len(gs)):
         for j in range(i + 1, len(gs)):

@@ -4,7 +4,6 @@ import pytest
 from qincompat.linalg import (
     check_basis,
     check_hermitian,
-    min_eigenvalue,
     partial_trace,
     vec,
 )
@@ -102,7 +101,3 @@ def test_check_basis(rng):
     check_basis(random_basis(rng, 4))
     with pytest.raises(ValueError, match="orthonormal"):
         check_basis(np.ones((2, 2)))
-
-
-def test_min_eigenvalue():
-    assert abs(min_eigenvalue(np.diag([2.0, -3.0, 1.0])) + 3.0) < 1e-12

@@ -347,22 +347,18 @@ def test_oracle_ray_is_one_radius_sdp(ts, angle, monkeypatch):
     tol = 1e-3
     chans = [make_depolarizing(2, t) for t in ts]
     u = (math.cos(angle), math.sin(angle))
-    solves, engine_runs = [], []
-    solve, engine = region.solve_joint_channel, sdp._max_affine_min_eig
-    monkeypatch.setattr(region, "solve_joint_channel",
-                        lambda pair: solves.append(None) or solve(pair))
+    engine_runs, engine = [], sdp._max_affine_min_eig
     monkeypatch.setattr(sdp, "_max_affine_min_eig",
                         lambda *args: engine_runs.append(None) or engine(*args))
     ray = scan_rays(chans, [u], use_oracle=True, bisect_tol=tol).rays[0]
     monkeypatch.undo()
-    # no solve_joint_channel call: one lambda* solve at the ray's end,
-    # measured against J(0)
-    assert len(solves) == 0
+    # one lambda* solve at the ray's end, measured against J(0)
     assert len(engine_runs) == 1
     r = ray.oracle_radius
     assert abs(r - _exact_dep_pair_radius(ts, u)) <= tol
-    assert solve(_scaled(chans, r, u)).status is not region.Feasibility.INFEASIBLE
-    assert solve(_scaled(chans, r + tol, u)).status is region.Feasibility.INFEASIBLE
+    solve = sdp.solve_joint_channel
+    assert solve(_scaled(chans, r, u)).status is not sdp.Feasibility.INFEASIBLE
+    assert solve(_scaled(chans, r + tol, u)).status is sdp.Feasibility.INFEASIBLE
 
 
 @pytest.mark.parametrize(
@@ -420,9 +416,9 @@ def test_radius_sdp_witness_at_lo():
     (lo, hi), _ = sdp._joint_channel_radius(chans, u, 1.0 / max(u))
     assert hi - lo <= sdp.FEASIBILITY_GAP_COARSE
     at_lo = sdp.solve_joint_channel(_scaled(chans, lo, u))
-    assert at_lo.status is not region.Feasibility.INFEASIBLE
+    assert at_lo.status is not sdp.Feasibility.INFEASIBLE
     past_hi = sdp.solve_joint_channel(_scaled(chans, hi + 1e-3, u))
-    assert past_hi.status is region.Feasibility.INFEASIBLE
+    assert past_hi.status is sdp.Feasibility.INFEASIBLE
 
 
 def test_capped_oracle_ray_raises(monkeypatch, tmp_path, capsys):
@@ -503,7 +499,7 @@ def _per_cell_oracle_column(b, c, resolution):
     grid = np.linspace(0.0, 1.0, resolution)
     return [
         sdp.solve_joint_channel(_scaled(pair, 1.0, (float(s), float(t)))).status
-        is not region.Feasibility.INFEASIBLE
+        is not sdp.Feasibility.INFEASIBLE
         for s in grid for t in grid
     ]
 
@@ -533,8 +529,8 @@ def test_figure1_oracle_grid_equals_the_per_cell_column(rng):
 @pytest.mark.parametrize(
     "b",
     # complete dephasing is compatible with everything, so the diagonal runs
-    # to the corner, whose lambda* is 0: the corner takes a lambda* solve and
-    # its hull is the square; all-ones is the identity channel, whose
+    # to the corner, whose lambda* is 0: the corner takes a radius solve of
+    # its own and its hull is the square; all-ones is the identity channel, whose
     # (2/3, 2/3) lies on the boundary at resolution 7
     [np.eye(2), np.ones((2, 2))],
     ids=["dephasing", "identity"],
@@ -552,23 +548,17 @@ def test_figure1_oracle_grid_on_extreme_schur_pairs(b):
 def test_figure1_oracle_grid_is_one_radius_sdp_per_line(monkeypatch):
     # B coherent with C coherent, then with C = I (complete dephasing)
     b = _schur_qubit(0.5)
-    radius, solve = region._joint_channel_radius, region.solve_joint_channel
+    radius = region._joint_channel_radius
     for c in (_schur_qubit(0.3 + 0.2j), np.eye(2)):
         for resolution in (2, 3, 5, 8):
-            rays, cells = [], []
+            solves = []
 
             def radius_recorded(channels, u, r_max):
                 bracket, plane = radius(channels, u, r_max)
-                rays.append((np.array(u), bracket))
+                solves.append((np.array(u), r_max, bracket))
                 return bracket, plane
 
-            def solve_recorded(pair):
-                # a noise-scaled channel's label ends in its weight
-                cells.append([float(ch.label.rsplit("*", 1)[1]) for ch in pair])
-                return solve(pair)
-
             monkeypatch.setattr(region, "_joint_channel_radius", radius_recorded)
-            monkeypatch.setattr(region, "solve_joint_channel", solve_recorded)
             column = _oracle_column(b, c, resolution)
             monkeypatch.undo()
             grid = np.linspace(0.0, 1.0, resolution)
@@ -579,19 +569,25 @@ def test_figure1_oracle_grid_is_one_radius_sdp_per_line(monkeypatch):
             if c[0, 1] != 0.0:
                 open_cells &= s < 1.0
             # the diagonal first, then rays to the square's edge, each through
-            # a cell no theorem and no earlier ray decided
-            assert np.array_equal(rays[0][0], [1.0, 1.0])
-            for k, (u, _) in enumerate(rays):
-                assert u.max() == 1.0
+            # a cell no theorem and no earlier ray decided; a solve along the
+            # last ray's direction is a cell's, ended at that cell
+            assert np.array_equal(solves[0][0], [1.0, 1.0])
+            rays, cells = [], []
+            for u, r_max, bracket in solves:
+                if rays and np.array_equal(u, rays[-1][0]):
+                    cells.append((u, r_max, rays[-1][1]))
+                    continue
+                assert u.max() == 1.0 and r_max == 1.0
                 on = open_cells & (np.abs(s * u[1] - t * u[0]) <= 1e-12)
-                assert k == 0 or on.any()
+                assert not rays or on.any()
                 open_cells &= ~on
-            # a lambda* solve takes only a cell inside its ray's bracket: an
-            # edge cell (1, t) when C = I, whose lambda* is 0, and none here
-            # for the coherent pair
-            for cell in cells:
-                assert any(abs(cell[0] * u[1] - cell[1] * u[0]) <= 1e-6
-                           and lo - 1e-6 < max(cell) <= hi + 1e-6 for u, (lo, hi) in rays)
+                rays.append((u, bracket))
+            # a cell takes a solve only inside its ray's bracket: an edge cell
+            # (1, t) when C = I, whose lambda* is 0, and none here for the
+            # coherent pair
+            for u, r_max, (lo, hi) in cells:
+                assert lo < r_max <= hi
+                assert np.any(np.isclose(s, r_max * u[0]) & np.isclose(t, r_max * u[1]))
             if c[0, 1] != 0.0:
                 assert cells == []
             verdicts = np.array(column).reshape(resolution, resolution)
@@ -678,23 +674,28 @@ def test_capped_figure1_oracle_raises(monkeypatch, tmp_path, capsys):
 
 def test_capped_lambda_star_cell_raises(monkeypatch):
     # B = C = I: the diagonal runs to the corner, whose lambda* is 0, so the
-    # corner (1, 1) is the only cell that takes a lambda* solve; one stopped by
-    # the Newton cap ends MARGINAL with its gap open, which is no boundary cell
-    solve, cells = region.solve_joint_channel, []
-    monkeypatch.setattr(region, "solve_joint_channel",
-                        lambda pair: cells.append(None) or solve(pair))
+    # corner (1, 1) is the only cell inside a bracket, and it takes one more
+    # radius solve, ended at the corner; one stopped by the Newton cap leaves
+    # its bracket open, which is no boundary cell
+    radius, solves = region._joint_channel_radius, []
+    monkeypatch.setattr(region, "_joint_channel_radius", lambda *args: (
+        solves.append(args[1:]) or radius(*args)))
     for resolution in (3, 8):
         data = emit_figure1_data(np.eye(2), np.eye(2), resolution, use_oracle=True)
         assert all(row[3] for row in data["rows"])
-    assert len(cells) == 2
+    assert [(tuple(u), r_max) for u, r_max in solves] == [((1.0, 1.0), 1.0)] * 4
 
-    def capped(pair):
+    calls = []
+
+    def capped_cell(channels, u, r_max):
         with monkeypatch.context() as m:
-            m.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", 1)
-            return solve(pair)
+            if calls:  # the diagonal's solve comes first, then the corner's
+                m.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", 1)
+            calls.append(None)
+            return radius(channels, u, r_max)
 
-    monkeypatch.setattr(region, "solve_joint_channel", capped)
-    with pytest.raises(RuntimeError, match=r"oracle cell \(1, 1\) not decided"):
+    monkeypatch.setattr(region, "_joint_channel_radius", capped_cell)
+    with pytest.raises(RuntimeError, match=r"oracle radius along u = \(1, 1\) not decided: bracket"):
         emit_figure1_data(np.eye(2), np.eye(2), 3, use_oracle=True)
 
 

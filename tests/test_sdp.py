@@ -255,7 +255,7 @@ def test_line_search_eigenvalue_rule_picks_the_cholesky_step(rng, shape):
 def _mub_constraints(d, ts):
     fam = mub_family(d)
     return tuple(
-        g_matrix(make_depolarizing(d, t), e) for t, e in zip(ts, fam.bases)
+        g_matrix(make_depolarizing(d, t), e) for t, e in zip(ts, fam)
     )
 
 
@@ -392,7 +392,7 @@ def test_mub_constraints_closed_form(rng):
             ts = rng.uniform(0.0, 1.0, n)
             cons = tuple(
                 g_matrix(make_depolarizing(d, t), e)
-                for t, e in zip(ts, fam.bases)
+                for t, e in zip(ts, fam)
             )
             res = solve_domination(DominationProblem(d * d, cons))
             expected = 1.0 + (d - 1) * float((ts ** 2).sum())
@@ -647,7 +647,7 @@ def test_orthogonal_closed_form():
     fam = mub_family(d)
     ts = (0.9, 0.6, 0.8)
     cons = tuple(
-        g_matrix(make_depolarizing(d, t), e) for t, e in zip(ts, fam.bases)
+        g_matrix(make_depolarizing(d, t), e) for t, e in zip(ts, fam)
     )
     res = solve_domination(DominationProblem(d * d, cons))
     expected = 1.0 - len(cons) + sum(np.trace(c).real for c in cons)
