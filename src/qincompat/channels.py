@@ -287,8 +287,8 @@ def channel_from_spec(spec: dict) -> Channel:
         c = Channel(d_in, d_out, choi, label=f"choi({d_in}->{d_out})")
     else:
         raise ValueError(f"unknown channel kind {kind!r}")
-    if "label" in spec:
-        c = Channel(c.d_in, c.d_out, c.choi, label=str(spec["label"]))
+    if "label" in spec:  # c is checked and not yet shared, so relabel it in place
+        object.__setattr__(c, "label", str(spec["label"]))
     return c
 
 

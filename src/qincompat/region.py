@@ -7,15 +7,19 @@ vector, so along any ray from the origin there is a single crossing.
 Criterion boundaries are outer bounds on the region; oracle boundaries
 are exact up to the tolerance.
 
-For unital channels noise scaling is exact on the G-matrices,
-G_i(s) = omega + s^2 (G_i - omega), so the criterion value along a ray
-is 1 + r^2 kappa and one SDP for kappa gives the criterion radius.  Along
-a ray every marginal s_i Phi_i + (1 - s_i) Delta is affine in r, and so
-is the minimum-norm joint operator, J(r) = J(0) + r E.  So J(r_max) -
+Noise scaling is affine on the effects of each induced measurement,
+A_k(s) = s A_k + (1 - s) I/d.  They sum to I, so when every Tr A_k =
+<e_k|Phi(I)|e_k> is 1 (every unital channel, or a unit diagonal of
+Phi(I) in the channel's basis) it is exact on the G-matrices, G_i(s) =
+omega + s^2 (G_i - omega): the criterion value along a ray is 1 + r^2
+kappa and one SDP for kappa gives the criterion radius.  Along a ray
+every marginal s_i Phi_i + (1 - s_i) Delta is affine in r, and so is
+the minimum-norm joint operator, J(r) = J(0) + r E.  So J(r_max) -
 lambda J(0) = (1 - lambda) J(r_max / (1 - lambda)), and one lambda* solve
 at the ray's end, measured against J(0), gives the oracle radius r_max /
 (1 - lambda*), or r_max when lambda* >= 0.  One rule reads both off their
-certified brackets, and bisection remains only for non-unital criterion rays.
+certified brackets, and bisection remains only for criterion rays of
+channels with an effect whose trace is not 1.
 
 The ``fig1`` oracle grid decides by theorem every cell with s + t <= 1
 (compatible) and every edge cell whose pure Schur channel meets a
@@ -34,16 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import VALIDATION_TOL, Channel, make_schur, shared_dimension
-from .criteria import (
-    VerdictKind,
-    _schur_ellipse,
-    select_bases,
-    zhu_criterion_channels,
-)
-from .fisher import beta, g_matrix, omega
-from .linalg import partial_trace
+from .channels import VALIDATION_TOL, Channel, induced_effects, make_schur, shared_dimension
+from .criteria import VerdictKind, _criterion_verdict, _schur_ellipse, select_bases
+from .fisher import _g_from_effects, beta, omega
 from .sdp import (
+    DOMINATION_GAP_TOL,
     DominationProblem,
     SolverStatus,
     _joint_channel_radius,
@@ -121,11 +120,6 @@ def bisect_boundary(inside, r_max: float, tol: float) -> float:
     return lo
 
 
-def _scaled(channels, u, r):
-    """The channels noise-scaled to s_i = min(r u_i, 1)."""
-    return [mix_toward_depolarizing(c, min(r * ui, 1.0)) for c, ui in zip(channels, u)]
-
-
 def _point(v) -> str:
     return f"({', '.join(f'{x:.6g}' for x in v)})"
 
@@ -150,14 +144,8 @@ def _oracle_line(channels, u, r_max: float, tol: float):
     return bracket, plane, _read_bracket(bracket, r_max, tol, what)
 
 
-def _is_unital(channel: Channel) -> bool:
-    """Phi(I) = Tr_in(choi) equals I within the validation tolerance."""
-    image = partial_trace(channel.choi, [channel.d_in, channel.d_out], keep={1})
-    return float(np.abs(image - np.eye(channel.d_out)).max()) <= VALIDATION_TOL
-
-
-def _unital_criterion_radius(base_channels, bases, u, r_max: float, tol: float):
-    """Criterion radius along ``u`` from one SDP.
+def _kappa_criterion_radius(excess, u, r_max: float, tol: float):
+    """Criterion radius along ``u`` from one SDP, given ``excess`` = (G_i - omega).
 
     With H = omega + r^2 K the criterion value at radius r is 1 + r^2 kappa,
     kappa = min Tr K s.t. K >= u_i^2 (G_i - omega).  At r = sqrt((d - 1) /
@@ -165,10 +153,9 @@ def _unital_criterion_radius(base_channels, bases, u, r_max: float, tol: float):
     sqrt((d - 1) / kappa_lower) every optimum exceeds d.  ``_read_bracket``
     reads that bracket clamped to r_max; a failed kappa SDP raises.
     """
-    d = base_channels[0].d
-    w = omega(d)
+    d = math.isqrt(len(excess[0]))
     result = solve_domination(DominationProblem(d * d, tuple(
-        ui * ui * (g_matrix(c, e) - w) for c, e, ui in zip(base_channels, bases, u)
+        ui * ui * x for x, ui in zip(excess, u)
     )))
     what = f"criterion radius along u = {_point(u)}"
     if result.status is not SolverStatus.OPTIMAL:
@@ -190,13 +177,13 @@ def scan_rays(
     """Find the criterion (and optionally oracle) boundary along each ray.
 
     The criterion measures in the ``select_bases`` defaults.  Its radius
-    is one SDP when every channel is unital, bisection otherwise; the
-    oracle radius is one lambda* solve at the ray's end, measured against
-    the origin's joint operator.  Each radius is inside, with an outside
-    point at most ``bisect_tol`` beyond it, or the ray's end.  An SDP that
-    does not decide (a bracket wider than ``bisect_tol``, a failed solve)
-    raises ``RuntimeError`` naming the ray.  Rays are reported in the input
-    order.
+    is one SDP when every induced effect has unit trace (within
+    ``VALIDATION_TOL``), bisection otherwise; the oracle radius is one
+    lambda* solve at the ray's end, measured against the origin's joint
+    operator.  Each radius is inside, with an outside point at most
+    ``bisect_tol`` beyond it, or the ray's end.  An SDP that does not
+    decide (a bracket wider than ``bisect_tol``, a failed solve) raises
+    ``RuntimeError`` naming the ray.  Rays are reported in the input order.
     """
     base_channels = list(base_channels)
     # every ray reaches r_max = 1 / max(u) >= 1, so a tolerance of 1 or more
@@ -215,12 +202,16 @@ def scan_rays(
         dirs.append(np.clip(u, 0.0, None))
 
     bases, labels = select_bases(d, n)
-    unital = all(_is_unital(c) for c in base_channels)
+    effects = [induced_effects(c, e) for c, e in zip(base_channels, bases)]
+    unit_trace = all(np.abs(np.trace(a, axis1=1, axis2=2) - 1.0).max() <= VALIDATION_TOL
+                     for a in effects)
+    excess = [_g_from_effects(a) - omega(d) for a in effects] if unit_trace else None
+    context, mixed = f"bases: {', '.join(labels)}", np.eye(d) / d
 
     def criterion_inside(r, u):
-        verdict = zhu_criterion_channels(
-            _scaled(base_channels, u, r), bases, basis_labels=labels
-        )
+        gs = [_g_from_effects(s * a + (1.0 - s) * mixed)
+              for s, a in zip(np.minimum(r * u, 1.0), effects)]
+        verdict = _criterion_verdict(d, gs, context, DOMINATION_GAP_TOL)
         if verdict.value is None:  # the SDP did not converge
             raise RuntimeError(f"criterion radius along u = {_point(u)} at "
                                f"r = {r:.6g}: {verdict.certificate}")
@@ -228,8 +219,8 @@ def scan_rays(
 
     def run_ray(u):
         r_max = float(1.0 / u[u > 1e-12].max())
-        if unital:
-            crit = _unital_criterion_radius(base_channels, bases, u, r_max, bisect_tol)
+        if unit_trace:
+            crit = _kappa_criterion_radius(excess, u, r_max, bisect_tol)
         else:
             crit = bisect_boundary(lambda r: criterion_inside(r, u), r_max, bisect_tol)
         orac = None
@@ -323,9 +314,10 @@ def _oracle_grid(pair, coherent, grid):
     solve to the square's edge with the radius measured as max(s, t): the
     diagonal first, then one through the open cell at the median angle.
     A ray decides its open cells by its bracket: at or below ``lo``
-    compatible, above ``hi`` not, and between them by a radius solve along
-    the ray that ends at the cell, compatible iff ``_read_bracket`` reads
-    the cell's radius (it raises on an open bracket).  The region is
+    compatible, above ``hi`` not, and between them compatible iff
+    ``_read_bracket`` reads the cell's radius (it raises on an open
+    bracket) off the bracket of a radius solve along the ray that ends at
+    the cell, which at the ray's end is the ray's own solve.  The region is
     convex, so every open cell in the hull of the certified points (the
     origin, both unit points, each ray's lo u and every compatible cell) is
     compatible, and every open cell where a ray's dual half-plane has
@@ -352,7 +344,8 @@ def _oracle_grid(pair, coherent, grid):
         on = open_cells & (i * cell[1] == j * cell[0])
         ok |= on & (radius <= lo)
         for a, b in np.argwhere(on & (radius > lo) & (radius <= hi)):
-            ok[a, b] = _oracle_line(pair, u, radius[a, b], BISECT_TOL)[2] == radius[a, b]
+            rc = radius[a, b]  # at the ray's own end, 1, the ray's solve is the cell's
+            ok[a, b] = (r if rc == 1.0 else _oracle_line(pair, u, rc, BISECT_TOL)[2]) == rc
         # the hull of the certified points is 0 <= t <= their upper hull at s
         hull = _upper_hull(hull + [tuple(lo * u)] + list(zip(s[on & ok], t[on & ok])))
         inside = open_cells & ~on & (t <= np.interp(s, *zip(*hull)))
@@ -377,8 +370,8 @@ def emit_figure1_data(b, c, resolution: int, use_oracle: bool = False) -> dict:
     and every edge cell whose partner matrix is coherent, and the rest by
     rays from the origin and convexity: one radius solve per ray (one to
     32 on coherent qubit pairs at resolution 200), and one more per cell
-    inside a ray's bracket, that ray's solve ended at the cell.  A solve
-    that does not decide raises ``RuntimeError``.
+    inside a ray's bracket short of its end, that ray's solve ended at the
+    cell.  A solve that does not decide raises ``RuntimeError``.
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")

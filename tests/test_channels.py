@@ -316,3 +316,23 @@ def test_each_matrix_is_hermitian_checked_once(monkeypatch):
     assert len(checked) == 1 + 4
     make_schur(np.array([[1.0, 0.5], [0.5, 1.0]]))  # the Schur matrix and its Choi matrix
     assert len(checked) == 1 + 4 + 2
+
+
+def test_labelled_spec_is_validated_once(monkeypatch):
+    import qincompat.channels as channels
+
+    calls, validate = [], channels.validate_channel
+    monkeypatch.setattr(channels, "validate_channel",
+                        lambda *a: calls.append(None) or validate(*a))
+    choi = make_depolarizing(2, 0.3).choi
+    specs = [
+        {"kind": "depolarizing", "d": 2, "t": 0.3},
+        {"kind": "schur", "B": [[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]]},
+        {"kind": "choi", "d_in": 2, "d_out": 2,
+         "entries": [[z.real, z.imag] for z in choi.reshape(-1)]},
+    ]
+    for spec in specs:
+        calls.clear()
+        c = channel_from_spec(dict(spec, label="mine"))
+        assert c.label == "mine" and len(calls) == 1
+        assert np.array_equal(c.choi, channel_from_spec(spec).choi)

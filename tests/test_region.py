@@ -19,12 +19,13 @@ from qincompat import (
     zhu_criterion_channels,
 )
 from qincompat import sdp
+from qincompat.channels import induced_effects
 from qincompat.criteria import exact_depolarizing_pair
+from qincompat.fisher import g_matrix, omega
 from qincompat.sdp import SolverStatus
 from qincompat.region import (
     RayResult,
-    _is_unital,
-    _unital_criterion_radius,
+    _kappa_criterion_radius,
     bisect_boundary,
     dataset_to_csv,
     emit_figure1_data,
@@ -248,7 +249,8 @@ def test_unital_criterion_radius_is_one_sdp(chans, u, exact, monkeypatch):
     tol = 1e-3
     u = np.array(u)
     bases, _ = select_bases(chans[0].d, len(chans))
-    one_shot = _unital_criterion_radius(chans, bases, u, 1.0 / u.max(), tol)
+    excess = [g_matrix(c, e) - omega(c.d) for c, e in zip(chans, bases)]
+    one_shot = _kappa_criterion_radius(excess, u, 1.0 / u.max(), tol)
     assert one_shot is not None
     assert abs(one_shot - exact) < 1e-5
 
@@ -462,15 +464,56 @@ def _amplitude_damping(gamma):
     return Channel(2, 2, choi, label=f"amplitude-damping({gamma})")
 
 
-def test_non_unital_pair_bisects():
+def _effect_traces(chans):
+    bases, _ = select_bases(chans[0].d, len(chans))
+    return [np.trace(induced_effects(c, e), axis1=1, axis2=2).real
+            for c, e in zip(chans, bases)]
+
+
+def _counted_sdps(monkeypatch):
+    """Every domination SDP that ``scan_rays`` runs, kappa's or a probe's."""
+    calls = []
+    for module in (region, criteria):
+        solve = module.solve_domination
+        monkeypatch.setattr(module, "solve_domination", lambda *a, solve=solve, **k: (
+            calls.append(None) or solve(*a, **k)))
+    return calls
+
+
+def test_non_unital_pair_bisects(monkeypatch):
+    # amplitude damping maps I to diag(1 + g, 1 - g), so the canonical
+    # effects of the first channel have traces 1.1 and 0.9
     chans = [_amplitude_damping(0.1), _amplitude_damping(0.2)]
-    assert not any(_is_unital(c) for c in chans)
-    assert all(_is_unital(c) for c in (make_identity(2), make_schur(B_SCHUR)))
+    assert np.allclose(_effect_traces(chans), [[1.1, 0.9], [1.0, 1.0]])
     u = (math.cos(0.7), math.sin(0.7))
+    calls = _counted_sdps(monkeypatch)
     ray = scan_rays(chans, [u], bisect_tol=1e-3).rays[0]
+    monkeypatch.undo()
+    assert len(calls) > 1
     expected = _bisected_criterion_radius(chans, u, 1e-3)
     assert expected < 1.0 / max(u)  # the criterion crosses inside the segment
     assert ray.criterion_radius == expected
+
+
+def test_unit_trace_non_unital_pair_is_one_sdp_per_ray(monkeypatch):
+    # the Hadamard-rotated damping maps I to I + 0.3 X, unit diagonal in the
+    # canonical basis; damping maps I to I + 0.2 Z, unit diagonal in the
+    # Fourier basis.  Neither is unital, yet every effect has trace 1, so
+    # G_i(s) = omega + s^2 (G_i - omega) and each ray is one kappa SDP
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / SQ2
+    hh = np.kron(h, h)
+    chans = [Channel(2, 2, hh @ _amplitude_damping(0.3).choi @ hh), _amplitude_damping(0.2)]
+    for c, image in zip(chans, ([[1.0, 0.3], [0.3, 1.0]], [[1.2, 0.0], [0.0, 0.8]])):
+        assert np.allclose(np.einsum("ioij->oj", c.as_tensor()), image)  # Phi(I)
+    assert np.allclose(_effect_traces(chans), 1.0)
+    tol = 1e-3
+    for angle in (0.3, 0.7, math.pi / 4, 1.2):
+        u = (math.cos(angle), math.sin(angle))
+        calls = _counted_sdps(monkeypatch)
+        ray = scan_rays(chans, [u], bisect_tol=tol).rays[0]
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert abs(ray.criterion_radius - _bisected_criterion_radius(chans, u, tol)) <= tol
 
 
 def test_unconverged_non_unital_probe_raises(monkeypatch, tmp_path, capsys):
@@ -582,9 +625,9 @@ def test_figure1_oracle_grid_is_one_radius_sdp_per_line(monkeypatch):
                 assert not rays or on.any()
                 open_cells &= ~on
                 rays.append((u, bracket))
-            # a cell takes a solve only inside its ray's bracket: an edge cell
-            # (1, t) when C = I, whose lambda* is 0, and none here for the
-            # coherent pair
+            # a cell takes a solve only inside its ray's bracket short of the
+            # ray's end: none on these pairs (an edge cell (1, t) of C = I,
+            # whose lambda* is 0, is its ray's end, read off the ray's solve)
             for u, r_max, (lo, hi) in cells:
                 assert lo < r_max <= hi
                 assert np.any(np.isclose(s, r_max * u[0]) & np.isclose(t, r_max * u[1]))
@@ -674,29 +717,33 @@ def test_capped_figure1_oracle_raises(monkeypatch, tmp_path, capsys):
 
 def test_capped_lambda_star_cell_raises(monkeypatch):
     # B = C = I: the diagonal runs to the corner, whose lambda* is 0, so the
-    # corner (1, 1) is the only cell inside a bracket, and it takes one more
-    # radius solve, ended at the corner; one stopped by the Newton cap leaves
-    # its bracket open, which is no boundary cell
+    # corner (1, 1) is the only cell inside a bracket; it is the ray's end,
+    # read off the diagonal's own solve
     radius, solves = region._joint_channel_radius, []
     monkeypatch.setattr(region, "_joint_channel_radius", lambda *args: (
         solves.append(args[1:]) or radius(*args)))
     for resolution in (3, 8):
         data = emit_figure1_data(np.eye(2), np.eye(2), resolution, use_oracle=True)
         assert all(row[3] for row in data["rows"])
-    assert [(tuple(u), r_max) for u, r_max in solves] == [((1.0, 1.0), 1.0)] * 4
+    assert [(tuple(u), r_max) for u, r_max in solves] == [((1.0, 1.0), 1.0)] * 2
 
+    # B = C = ones, the identity pair: at resolution 4 the cell (2/3, 2/3)
+    # lies inside the diagonal's bracket, short of its end, and takes one more
+    # radius solve, ended at the cell; one stopped by the Newton cap leaves
+    # its bracket open, which is no boundary cell
     calls = []
 
     def capped_cell(channels, u, r_max):
         with monkeypatch.context() as m:
-            if calls:  # the diagonal's solve comes first, then the corner's
+            if calls:  # the diagonal's solve comes first, then the cell's
                 m.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", 1)
-            calls.append(None)
+            calls.append(r_max)
             return radius(channels, u, r_max)
 
     monkeypatch.setattr(region, "_joint_channel_radius", capped_cell)
     with pytest.raises(RuntimeError, match=r"oracle radius along u = \(1, 1\) not decided: bracket"):
-        emit_figure1_data(np.eye(2), np.eye(2), 3, use_oracle=True)
+        emit_figure1_data(np.ones((2, 2)), np.ones((2, 2)), 4, use_oracle=True)
+    assert calls == [1.0, pytest.approx(2.0 / 3.0)]
 
 
 def test_open_line_bracket_raises(monkeypatch):
