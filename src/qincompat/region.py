@@ -8,18 +8,17 @@ Criterion boundaries are outer bounds on the region; oracle boundaries
 are exact up to the tolerance.
 
 Noise scaling is affine on the effects of each induced measurement,
-A_k(s) = s A_k + (1 - s) I/d.  They sum to I, so when every Tr A_k =
-<e_k|Phi(I)|e_k> is 1 (every unital channel, or a unit diagonal of
-Phi(I) in the channel's basis) it is exact on the G-matrices, G_i(s) =
-omega + s^2 (G_i - omega): the criterion value along a ray is 1 + r^2
-kappa and one SDP for kappa gives the criterion radius.  Along a ray
-every marginal s_i Phi_i + (1 - s_i) Delta is affine in r, and so is
-the minimum-norm joint operator, J(r) = J(0) + r E.  So J(r_max) -
-lambda J(0) = (1 - lambda) J(r_max / (1 - lambda)), and one lambda* solve
-at the ray's end, measured against J(0), gives the oracle radius r_max /
-(1 - lambda*), or r_max when lambda* >= 0.  One rule reads both off their
-certified brackets, and bisection remains only for criterion rays of
-channels with an effect whose trace is not 1.
+A_k(s) = s A_k + (1 - s) I/d, and each G-matrix is a sum of x x^+ / tau
+with x and tau > 0 affine in s, so the criterion value v(r) along a ray
+is convex with v(0) = 1.  Each criterion solve at r brackets the crossing
+v = d: below by its value, through the chord from v(0) (or 1 + r^2 kappa
+when every Tr A_k is 1 and G_i(s) = omega + s^2 (G_i - omega)), above by
+its dual, through the root of a minorant tangent at r.  Along a ray every
+marginal s_i Phi_i + (1 - s_i) Delta is affine in r, and so is the
+minimum-norm joint operator, J(r) = J(0) + r E.  So J(r_max) - lambda J(0)
+= (1 - lambda) J(r_max / (1 - lambda)), and one lambda* solve at the ray's
+end, measured against J(0), gives the oracle radius r_max / (1 -
+lambda*), or r_max when lambda* >= 0.  One rule reads both brackets.
 
 The ``fig1`` oracle grid decides by theorem every cell with s + t <= 1
 (compatible) and every edge cell whose pure Schur channel meets a
@@ -39,13 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import VALIDATION_TOL, Channel, induced_effects, make_schur, shared_dimension
-from .criteria import VerdictKind, _criterion_verdict, _schur_ellipse, select_bases
-from .fisher import _g_from_effects, beta, omega
+from .criteria import _schur_ellipse, select_bases
+from .fisher import ZERO_EFFECT_TOL, _g_from_effects, beta
 from .sdp import (
-    DOMINATION_GAP_TOL,
     DominationProblem,
     SolverStatus,
     _joint_channel_radius,
+    _shifted_dual,
     solve_domination,
 )
 
@@ -96,30 +95,6 @@ def ray_directions(n_channels: int, count: int):
     return [(float(np.cos(a)), float(np.sin(a))) for a in angles]
 
 
-def bisect_boundary(inside, r_max: float, tol: float) -> float:
-    """Largest certified-inside radius along a ray, by bisection.
-
-    ``inside`` must be monotone (single crossing) and true at 0, which is
-    assumed, not probed.  For the criterion it always holds: each G_i(r)
-    is a sum of x x^+ / tau with x and tau > 0 affine in r, so it is
-    operator-convex, the criterion value is convex, and at r = 0 (every
-    channel Delta, every G-matrix omega) it is 1 < d, so the radii the
-    criterion does not certify form [0, r*] up to the solver gap.
-    Returns a radius r with inside(r) true and inside(r') false for some
-    r' <= r + tol, or r_max when the whole segment is inside.
-    """
-    if inside(r_max):
-        return r_max
-    lo, hi = 0.0, r_max
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if inside(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _point(v) -> str:
     return f"({', '.join(f'{x:.6g}' for x in v)})"
 
@@ -144,28 +119,31 @@ def _oracle_line(channels, u, r_max: float, tol: float):
     return bracket, plane, _read_bracket(bracket, r_max, tol, what)
 
 
-def _kappa_criterion_radius(excess, u, r_max: float, tol: float):
-    """Criterion radius along ``u`` from one SDP, given ``excess`` = (G_i - omega).
+def _tangent_root(effects, dual, u, r: float, d: int) -> float:
+    """Root in (0, r] of L(t) = d, L the dual minorant of the solve at r along ``u``.
 
-    With H = omega + r^2 K the criterion value at radius r is 1 + r^2 kappa,
-    kappa = min Tr K s.t. K >= u_i^2 (G_i - omega).  At r = sqrt((d - 1) /
-    kappa_value) that value is at most d, so no dual bound certifies; past
-    sqrt((d - 1) / kappa_lower) every optimum exceeds d.  ``_read_bracket``
-    reads that bracket clamped to r_max; a failed kappa SDP raises.
+    ``dual`` is that solve's (index, y), shifted and divided per block as in
+    ``_dual_bound`` to Y^_i >= 0 with sum_i Y^_i <= I, so L(t) = sum_i <Y^_i,
+    G_i(t u_i)> <= v(t).  With x_k(s) = vec(I/d) + s vec(A_k - I/d) and
+    tau_k(s) = 1 + s (Tr A_k - 1) each term is sum_k x_k^+ Y^_i x_k / tau_k
+    (0 where tau_k <= ``ZERO_EFFECT_TOL``): L is convex, L(0) <= 1 < d, and
+    Newton's method from r falls to the root (r itself when L(r) <= d).
     """
-    d = math.isqrt(len(excess[0]))
-    result = solve_domination(DominationProblem(d * d, tuple(
-        ui * ui * x for x, ui in zip(excess, u)
-    )))
-    what = f"criterion radius along u = {_point(u)}"
-    if result.status is not SolverStatus.OPTIMAL:
-        raise RuntimeError(f"{what}: kappa SDP ended {result.status.value}")
-
-    def radius(kappa):  # 1 + r^2 kappa = d, clamped to r_max
-        return r_max if kappa * r_max * r_max <= d - 1 else math.sqrt((d - 1) / kappa)
-
-    bracket = radius(result.value), radius(result.lower_bound)
-    return _read_bracket(bracket, r_max, tol, what)
+    index, (y, lam) = dual[0], _shifted_dual(dual[1])
+    y = (y / lam[:, None, None, None]).swapaxes(0, 1)  # (N, blocks, b, b)
+    mixed = np.eye(d).reshape(-1) / d
+    dx = (effects.reshape(len(u), d, d * d) - mixed)[..., index] * u[:, None, None, None]
+    x = np.stack(np.broadcast_arrays(mixed[index], dx))  # x_k(t u_i) = x[0] + t x[1]
+    (q0, q1), (_, q2) = np.einsum("pijkb,ikbc,qijkc->pqij", x.conj(), y, x).real
+    delta = (np.trace(effects, axis1=2, axis2=3).real - 1.0) * u[:, None]
+    while True:  # each Newton step goes to the root of L's tangent at the current r
+        tau = 1.0 + delta * r
+        w = (tau > ZERO_EFFECT_TOL) / np.maximum(tau, ZERO_EFFECT_TOL)  # 1 / tau, or 0
+        num = q0 + (2.0 * q1 + q2 * r) * r
+        f, slope = (w * num).sum() - d, (w * (2.0 * (q1 + q2 * r) - delta * num * w)).sum()
+        if not (f > 0.0 and slope > 0.0 and r - f / slope < r):
+            return r
+        r -= f / slope
 
 
 def scan_rays(
@@ -176,18 +154,19 @@ def scan_rays(
 ) -> RegionReport:
     """Find the criterion (and optionally oracle) boundary along each ray.
 
-    The criterion measures in the ``select_bases`` defaults.  Its radius
-    is one SDP when every induced effect has unit trace (within
-    ``VALIDATION_TOL``), bisection otherwise; the oracle radius is one
-    lambda* solve at the ray's end, measured against the origin's joint
-    operator.  Each radius is inside, with an outside point at most
-    ``bisect_tol`` beyond it, or the ray's end.  An SDP that does not
-    decide (a bracket wider than ``bisect_tol``, a failed solve) raises
+    The criterion measures in the ``select_bases`` defaults.  Its bracket
+    starts at (0, r_max), and each solve runs at its top: the value raises
+    the bottom, a dual bound above d lowers the top (``_tangent_root``, or
+    kappa's rule when every effect has unit trace within ``VALIDATION_TOL``),
+    until the bracket is within ``bisect_tol`` or the top stays.  The oracle
+    radius is one lambda* solve at the ray's end, measured against the
+    origin's joint operator.  Each radius is the lower end of a certified
+    bracket no wider than ``bisect_tol``, or the ray's end.  An SDP that
+    does not decide (an open bracket, a failed solve) raises
     ``RuntimeError`` naming the ray.  Rays are reported in the input order.
     """
     base_channels = list(base_channels)
-    # every ray reaches r_max = 1 / max(u) >= 1, so a tolerance of 1 or more
-    # would stop before the first probe inside the segment
+    # every ray reaches r_max = 1 / max(u) >= 1: a tolerance of 1 could read any radius
     if not MIN_BISECT_TOL <= bisect_tol < 1.0:
         raise ValueError(f"bisect_tol must lie in [{MIN_BISECT_TOL}, 1)")
     d = shared_dimension(base_channels)
@@ -201,28 +180,34 @@ def scan_rays(
             raise ValueError(f"direction {u} leaves the positive orthant")
         dirs.append(np.clip(u, 0.0, None))
 
-    bases, labels = select_bases(d, n)
-    effects = [induced_effects(c, e) for c, e in zip(base_channels, bases)]
-    unit_trace = all(np.abs(np.trace(a, axis1=1, axis2=2) - 1.0).max() <= VALIDATION_TOL
-                     for a in effects)
-    excess = [_g_from_effects(a) - omega(d) for a in effects] if unit_trace else None
-    context, mixed = f"bases: {', '.join(labels)}", np.eye(d) / d
+    bases, _ = select_bases(d, n)
+    effects = np.stack([induced_effects(c, e) for c, e in zip(base_channels, bases)])
+    unit_trace = np.abs(np.trace(effects, axis1=2, axis2=3) - 1.0).max() <= VALIDATION_TOL
+    power = 0.5 if unit_trace else 1.0  # v = 1 + r^2 kappa exactly, else the chord from v(0)
+    mixed = np.eye(d) / d
 
-    def criterion_inside(r, u):
-        gs = [_g_from_effects(s * a + (1.0 - s) * mixed)
-              for s, a in zip(np.minimum(r * u, 1.0), effects)]
-        verdict = _criterion_verdict(d, gs, context, DOMINATION_GAP_TOL)
-        if verdict.value is None:  # the SDP did not converge
-            raise RuntimeError(f"criterion radius along u = {_point(u)} at "
-                               f"r = {r:.6g}: {verdict.certificate}")
-        return verdict.kind is not VerdictKind.INCOMPATIBLE_CERTIFIED
+    def criterion_radius(u, r_max):
+        what = f"criterion radius along u = {_point(u)}"
+        lo, hi = 0.0, r_max
+        while True:
+            r = hi
+            gs = [_g_from_effects(s * a + (1.0 - s) * mixed)
+                  for s, a in zip(np.minimum(r * u, 1.0), effects)]
+            res = solve_domination(DominationProblem(d * d, tuple(gs)))
+            if res.status is not SolverStatus.OPTIMAL:
+                raise RuntimeError(
+                    f"{what} at r = {r:.6g}: criterion SDP did not converge "
+                    f"({res.status.value}, gap {res.gap:.2e})")
+            lo = max(lo, r * ((d - 1) / (res.value - 1)) ** power) if res.value > d else r
+            if res.lower_bound > d:
+                hi = (r * math.sqrt((d - 1) / (res.lower_bound - 1)) if unit_trace
+                      else _tangent_root(effects, res.dual, u, r, d))
+            if hi - lo <= bisect_tol or hi == r:
+                return _read_bracket((lo, hi), r_max, bisect_tol, what)
 
     def run_ray(u):
         r_max = float(1.0 / u[u > 1e-12].max())
-        if unit_trace:
-            crit = _kappa_criterion_radius(excess, u, r_max, bisect_tol)
-        else:
-            crit = bisect_boundary(lambda r: criterion_inside(r, u), r_max, bisect_tol)
+        crit = criterion_radius(u, r_max)
         orac = None
         if use_oracle:
             orac = _oracle_line(base_channels, u, r_max, bisect_tol)[2]

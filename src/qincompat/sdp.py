@@ -10,7 +10,8 @@
     shape (blocks, N, b, b); any other support is a single block of all
     indices.  The dropped off-block parts E_i are added back as
     dim * max_i ||E_i||_F, the trace of a shift that makes the assembled H
-    dominate every full G_i (||E||_F >= ||E||_2).
+    dominate every full G_i (||E||_F >= ||E||_2).  The blocks are scaled by
+    a power of two to max_i |lambda(G_i)| ~ 1, so no solve depends on scale.
 
     Pairs have a closed form, commuting or not: H = G_2 + (G_1 - G_2)_+,
     Y_1 the projector onto the positive part of G_1 - G_2, Y_2 = I - Y_1
@@ -28,15 +29,15 @@
     Its dual point is the one of the last Newton step (see ``_center``):
     Y_i = mu (U_i - U_i dH U_i) with U_i = (H - G_i + eps I)^-1, PSD and
     summing to I.  By weak duality sum_i Tr(Y_i G_i) is a lower bound on
-    the optimum for either dual point.  The Y_i are block-diagonal, so the
-    bound is taken per block, and it is made safe from round-off: each Y_i
-    is shifted by its round-off negative eigenvalue, the block's sum is
-    divided by lambda_max(sum_i Y_i), and the float error bound gamma_n
-    sum_i |Y_i||G_i| is subtracted.  Every candidate H, the closed form
-    and each stage's iterate, is read one way: each block is shifted by
-    its measured max_i lambda_max(G_i - H) plus a round-off margin, and
-    the reported gap is the distance from the shifted Tr H down to that
-    bound, so it is never negative.
+    the optimum for either dual point, returned as ``SdpResult.dual``.  The
+    Y_i are block-diagonal, so the bound is taken per block, and it is made
+    safe from round-off: each Y_i is shifted by its round-off negative
+    eigenvalue, the block's sum is divided by lambda_max(sum_i Y_i), and
+    the float error bound gamma_n sum_i |Y_i||G_i| is subtracted.  Every
+    candidate H, the closed form and each stage's iterate, is read one
+    way: each block is shifted by its measured max_i lambda_max(G_i - H)
+    plus a round-off margin, and the reported gap is the distance from the
+    shifted Tr H down to that bound, so it is never negative.
 
 (b) ``solve_joint_channel`` / ``solve_povm_joint``: decide whether a joint
     channel (or joint measurement) with prescribed marginals exists.  Over
@@ -148,6 +149,7 @@ class SdpResult:
     """lower_bound <= min Tr H <= value = Tr optimizer, the optimizer dominating every G_i.
 
     OPTIMAL means exactly 0 <= gap = value - lower_bound <= the solve's gap_tol.
+    ``dual`` is (the ``_support_blocks`` index, the (blocks, N, b, b) dual of ``lower_bound``).
     """
 
     value: float
@@ -156,6 +158,7 @@ class SdpResult:
     gap: float
     iterations: int
     status: SolverStatus
+    dual: tuple
 
 
 @dataclass(frozen=True)
@@ -234,12 +237,10 @@ def _barrier(z, s, cost, mu, mu_min, newton, read, closed, max_steps):
     its Newton-step dual y to a certified bracket ``(lo, hi, payload)``.
     The stages stop once ``closed(lo, hi)``, after a line search found no
     step (``ok`` False), after the stage at ``mu_min`` or at ``max_steps``;
-    else mu = max(mu * ``_MU_FACTOR``, ``mu_min``).  A start S that is not
-    positive definite is read at once with y = None and ``ok`` False.
+    else mu = max(mu * ``_MU_FACTOR``, ``mu_min``).  The start S is positive
+    definite: I / D for the oracle, at least I for the scaled domination.
     """
     k, steps = _inv_chol(s), 0
-    if k is None:
-        return (*read(z, cost, None), z, steps, False)
     while True:
         z, s, k, cost, y, steps, ok = _center(z, s, k, cost, mu, newton, steps, max_steps)
         lo, hi, payload = read(z, cost, y)
@@ -324,12 +325,14 @@ def solve_domination(
 
     The index set splits into the blocks of ``_support_blocks``: equal-size
     connected components of the support of sum_i |G_i|, else one block.
-    The closed form (``_closed_form``, exact for a pair and when each
-    block's G_i commute) and each barrier stage are read one way: each
-    block is shifted by its measured max_i lambda_max(G_i - H) plus a
-    round-off margin, and ``optimizer``, the assembled iterate plus max_i
-    ||E_i||_F I (E_i the part of G_i off the blocks), dominates every full
-    G_i; ``lower_bound`` is ``_dual_bound`` at its dual point.  The closed
+    They are solved divided by 2^round(log2 max_i |lambda(G_i)|), which is
+    exact and 1 for a G-matrix, and the results multiplied back (``gap_tol``
+    stays absolute).  The closed form (``_closed_form``, exact for a pair
+    and when each block's G_i commute) and each barrier stage are read one
+    way: each block is shifted by its measured max_i lambda_max(G_i - H)
+    plus a round-off margin, and ``optimizer``, the assembled iterate plus
+    max_i ||E_i||_F I (E_i the part of G_i off the blocks), dominates every
+    full G_i; ``lower_bound`` is ``_dual_bound`` at ``dual``.  The closed
     form is returned after no Newton step when its certified gap is at most
     ``gap_tol`` > 0; else one barrier runs over the blocks until a stage's
     is.  OPTIMAL means exactly that, 0 <= gap <= gap_tol; a barrier that
@@ -349,18 +352,23 @@ def solve_domination(
     dropped = float(np.sqrt(np.einsum("kab,kab->k", flat, flat).max()))
     eye = np.eye(index.shape[1])
     g_eigs = np.linalg.eigvalsh(g_blocks)
+    top = float(np.abs(g_eigs).max())
+    scale = 2.0 ** round(math.log2(top or 1.0))
+    if scale != 1.0:  # exact: a G-matrix has lambda_max = 1 and keeps scale 1
+        g_blocks, g_eigs, dropped, gap_tol = (
+            g_blocks / scale, g_eigs / scale, dropped / scale, gap_tol / scale)
     floor = g_eigs[..., 0].max(axis=1)
     # the measured excess and any later eigvalsh of the assembled optimizer
     # minus G_i each err by ~ dim eps ||G_i - H||, with ||H|| <= max_i ||G_i||
-    margin = 4.0 * len(index) * len(eye) * np.finfo(float).eps * np.abs(g_eigs).max()
+    margin = 4.0 * len(index) * len(eye) * np.finfo(float).eps * top / scale
 
     def read(h, _cost, y_stack):
         excess = np.linalg.eigvalsh(g_blocks - h[:, None])[..., -1].max(axis=1)
         h = h + (excess + margin)[:, None, None] * eye
         optimizer = _assemble((h + _adjoint(h)) / 2.0, rows, cols, dim)
         optimizer += dropped * np.eye(dim)
-        lower = -np.inf if y_stack is None else _dual_bound(y_stack, g_blocks, floor)
-        return lower, float(np.trace(optimizer).real), optimizer
+        lower = _dual_bound(y_stack, g_blocks, floor)
+        return lower, float(np.trace(optimizer).real), (optimizer, y_stack)
 
     def closed(lo, hi):
         return hi - lo <= gap_tol
@@ -374,18 +382,20 @@ def solve_domination(
         return step, step[:, None], trace(step), float(np.vdot(step, -grad).real)
 
     h, y_stack = _closed_form(g_blocks)
-    lo, hi, optimizer = read(h, None, y_stack)
+    lo, hi, (optimizer, y_stack) = read(h, None, y_stack)
     steps, ok = 0, True
     if not closed(lo, hi):
         h = np.repeat((float(g_eigs[..., -1].max()) + 1.0) * eye[None], len(index), axis=0)
-        lo, hi, optimizer, _, steps, ok = _barrier(
+        lo, hi, (optimizer, y_stack), _, steps, ok = _barrier(
             h, h[:, None] - (g_blocks - _BARRIER_SHIFT * eye), trace(h), 1.0,
             gap_tol / (4.0 * n_cons * dim), newton, read, closed,
             _DOMINATION_MAX_NEWTON_STEPS,
         )
     status = (SolverStatus.OPTIMAL if closed(lo, hi)
               else SolverStatus.MAX_ITERATIONS if ok else SolverStatus.NUMERICAL_FAILURE)
-    return SdpResult(hi, optimizer, lo, hi - lo, steps, status)
+    if scale != 1.0:
+        lo, hi, optimizer = lo * scale, hi * scale, optimizer * scale
+    return SdpResult(hi, optimizer, lo, hi - lo, steps, status, (index, y_stack))
 
 
 def _closed_form(g_blocks):
@@ -423,6 +433,12 @@ def _assemble(blocks, rows, cols, dim):
     return full
 
 
+def _shifted_dual(y):
+    """Each Y_i shifted by its round-off negative eigenvalue; per block lambda_max(sum Y_i)."""
+    y = y + np.maximum(0.0, -np.linalg.eigvalsh(y)[..., :1, None]) * np.eye(y.shape[-1])
+    return y, np.linalg.eigvalsh(y.sum(axis=1))[:, -1]
+
+
 def _dual_bound(y, g_blocks, floor):
     """Lower bound on min Tr H from the block dual point ``y``, safe from round-off.
 
@@ -434,9 +450,8 @@ def _dual_bound(y, g_blocks, floor):
     gamma_n = n eps / (1 - n eps), is subtracted; n counts the real
     products of all blocks, more than any one block's sum takes.
     """
+    y, lam = _shifted_dual(y)
     b = y.shape[-1]
-    y = y + np.maximum(0.0, -np.linalg.eigvalsh(y)[..., :1, None]) * np.eye(b)
-    lam = np.linalg.eigvalsh(y.sum(axis=1))[:, -1]
     g = g_blocks - floor[:, None, None, None] * np.eye(b)
     n_eps = 2 * g.size * np.finfo(float).eps
     err = n_eps / (1.0 - n_eps) * np.einsum("kiab,kiba->k", np.abs(y), np.abs(g))

@@ -1,4 +1,4 @@
-"""Random object generators and a solver fault shared across the test modules."""
+"""Random object generators, a solver fault and a reference root finder shared by the tests."""
 
 import numpy as np
 
@@ -73,3 +73,27 @@ def random_compatible_pair(rng, d):
         marginal_channel(joint, [d, d], 0),
         marginal_channel(joint, [d, d], 1),
     )
+
+
+def bisect_boundary(inside, r_max: float, tol: float) -> float:
+    """Largest certified-inside radius along a ray, by bisection.
+
+    ``inside`` must be monotone (single crossing) and true at 0, which is
+    assumed, not probed.  For the criterion it always holds: each G_i(r)
+    is a sum of x x^+ / tau with x and tau > 0 affine in r, so it is
+    operator-convex, the criterion value is convex, and at r = 0 (every
+    channel Delta, every G-matrix omega) it is 1 < d, so the radii the
+    criterion does not certify form [0, r*] up to the solver gap.
+    Returns a radius r with inside(r) true and inside(r') false for some
+    r' <= r + tol, or r_max when the whole segment is inside.
+    """
+    if inside(r_max):
+        return r_max
+    lo, hi = 0.0, r_max
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -30,9 +30,10 @@ from qincompat import (
     zhu_criterion_channels,
 )
 from qincompat.fisher import g_matrix_povm
-from qincompat.region import bisect_boundary, emit_figure2_data, mix_toward_depolarizing
+from qincompat.region import emit_figure2_data, mix_toward_depolarizing
 from qincompat.sdp import DominationProblem, Feasibility, solve_domination
 from helpers import (
+    bisect_boundary,
     random_basis,
     random_compatible_pair,
     random_povm,

@@ -25,8 +25,6 @@ from qincompat.fisher import g_matrix, omega
 from qincompat.sdp import SolverStatus
 from qincompat.region import (
     RayResult,
-    _kappa_criterion_radius,
-    bisect_boundary,
     dataset_to_csv,
     emit_figure1_data,
     emit_figure2_data,
@@ -36,7 +34,12 @@ from qincompat.region import (
     region_report_to_dataset,
     scan_rays,
 )
-from helpers import fail_cholesky_after_first_call, random_schur_matrix
+from helpers import (
+    bisect_boundary,
+    fail_cholesky_after_first_call,
+    random_schur_matrix,
+    random_unitary,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -246,14 +249,10 @@ B_SCHUR = np.array([[1.0, 0.5], [0.5, 1.0]])
     ids=["qubit-depolarizing", "qutrit-depolarizing", "schur-diagonal", "identity-triple"],
 )
 def test_unital_criterion_radius_is_one_sdp(chans, u, exact, monkeypatch):
+    # unit-trace effects make v(r) = 1 + r^2 kappa exact, so the one solve at
+    # the ray's end brackets the crossing from both sides
     tol = 1e-3
     u = np.array(u)
-    bases, _ = select_bases(chans[0].d, len(chans))
-    excess = [g_matrix(c, e) - omega(c.d) for c, e in zip(chans, bases)]
-    one_shot = _kappa_criterion_radius(excess, u, 1.0 / u.max(), tol)
-    assert one_shot is not None
-    assert abs(one_shot - exact) < 1e-5
-
     sdp_calls = []
     solve = region.solve_domination
     monkeypatch.setattr(region, "solve_domination",
@@ -261,7 +260,14 @@ def test_unital_criterion_radius_is_one_sdp(chans, u, exact, monkeypatch):
     ray = scan_rays(chans, [u], bisect_tol=tol).rays[0]
     monkeypatch.undo()
     assert len(sdp_calls) == 1
-    assert ray.criterion_radius == one_shot
+    assert abs(ray.criterion_radius - exact) < 1e-5
+
+    # kappa = min Tr K s.t. K >= u_i^2 (G_i - omega) reads the same radius
+    d = chans[0].d
+    bases, _ = select_bases(d, len(chans))
+    kappa = sdp.solve_domination(sdp.DominationProblem(d * d, tuple(
+        ui * ui * (g_matrix(c, e) - omega(d)) for c, e, ui in zip(chans, bases, u)))).value
+    assert abs(ray.criterion_radius - min(1.0 / u.max(), math.sqrt((d - 1) / kappa))) < 1e-9
 
     assert abs(ray.criterion_radius - _bisected_criterion_radius(chans, u, tol)) <= tol
     assert not _criterion_certifies(chans, ray.criterion_radius, u)
@@ -288,34 +294,35 @@ def _region_error(specs, capsys, *flags):
 
 
 def test_unital_ray_raises_when_its_sdp_fails(monkeypatch, tmp_path, capsys):
-    # a kappa SDP that is not OPTIMAL is solver trouble, never a radius
+    # a criterion SDP that is not OPTIMAL is solver trouble, never a radius;
+    # the one solve runs at the ray's end, r_max = 1 / 0.825336
     chans = [make_depolarizing(2, 0.9), make_depolarizing(2, 0.95)]
     u = (math.cos(0.6), math.sin(0.6))
     solve = region.solve_domination
     monkeypatch.setattr(region, "solve_domination", lambda problem: dataclasses.replace(
         solve(problem), status=SolverStatus.MAX_ITERATIONS))
-    with pytest.raises(RuntimeError, match=r"u = \(0\.825336, 0\.564642\): kappa"):
+    with pytest.raises(RuntimeError, match=r"u = \(0\.825336, 0\.564642\) at r = 1\.21163: "
+                       r"criterion SDP did not converge \(max-iterations, gap "):
         scan_rays(chans, [u], bisect_tol=1e-3)
     specs = _spec_files(tmp_path, [{"kind": "depolarizing", "d": 2, "t": t}
                                    for t in (0.9, 0.95)])
-    assert "kappa SDP ended max-iterations" in _region_error(specs, capsys)
+    assert "criterion SDP did not converge (max-iterations" in _region_error(specs, capsys)
 
 
 def test_unital_ray_straddling_its_end_is_one_sdp(monkeypatch):
-    # kappa's bracket straddles the ray's end, as on the identity pair's axis
-    # rays (r_in = 0.99999993, r_out = 1.0000000156 against r_max = 1): the
-    # radius is r_max from the kappa SDP alone, with no bisection probe
+    # the solve at the ray's end straddles the threshold d = 2 in units of v,
+    # as on the identity pair's axis rays: its value puts the bracket's lower
+    # end just below r_max, its dual bound certifies nothing, so the upper
+    # end stays at r_max and the radius is r_max after that one solve
     chans = [make_depolarizing(2, 0.5), make_depolarizing(2, 0.6)]
     u = (math.cos(0.6), math.sin(0.6))
     r_max = 1.0 / max(u)
-    edge = 1.0 / (r_max * r_max)  # (d - 1) / r_max^2
     calls = []
     solve = sdp.solve_domination
 
     def straddling(problem):
         calls.append(None)
-        return dataclasses.replace(
-            solve(problem), value=edge * (1 + 1e-7), lower_bound=edge * (1 - 1e-7))
+        return dataclasses.replace(solve(problem), value=2.0 + 1e-7, lower_bound=2.0 - 1e-7)
 
     monkeypatch.setattr(region, "solve_domination", straddling)
     monkeypatch.setattr(criteria, "solve_domination",
@@ -323,6 +330,19 @@ def test_unital_ray_straddling_its_end_is_one_sdp(monkeypatch):
     ray = scan_rays(chans, [u], bisect_tol=1e-3).rays[0]
     assert ray.criterion_radius == r_max
     assert len(calls) == 1
+
+
+def test_open_criterion_bracket_raises(monkeypatch):
+    # an OPTIMAL solve whose bracket stays open (value 2.5 puts the lower end
+    # at sqrt(1 / 1.5) r_max, a dual bound of 1.9 certifies nothing) is
+    # never read as a radius
+    chans = [make_depolarizing(2, 0.5), make_depolarizing(2, 0.6)]
+    solve = region.solve_domination
+    monkeypatch.setattr(region, "solve_domination", lambda problem: dataclasses.replace(
+        solve(problem), value=2.5, lower_bound=1.9))
+    with pytest.raises(RuntimeError, match=r"criterion radius along u = \(0\.825336, "
+                       r"0\.564642\) not decided: bracket \[0\.98929, 1\.21163\]"):
+        scan_rays(chans, [(math.cos(0.6), math.sin(0.6))], bisect_tol=1e-3)
 
 
 def test_one_channel_scan_runs_the_empty_basis_engine():
@@ -471,7 +491,7 @@ def _effect_traces(chans):
 
 
 def _counted_sdps(monkeypatch):
-    """Every domination SDP that ``scan_rays`` runs, kappa's or a probe's."""
+    """Every domination SDP that ``scan_rays`` runs."""
     calls = []
     for module in (region, criteria):
         solve = module.solve_domination
@@ -480,19 +500,27 @@ def _counted_sdps(monkeypatch):
     return calls
 
 
-def test_non_unital_pair_bisects(monkeypatch):
+def test_non_unital_pair_is_two_sdps(monkeypatch):
     # amplitude damping maps I to diag(1 + g, 1 - g), so the canonical
-    # effects of the first channel have traces 1.1 and 0.9
+    # effects of the first channel have traces 1.1 and 0.9.  The solve at
+    # the ray's end is certified; the root of its dual's tangent minorant
+    # is the second solve's r, and that solve closes the bracket from both
+    # sides, at both tolerances, with no bisection
     chans = [_amplitude_damping(0.1), _amplitude_damping(0.2)]
     assert np.allclose(_effect_traces(chans), [[1.1, 0.9], [1.0, 1.0]])
     u = (math.cos(0.7), math.sin(0.7))
-    calls = _counted_sdps(monkeypatch)
-    ray = scan_rays(chans, [u], bisect_tol=1e-3).rays[0]
-    monkeypatch.undo()
-    assert len(calls) > 1
-    expected = _bisected_criterion_radius(chans, u, 1e-3)
-    assert expected < 1.0 / max(u)  # the criterion crosses inside the segment
-    assert ray.criterion_radius == expected
+    for tol in (1e-3, 1e-4):
+        calls = _counted_sdps(monkeypatch)
+        ray = scan_rays(chans, [u], bisect_tol=tol).rays[0]
+        monkeypatch.undo()
+        assert len(calls) == 2
+        expected = _bisected_criterion_radius(chans, u, tol)
+        assert expected < 1.0 / max(u)  # the criterion crosses inside the segment
+        assert abs(ray.criterion_radius - expected) <= tol
+        # the crossing, from bisecting the criterion value to 1e-10, is 1.11159168
+        assert abs(ray.criterion_radius - 1.11159168) < 1e-7
+        assert not _criterion_certifies(chans, ray.criterion_radius, u)
+        assert _criterion_certifies(chans, ray.criterion_radius + tol, u)
 
 
 def test_unit_trace_non_unital_pair_is_one_sdp_per_ray(monkeypatch):
@@ -517,12 +545,13 @@ def test_unit_trace_non_unital_pair_is_one_sdp_per_ray(monkeypatch):
 
 
 def test_unconverged_non_unital_probe_raises(monkeypatch, tmp_path, capsys):
-    # a probe whose SDP did not converge has no verdict; counted inside, it
-    # gave this ray r_max.  The first probe is the ray's end, r_max = 1 / 0.764842
+    # a solve that did not converge bounds nothing; read as a bracket, it
+    # would give this ray r_max.  The first solve is at the ray's end, r_max
+    # = 1 / 0.764842
     chans = [_amplitude_damping(0.1), _amplitude_damping(0.2)]
-    solve = criteria.solve_domination
-    monkeypatch.setattr(criteria, "solve_domination", lambda problem, **kw: (
-        dataclasses.replace(solve(problem, **kw), status=SolverStatus.MAX_ITERATIONS)))
+    solve = region.solve_domination
+    monkeypatch.setattr(region, "solve_domination", lambda problem: (
+        dataclasses.replace(solve(problem), status=SolverStatus.MAX_ITERATIONS)))
     with pytest.raises(RuntimeError, match=r"u = \(0\.764842, 0\.644218\) at r = 1\.30746"):
         scan_rays(chans, [(math.cos(0.7), math.sin(0.7))], bisect_tol=1e-3)
     specs = _spec_files(tmp_path, [
@@ -530,6 +559,46 @@ def test_unconverged_non_unital_probe_raises(monkeypatch, tmp_path, capsys):
          "entries": [[z.real, z.imag] for z in c.choi.reshape(-1)]}
         for c in chans])
     assert "criterion SDP did not converge" in _region_error(specs, capsys)
+
+
+def _rotated_damping(rng, d):
+    """U AD_gamma V, gamma ~ U[0.05, 0.4]: levels 1..d-1 decay to 0, U and V Haar."""
+    gamma = rng.uniform(0.05, 0.4)
+    kraus = [np.diag([1.0] + [math.sqrt(1.0 - gamma)] * (d - 1)).astype(complex)]
+    for level in range(1, d):
+        k = np.zeros((d, d), dtype=complex)
+        k[0, level] = math.sqrt(gamma)
+        kraus.append(k)
+    u, v = random_unitary(rng, d), random_unitary(rng, d)
+    kraus = [u @ k @ v for k in kraus]
+    choi = sum(np.kron(e, sum(k @ e @ k.conj().T for k in kraus))
+               for e in np.eye(d * d).reshape(d * d, d, d))
+    return Channel(d, d, choi, label=f"rotated-damping({gamma:.3f})")
+
+
+def test_criterion_bracket_matches_bisection_on_rotated_damping(monkeypatch):
+    # seeded rays of U AD_gamma V tuples (numpy default_rng(47)): 12 qubit
+    # pairs, 6 qutrit pairs, 6 qubit triples.  Each radius is not certified,
+    # radius + tol is (or the radius is the ray's end), it lies within tol of
+    # bisection's, and a crossing ray takes 2 domination SDPs, one inside at
+    # its end 1
+    rng, tol = np.random.default_rng(47), 1e-3
+    kinds = []
+    for d, n, count in ((2, 2, 12), (3, 2, 6), (2, 3, 6)):
+        for _ in range(count):
+            chans = [_rotated_damping(rng, d) for _ in range(n)]
+            u = np.abs(rng.normal(size=n))
+            u /= np.linalg.norm(u)
+            r_max = 1.0 / u.max()
+            calls = _counted_sdps(monkeypatch)
+            r = scan_rays(chans, [u], bisect_tol=tol).rays[0].criterion_radius
+            monkeypatch.undo()
+            assert not _criterion_certifies(chans, r, u)
+            assert r == r_max or _criterion_certifies(chans, r + tol, u)
+            assert abs(r - _bisected_criterion_radius(chans, u, tol)) <= tol
+            assert len(calls) == (1 if r == r_max else 2)
+            kinds.append(r == r_max)
+    assert 0 < sum(kinds) < len(kinds)  # both kinds of ray occur
 
 
 # ---------------------------------------------------------------------------

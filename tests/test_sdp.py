@@ -447,15 +447,73 @@ def test_every_barrier_stage_is_read_like_the_closed_form(t):
     assert res.status is SolverStatus.MAX_ITERATIONS
 
 
-def test_barrier_start_outside_the_cone_is_a_numerical_failure():
-    # at scale 1e16 the start (lambda_max + 1) I loses its 1 to round-off,
-    # so its slack has no Cholesky factor: _barrier reads the start with
-    # no dual point, no Newton step and no lower bound
-    pauli = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
-    cons = tuple(1e16 * (np.eye(2) + 0.5 * p) for p in pauli)
+_PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+
+
+def test_barrier_is_scale_free():
+    # the Pauli triple c (I + sigma / 2) is solved divided by the power of two
+    # nearest c, so a tolerance relative to c is met in the same few steps at
+    # every c; at 1e16 the start (lambda_max + 1) I no longer loses its 1 to
+    # round-off
+    for c in (1e-9, 1.0, 1e6, 1e12, 1e16):
+        cons = tuple(c * (np.eye(2) + 0.5 * p) for p in _PAULI)
+        res = solve_domination(DominationProblem(2, cons), gap_tol=1e-6 * c)
+        assert res.status is SolverStatus.OPTIMAL and 0 < res.iterations <= 40
+        assert abs(res.value / c - 2.8164966) < 1e-6 and _dominates(res, cons)
+    res = solve_domination(DominationProblem(2, cons), gap_tol=1e10)
+    assert res.status is SolverStatus.OPTIMAL
+    assert abs(res.value / 1e16 - 2.8164966) < 1e-6
+    # gap_tol stays absolute: 1e-6 is below the round-off of a 1e16 value
     res = solve_domination(DominationProblem(2, cons))
-    assert res.status is SolverStatus.NUMERICAL_FAILURE and res.iterations == 0
-    assert res.lower_bound == -np.inf and _dominates(res, cons)
+    assert res.status is SolverStatus.MAX_ITERATIONS
+    assert np.isfinite(res.lower_bound) and np.isfinite(res.value)
+    assert res.lower_bound <= res.value and _dominates(res, cons)
+
+
+def _full_dual(res):
+    """The returned dual, shifted to PSD and divided per block by lambda_max(sum_i Y_i),
+    on the full index set: one (dim, dim) matrix per constraint."""
+    index, y = res.dual
+    b, dim = y.shape[-1], index.size
+    y = y + np.maximum(0.0, -np.linalg.eigvalsh(y)[..., :1, None]) * np.eye(b)
+    y = y / np.linalg.eigvalsh(y.sum(axis=1))[:, -1, None, None, None]
+    full = np.zeros((y.shape[1], dim, dim), dtype=complex)
+    for block, rows in enumerate(index):
+        full[:, rows[:, None], rows[None, :]] = y[block]
+    return full
+
+
+@pytest.mark.parametrize("kind", ["pair", "commuting-triple", "rotated-triple"])
+def test_domination_returns_its_dual(kind):
+    # the closed form's projectors for a pair and for commuting constraints,
+    # the last barrier stage's Newton-step dual for the rotated-basis triple
+    if kind == "pair":
+        cons = (g_matrix(make_depolarizing(2, 0.9), canonical_basis(2)),
+                g_matrix(make_identity(2), fourier_basis(2)))
+    elif kind == "commuting-triple":
+        cons = _mub_constraints(2, (0.6, 0.7, 0.8))
+    else:
+        _, cons = _rot_triple(0.7)
+    res = solve_domination(DominationProblem(4, cons))
+    assert res.status is SolverStatus.OPTIMAL
+    assert (res.iterations > 0) is (kind == "rotated-triple")
+    index, y = res.dual
+    assert index.shape == (y.shape[0], y.shape[-1]) and y.shape[1] == len(cons)
+    assert sorted(index.reshape(-1).tolist()) == list(range(4))
+    assert np.linalg.eigvalsh(y).min() >= -1e-12  # every Y_i is PSD
+    lam = np.linalg.eigvalsh(y.sum(axis=1))
+    assert np.abs(lam - 1.0).max() <= 1e-9  # sum_i Y_i = I per block
+    # weak duality from the returned dual alone reproduces the lower bound
+    bound = sum(np.vdot(yi, g).real for yi, g in zip(_full_dual(res), cons))
+    assert abs(bound - res.lower_bound) <= 1e-12 and bound <= res.value
+    # a power of two scales the constraints and the (absolute) gap tolerance
+    # exactly: the same dual, bit for bit
+    for k in (-7, 10, 40):
+        scaled = solve_domination(DominationProblem(4, tuple(2.0 ** k * g for g in cons)),
+                                  gap_tol=2.0 ** k * DOMINATION_GAP_TOL)
+        assert np.array_equal(scaled.dual[0], index) and np.array_equal(scaled.dual[1], y)
+        assert scaled.value == 2.0 ** k * res.value
+        assert scaled.lower_bound == 2.0 ** k * res.lower_bound
 
 
 @pytest.mark.parametrize("gap_tol", [0.0, -1e-6, float("nan")])
