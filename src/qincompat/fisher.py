@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .channels import Channel, Povm, induced_effects
+from .channels import VALIDATION_TOL, Channel, Povm, induced_effects
 from .linalg import check_basis, check_hermitian, vec
 
 # Effects below this trace carry no statistics and would divide by dust.
@@ -50,14 +50,11 @@ def omega(d: int) -> np.ndarray:
 def z_matrix(e) -> np.ndarray:
     """Rank-d projector sum_i |e_i (x) conj(e_i)><e_i (x) conj(e_i)|.
 
-    Equals the G-matrix of the identity channel measured in basis ``e``.
+    The G-matrix of the identity channel measured in basis ``e``, built
+    from the basis projectors |e_i><e_i|, which have unit trace.
     """
     basis = check_basis(e)
-    z = np.zeros((basis.shape[0] ** 2,) * 2, dtype=np.complex128)
-    for row in basis:
-        w = np.kron(row, row.conj())
-        z += np.outer(w, w.conj())
-    return z
+    return _g_from_effects(basis[:, :, None] * basis.conj()[:, None, :])
 
 
 def _g_from_effects(effects: np.ndarray) -> np.ndarray:
@@ -102,7 +99,7 @@ def beta(b) -> float:
     if d < 2:
         raise ValueError("dimension must be at least 2")
     diag_defect = np.abs(np.diag(a) - 1.0).max()
-    if diag_defect > 1e-9:
+    if diag_defect > VALIDATION_TOL:
         raise ValueError(
             f"matrix diagonal deviates from 1 by {diag_defect:.3e}; "
             "beta is defined for unit-diagonal matrices"

@@ -174,7 +174,8 @@ def scan_rays(
     dirs = []
     for u in directions:
         u = np.asarray(u, dtype=float)
-        if u.shape != (n,) or abs(float(np.linalg.norm(u)) - 1.0) > 1e-9:
+        # written so that a NaN entry, whose norm compares false, fails too
+        if u.shape != (n,) or not abs(float(np.linalg.norm(u)) - 1.0) <= VALIDATION_TOL:
             raise ValueError(f"direction {u} is not a unit vector of length {n}")
         if np.any(u < -1e-12):
             raise ValueError(f"direction {u} leaves the positive orthant")

@@ -42,11 +42,11 @@
 (b) ``solve_joint_channel`` / ``solve_povm_joint``: decide whether a joint
     channel (or joint measurement) with prescribed marginals exists.  Over
     Kronecker strings of per-factor Hermitian bases with member 0 the
-    normalized identity, the marginals fix exactly the strings with at most
-    one non-identity constrained factor, each coefficient read off one
-    target.  One barrier engine solves the oracle's program in dual form
-    over those fixed strings (Vandenberghe & Boyd, SIAM Rev. 38, 49
-    (1996)).  The verdict is
+    normalized identity, factor 0 shared by every marginal, the marginals
+    fix exactly the strings with at most one non-identity factor past 0,
+    each coefficient read off one target.  One barrier engine solves the
+    oracle's program in dual form over those fixed strings (Vandenberghe
+    & Boyd, SIAM Rev. 38, 49 (1996)).  The verdict is
 
         lambda* = min <Y, j0>  subject to  Y = I/D + sum_k a_k F_k >= 0,
 
@@ -62,8 +62,9 @@
     x.b, a dual half-plane (``_joint_channel_radius``).
 
 One stage loop, ``_barrier``, runs both barriers under one policy: mu
-falls 1000-fold per stage down to a floor, and both solvers read a
-certified bracket after every stage, stopping once it is closed.  One
+falls 1000-fold per stage down to a floor, never below 1e-14, and both
+solvers read a certified bracket after every stage, stopping once it is
+closed or at the one Newton cap.  One
 routine, ``_center``, centers every stage by damped Newton with an
 Armijo line search along the slack direction dS, until the Newton
 decrement is at most 1 (dec2 <= mu).  The search reads every trial step
@@ -98,8 +99,8 @@ FEASIBLE_BAND = 1e-7
 # m * D^2, the entries of the stack of m fixed strings of dimension D; 2^22
 # admits d=2 with N <= 6, d=3 with N <= 3 and d=4 pairs, nothing larger
 ORACLE_BUDGET = 2 ** 22
-_ORACLE_MAX_NEWTON_STEPS = 4000
-_DOMINATION_MAX_NEWTON_STEPS = 800
+_MAX_NEWTON_STEPS = 800
+_MU_MIN = 1e-14
 
 _BARRIER_SHIFT = 1e-12
 # entries of sum_i |G_i| below this fraction of its largest split no blocks
@@ -127,7 +128,7 @@ class Feasibility(Enum):
 
 @dataclass(frozen=True)
 class DominationProblem:
-    """Constraints of the program min Tr H s.t. H >= constraints[i]."""
+    """The program min Tr H s.t. H >= constraints[i], each kept as a checked read-only copy."""
 
     dim: int
     constraints: tuple
@@ -135,12 +136,13 @@ class DominationProblem:
     def __post_init__(self):
         if not self.constraints:
             raise ValueError("at least one constraint is required")
-        mats = tuple(check_hermitian(c) for c in self.constraints)
+        mats = tuple(check_hermitian(np.array(c, np.complex128)) for c in self.constraints)
         for k, c in enumerate(mats):
             if c.shape != (self.dim, self.dim):
                 raise ValueError(
                     f"constraint {k} has shape {c.shape}, expected ({self.dim}, {self.dim})"
                 )
+            c.setflags(write=False)
         object.__setattr__(self, "constraints", mats)
 
 
@@ -230,21 +232,25 @@ def _center(z, s, k, cost, mu, newton, steps, max_steps):
     return z, s, k, cost, (y + _adjoint(y)) / 2.0, steps, ok
 
 
-def _barrier(z, s, cost, mu, mu_min, newton, read, closed, max_steps):
+def _barrier(z, s, cost, mu, mu_min, newton, read, closed):
     """Center from S(z) = s down mu's schedule; the last ``(lo, hi, payload, z, steps, ok)``.
 
     After each ``_center`` stage ``read(z, cost, y)`` maps the iterate and
     its Newton-step dual y to a certified bracket ``(lo, hi, payload)``.
     The stages stop once ``closed(lo, hi)``, after a line search found no
-    step (``ok`` False), after the stage at ``mu_min`` or at ``max_steps``;
-    else mu = max(mu * ``_MU_FACTOR``, ``mu_min``).  The start S is positive
-    definite: I / D for the oracle, at least I for the scaled domination.
+    step (``ok`` False), after the stage at the floor max(``mu_min``,
+    ``_MU_MIN``) or at ``_MAX_NEWTON_STEPS``; else mu falls by
+    ``_MU_FACTOR``, never below the floor (a stage's gap, of order mu
+    times its dimension, is round-off below ``_MU_MIN`` for the order-one
+    values both programs are scaled to).  The start S is positive definite:
+    I / D for the oracle, at least I for the scaled domination.
     """
-    k, steps = _inv_chol(s), 0
+    k, steps, mu_min = _inv_chol(s), 0, max(mu_min, _MU_MIN)
     while True:
-        z, s, k, cost, y, steps, ok = _center(z, s, k, cost, mu, newton, steps, max_steps)
+        z, s, k, cost, y, steps, ok = _center(
+            z, s, k, cost, mu, newton, steps, _MAX_NEWTON_STEPS)
         lo, hi, payload = read(z, cost, y)
-        if closed(lo, hi) or not ok or mu <= mu_min or steps >= max_steps:
+        if closed(lo, hi) or not ok or mu <= mu_min or steps >= _MAX_NEWTON_STEPS:
             return lo, hi, payload, z, steps, ok
         mu = max(mu * _MU_FACTOR, mu_min)
 
@@ -336,8 +342,9 @@ def solve_domination(
     form is returned after no Newton step when its certified gap is at most
     ``gap_tol`` > 0; else one barrier runs over the blocks until a stage's
     is.  OPTIMAL means exactly that, 0 <= gap <= gap_tol; a barrier that
-    reaches mu = gap_tol / (4 N dim) or its Newton cap first ends
-    MAX_ITERATIONS, one whose line search found no step NUMERICAL_FAILURE.
+    reaches mu = max(gap_tol / (4 N dim), ``_MU_MIN``) on the scaled blocks
+    or its Newton cap first ends MAX_ITERATIONS, one whose line search
+    found no step NUMERICAL_FAILURE.
     """
     if not gap_tol > 0.0:
         raise ValueError(f"gap_tol must be positive, got {gap_tol!r}")
@@ -389,7 +396,6 @@ def solve_domination(
         lo, hi, (optimizer, y_stack), _, steps, ok = _barrier(
             h, h[:, None] - (g_blocks - _BARRIER_SHIFT * eye), trace(h), 1.0,
             gap_tol / (4.0 * n_cons * dim), newton, read, closed,
-            _DOMINATION_MAX_NEWTON_STEPS,
         )
     status = (SolverStatus.OPTIMAL if closed(lo, hi)
               else SolverStatus.MAX_ITERATIONS if ok else SolverStatus.NUMERICAL_FAILURE)
@@ -517,8 +523,8 @@ def _max_affine_min_eig(coeffs, strings, mu=1.0):
             gap <= FEASIBILITY_GAP_COARSE and _classify(lo, hi) is not Feasibility.MARGINAL)
 
     lam, ub, witness, z, steps, _ = _barrier(
-        np.zeros(m), np.eye(dim, dtype=np.complex128) / dim, 0.0, mu, 1e-14,
-        newton, read, closed, _ORACLE_MAX_NEWTON_STEPS)
+        np.zeros(m), np.eye(dim, dtype=np.complex128) / dim, 0.0, mu, _MU_MIN,
+        newton, read, closed)
     return FeasibilityResult(lam, witness, _classify(lam, ub), ub - lam, steps), z
 
 
@@ -546,27 +552,26 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return np.concatenate([_diagonal_basis(d), upper + lower, 1j * (lower - upper)])
 
 
-def _marginal_family(dims, factor_bases, shared, targets):
+def _marginal_family(dims, factor_bases, targets):
     """The strings the marginals fix and the joint operator's coefficients on them.
 
     ``factor_bases[i]`` is an orthonormal Hermitian basis of factor i with
-    member 0 the normalized identity.  ``targets`` are the marginals on each
-    other factor (in order) with ``shared``, over the two factors in
-    ascending order, each of shape (..., n, n); the one on ``shared`` alone
-    is the identity.  The marginals fix exactly the Kronecker strings with
-    at most one non-identity constrained factor.  One whose non-identity
-    factor is i has the coefficient <b_shared (x) b_i, target_i> / sqrt(the
-    product of the other constrained dimensions); with none, only the
-    identity string's is nonzero.  A target whose marginal on ``shared``
-    is not the identity raises ``RuntimeError``.  Returns ``(coeffs,
-    strings)`` of shapes (..., m) and (m, D, D), strings[0] = I / sqrt(D).
-    A stack of m D^2 > ``ORACLE_BUDGET`` entries raises ``OracleBudgetError``
-    before any array is built.
+    member 0 the normalized identity; factor 0 is shared by every marginal.
+    ``targets[i - 1]`` is the marginal on factors 0 and i (i >= 1), of
+    shape (..., n, n); the one on factor 0 alone is the identity.  The
+    marginals fix exactly the Kronecker strings with at most one
+    non-identity factor past 0.  One whose such factor is i has the
+    coefficient <b_0 (x) b_i, target_i> / sqrt(the product of the other
+    dimensions past 0); with none, only the identity string's is nonzero.
+    A target whose marginal on factor 0 is not the identity raises
+    ``RuntimeError``.  Returns ``(coeffs, strings)`` of shapes (..., m) and
+    (m, D, D), strings[0] = I / sqrt(D).  A stack of m D^2 >
+    ``ORACLE_BUDGET`` entries raises ``OracleBudgetError`` before any array
+    is built.
     """
     total = math.prod(dims)
-    constrained = [i for i in range(len(dims)) if i != shared]
     sizes = [len(b) for b in factor_bases]
-    m = sizes[shared] * (1 + sum(sizes[i] - 1 for i in constrained))
+    m = sizes[0] * (1 + sum(k - 1 for k in sizes[1:]))
     if m * total * total > ORACLE_BUDGET:
         raise OracleBudgetError(
             f"oracle over factors of dimensions {tuple(dims)} has m = {m} fixed "
@@ -574,19 +579,16 @@ def _marginal_family(dims, factor_bases, shared, targets):
             f"over the oracle budget {ORACLE_BUDGET}"
         )
     labels = np.indices(sizes).reshape(len(dims), -1)
-    fixed = (labels[constrained] > 0).sum(axis=0) <= 1
-    labels = labels[:, fixed]
-    still = (labels[constrained] == 0).all(axis=0)
+    labels = labels[:, (labels[1:] > 0).sum(axis=0) <= 1]
+    still = (labels[1:] == 0).all(axis=0)
     coeffs = np.zeros(targets[0].shape[:-2] + (len(still),))
-    coeffs[..., 0] = dims[shared] / np.sqrt(total)
-    for i, t in zip(constrained, targets):
-        first, second = sorted((shared, i))
-        b0, b1 = factor_bases[first], factor_bases[second]
-        t = t.reshape(t.shape[:-2] + (dims[first], dims[second]) * 2)
-        table = np.einsum("apr,bqs,...pqrs->...ab", b0.conj(), b1.conj(), t).real
-        own = table[..., labels[first], labels[second]]
-        own *= np.sqrt(dims[shared] * dims[i] / total)
-        # strings no constrained factor moves see the shared marginal, I
+    coeffs[..., 0] = dims[0] / np.sqrt(total)
+    for i, t in enumerate(targets, 1):
+        t = t.reshape(t.shape[:-2] + (dims[0], dims[i]) * 2)
+        table = np.einsum("apr,bqs,...pqrs->...ab",
+                          factor_bases[0].conj(), factor_bases[i].conj(), t).real
+        own = table[..., labels[0], labels[i]] * np.sqrt(dims[0] * dims[i] / total)
+        # strings no factor past 0 moves see the marginal on factor 0, I
         residual = float(np.abs(own[..., still] - coeffs[..., still]).max())
         if residual > 1e-8 * (1.0 + float(np.abs(own).max())):
             raise RuntimeError(
@@ -609,7 +611,7 @@ def _marginal_family(dims, factor_bases, shared, targets):
 def _joint_channel_family(d: int, targets):
     """``_marginal_family`` of a d -> d^N joint Choi matrix: factor 0 is the input."""
     n = len(targets) + 1
-    return _marginal_family([d] * n, [_hermitian_basis(d)] * n, 0, targets)
+    return _marginal_family([d] * n, [_hermitian_basis(d)] * n, targets)
 
 
 def solve_joint_channel(channels) -> FeasibilityResult:
@@ -674,23 +676,21 @@ def joint_witness_channel(result: FeasibilityResult, d: int, n: int) -> Channel:
 def solve_povm_joint(povms) -> FeasibilityResult:
     """Decide joint measurability of the given POVMs.
 
-    The joint measurement is a block-diagonal variable with one d x d block
-    per joint outcome; marginal matching is affine and positivity of every
-    block is the PSD constraint, so the same lambda_min engine applies.
-    POVMs of k_i outcomes fix m = d^2 (1 + sum_i (k_i - 1)) strings of
-    dimension D = d prod_i k_i; m D^2 > ``ORACLE_BUDGET`` is refused.
+    The joint operator lives on the system (x) one classical register per
+    POVM, the system first as the factor every marginal shares.  Diagonal
+    register bases keep it block-diagonal in the joint outcomes, one d x d
+    block each; marginal matching is affine and positivity of every block
+    is the PSD constraint, so the same lambda_min engine applies.  POVMs of
+    k_i outcomes fix m = d^2 (1 + sum_i (k_i - 1)) strings of dimension D =
+    d prod_i k_i; m D^2 > ``ORACLE_BUDGET`` is refused, the budget error
+    listing the dimensions (d, k_1, ..., k_N).
     """
     povms = list(povms)
     d = shared_dimension(povms, "POVM")
     counts = [len(p) for p in povms]
-    # one classical outcome register per POVM, then the system; diagonal
-    # register bases keep every candidate block-diagonal
     return _max_affine_min_eig(*_marginal_family(
-        counts + [d],
-        [_diagonal_basis(k) for k in counts] + [_hermitian_basis(d)],
-        len(povms),
-        [
-            sum(np.kron(np.diag(row), e) for row, e in zip(np.eye(k), p.effects))
-            for k, p in zip(counts, povms)
-        ],
+        [d] + counts,
+        [_hermitian_basis(d)] + [_diagonal_basis(k) for k in counts],
+        [sum(np.kron(e, np.diag(row)) for row, e in zip(np.eye(k), p.effects))
+         for k, p in zip(counts, povms)],
     ))[0]

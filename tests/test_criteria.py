@@ -128,7 +128,7 @@ def _projective(basis):
 def test_non_convergence_reports_solver_gap(monkeypatch):
     import qincompat.sdp as sdp
 
-    monkeypatch.setattr(sdp, "_DOMINATION_MAX_NEWTON_STEPS", 1)
+    monkeypatch.setattr(sdp, "_MAX_NEWTON_STEPS", 1)
     bases = _qubit_triple()
     chans = [make_identity(2)] * 3
     for v in (

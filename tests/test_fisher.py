@@ -199,6 +199,12 @@ def test_g_matrix_rejects_dimension_below_two():
         g_matrix_povm(Povm(1, (np.eye(1),)))
 
 
+def test_z_matrix_rejects_dimension_below_two():
+    # z_matrix is the G-matrix of the basis projectors: d >= 2, like omega
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        z_matrix(np.eye(1))
+
+
 def test_g_matrix_rejects_basis_of_wrong_dimension():
     with pytest.raises(ValueError, match=r"basis dimension 3 .* output dimension 2"):
         g_matrix(make_identity(2), canonical_basis(3))

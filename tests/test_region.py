@@ -86,6 +86,12 @@ def test_scan_rejects_bad_directions():
         scan_rays(chans, [(1.0, 1.0)])
     with pytest.raises(ValueError, match="orthant"):
         scan_rays(chans, [(-1.0, 0.0)])
+    # a NaN entry makes the norm NaN, which no tolerance admits
+    nan = float("nan")
+    for u in ((nan, 1.0), (1.0, nan), (nan, nan)):
+        for use_oracle in (False, True):
+            with pytest.raises(ValueError, match=r"direction \[.*nan.*\] is not a unit vector"):
+                scan_rays(chans, [u], use_oracle=use_oracle)
     for tol in (1e-5, 1.0, 5.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="bisect_tol"):
             scan_rays(chans, [(1.0, 0.0)], bisect_tol=tol)
@@ -453,7 +459,7 @@ def test_capped_oracle_ray_raises(monkeypatch, tmp_path, capsys):
     specs = _spec_files(tmp_path, [{"kind": "depolarizing", "d": 2, "t": t}
                                    for t in (0.9, 0.95)])
     for cap in (3, 5):
-        monkeypatch.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", cap)
+        monkeypatch.setattr(sdp, "_MAX_NEWTON_STEPS", cap)
         with pytest.raises(RuntimeError, match="bracket"):
             scan_rays(chans, [u], use_oracle=True, bisect_tol=1e-3)
         line = _region_error(specs, capsys, "--oracle")
@@ -770,7 +776,7 @@ def test_capped_figure1_oracle_raises(monkeypatch, tmp_path, capsys):
         def capped(channels, u, r_max, capped_u=capped_u):
             with monkeypatch.context() as m:
                 if np.allclose(u, capped_u):
-                    m.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", 3)
+                    m.setattr(sdp, "_MAX_NEWTON_STEPS", 3)
                 return radius(channels, u, r_max)
 
         monkeypatch.setattr(region, "_joint_channel_radius", capped)
@@ -805,7 +811,7 @@ def test_capped_lambda_star_cell_raises(monkeypatch):
     def capped_cell(channels, u, r_max):
         with monkeypatch.context() as m:
             if calls:  # the diagonal's solve comes first, then the cell's
-                m.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", 1)
+                m.setattr(sdp, "_MAX_NEWTON_STEPS", 1)
             calls.append(r_max)
             return radius(channels, u, r_max)
 

@@ -57,20 +57,21 @@ from helpers import (
 def _channel_family_args(rng, d, n):
     # the Choi matrix of a random d -> d^n channel: its input marginal is I
     joint = random_channel(rng, d, d ** n).choi
-    return [d] * (n + 1), [_hermitian_basis(d)] * (n + 1), 0, joint
+    return [d] * (n + 1), [_hermitian_basis(d)] * (n + 1), joint
 
 
 def _povm_family_args(rng, d, counts):
-    # a random joint POVM, one outcome register per marginal, then the system
+    # a random joint POVM: the system, then one outcome register per marginal
     effects = random_povm(rng, d, int(np.prod(counts))).effects
     outcomes = np.eye(int(np.prod(counts)))
-    joint = sum(np.kron(np.diag(row), e) for row, e in zip(outcomes, effects))
-    bases = [_diagonal_basis(k) for k in counts] + [_hermitian_basis(d)]
-    return list(counts) + [d], bases, len(counts), joint
+    joint = sum(np.kron(e, np.diag(row)) for row, e in zip(outcomes, effects))
+    bases = [_hermitian_basis(d)] + [_diagonal_basis(k) for k in counts]
+    return [d] + list(counts), bases, joint
 
 
-def _marginals(dims, shared, joint):
-    return [partial_trace(joint, dims, {shared, i}) for i in range(len(dims)) if i != shared]
+def _marginals(dims, joint):
+    # factor 0 is shared: the marginal on it and each other factor
+    return [partial_trace(joint, dims, {0, i}) for i in range(1, len(dims))]
 
 
 @pytest.mark.parametrize(
@@ -84,45 +85,43 @@ def _marginals(dims, shared, joint):
     ids=["channel-d2-N2", "channel-d2-N3", "channel-d3-N2", "povm-2x3"],
 )
 def test_marginal_family(make_args):
-    dims, bases, shared, joint = make_args(np.random.default_rng(5))
+    dims, bases, joint = make_args(np.random.default_rng(5))
     for fb, dim in zip(bases, dims):
         assert np.abs(fb[0] - np.eye(dim) / np.sqrt(dim)).max() < 1e-15
         assert np.abs(fb - fb.conj().transpose(0, 2, 1)).max() == 0.0
-    coeffs, strings = _marginal_family(dims, bases, shared, _marginals(dims, shared, joint))
+    coeffs, strings = _marginal_family(dims, bases, _marginals(dims, joint))
 
-    # at most one non-identity constrained factor: each of the d_s^2 shared
-    # members times either no such factor or one non-identity member
-    sizes = [len(fb) for i, fb in enumerate(bases) if i != shared]
-    expected = dims[shared] ** 2 * (1 + sum(k - 1 for k in sizes))
+    # at most one non-identity factor past the shared factor 0: each of its
+    # d_0^2 members times either no such factor or one non-identity member
+    sizes = [len(fb) for fb in bases[1:]]
+    expected = dims[0] ** 2 * (1 + sum(k - 1 for k in sizes))
     total = joint.shape[0]
     assert strings.shape == (expected, total, total)
     assert np.abs(strings[0] - np.eye(total) / np.sqrt(total)).max() < 1e-15
     flat = strings.reshape(len(strings), -1)
     assert np.abs(flat.conj() @ flat.T - np.eye(len(strings))).max() < 1e-12
     # every string is seen by some marginal
-    others = [i for i in range(len(dims)) if i != shared]
     for member in strings:
-        assert max(np.linalg.norm(partial_trace(member, dims, {shared, i}))
-                   for i in others) > 0.5
+        assert max(np.linalg.norm(partial_trace(member, dims, {0, i}))
+                   for i in range(1, len(dims))) > 0.5
     # the coefficients read off the marginals are those of any joint operator
     # with them
     assert coeffs.shape == (expected,)
     assert np.abs(coeffs - (flat.conj() @ joint.reshape(-1)).real).max() < 1e-12
     j0 = np.tensordot(coeffs, strings, axes=1)
-    for target, marginal in zip(_marginals(dims, shared, joint), _marginals(dims, shared, j0)):
+    for target, marginal in zip(_marginals(dims, joint), _marginals(dims, j0)):
         assert np.abs(marginal - target).max() < 1e-12
 
 
-def _all_strings_masked(dims, bases, shared):
+def _all_strings_masked(dims, bases):
     # every Kronecker string, then those with at most one non-identity
-    # constrained factor
+    # factor past the shared factor 0
     strings = bases[0]
     for b in bases[1:]:
         k, n = strings.shape[0] * b.shape[0], strings.shape[1] * b.shape[1]
         strings = np.einsum("aij,bkl->abikjl", strings, b).reshape(k, n, n)
     labels = np.indices([len(b) for b in bases]).reshape(len(dims), -1)
-    constrained = [i for i in range(len(dims)) if i != shared]
-    return strings[(labels[constrained] > 0).sum(axis=0) <= 1]
+    return strings[(labels[1:] > 0).sum(axis=0) <= 1]
 
 
 @pytest.mark.parametrize(
@@ -136,9 +135,9 @@ def _all_strings_masked(dims, bases, shared):
     ids=["channel-d2-N2", "channel-d3-N2", "channel-d2-N3", "povm-2x3"],
 )
 def test_fixed_strings_are_the_masked_full_build(make_args):
-    dims, bases, shared, joint = make_args(np.random.default_rng(7))
-    _, strings = _marginal_family(dims, bases, shared, _marginals(dims, shared, joint))
-    full = _all_strings_masked(dims, bases, shared)
+    dims, bases, joint = make_args(np.random.default_rng(7))
+    _, strings = _marginal_family(dims, bases, _marginals(dims, joint))
+    full = _all_strings_masked(dims, bases)
     assert strings.dtype == full.dtype and strings.shape == full.shape
     assert strings.tobytes() == full.tobytes()
 
@@ -154,23 +153,23 @@ def test_fixed_strings_are_the_masked_full_build(make_args):
 )
 def test_budget_counts_the_fixed_string_stack(make_args, monkeypatch):
     # the budget is spent on the entries of the stack the family builds
-    dims, bases, shared, joint = make_args(np.random.default_rng(8))
-    targets = _marginals(dims, shared, joint)
-    _, strings = _marginal_family(dims, bases, shared, targets)
+    dims, bases, joint = make_args(np.random.default_rng(8))
+    targets = _marginals(dims, joint)
+    _, strings = _marginal_family(dims, bases, targets)
     monkeypatch.setattr(sdp, "ORACLE_BUDGET", strings.size)
-    _marginal_family(dims, bases, shared, targets)
+    _marginal_family(dims, bases, targets)
     monkeypatch.setattr(sdp, "ORACLE_BUDGET", strings.size - 1)
     with pytest.raises(OracleBudgetError, match=f"m = {len(strings)} .* = {strings.size} "):
-        _marginal_family(dims, bases, shared, targets)
+        _marginal_family(dims, bases, targets)
 
 
 def test_marginal_family_rejects_inconsistent_targets():
     rng = np.random.default_rng(6)
-    dims, bases, shared, joint = _channel_family_args(rng, 2, 2)
-    targets = _marginals(dims, shared, joint)
+    dims, bases, joint = _channel_family_args(rng, 2, 2)
+    targets = _marginals(dims, joint)
     # a Choi matrix of trace 2d has input marginal 2I, not the shared I
     with pytest.raises(RuntimeError, match="inconsistent"):
-        _marginal_family(dims, bases, shared, [2.0 * targets[0]] + targets[1:])
+        _marginal_family(dims, bases, [2.0 * targets[0]] + targets[1:])
 
 
 def test_newton_cg_solves_sandwich_sum(rng):
@@ -314,6 +313,19 @@ def test_single_constraint_is_tight():
     assert res.gap <= 1e-6
     # one constraint commutes with itself: the closed form, no Newton step
     assert res.iterations == 0
+
+
+def test_problem_keeps_read_only_copies():
+    # the problem holds checked copies: a later change to the caller's array
+    # (complex128, which a dtype conversion would not copy) reaches no
+    # solve, and the stored constraints cannot be written
+    g = np.eye(2, dtype=np.complex128)
+    p = DominationProblem(2, (g,))
+    g[0, 0] = 100.0
+    assert solve_domination(p).value == pytest.approx(2.0, abs=1e-9)
+    assert p.dim == 2 and p.constraints[0][0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        p.constraints[0][0, 0] = 100.0
 
 
 def test_unequal_components_are_one_block():
@@ -463,11 +475,15 @@ def test_barrier_is_scale_free():
     res = solve_domination(DominationProblem(2, cons), gap_tol=1e10)
     assert res.status is SolverStatus.OPTIMAL
     assert abs(res.value / 1e16 - 2.8164966) < 1e-6
-    # gap_tol stays absolute: 1e-6 is below the round-off of a 1e16 value
-    res = solve_domination(DominationProblem(2, cons))
-    assert res.status is SolverStatus.MAX_ITERATIONS
-    assert np.isfinite(res.lower_bound) and np.isfinite(res.value)
-    assert res.lower_bound <= res.value and _dominates(res, cons)
+    # gap_tol stays absolute: the default 1e-6 is below the round-off of a
+    # value of 1e15 and up, and no stage runs below the floor mu = 1e-14 of
+    # the scaled blocks, so the barrier stops within a few stages
+    for c in (1e15, 1e16, 1e100):
+        cons = tuple(c * (np.eye(2) + 0.5 * p) for p in _PAULI)
+        res = solve_domination(DominationProblem(2, cons))
+        assert res.status is SolverStatus.MAX_ITERATIONS and res.iterations <= 40
+        assert np.isfinite(res.lower_bound) and np.isfinite(res.value)
+        assert res.lower_bound <= res.value and _dominates(res, cons)
 
 
 def _full_dual(res):
@@ -780,11 +796,11 @@ def test_werner_cloning_threshold(d, n):
     assert outside.status is Feasibility.INFEASIBLE
 
 
-@pytest.mark.parametrize("max_steps", [1, 3, 10, sdp._ORACLE_MAX_NEWTON_STEPS])
+@pytest.mark.parametrize("max_steps", [1, 3, 10, sdp._MAX_NEWTON_STEPS])
 def test_oracle_verdict_needs_its_bound(max_steps, monkeypatch):
     # a solve cut short attains a negative lambda below a compatible optimum;
     # only the dual bound lambda_star + gap may call it infeasible
-    monkeypatch.setattr(sdp, "_ORACLE_MAX_NEWTON_STEPS", max_steps)
+    monkeypatch.setattr(sdp, "_MAX_NEWTON_STEPS", max_steps)
     cases = [
         ([make_depolarizing(2, 0.5)] * 2, True),
         ([make_depolarizing(2, 0.5)] * 3, True),
