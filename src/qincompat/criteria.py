@@ -76,9 +76,7 @@ def select_bases(d: int, count: int):
 
 def _criterion_verdict(d: int, gs, context: str, sdp_gap: float):
     """Solve the criterion SDP and certify when its dual bound exceeds d."""
-    result = solve_domination(
-        DominationProblem(d * d, tuple(gs)), gap_tol=sdp_gap
-    )
+    result = solve_domination(DominationProblem(gs), gap_tol=sdp_gap)
     if result.status is not SolverStatus.OPTIMAL:
         return Verdict(
             VerdictKind.UNDETERMINED,

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import VALIDATION_TOL, Channel, induced_effects, make_schur, shared_dimension
+from .channels import VALIDATION_TOL, induced_effects, make_schur, shared_dimension
 from .criteria import _schur_ellipse, select_bases
 from .fisher import ZERO_EFFECT_TOL, _g_from_effects, beta
 from .sdp import (
@@ -63,20 +63,6 @@ class RayResult:
 class RegionReport:
     channel_labels: tuple
     rays: tuple
-
-
-def mix_toward_depolarizing(channel: Channel, s: float) -> Channel:
-    """Noise-scale a channel: s * Phi + (1 - s) * Delta as a Choi mixture."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"mixing weight {s} outside [0, 1]")
-    d = channel.d
-    delta_choi = np.eye(d * d) / d
-    return Channel(
-        d,
-        d,
-        s * channel.choi + (1.0 - s) * delta_choi,
-        label=f"{channel.label}*{s:.6f}",
-    )
 
 
 def ray_directions(n_channels: int, count: int):
@@ -119,7 +105,7 @@ def _oracle_line(channels, u, r_max: float, tol: float):
     return bracket, plane, _read_bracket(bracket, r_max, tol, what)
 
 
-def _tangent_root(effects, dual, u, r: float, d: int) -> float:
+def _tangent_root(effects, dual, u, r: float) -> float:
     """Root in (0, r] of L(t) = d, L the dual minorant of the solve at r along ``u``.
 
     ``dual`` is that solve's (index, y), shifted and divided per block as in
@@ -129,7 +115,7 @@ def _tangent_root(effects, dual, u, r: float, d: int) -> float:
     (0 where tau_k <= ``ZERO_EFFECT_TOL``): L is convex, L(0) <= 1 < d, and
     Newton's method from r falls to the root (r itself when L(r) <= d).
     """
-    index, (y, lam) = dual[0], _shifted_dual(dual[1])
+    index, (y, lam), d = dual[0], _shifted_dual(dual[1]), effects.shape[-1]
     y = (y / lam[:, None, None, None]).swapaxes(0, 1)  # (N, blocks, b, b)
     mixed = np.eye(d).reshape(-1) / d
     dx = (effects.reshape(len(u), d, d * d) - mixed)[..., index] * u[:, None, None, None]
@@ -194,7 +180,7 @@ def scan_rays(
             r = hi
             gs = [_g_from_effects(s * a + (1.0 - s) * mixed)
                   for s, a in zip(np.minimum(r * u, 1.0), effects)]
-            res = solve_domination(DominationProblem(d * d, tuple(gs)))
+            res = solve_domination(DominationProblem(gs))
             if res.status is not SolverStatus.OPTIMAL:
                 raise RuntimeError(
                     f"{what} at r = {r:.6g}: criterion SDP did not converge "
@@ -202,7 +188,7 @@ def scan_rays(
             lo = max(lo, r * ((d - 1) / (res.value - 1)) ** power) if res.value > d else r
             if res.lower_bound > d:
                 hi = (r * math.sqrt((d - 1) / (res.lower_bound - 1)) if unit_trace
-                      else _tangent_root(effects, res.dual, u, r, d))
+                      else _tangent_root(effects, res.dual, u, r))
             if hi - lo <= bisect_tol or hi == r:
                 return _read_bracket((lo, hi), r_max, bisect_tol, what)
 

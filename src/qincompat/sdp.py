@@ -1,7 +1,7 @@
 """Two small dense semidefinite solvers.
 
-(a) ``solve_domination``: minimize Tr H subject to H >= G_i for a list of
-    Hermitian constraints.
+(a) ``solve_domination``: minimize Tr H subject to H >= G_i, read in place
+    off one checked read-only (N, dim, dim) stack of Hermitian constraints.
 
     The index set is split into the connected components of the support of
     sum_i |G_i| (entries below 1e-13 of its largest count as zero).  Pinching
@@ -128,22 +128,20 @@ class Feasibility(Enum):
 
 @dataclass(frozen=True)
 class DominationProblem:
-    """The program min Tr H s.t. H >= constraints[i], each kept as a checked read-only copy."""
+    """The program min Tr H s.t. H >= constraints[i], kept as one checked read-only stack."""
 
-    dim: int
-    constraints: tuple
+    constraints: np.ndarray
 
     def __post_init__(self):
-        if not self.constraints:
+        if not len(self.constraints):
             raise ValueError("at least one constraint is required")
-        mats = tuple(check_hermitian(np.array(c, np.complex128)) for c in self.constraints)
-        for k, c in enumerate(mats):
-            if c.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"constraint {k} has shape {c.shape}, expected ({self.dim}, {self.dim})"
-                )
-            c.setflags(write=False)
-        object.__setattr__(self, "constraints", mats)
+        stack = np.stack([check_hermitian(c) for c in self.constraints])
+        stack.setflags(write=False)
+        object.__setattr__(self, "constraints", stack)
+
+    @property
+    def dim(self) -> int:
+        return self.constraints.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -187,7 +185,7 @@ def _inv_chol(s):
     return np.linalg.inv(chol)
 
 
-def _center(z, s, k, cost, mu, newton, steps, max_steps):
+def _center(z, s, k, cost, mu, newton, steps):
     """Damped Newton on cost(z) - mu * log det S(z) at fixed mu, S affine in z.
 
     ``k`` is ``_inv_chol(s)``.  ``newton(u, mu)`` maps the inverse slack u =
@@ -204,14 +202,14 @@ def _center(z, s, k, cost, mu, newton, steps, max_steps):
     step at the returned S: the Newton equations are the dual's equality
     constraints, and y is PSD once dec2 <= mu, as ||u^1/2 dS u^1/2||_2^2 <=
     dec2 / mu.  ``ok`` is False when a line search found no step.
-    ``steps`` counts on from the given value and stops at ``max_steps``.
+    ``steps`` counts on from the given value and stops at ``_MAX_NEWTON_STEPS``.
     """
     ok = True
     while True:
         u = _adjoint(k) @ k
         u = (u + _adjoint(u)) / 2.0
         dz, ds, dcost, dec2 = newton(u, mu)
-        if steps >= max_steps or dec2 <= max(mu, 1e-13 * (1.0 + abs(cost))):
+        if steps >= _MAX_NEWTON_STEPS or dec2 <= max(mu, 1e-13 * (1.0 + abs(cost))):
             break
         steps += 1
         lam = np.linalg.eigvalsh(k @ ds @ _adjoint(k)).reshape(-1)
@@ -247,19 +245,19 @@ def _barrier(z, s, cost, mu, mu_min, newton, read, closed):
     """
     k, steps, mu_min = _inv_chol(s), 0, max(mu_min, _MU_MIN)
     while True:
-        z, s, k, cost, y, steps, ok = _center(
-            z, s, k, cost, mu, newton, steps, _MAX_NEWTON_STEPS)
+        z, s, k, cost, y, steps, ok = _center(z, s, k, cost, mu, newton, steps)
         lo, hi, payload = read(z, cost, y)
         if closed(lo, hi) or not ok or mu <= mu_min or steps >= _MAX_NEWTON_STEPS:
             return lo, hi, payload, z, steps, ok
         mu = max(mu * _MU_FACTOR, mu_min)
 
 
-def _newton_cg(u_stack, mu, rhs_mat, tol, max_iter):
+def _newton_cg(u_stack, mu, rhs_mat):
     """Solve mu * sum_i U_i X U_i = rhs over block-diagonal Hermitian X by PCG.
 
     ``u_stack`` has shape (blocks, N, b, b) and ``rhs_mat`` (blocks, b, b);
-    inner products and norms sum over the blocks.
+    inner products and norms sum over the blocks.  PCG stops at a residual
+    of 1e-12 max(1, ||rhs||), or after 4 (blocks b)^2 iterations.
     """
     n_cons = u_stack.shape[1]
     mean_u = u_stack.sum(axis=1) / n_cons
@@ -279,8 +277,8 @@ def _newton_cg(u_stack, mu, rhs_mat, tol, max_iter):
     p = z
     rz = np.vdot(r, z).real
     b_norm = np.linalg.norm(rhs_mat)
-    for _ in range(max_iter):
-        if np.linalg.norm(r) <= tol * max(1.0, b_norm):
+    for _ in range(4 * (len(u_stack) * u_stack.shape[-1]) ** 2):
+        if np.linalg.norm(r) <= 1e-12 * max(1.0, b_norm):
             break
         hp = hv(p)
         alpha = rz / max(np.vdot(p, hp).real, 1e-300)
@@ -348,22 +346,22 @@ def solve_domination(
     """
     if not gap_tol > 0.0:
         raise ValueError(f"gap_tol must be positive, got {gap_tol!r}")
-    g_stack = np.stack(problem.constraints)
-    n_cons, dim = g_stack.shape[0], problem.dim
+    g_stack, dim = problem.constraints, problem.dim
     index = _support_blocks(g_stack)
     rows, cols = index[:, :, None], index[:, None, :]
     g_blocks = g_stack[:, rows, cols].swapaxes(0, 1)  # (blocks, N, b, b)
-    # what stays of g_stack is E_i, with ||E_i||_F >= ||E_i||_2
-    g_stack[:, rows, cols] = 0.0
+    # E_i, G_i off the blocks (a mask on flat's (Re, Im) pairs), has ||E_i||_F >= ||E_i||_2
+    off = np.ones((dim, dim), dtype=bool)
+    off[rows, cols] = False
     flat = g_stack.view(np.float64)
-    dropped = float(np.sqrt(np.einsum("kab,kab->k", flat, flat).max()))
+    dropped = float(np.sqrt(np.einsum("kab,kab,ab->k", flat, flat, off.repeat(2, axis=1)).max()))
     eye = np.eye(index.shape[1])
     g_eigs = np.linalg.eigvalsh(g_blocks)
     top = float(np.abs(g_eigs).max())
-    scale = 2.0 ** round(math.log2(top or 1.0))
-    if scale != 1.0:  # exact: a G-matrix has lambda_max = 1 and keeps scale 1
-        g_blocks, g_eigs, dropped, gap_tol = (
-            g_blocks / scale, g_eigs / scale, dropped / scale, gap_tol / scale)
+    scale = 2.0 ** round(math.log2(top or 1.0))  # exact, and 1 for a G-matrix
+    g_blocks /= scale
+    g_eigs /= scale
+    dropped, gap_tol = dropped / scale, gap_tol / scale
     floor = g_eigs[..., 0].max(axis=1)
     # the measured excess and any later eigvalsh of the assembled optimizer
     # minus G_i each err by ~ dim eps ||G_i - H||, with ||H|| <= max_i ||G_i||
@@ -372,8 +370,8 @@ def solve_domination(
     def read(h, _cost, y_stack):
         excess = np.linalg.eigvalsh(g_blocks - h[:, None])[..., -1].max(axis=1)
         h = h + (excess + margin)[:, None, None] * eye
-        optimizer = _assemble((h + _adjoint(h)) / 2.0, rows, cols, dim)
-        optimizer += dropped * np.eye(dim)
+        optimizer = dropped * np.eye(dim, dtype=np.complex128)
+        optimizer[rows, cols] += (h + _adjoint(h)) / 2.0
         lower = _dual_bound(y_stack, g_blocks, floor)
         return lower, float(np.trace(optimizer).real), (optimizer, y_stack)
 
@@ -385,7 +383,7 @@ def solve_domination(
 
     def newton(u_stack, mu):
         grad = eye - mu * u_stack.sum(axis=1)
-        step = _newton_cg(u_stack, mu, -grad, 1e-12, 4 * dim * dim)
+        step = _newton_cg(u_stack, mu, -grad)
         return step, step[:, None], trace(step), float(np.vdot(step, -grad).real)
 
     h, y_stack = _closed_form(g_blocks)
@@ -395,13 +393,12 @@ def solve_domination(
         h = np.repeat((float(g_eigs[..., -1].max()) + 1.0) * eye[None], len(index), axis=0)
         lo, hi, (optimizer, y_stack), _, steps, ok = _barrier(
             h, h[:, None] - (g_blocks - _BARRIER_SHIFT * eye), trace(h), 1.0,
-            gap_tol / (4.0 * n_cons * dim), newton, read, closed,
+            gap_tol / (4.0 * len(g_stack) * dim), newton, read, closed,
         )
     status = (SolverStatus.OPTIMAL if closed(lo, hi)
               else SolverStatus.MAX_ITERATIONS if ok else SolverStatus.NUMERICAL_FAILURE)
-    if scale != 1.0:
-        lo, hi, optimizer = lo * scale, hi * scale, optimizer * scale
-    return SdpResult(hi, optimizer, lo, hi - lo, steps, status, (index, y_stack))
+    lo, hi = lo * scale, hi * scale
+    return SdpResult(hi, optimizer * scale, lo, hi - lo, steps, status, (index, y_stack))
 
 
 def _closed_form(g_blocks):
@@ -430,13 +427,6 @@ def _closed_form(g_blocks):
         h = (v * lam.max(axis=1)[:, None]) @ _adjoint(v)
         picked = lam.argmax(axis=1)[:, None] == np.arange(n_cons)[:, None]
     return h, (v[:, None] * picked[..., None, :]) @ _adjoint(v)[:, None]
-
-
-def _assemble(blocks, rows, cols, dim):
-    """Scatter (..., blocks, b, b) onto the (..., dim, dim) block-diagonal matrix."""
-    full = np.zeros(blocks.shape[:-3] + (dim, dim), dtype=np.complex128)
-    full[..., rows, cols] = blocks
-    return full
 
 
 def _shifted_dual(y):
@@ -552,11 +542,12 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return np.concatenate([_diagonal_basis(d), upper + lower, 1j * (lower - upper)])
 
 
-def _marginal_family(dims, factor_bases, targets):
+def _marginal_family(factor_bases, targets):
     """The strings the marginals fix and the joint operator's coefficients on them.
 
-    ``factor_bases[i]`` is an orthonormal Hermitian basis of factor i with
-    member 0 the normalized identity; factor 0 is shared by every marginal.
+    ``factor_bases[i]`` is an orthonormal Hermitian basis of factor i, whose
+    dimension is its ``shape[-1]``, with member 0 the normalized identity;
+    factor 0 is shared by every marginal.
     ``targets[i - 1]`` is the marginal on factors 0 and i (i >= 1), of
     shape (..., n, n); the one on factor 0 alone is the identity.  The
     marginals fix exactly the Kronecker strings with at most one
@@ -569,6 +560,7 @@ def _marginal_family(dims, factor_bases, targets):
     ``ORACLE_BUDGET`` entries raises ``OracleBudgetError`` before any array
     is built.
     """
+    dims = [b.shape[-1] for b in factor_bases]
     total = math.prod(dims)
     sizes = [len(b) for b in factor_bases]
     m = sizes[0] * (1 + sum(k - 1 for k in sizes[1:]))
@@ -611,7 +603,7 @@ def _marginal_family(dims, factor_bases, targets):
 def _joint_channel_family(d: int, targets):
     """``_marginal_family`` of a d -> d^N joint Choi matrix: factor 0 is the input."""
     n = len(targets) + 1
-    return _marginal_family([d] * n, [_hermitian_basis(d)] * n, targets)
+    return _marginal_family([_hermitian_basis(d)] * n, targets)
 
 
 def solve_joint_channel(channels) -> FeasibilityResult:
@@ -689,7 +681,6 @@ def solve_povm_joint(povms) -> FeasibilityResult:
     d = shared_dimension(povms, "POVM")
     counts = [len(p) for p in povms]
     return _max_affine_min_eig(*_marginal_family(
-        [d] + counts,
         [_hermitian_basis(d)] + [_diagonal_basis(k) for k in counts],
         [sum(np.kron(e, np.diag(row)) for row, e in zip(np.eye(k), p.effects))
          for k, p in zip(counts, povms)],

@@ -1,4 +1,4 @@
-"""Random object generators, a solver fault and a reference root finder shared by the tests."""
+"""Random objects, noise scaling, a solver fault and a reference root finder shared by the tests."""
 
 import numpy as np
 
@@ -58,6 +58,14 @@ def random_channel(rng, d_in, d_out=None, label="random"):
     root_inv = v @ np.diag(1.0 / np.sqrt(ev)) @ v.conj().T
     lift = np.kron(root_inv, np.eye(d_out))
     return Channel(d_in, d_out, lift @ w @ lift.conj().T, label=label)
+
+
+def mix_toward_depolarizing(channel, s: float):
+    """Noise-scale a channel: s * Phi + (1 - s) * Delta as a Choi mixture."""
+    d = channel.d
+    delta_choi = np.eye(d * d) / d
+    return Channel(d, d, s * channel.choi + (1.0 - s) * delta_choi,
+                   label=f"{channel.label}*{s:.6f}")
 
 
 def random_schur_matrix(rng, d):

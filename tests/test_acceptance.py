@@ -30,10 +30,11 @@ from qincompat import (
     zhu_criterion_channels,
 )
 from qincompat.fisher import g_matrix_povm
-from qincompat.region import emit_figure2_data, mix_toward_depolarizing
+from qincompat.region import emit_figure2_data
 from qincompat.sdp import DominationProblem, Feasibility, solve_domination
 from helpers import (
     bisect_boundary,
+    mix_toward_depolarizing,
     random_basis,
     random_compatible_pair,
     random_povm,
@@ -61,7 +62,7 @@ def test_criterion_01_analytic_sdp_value():
                 g_matrix(make_depolarizing(d, t), e)
                 for t, e in zip(ts, fam)
             )
-            res = solve_domination(DominationProblem(d * d, cons))
+            res = solve_domination(DominationProblem(cons))
             expected = 1.0 + (d - 1) * float((ts ** 2).sum())
             worst = max(worst, abs(res.value - expected))
             count += 1
@@ -283,7 +284,7 @@ def test_criterion_12_commuting_solver_oracle():
         db = rng.uniform(0.0, 3.0, d)
         a = u @ np.diag(da) @ u.conj().T
         bmat = u @ np.diag(db) @ u.conj().T
-        res = solve_domination(DominationProblem(d, (a, bmat)))
+        res = solve_domination(DominationProblem((a, bmat)))
         expected = float(np.maximum(da, db).sum())
         worst = max(worst, abs(res.value - expected))
     assert worst < 1e-6, f"worst deviation {worst:.2e}"

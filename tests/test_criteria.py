@@ -22,7 +22,7 @@ from qincompat import (
 )
 from qincompat.criteria import oracle_verdict
 from qincompat.sdp import Feasibility, FeasibilityResult
-from helpers import fail_cholesky_after_first_call, random_basis
+from helpers import fail_cholesky_after_first_call, mix_toward_depolarizing, random_basis
 
 
 def test_depolarizing_pair_point_eight():
@@ -184,7 +184,6 @@ def test_schur_all_ones_reduces_to_depolarizing():
 
 def test_schur_criterion_agrees_with_sdp_route():
     from qincompat import make_schur
-    from qincompat.region import mix_toward_depolarizing
 
     b = np.array([[1.0, 0.5], [0.5, 1.0]])
     base = make_schur(b)

@@ -29,7 +29,6 @@ from qincompat.region import (
     emit_figure1_data,
     emit_figure2_data,
     exact_pair_root,
-    mix_toward_depolarizing,
     ray_directions,
     region_report_to_dataset,
     scan_rays,
@@ -37,6 +36,7 @@ from qincompat.region import (
 from helpers import (
     bisect_boundary,
     fail_cholesky_after_first_call,
+    mix_toward_depolarizing,
     random_schur_matrix,
     random_unitary,
 )
@@ -205,11 +205,6 @@ def test_figure1_symmetric_inputs_symmetric_output():
         assert by_point[(t, s)] == inside
 
 
-def test_mix_toward_depolarizing_range():
-    with pytest.raises(ValueError, match="outside"):
-        mix_toward_depolarizing(make_identity(2), 1.2)
-
-
 def test_determinism():
     chans = [make_identity(2), make_identity(2)]
     dirs = ray_directions(2, 3)
@@ -271,7 +266,7 @@ def test_unital_criterion_radius_is_one_sdp(chans, u, exact, monkeypatch):
     # kappa = min Tr K s.t. K >= u_i^2 (G_i - omega) reads the same radius
     d = chans[0].d
     bases, _ = select_bases(d, len(chans))
-    kappa = sdp.solve_domination(sdp.DominationProblem(d * d, tuple(
+    kappa = sdp.solve_domination(sdp.DominationProblem(tuple(
         ui * ui * (g_matrix(c, e) - omega(d)) for c, e, ui in zip(chans, bases, u)))).value
     assert abs(ray.criterion_radius - min(1.0 / u.max(), math.sqrt((d - 1) / kappa))) < 1e-9
 

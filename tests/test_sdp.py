@@ -42,6 +42,7 @@ from qincompat.sdp import (
 from qincompat.linalg import partial_trace
 from helpers import (
     fail_cholesky_after_first_call,
+    mix_toward_depolarizing,
     random_basis,
     random_channel,
     random_compatible_pair,
@@ -89,7 +90,7 @@ def test_marginal_family(make_args):
     for fb, dim in zip(bases, dims):
         assert np.abs(fb[0] - np.eye(dim) / np.sqrt(dim)).max() < 1e-15
         assert np.abs(fb - fb.conj().transpose(0, 2, 1)).max() == 0.0
-    coeffs, strings = _marginal_family(dims, bases, _marginals(dims, joint))
+    coeffs, strings = _marginal_family(bases, _marginals(dims, joint))
 
     # at most one non-identity factor past the shared factor 0: each of its
     # d_0^2 members times either no such factor or one non-identity member
@@ -136,7 +137,7 @@ def _all_strings_masked(dims, bases):
 )
 def test_fixed_strings_are_the_masked_full_build(make_args):
     dims, bases, joint = make_args(np.random.default_rng(7))
-    _, strings = _marginal_family(dims, bases, _marginals(dims, joint))
+    _, strings = _marginal_family(bases, _marginals(dims, joint))
     full = _all_strings_masked(dims, bases)
     assert strings.dtype == full.dtype and strings.shape == full.shape
     assert strings.tobytes() == full.tobytes()
@@ -155,12 +156,12 @@ def test_budget_counts_the_fixed_string_stack(make_args, monkeypatch):
     # the budget is spent on the entries of the stack the family builds
     dims, bases, joint = make_args(np.random.default_rng(8))
     targets = _marginals(dims, joint)
-    _, strings = _marginal_family(dims, bases, targets)
+    _, strings = _marginal_family(bases, targets)
     monkeypatch.setattr(sdp, "ORACLE_BUDGET", strings.size)
-    _marginal_family(dims, bases, targets)
+    _marginal_family(bases, targets)
     monkeypatch.setattr(sdp, "ORACLE_BUDGET", strings.size - 1)
     with pytest.raises(OracleBudgetError, match=f"m = {len(strings)} .* = {strings.size} "):
-        _marginal_family(dims, bases, targets)
+        _marginal_family(bases, targets)
 
 
 def test_marginal_family_rejects_inconsistent_targets():
@@ -169,7 +170,7 @@ def test_marginal_family_rejects_inconsistent_targets():
     targets = _marginals(dims, joint)
     # a Choi matrix of trace 2d has input marginal 2I, not the shared I
     with pytest.raises(RuntimeError, match="inconsistent"):
-        _marginal_family(dims, bases, [2.0 * targets[0]] + targets[1:])
+        _marginal_family(bases, [2.0 * targets[0]] + targets[1:])
 
 
 def test_newton_cg_solves_sandwich_sum(rng):
@@ -182,7 +183,7 @@ def test_newton_cg_solves_sandwich_sum(rng):
             for _ in range(2)
         ])
         rhs = np.stack([random_hermitian(rng, n) for _ in range(2)])
-        x = _newton_cg(u_stack, mu, rhs, 1e-12, 4 * n * n)
+        x = _newton_cg(u_stack, mu, rhs)
         for u_block, x_block, rhs_block in zip(u_stack, x, rhs):
             lhs = mu * sum(u @ x_block @ u for u in u_block)
             assert np.linalg.norm(lhs - rhs_block) <= 1e-9 * np.linalg.norm(rhs)
@@ -212,13 +213,14 @@ def _cholesky_armijo_step(s, ds, dcost, dec2, mu):
 
 
 @pytest.mark.parametrize("shape", [(), (3, 4)], ids=["dense", "blocks"])
-def test_line_search_eigenvalue_rule_picks_the_cholesky_step(rng, shape):
+def test_line_search_eigenvalue_rule_picks_the_cholesky_step(rng, shape, monkeypatch):
     # one _center step on S (dense 6 x 6, or a (blocks, N, b, b) stack whose
     # step dS is shared by the N slacks of a block, as in the criterion) with
     # dec2 = mu ||K dS K^+||_F^2 and slope dcost - mu tr(S^-1 dS) = -c dec2:
     # c = 1 is a Newton step, c near _ARMIJO makes the Armijo test bind; the
     # t it takes is the Cholesky-Armijo reference's
     n = 6 if not shape else 3
+    monkeypatch.setattr(sdp, "_MAX_NEWTON_STEPS", 1)
     picked = set()
     for scale, c in itertools.product((1.5, 4.0, 20.0, 100.0, 1000.0), (1.0, 0.05, 0.02)):
         for _ in range(4):
@@ -239,7 +241,7 @@ def test_line_search_eigenvalue_rule_picks_the_cholesky_step(rng, shape):
                 return np.ones(1), ds, dcost, dec2
 
             z, s_new, k, _, _, steps, ok = sdp._center(
-                np.zeros(1), s, sdp._inv_chol(s), 0.0, mu, newton, 0, 1)
+                np.zeros(1), s, sdp._inv_chol(s), 0.0, mu, newton, 0)
             assert steps == 1 and ok and reference is not None
             assert z[0] == reference
             picked.add(reference)
@@ -306,7 +308,7 @@ def test_single_constraint_is_tight():
     g = z_matrix(canonical_basis(2))
     # Z = |00><00| + |11><11| is diagonal: four blocks of size 1
     assert _support_blocks(g[None]).tolist() == [[0], [1], [2], [3]]
-    res = solve_domination(DominationProblem(4, (g,)))
+    res = solve_domination(DominationProblem((g,)))
     assert res.status is SolverStatus.OPTIMAL
     assert abs(res.value - 2.0) < 1e-6
     assert np.abs(res.optimizer - g).max() < 1e-3
@@ -320,7 +322,7 @@ def test_problem_keeps_read_only_copies():
     # (complex128, which a dtype conversion would not copy) reaches no
     # solve, and the stored constraints cannot be written
     g = np.eye(2, dtype=np.complex128)
-    p = DominationProblem(2, (g,))
+    p = DominationProblem((g,))
     g[0, 0] = 100.0
     assert solve_domination(p).value == pytest.approx(2.0, abs=1e-9)
     assert p.dim == 2 and p.constraints[0][0, 0] == 1.0
@@ -333,7 +335,7 @@ def test_unequal_components_are_one_block():
     # components {0, 1} and {2}
     assert _support_blocks(g[None]).tolist() == [[0, 1, 2]]
     # a repeated constraint commutes: the closed form, no Newton step
-    res = solve_domination(DominationProblem(3, (g, g)))
+    res = solve_domination(DominationProblem((g, g)))
     assert res.status is SolverStatus.OPTIMAL and res.iterations == 0
     assert res.lower_bound <= 3.0 <= res.value
     assert np.abs(res.optimizer - g).max() < 1e-3
@@ -341,14 +343,14 @@ def test_unequal_components_are_one_block():
     # a pair on the same support that does not commute: the pair closed form
     g2 = np.array([[2.0, 1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, 1.0]], complex)
     assert _support_blocks(np.stack([g, g2])).tolist() == [[0, 1, 2]]
-    res = solve_domination(DominationProblem(3, (g, g2)))
+    res = solve_domination(DominationProblem((g, g2)))
     assert res.status is SolverStatus.OPTIMAL and res.iterations == 0
     assert res.lower_bound <= res.value and res.gap <= 1e-9
     assert _dominates(res, (g, g2))
     # a non-commuting triple on that support runs the barrier over one block
     g3 = np.array([[0.5, -1.0j, 0.0], [1.0j, 2.0, 0.0], [0.0, 0.0, 1.5]], complex)
     assert _support_blocks(np.stack([g, g2, g3])).tolist() == [[0, 1, 2]]
-    res = solve_domination(DominationProblem(3, (g, g2, g3)))
+    res = solve_domination(DominationProblem((g, g2, g3)))
     assert res.status is SolverStatus.OPTIMAL and res.iterations > 0
     assert res.lower_bound <= res.value and res.gap <= DOMINATION_GAP_TOL
     assert _dominates(res, (g, g2, g3))
@@ -368,7 +370,7 @@ def test_off_block_noise_keeps_the_bracket(rng):
         noise[on_block] = 0.0
         noisy.append(g + noise)
     assert _support_blocks(np.stack(noisy)).shape == (d, d)
-    res = solve_domination(DominationProblem(d * d, tuple(noisy)))
+    res = solve_domination(DominationProblem(tuple(noisy)))
     expected = 1.0 + (d - 1) * float((ts ** 2).sum())
     assert res.status is SolverStatus.OPTIMAL
     assert res.lower_bound <= expected <= res.value
@@ -380,7 +382,7 @@ def test_off_block_noise_keeps_the_bracket(rng):
 def test_commuting_diagonal_pair():
     a = np.diag([3.0, 1.0]).astype(complex)
     b = np.diag([2.0, 2.0]).astype(complex)
-    res = solve_domination(DominationProblem(2, (a, b)))
+    res = solve_domination(DominationProblem((a, b)))
     assert abs(res.value - 5.0) < 1e-6
 
 
@@ -392,7 +394,7 @@ def test_commuting_random_pairs_match_eigen_max(rng):
         db = rng.uniform(0.0, 3.0, d)
         a = u @ np.diag(da) @ u.conj().T
         b = u @ np.diag(db) @ u.conj().T
-        res = solve_domination(DominationProblem(d, (a, b)))
+        res = solve_domination(DominationProblem((a, b)))
         # oracle: joint eigenbasis, largest eigenvalue per direction
         assert abs(res.value - np.maximum(da, db).sum()) < 1e-6
 
@@ -406,7 +408,7 @@ def test_mub_constraints_closed_form(rng):
                 g_matrix(make_depolarizing(d, t), e)
                 for t, e in zip(ts, fam)
             )
-            res = solve_domination(DominationProblem(d * d, cons))
+            res = solve_domination(DominationProblem(cons))
             expected = 1.0 + (d - 1) * float((ts ** 2).sum())
             assert abs(res.value - expected) < 1e-6
 
@@ -429,7 +431,7 @@ def test_dropped_norm_keeps_the_optimizer_feasible():
         g[1, 2] = g[2, 1] = 9e-8
     assert _support_blocks(np.stack([a, b, c])).tolist() == [[0, 1], [2, 3]]
     for cons, closed in (((a, b), True), ((a, b, c), False)):
-        res = solve_domination(DominationProblem(4, cons))
+        res = solve_domination(DominationProblem(cons))
         assert res.status is SolverStatus.OPTIMAL
         assert (res.iterations == 0) is closed
         assert res.lower_bound <= res.value and res.gap <= DOMINATION_GAP_TOL
@@ -452,7 +454,7 @@ def test_every_barrier_stage_is_read_like_the_closed_form(t):
     # gap_tol, which 1e-13 is below: the schedule ends MAX_ITERATIONS
     _, cons = _rot_triple(t)
     for gap_tol in (1e-12, 1e-13):
-        res = solve_domination(DominationProblem(4, cons), gap_tol=gap_tol)
+        res = solve_domination(DominationProblem(cons), gap_tol=gap_tol)
         assert res.iterations > 0 and res.gap >= 0.0 and _dominates(res, cons)
         assert res.status is not SolverStatus.NUMERICAL_FAILURE
         assert (res.status is SolverStatus.OPTIMAL) == (res.gap <= gap_tol)
@@ -469,10 +471,10 @@ def test_barrier_is_scale_free():
     # round-off
     for c in (1e-9, 1.0, 1e6, 1e12, 1e16):
         cons = tuple(c * (np.eye(2) + 0.5 * p) for p in _PAULI)
-        res = solve_domination(DominationProblem(2, cons), gap_tol=1e-6 * c)
+        res = solve_domination(DominationProblem(cons), gap_tol=1e-6 * c)
         assert res.status is SolverStatus.OPTIMAL and 0 < res.iterations <= 40
         assert abs(res.value / c - 2.8164966) < 1e-6 and _dominates(res, cons)
-    res = solve_domination(DominationProblem(2, cons), gap_tol=1e10)
+    res = solve_domination(DominationProblem(cons), gap_tol=1e10)
     assert res.status is SolverStatus.OPTIMAL
     assert abs(res.value / 1e16 - 2.8164966) < 1e-6
     # gap_tol stays absolute: the default 1e-6 is below the round-off of a
@@ -480,7 +482,7 @@ def test_barrier_is_scale_free():
     # the scaled blocks, so the barrier stops within a few stages
     for c in (1e15, 1e16, 1e100):
         cons = tuple(c * (np.eye(2) + 0.5 * p) for p in _PAULI)
-        res = solve_domination(DominationProblem(2, cons))
+        res = solve_domination(DominationProblem(cons))
         assert res.status is SolverStatus.MAX_ITERATIONS and res.iterations <= 40
         assert np.isfinite(res.lower_bound) and np.isfinite(res.value)
         assert res.lower_bound <= res.value and _dominates(res, cons)
@@ -510,7 +512,7 @@ def test_domination_returns_its_dual(kind):
         cons = _mub_constraints(2, (0.6, 0.7, 0.8))
     else:
         _, cons = _rot_triple(0.7)
-    res = solve_domination(DominationProblem(4, cons))
+    res = solve_domination(DominationProblem(cons))
     assert res.status is SolverStatus.OPTIMAL
     assert (res.iterations > 0) is (kind == "rotated-triple")
     index, y = res.dual
@@ -525,7 +527,7 @@ def test_domination_returns_its_dual(kind):
     # a power of two scales the constraints and the (absolute) gap tolerance
     # exactly: the same dual, bit for bit
     for k in (-7, 10, 40):
-        scaled = solve_domination(DominationProblem(4, tuple(2.0 ** k * g for g in cons)),
+        scaled = solve_domination(DominationProblem(tuple(2.0 ** k * g for g in cons)),
                                   gap_tol=2.0 ** k * DOMINATION_GAP_TOL)
         assert np.array_equal(scaled.dual[0], index) and np.array_equal(scaled.dual[1], y)
         assert scaled.value == 2.0 ** k * res.value
@@ -536,7 +538,7 @@ def test_domination_returns_its_dual(kind):
 def test_gap_tolerance_must_be_positive(gap_tol):
     bases, cons = _rot_triple(1.0)
     with pytest.raises(ValueError, match="gap_tol must be positive"):
-        solve_domination(DominationProblem(4, cons), gap_tol=gap_tol)
+        solve_domination(DominationProblem(cons), gap_tol=gap_tol)
     with pytest.raises(ValueError, match="gap_tol must be positive"):
         zhu_criterion_channels([make_identity(2)] * 3, bases, sdp_gap=gap_tol)
 
@@ -549,7 +551,7 @@ def test_dual_bound_brackets_closed_form(d, n):
     # the G_i commute, so the closed form decides with no Newton step
     ts = np.linspace(0.5, 0.9, n)
     cons = _mub_constraints(d, ts)
-    res = solve_domination(DominationProblem(d * d, cons))
+    res = solve_domination(DominationProblem(cons))
     expected = 1.0 + (d - 1) * float((ts ** 2).sum())
     assert res.status is SolverStatus.OPTIMAL and res.iterations == 0
     assert res.lower_bound <= expected <= res.value
@@ -564,7 +566,7 @@ def test_long_step_schedule_on_equal_random_blocks(rng):
     # Newton step
     cons = _random_blocks(rng, 11, 4, 4)
     assert _support_blocks(np.stack(cons)).shape == (11, 4)
-    res = solve_domination(DominationProblem(44, cons))
+    res = solve_domination(DominationProblem(cons))
     assert res.status is SolverStatus.OPTIMAL
     assert res.gap <= DOMINATION_GAP_TOL
     assert 0 < res.iterations <= 40
@@ -578,8 +580,6 @@ def _kappa_constraints(d, ts, u):
 
 def _schur_pair_constraints(b, c, s, t):
     # canonical / Fourier G-matrices of two noise-scaled Schur channels
-    from qincompat.region import mix_toward_depolarizing
-
     d = len(b)
     chans = [mix_toward_depolarizing(make_schur(m), w) for m, w in ((b, s), (c, t))]
     return tuple(
@@ -608,7 +608,7 @@ _B3 = np.array([[1.0, 0.3, 0.2j], [0.3, 1.0, 0.4], [-0.2j, 0.4, 1.0]])
 def test_commuting_constraints_are_closed_form(cons, exact):
     # MUB tuples: test_dual_bound_brackets_closed_form; a repeated
     # constraint: test_unequal_components_are_one_block
-    res = solve_domination(DominationProblem(len(cons[0]), cons))
+    res = solve_domination(DominationProblem(cons))
     assert res.status is SolverStatus.OPTIMAL and res.iterations == 0
     assert res.lower_bound <= exact <= res.value
     assert res.gap == res.value - res.lower_bound <= 1e-9
@@ -633,7 +633,7 @@ def test_pair_closed_form_needs_no_commutation(rng, d):
         for pair in _random_pairs(rng, d):
             a, b = pair
             assert np.abs(a @ b - b @ a).max() > 1e-6
-            res = solve_domination(DominationProblem(len(a), pair))
+            res = solve_domination(DominationProblem(pair))
             exact = _pair_optimum(a, b)
             assert res.status is SolverStatus.OPTIMAL and res.iterations == 0
             assert res.lower_bound <= exact <= res.value
@@ -646,8 +646,8 @@ def test_pair_closed_form_agrees_with_the_barrier(rng, d):
     # every G-matrix dominates omega, so adding it as a third constraint
     # keeps the optimum and makes the solver run the barrier
     pair = tuple(g_matrix(random_channel(rng, d), random_basis(rng, d)) for _ in range(2))
-    closed = solve_domination(DominationProblem(d * d, pair))
-    barrier = solve_domination(DominationProblem(d * d, pair + (omega(d),)))
+    closed = solve_domination(DominationProblem(pair))
+    barrier = solve_domination(DominationProblem(pair + (omega(d),)))
     assert closed.iterations == 0 and barrier.iterations > 0
     assert barrier.status is SolverStatus.OPTIMAL
     assert barrier.lower_bound <= closed.value and closed.lower_bound <= barrier.value
@@ -669,7 +669,7 @@ def test_non_commuting_perturbation_runs_the_barrier(rng):
     noise = [random_hermitian(rng, 25, scale=1e-7) for _ in ts]
     cons = tuple(g + p for g, p in zip(_mub_constraints(5, ts), noise))
     assert _support_blocks(np.stack(cons)).shape == (1, 25)
-    res = solve_domination(DominationProblem(25, cons))
+    res = solve_domination(DominationProblem(cons))
     assert res.status is SolverStatus.OPTIMAL and res.iterations > 0
     assert res.lower_bound <= res.value and res.gap <= DOMINATION_GAP_TOL
     moved = 25 * max(np.abs(np.linalg.eigvalsh(p)).max() for p in noise)
@@ -689,7 +689,7 @@ def test_long_step_schedule_on_a_dense_block(rng, minus_omega):
         for c in chans
     )
     assert _support_blocks(np.stack(cons)).shape == (1, 16)
-    res = solve_domination(DominationProblem(16, cons))
+    res = solve_domination(DominationProblem(cons))
     assert res.status is SolverStatus.OPTIMAL
     assert res.gap <= DOMINATION_GAP_TOL
     assert 0 < res.iterations <= 40
@@ -697,22 +697,22 @@ def test_long_step_schedule_on_a_dense_block(rng, minus_omega):
 
 def test_weak_duality(rng):
     cons = tuple(random_psd(rng, 4) for _ in range(3))
-    res = solve_domination(DominationProblem(4, cons))
+    res = solve_domination(DominationProblem(cons))
     for c in cons:
         assert res.value >= np.trace(c).real - 1e-6
 
 
 def test_feasibility_of_optimizer(rng):
     cons = tuple(random_psd(rng, 5) for _ in range(2))
-    res = solve_domination(DominationProblem(5, cons))
+    res = solve_domination(DominationProblem(cons))
     for c in cons:
         assert np.linalg.eigvalsh(res.optimizer - c)[0] >= -1e-7
 
 
 def test_monotone_in_constraints(rng):
     a, b, c = (random_psd(rng, 4) for _ in range(3))
-    two = solve_domination(DominationProblem(4, (a, b))).value
-    three = solve_domination(DominationProblem(4, (a, b, c))).value
+    two = solve_domination(DominationProblem((a, b))).value
+    three = solve_domination(DominationProblem((a, b, c))).value
     assert three >= two - 1e-9
 
 
@@ -723,16 +723,38 @@ def test_orthogonal_closed_form():
     cons = tuple(
         g_matrix(make_depolarizing(d, t), e) for t, e in zip(ts, fam)
     )
-    res = solve_domination(DominationProblem(d * d, cons))
+    res = solve_domination(DominationProblem(cons))
     expected = 1.0 - len(cons) + sum(np.trace(c).real for c in cons)
     assert abs(res.value - expected) < 1e-6
 
 
 def test_problem_validation():
     with pytest.raises(ValueError, match="at least one"):
-        DominationProblem(4, ())
+        DominationProblem(())
     with pytest.raises(ValueError, match="shape"):
-        DominationProblem(4, (np.eye(3),))
+        DominationProblem((np.eye(3), np.eye(4)))
+    # one matrix is not a stack of one: its rows are not matrices
+    with pytest.raises(ValueError, match="shape"):
+        DominationProblem(np.eye(4))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DominationProblem((np.eye(2), np.triu(np.ones((2, 2)))))
+    with pytest.raises(ValueError, match="non-finite"):
+        DominationProblem((np.eye(2), np.full((2, 2), np.nan)))
+    for d, n in ((2, 1), (3, 3)):
+        p = DominationProblem(_mub_constraints(d, (0.5, 0.6, 0.7)[:n]))
+        assert p.dim == d * d and p.constraints.shape == (n, d * d, d * d)
+        assert p.constraints.dtype == np.complex128 and not p.constraints.flags.writeable
+
+
+def test_problem_takes_a_stack_a_tuple_or_a_list():
+    # numpy refused the truth value of a stacked array of constraints
+    cons = (np.eye(4), np.diag([2.0, 0.0, 0.0, 0.0]))
+    results = [solve_domination(DominationProblem(c))
+               for c in (np.stack(cons), cons, list(cons))]
+    for res in results:
+        assert res.status is SolverStatus.OPTIMAL
+        assert (res.value, res.lower_bound) == (results[1].value, results[1].lower_bound)
+    assert results[1].value == pytest.approx(5.0, abs=1e-6)
 
 
 # --- joint channel oracle ----------------------------------------------------
@@ -884,12 +906,12 @@ def test_center_returns_the_newton_step_dual(monkeypatch, rng):
 
     monkeypatch.setattr(sdp, "_max_affine_min_eig", engine_with_problem)
     monkeypatch.setattr(sdp, "_center", checked_center)
-    solve_domination(DominationProblem(12, _random_blocks(rng, 3, 4, 3)))
+    solve_domination(DominationProblem(_random_blocks(rng, 3, 4, 3)))
     dense = tuple(
         g_matrix(random_channel(rng, 3), random_basis(rng, 3)) - omega(3)
         for _ in range(2)
     )
-    solve_domination(DominationProblem(9, dense))
+    solve_domination(DominationProblem(dense))
     # the Schur pair's Choi matrices are rank-deficient
     schur = [make_schur(np.array([[1.0, b], [b, 1.0]])) for b in (0.5, 0.3)]
     mode.append("lambda")
@@ -937,7 +959,6 @@ def test_budget_check_comes_before_any_array():
 def test_ray_radius_is_lambda_star_at_the_ray_end(case, rng):
     # from the origin J(0) = I / d^N, so the radius is r_max / (1 - d^N lambda*)
     # with lambda* of solve_joint_channel at the ray's end, r_max once it is >= 0
-    from qincompat.region import mix_toward_depolarizing
 
     def rank2_qubit_channel():  # a random isometry C^2 -> C^2 (x) C^2, non-unital
         kraus = random_unitary(rng, 4)[:, :2].reshape(2, 2, 2).transpose(1, 0, 2)
