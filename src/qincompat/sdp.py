@@ -133,9 +133,10 @@ class DominationProblem:
     constraints: np.ndarray
 
     def __post_init__(self):
-        if not len(self.constraints):
+        mats = [check_hermitian(c) for c in self.constraints]
+        if not mats:
             raise ValueError("at least one constraint is required")
-        stack = np.stack([check_hermitian(c) for c in self.constraints])
+        stack = np.stack(mats)
         stack.setflags(write=False)
         object.__setattr__(self, "constraints", stack)
 

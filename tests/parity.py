@@ -6,10 +6,10 @@ and the call's index in it::
 
     PARITY_OUT=a.pkl PYTHONPATH=src:tests python -m pytest -q -p parity --hypothesis-seed=0
 
-As a script it records the output of every benchmark task of the given
-seeds and rounds, or compares two recordings::
+As a script it records the output of every benchmark task of seeds
+``SEEDS``, rounds ``0 .. ROUNDS - 1``, or compares two recordings::
 
-    PYTHONPATH=src python tests/parity.py record b.pkl --seeds 1 2 3 --rounds 4
+    PYTHONPATH=src python tests/parity.py record b.pkl
     python tests/parity.py compare a.pkl b.pkl
 
 Run both from the root of each tree, with a copy of this file in a tree
@@ -33,6 +33,9 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+SEEDS = (1, 2, 3)
+ROUNDS = 4
 
 
 def canon(obj):
@@ -79,7 +82,13 @@ def drift(a, b) -> float:
 
 
 def _steps(record):
-    """(status, Newton steps) of a recorded solver result, None for other records."""
+    """(status, Newton steps) of a recorded solver result, None for other records.
+
+    An oracle record is ``(FeasibilityResult, z)``; its result is read.
+    """
+    head = record[:1] if isinstance(record, tuple) else ()
+    if head and isinstance(head[0], tuple) and head[0][:1] == ("FeasibilityResult",):
+        record = head[0]
     fields = dict(record[1:]) if isinstance(record, tuple) and record[:1] in (
         ("SdpResult",), ("FeasibilityResult",)) else None
     return None if fields is None else (fields["status"], fields["iterations"])
@@ -131,7 +140,7 @@ def pytest_unconfigure(config):
 # script
 # ---------------------------------------------------------------------------
 
-def record_workloads(seeds, rounds) -> dict:
+def record_workloads() -> dict:
     """Output of every task of both benchmark workloads, keyed (workload, seed, round, k)."""
     import qincompat as q
     import qincompat.cli  # noqa: F401  (tasks call q.cli.main)
@@ -143,8 +152,8 @@ def record_workloads(seeds, rounds) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for name, make in sorted(workloads.WORKLOADS.items()):
             workload = make(Path(tmp))
-            for seed in seeds:
-                for index in range(rounds):
+            for seed in SEEDS:
+                for index in range(ROUNDS):
                     for k, task in enumerate(workload.round_tasks(q, seed, index)):
                         out = task.run()
                         written = getattr(task.check, "keywords", {}).get("output")
@@ -178,15 +187,13 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     rec = sub.add_parser("record")
     rec.add_argument("out")
-    rec.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    rec.add_argument("--rounds", type=int, default=4)
     cmp = sub.add_parser("compare")
     cmp.add_argument("parent")
     cmp.add_argument("change")
     args = parser.parse_args(argv)
     if args.command == "record":
         with open(args.out, "wb") as fh:
-            pickle.dump(record_workloads(args.seeds, args.rounds), fh)
+            pickle.dump(record_workloads(), fh)
         return 0
     with open(args.parent, "rb") as a, open(args.change, "rb") as b:
         return compare(pickle.load(a), pickle.load(b))

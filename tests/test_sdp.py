@@ -746,11 +746,11 @@ def test_problem_validation():
         assert p.constraints.dtype == np.complex128 and not p.constraints.flags.writeable
 
 
-def test_problem_takes_a_stack_a_tuple_or_a_list():
+def test_problem_takes_any_iterable_of_constraints():
     # numpy refused the truth value of a stacked array of constraints
     cons = (np.eye(4), np.diag([2.0, 0.0, 0.0, 0.0]))
     results = [solve_domination(DominationProblem(c))
-               for c in (np.stack(cons), cons, list(cons))]
+               for c in (np.stack(cons), cons, list(cons), iter(cons))]
     for res in results:
         assert res.status is SolverStatus.OPTIMAL
         assert (res.value, res.lower_bound) == (results[1].value, results[1].lower_bound)
