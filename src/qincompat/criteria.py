@@ -74,8 +74,9 @@ def select_bases(d: int, count: int):
     return [pair[i % 2] for i in range(count)], [names[i % 2] for i in range(count)]
 
 
-def _criterion_verdict(d: int, gs, context: str, sdp_gap: float):
-    """Solve the criterion SDP and certify when its dual bound exceeds d."""
+def _criterion_verdict(gs, context: str, sdp_gap: float):
+    """Solve the criterion SDP over d^2 x d^2 G-matrices; certify when its dual bound exceeds d."""
+    d = math.isqrt(gs[0].shape[-1])
     result = solve_domination(DominationProblem(gs), gap_tol=sdp_gap)
     if result.status is not SolverStatus.OPTIMAL:
         return Verdict(
@@ -114,22 +115,20 @@ def zhu_criterion_channels(
         raise ValueError(
             f"got {len(channels)} channels but {len(bases)} bases"
         )
-    d = shared_dimension(channels)
+    shared_dimension(channels)
     if basis_labels is None:
         basis_labels = [f"basis-{i}" for i in range(len(bases))]
 
     gs = [g_matrix(c, e) for c, e in zip(channels, bases)]
-    return _criterion_verdict(
-        d, gs, f"bases: {', '.join(basis_labels)}", sdp_gap
-    )
+    return _criterion_verdict(gs, f"bases: {', '.join(basis_labels)}", sdp_gap)
 
 
 def zhu_criterion_povms(povms) -> Verdict:
     """Fisher-information incompatibility criterion for POVMs."""
     povms = list(povms)
-    d = shared_dimension(povms, "POVM")
+    shared_dimension(povms, "POVM")
     gs = [g_matrix_povm(p) for p in povms]
-    return _criterion_verdict(d, gs, f"{len(povms)} POVMs", DOMINATION_GAP_TOL)
+    return _criterion_verdict(gs, f"{len(povms)} POVMs", DOMINATION_GAP_TOL)
 
 
 def _schur_ellipse(s: float, t: float, beta_b: float, beta_c: float):

@@ -8,8 +8,10 @@ is already a complex128 matrix, so a caller that keeps the result copies
 it first.
 
 Vectorization is row-major: ``vec(m)[d*i + j] == m[i, j]``.  With this
-choice ``vec(|e><e|) == kron(e, conj(e))``, which the Fisher-geometry
-module relies on.
+choice ``vec(|e><e|) == kron(e, conj(e))`` and ``vec(I)`` is the
+unnormalized maximally entangled vector, which the channel module's Choi
+matrices rely on; G-matrices are written in Weyl coordinates instead
+(``qincompat.fisher``).
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ import numpy as np
 
 from .channels import VALIDATION_TOL, induced_effects, make_schur, shared_dimension
 from .criteria import _schur_ellipse, select_bases
-from .fisher import ZERO_EFFECT_TOL, _g_from_effects, beta
+from .fisher import ZERO_EFFECT_TOL, _g_from_effects, _weyl_coordinates, beta
 from .sdp import (
     DominationProblem,
     SolverStatus,
@@ -110,15 +110,16 @@ def _tangent_root(effects, dual, u, r: float) -> float:
 
     ``dual`` is that solve's (index, y), shifted and divided per block as in
     ``_dual_bound`` to Y^_i >= 0 with sum_i Y^_i <= I, so L(t) = sum_i <Y^_i,
-    G_i(t u_i)> <= v(t).  With x_k(s) = vec(I/d) + s vec(A_k - I/d) and
-    tau_k(s) = 1 + s (Tr A_k - 1) each term is sum_k x_k^+ Y^_i x_k / tau_k
-    (0 where tau_k <= ``ZERO_EFFECT_TOL``): L is convex, L(0) <= 1 < d, and
-    Newton's method from r falls to the root (r itself when L(r) <= d).
+    G_i(t u_i)> <= v(t).  With x_k(s) = w(I/d) + s w(A_k - I/d), w the Weyl
+    coordinates the G-matrices are written in, and tau_k(s) = 1 + s (Tr A_k
+    - 1) each term is sum_k x_k^+ Y^_i x_k / tau_k (0 where tau_k <=
+    ``ZERO_EFFECT_TOL``): L is convex, L(0) <= 1 < d, and Newton's method
+    from r falls to the root (r itself when L(r) <= d).
     """
     index, (y, lam), d = dual[0], _shifted_dual(dual[1]), effects.shape[-1]
     y = (y / lam[:, None, None, None]).swapaxes(0, 1)  # (N, blocks, b, b)
-    mixed = np.eye(d).reshape(-1) / d
-    dx = (effects.reshape(len(u), d, d * d) - mixed)[..., index] * u[:, None, None, None]
+    mixed = _weyl_coordinates(np.eye(d) / d)
+    dx = (_weyl_coordinates(effects) - mixed)[..., index] * u[:, None, None, None]
     x = np.stack(np.broadcast_arrays(mixed[index], dx))  # x_k(t u_i) = x[0] + t x[1]
     (q0, q1), (_, q2) = np.einsum("pijkb,ikbc,qijkc->pqij", x.conj(), y, x).real
     delta = (np.trace(effects, axis1=2, axis2=3).real - 1.0) * u[:, None]

@@ -6,12 +6,15 @@
     The index set is split into the connected components of the support of
     sum_i |G_i| (entries below 1e-13 of its largest count as zero).  Pinching
     a feasible H onto those blocks keeps it feasible and keeps Tr H, so when
-    every component has the same size b the solver runs over stacks of
-    shape (blocks, N, b, b); any other support is a single block of all
-    indices.  The dropped off-block parts E_i are added back as
-    dim * max_i ||E_i||_F, the trace of a shift that makes the assembled H
-    dominate every full G_i (||E||_F >= ||E||_2).  The blocks are scaled by
-    a power of two to max_i |lambda(G_i)| ~ 1, so no solve depends on scale.
+    the components have one size b, or pack into full bins of the largest
+    size b (``_support_blocks``), the solver runs over stacks of shape
+    (blocks, N, b, b); any other support is a single block of all indices.
+    In the Weyl coordinates of ``qincompat.fisher`` the G-matrices of
+    depolarizing tuples over unbiased bases are diagonal, d^2 blocks of 1.
+    The dropped off-block parts E_i are added back as dim * max_i ||E_i||_F,
+    the trace of a shift that makes the assembled H dominate every full G_i
+    (||E||_F >= ||E||_2).  The blocks are scaled by a power of two to max_i
+    |lambda(G_i)| ~ 1, so no solve depends on scale.
 
     Pairs have a closed form, commuting or not: H = G_2 + (G_1 - G_2)_+,
     Y_1 the projector onto the positive part of G_1 - G_2, Y_2 = I - Y_1
@@ -33,7 +36,10 @@
     Y_i are block-diagonal, so the bound is taken per block, and it is made
     safe from round-off: each Y_i is shifted by its round-off negative
     eigenvalue, the block's sum is divided by lambda_max(sum_i Y_i), and
-    the float error bound gamma_n sum_i |Y_i||G_i| is subtracted.  Every
+    the float error bound of the inner products is subtracted, and with it
+    the rounding of the G_i themselves, a relative gamma_n per entry (on a
+    1 x 1 block the bound is otherwise exact for G-matrices a few ulps off,
+    and would certify a single measurement; see ``_dual_bound``).  Every
     candidate H, the closed form and each stage's iterate, is read one
     way: each block is shifted by its measured max_i lambda_max(G_i - H)
     plus a round-off margin, and the reported gap is the distance from the
@@ -126,9 +132,12 @@ class Feasibility(Enum):
     MARGINAL = "marginal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DominationProblem:
-    """The program min Tr H s.t. H >= constraints[i], kept as one checked read-only stack."""
+    """The program min Tr H s.t. H >= constraints[i], kept as one checked read-only stack.
+
+    Equality and hash are by identity: an array field has no truth value.
+    """
 
     constraints: np.ndarray
 
@@ -299,10 +308,14 @@ def _adjoint(m):
 def _support_blocks(g_stack):
     """Index sets of the blocks the domination SDP splits into, shape (blocks, b).
 
-    The blocks are the connected components of the support of sum_i |G_i|,
-    with entries below ``_BLOCK_ZERO`` times its largest counted as zero,
-    each listed in ascending order and ordered by its smallest index.
-    Components of unequal size give one block of all indices.
+    The blocks are unions of the connected components of the support of
+    sum_i |G_i|, with entries below ``_BLOCK_ZERO`` times its largest
+    counted as zero, each listed in ascending order and ordered by its
+    smallest index.  Components of one size are the blocks.  Components of
+    unequal sizes are packed first-fit decreasing into bins of the largest
+    size (a Schur pair in the canonical and Fourier bases: d singletons and
+    d - 1 components of d); when every bin comes out full the bins are the
+    blocks, else there is one block of all indices.
     """
     mag = np.abs(g_stack).sum(axis=0)
     dim = mag.shape[0]
@@ -316,9 +329,23 @@ def _support_blocks(g_stack):
             break
         labels = nxt
     _, component, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    if sizes.min() != sizes.max():
+    order = np.argsort(component, kind="stable")
+    size = sizes.max()
+    if sizes.min() == size:
+        return order.reshape(len(sizes), -1)
+    members = np.split(order, np.cumsum(sizes)[:-1])
+    bins, room = [], []
+    for k in np.argsort(-sizes, kind="stable"):
+        fit = next((i for i, r in enumerate(room) if r >= sizes[k]), len(bins))
+        if fit == len(bins):
+            bins.append([])
+            room.append(size)
+        bins[fit].append(members[k])
+        room[fit] -= sizes[k]
+    if any(room):
         return np.arange(dim)[None, :]
-    return np.argsort(component, kind="stable").reshape(len(sizes), -1)
+    blocks = np.sort([np.concatenate(b) for b in bins], axis=1)
+    return blocks[np.argsort(blocks[:, 0])]
 
 
 def solve_domination(
@@ -442,18 +469,25 @@ def _dual_bound(y, g_blocks, floor):
     Per block k, H_kk >= G_i,kk >= c_k I with ``floor[k]`` = c_k =
     max_i lambda_min(G_i,kk), so for PSD Y_i with sum_i Y_i <= lambda_k I,
     Tr H_kk >= c_k b + sum_i <Y_i, G_i,kk - c_k I> / lambda_k.  Each Y_i is
-    first shifted by its round-off negative eigenvalue, and the float error
-    of the inner products, at most gamma_n sum |Y_i||G_i - c_k I| with
-    gamma_n = n eps / (1 - n eps), is subtracted; n counts the real
-    products of all blocks, more than any one block's sum takes.
+    first shifted by its round-off negative eigenvalue.  With gamma_n = n
+    eps / (1 - n eps), n the real products of all blocks (more than any one
+    block's sum takes), the float error of the inner products, at most
+    gamma_n sum |Y_i||G_i - c_k I|, is subtracted, and so is the rounding
+    of the constraints themselves, taken as a relative error gamma_n |G_i|
+    per entry, which covers the few ulps a d-point transform leaves on a
+    G-matrix: gamma_n sum |Y_i||G_i| off the inner products and gamma_n b
+    |c_k| off b c_k.  On a 1 x 1 block G_i - c_k I is exactly 0, so without
+    that term a G-matrix a few ulps above its exact value certifies a
+    single measurement.
     """
     y, lam = _shifted_dual(y)
     b = y.shape[-1]
     g = g_blocks - floor[:, None, None, None] * np.eye(b)
     n_eps = 2 * g.size * np.finfo(float).eps
-    err = n_eps / (1.0 - n_eps) * np.einsum("kiab,kiba->k", np.abs(y), np.abs(g))
+    gamma = n_eps / (1.0 - n_eps)
+    err = gamma * np.einsum("kiab,kiba->k", np.abs(y), np.abs(g) + np.abs(g_blocks))
     inner = np.einsum("kiab,kiba->k", y, g).real
-    return float(((inner - err) / lam).sum() + b * floor.sum())
+    return float(((inner - err) / lam).sum() + b * (floor - gamma * np.abs(floor)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +635,13 @@ def _marginal_family(factor_bases, targets):
 # joint channel oracle
 # ---------------------------------------------------------------------------
 
-def _joint_channel_family(d: int, targets):
-    """``_marginal_family`` of a d -> d^N joint Choi matrix: factor 0 is the input."""
-    n = len(targets) + 1
-    return _marginal_family([_hermitian_basis(d)] * n, targets)
+def _joint_channel_family(targets):
+    """``_marginal_family`` of a d -> d^N joint Choi matrix: factor 0 is the input.
+
+    ``targets`` are the N marginal Choi matrices, (..., d^2, d^2) each.
+    """
+    d = math.isqrt(targets[0].shape[-1])
+    return _marginal_family([_hermitian_basis(d)] * (len(targets) + 1), targets)
 
 
 def solve_joint_channel(channels) -> FeasibilityResult:
@@ -621,8 +658,8 @@ def solve_joint_channel(channels) -> FeasibilityResult:
     with N >= 3, d >= 5) are refused with an ``OracleBudgetError``.
     """
     channels = list(channels)
-    d = shared_dimension(channels)
-    return _max_affine_min_eig(*_joint_channel_family(d, [c.choi for c in channels]))[0]
+    shared_dimension(channels)
+    return _max_affine_min_eig(*_joint_channel_family([c.choi for c in channels]))[0]
 
 
 def _joint_channel_radius(channels, u, r_max: float):
@@ -643,7 +680,7 @@ def _joint_channel_radius(channels, u, r_max: float):
     d, n = shared_dimension(channels), len(channels)
     delta = np.eye(d * d) / d
     points = np.vstack([r_max * np.asarray(u, dtype=float), np.eye(n)])
-    coeffs, strings = _joint_channel_family(d, [
+    coeffs, strings = _joint_channel_family([
         delta + np.multiply.outer(points[:, i], c.choi - delta)
         for i, c in enumerate(channels)
     ])

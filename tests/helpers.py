@@ -1,4 +1,5 @@
-"""Random objects, noise scaling, a solver fault and a reference root finder shared by the tests."""
+"""Random objects, noise scaling, a solver fault, the Weyl change of coordinates
+and a reference root finder shared by the tests."""
 
 import numpy as np
 
@@ -18,6 +19,27 @@ def fail_cholesky_after_first_call(monkeypatch):
         return _inv_chol(s) if len(calls) == 1 else None
 
     monkeypatch.setattr(sdp, "_inv_chol", first_call_only)
+
+
+def weyl_unitary(d):
+    """Unitary U with U vec(A) the Weyl coordinates of A, built from explicit X^a Z^b.
+
+    Row a d + b is conj(vec(X^a Z^b)) / sqrt(d), X|j> = |j + 1 mod d>, Z|j> =
+    exp(2 pi i j / d)|j>, vec row-major: tr(W^+ A) = conj(vec(W)) . vec(A).
+    A G-matrix G_vec in vec coordinates is U G_vec U^+ in Weyl coordinates.
+    """
+    x = np.roll(np.eye(d), 1, axis=0)
+    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    return np.array([
+        (np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)).reshape(-1).conj()
+        for a in range(d) for b in range(d)
+    ]) / np.sqrt(d)
+
+
+def to_vec_coordinates(g):
+    """A Weyl-coordinate G-matrix written in row-major vec coordinates, U^+ G U."""
+    u = weyl_unitary(int(round(np.sqrt(g.shape[-1]))))
+    return u.conj().T @ g @ u
 
 
 def random_hermitian(rng, d, scale=1.0):

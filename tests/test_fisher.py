@@ -22,22 +22,43 @@ from qincompat import (
 )
 from qincompat import Povm
 from qincompat.linalg import partial_trace
-from helpers import random_basis, random_channel, random_povm, random_schur_matrix
+from qincompat.fisher import _weyl_coordinates
+from helpers import (
+    random_basis,
+    random_channel,
+    random_povm,
+    random_schur_matrix,
+    to_vec_coordinates,
+    weyl_unitary,
+)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 11])
+def test_weyl_coordinates_match_explicit_expansion(rng, d):
+    u = weyl_unitary(d)
+    # the X^a Z^b / sqrt(d) are orthonormal, member 0 is I / sqrt(d)
+    assert np.abs(u @ u.conj().T - np.eye(d * d)).max() < 1e-12
+    assert np.abs(_weyl_coordinates(np.eye(d)) - np.sqrt(d) * np.eye(d * d)[0]).max() < 1e-14
+    a = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+    assert np.abs(_weyl_coordinates(a) - a.reshape(3, -1) @ u.T).max() < 1e-13
 
 
 def test_omega_entries():
-    w = omega(2)
+    # the vec-basis reference (1/2)(|00> + |11>)(<00| + <11|) in Weyl coordinates
     expected = np.zeros((4, 4))
     for i, j in [(0, 0), (0, 3), (3, 0), (3, 3)]:
         expected[i, j] = 0.5
-    assert np.abs(w - expected).max() < 1e-14
+    u = weyl_unitary(2)
+    assert np.abs(omega(2) - u @ expected @ u.conj().T).max() < 1e-14
+    # the projector onto coordinate 0, I / sqrt(d)
+    assert omega(2)[0, 0] == 1.0 and np.count_nonzero(omega(2)) == 1
 
 
 def test_omega_trace_and_marginal():
     for d in range(2, 8):
         w = omega(d)
         assert abs(np.trace(w) - 1.0) < 1e-12
-        marg = partial_trace(w, [d, d], {0})
+        marg = partial_trace(to_vec_coordinates(w), [d, d], {0})
         assert np.abs(marg - np.eye(d) / d).max() < 1e-12
 
 
@@ -48,7 +69,8 @@ def test_omega_is_projector():
 
 def test_z_matrix_canonical():
     z = z_matrix(canonical_basis(2))
-    assert np.abs(z - np.diag([1.0, 0.0, 0.0, 1.0])).max() < 1e-14
+    u = weyl_unitary(2)
+    assert np.abs(z - u @ np.diag([1.0, 0.0, 0.0, 1.0]) @ u.conj().T).max() < 1e-14
 
 
 def test_z_matrix_is_rank_d_projector(rng):
@@ -178,16 +200,21 @@ def _replacement_channel(d):
 
 
 def test_g_matrix_matches_per_vector_reference(rng):
+    # the reference is written in vec coordinates, G-matrices in Weyl ones
     for d in (2, 3, 5):
+        u = weyl_unitary(d)
         for _ in range(5):
             c, e = random_channel(rng, d), random_basis(rng, d)
-            assert np.abs(g_matrix(c, e) - _reference_g_matrix(c, e)).max() < 1e-12
+            expected = u @ _reference_g_matrix(c, e) @ u.conj().T
+            assert np.abs(g_matrix(c, e) - expected).max() < 1e-12
     for d in (2, 3):
+        u = weyl_unitary(d)
         c = _replacement_channel(d)
         # the |1>, ..., |d-1> effects have zero trace and are skipped
         assert np.abs(adjoint_apply(c, np.diag(np.eye(d)[1]))).max() == 0.0
         g = g_matrix(c, canonical_basis(d))
-        assert np.abs(g - _reference_g_matrix(c, canonical_basis(d))).max() < 1e-12
+        expected = u @ _reference_g_matrix(c, canonical_basis(d)) @ u.conj().T
+        assert np.abs(g - expected).max() < 1e-12
         assert np.abs(g - omega(d)).max() < 1e-12
 
 

@@ -18,6 +18,7 @@ from qincompat import (
     mub_family,
     omega,
     schur_pair_criterion,
+    select_bases,
     z_matrix,
     zhu_criterion_channels,
     zhu_criterion_povms,
@@ -49,7 +50,9 @@ from helpers import (
     random_hermitian,
     random_povm,
     random_psd,
+    random_schur_matrix,
     random_unitary,
+    to_vec_coordinates,
 )
 
 
@@ -283,15 +286,17 @@ def _difference_classes(blocks, d):
 
 
 def test_support_blocks_follow_difference_classes(rng):
-    blocks = _support_blocks(np.stack(_mub_constraints(5, (0.5, 0.7, 0.9))))
+    # in row-major vec coordinates the unbiased tuples split by a - b mod d
+    cons = [to_vec_coordinates(g) for g in _mub_constraints(5, (0.5, 0.7, 0.9))]
+    blocks = _support_blocks(np.stack(cons))
     assert blocks.shape == (5, 5)
     classes = _difference_classes(blocks, 5)
     assert (classes == classes[:, :1]).all()
     assert sorted(blocks.ravel()) == list(range(25))
 
     pair = (
-        g_matrix(make_depolarizing(4, 0.7), canonical_basis(4)),
-        g_matrix(make_depolarizing(4, 0.8), fourier_basis(4)),
+        to_vec_coordinates(g_matrix(make_depolarizing(4, 0.7), canonical_basis(4))),
+        to_vec_coordinates(g_matrix(make_depolarizing(4, 0.8), fourier_basis(4))),
     )
     blocks = _support_blocks(np.stack(pair))
     assert blocks.shape == (4, 4)
@@ -302,6 +307,52 @@ def test_support_blocks_follow_difference_classes(rng):
         gs = [g_matrix(random_channel(rng, d), random_basis(rng, d))
               for _ in range(2)]
         assert _support_blocks(np.stack(gs)).shape == (1, d * d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 11])
+def test_unbiased_tuples_split_into_singletons(d):
+    # every select_bases basis is a Weyl eigenbasis: the G-matrices are
+    # diagonal in Weyl coordinates, d^2 blocks of 1 (d = 4: canonical, Fourier)
+    bases, _ = select_bases(d, d + 1 if d != 4 else 2)
+    ts = np.linspace(0.4, 0.9, len(bases))
+    gs = [g_matrix(make_depolarizing(d, t), e) for t, e in zip(ts, bases)]
+    assert _support_blocks(np.stack(gs)).tolist() == [[k] for k in range(d * d)]
+    res = solve_domination(DominationProblem(gs))
+    assert res.status is SolverStatus.OPTIMAL and res.iterations == 0
+    assert res.lower_bound <= 1.0 + (d - 1) * float((ts ** 2).sum()) <= res.value
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_schur_pairs_pack_into_d_blocks(rng, d):
+    # canonical: d singletons on the class a = 0; Fourier: d - 1 blocks of d
+    # on the classes a > 0.  First-fit decreasing packs them into d full blocks
+    chans = [mix_toward_depolarizing(make_schur(random_schur_matrix(rng, d)), s)
+             for s in (0.7, 0.9)]
+    gs = [g_matrix(c, e) for c, e in zip(chans, (canonical_basis(d), fourier_basis(d)))]
+    blocks = _support_blocks(np.stack(gs))
+    assert blocks.shape == (d, d) and blocks[0].tolist() == list(range(d))
+    assert sorted(blocks.ravel()) == list(range(d * d))
+    res = solve_domination(DominationProblem(gs))
+    ref = solve_domination(DominationProblem([to_vec_coordinates(g) for g in gs]))
+    assert res.status is ref.status is SolverStatus.OPTIMAL
+    assert max(res.lower_bound, ref.lower_bound) <= min(res.value, ref.value)
+    # components that do not fill their bins stay one block (sizes 2, 1 in 3,
+    # see test_unequal_components_are_one_block); sizes 2, 1, 1 fill two
+    g = np.kron(np.eye(2), np.ones((2, 2)))
+    g[2, 3] = g[3, 2] = 0.0
+    assert _support_blocks(g[None].astype(complex)).tolist() == [[0, 1], [2, 3]]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_weyl_and_vec_coordinates_give_one_value(rng, d):
+    # a change of orthonormal coordinates keeps the optimum: both certified
+    # brackets hold it, on random channels and bases (one dense block)
+    for n in (1, 2, 3):
+        gs = [g_matrix(random_channel(rng, d), random_basis(rng, d)) for _ in range(n)]
+        res = solve_domination(DominationProblem(gs))
+        ref = solve_domination(DominationProblem([to_vec_coordinates(g) for g in gs]))
+        assert res.status is ref.status is SolverStatus.OPTIMAL
+        assert max(res.lower_bound, ref.lower_bound) <= min(res.value, ref.value)
 
 
 def test_single_constraint_is_tight():
@@ -328,6 +379,13 @@ def test_problem_keeps_read_only_copies():
     assert p.dim == 2 and p.constraints[0][0, 0] == 1.0
     with pytest.raises(ValueError, match="read-only"):
         p.constraints[0][0, 0] = 100.0
+
+
+def test_problem_compares_by_identity():
+    # an ndarray field has no truth value: equality and hash are by identity
+    p = DominationProblem((np.eye(2),))
+    assert p == p and p != DominationProblem((np.eye(2),))
+    assert hash(p) == hash(p) and len({p, p}) == 1
 
 
 def test_unequal_components_are_one_block():
@@ -359,8 +417,9 @@ def test_unequal_components_are_one_block():
 def test_off_block_noise_keeps_the_bracket(rng):
     # noise below the split threshold, placed only off the d blocks, is
     # dropped from the solve and added back to the value
+    # vec coordinates, where the unbiased tuple splits into d blocks of d
     d, ts = 5, np.array([0.5, 0.7, 0.9])
-    cons = _mub_constraints(d, ts)
+    cons = [to_vec_coordinates(g) for g in _mub_constraints(d, ts)]
     blocks = _support_blocks(np.stack(cons))
     on_block = np.zeros((d * d, d * d), dtype=bool)
     on_block[blocks[:, :, None], blocks[:, None, :]] = True
