@@ -6,12 +6,13 @@
     The index set is split into the connected components of the support of
     sum_i |G_i| (entries below 1e-13 of its largest count as zero).  Pinching
     a feasible H onto those blocks keeps it feasible and keeps Tr H, so when
-    the components have one size b, or pack into full bins of the largest
-    size b (``_support_blocks``), the solver runs over stacks of shape
+    the components have one size b, or cut into blocks of the largest size
+    b (``_support_blocks``), the solver runs over stacks of shape
     (blocks, N, b, b); any other support is a single block of all indices.
     In the Weyl coordinates of ``qincompat.fisher`` the G-matrices of
-    depolarizing tuples over unbiased bases are diagonal, d^2 blocks of 1.
-    The dropped off-block parts E_i are added back as dim * max_i ||E_i||_F,
+    depolarizing tuples over unbiased bases are diagonal, d^2 blocks of 1,
+    and a canonical/Fourier Schur pair is d blocks of d.  The
+    dropped off-block parts E_i are added back as dim * max_i ||E_i||_F,
     the trace of a shift that makes the assembled H dominate every full G_i
     (||E||_F >= ||E||_2).  The blocks are scaled by a power of two to max_i
     |lambda(G_i)| ~ 1, so no solve depends on scale.
@@ -312,10 +313,10 @@ def _support_blocks(g_stack):
     sum_i |G_i|, with entries below ``_BLOCK_ZERO`` times its largest
     counted as zero, each listed in ascending order and ordered by its
     smallest index.  Components of one size are the blocks.  Components of
-    unequal sizes are packed first-fit decreasing into bins of the largest
-    size (a Schur pair in the canonical and Fourier bases: d singletons and
-    d - 1 components of d); when every bin comes out full the bins are the
-    blocks, else there is one block of all indices.
+    unequal sizes, taken largest first, are cut into blocks of the largest
+    size when every cut falls between two components (a Schur pair in the
+    canonical and Fourier bases: d - 1 components of d, then d singletons);
+    else there is one block of all indices.
     """
     mag = np.abs(g_stack).sum(axis=0)
     dim = mag.shape[0]
@@ -329,22 +330,13 @@ def _support_blocks(g_stack):
             break
         labels = nxt
     _, component, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    order = np.argsort(component, kind="stable")
     size = sizes.max()
     if sizes.min() == size:
-        return order.reshape(len(sizes), -1)
-    members = np.split(order, np.cumsum(sizes)[:-1])
-    bins, room = [], []
-    for k in np.argsort(-sizes, kind="stable"):
-        fit = next((i for i, r in enumerate(room) if r >= sizes[k]), len(bins))
-        if fit == len(bins):
-            bins.append([])
-            room.append(size)
-        bins[fit].append(members[k])
-        room[fit] -= sizes[k]
-    if any(room):
+        return np.argsort(component, kind="stable").reshape(len(sizes), -1)
+    # largest components first, a cut every `size` indices, none inside one
+    if np.count_nonzero(np.cumsum(np.sort(sizes)[::-1]) % size == 0) * size != dim:
         return np.arange(dim)[None, :]
-    blocks = np.sort([np.concatenate(b) for b in bins], axis=1)
+    blocks = np.sort(np.lexsort((component, -sizes[component])).reshape(-1, size), axis=1)
     return blocks[np.argsort(blocks[:, 0])]
 
 
@@ -355,8 +347,9 @@ def solve_domination(
 ) -> SdpResult:
     """Minimize Tr H over H dominating every constraint in the PSD order.
 
-    The index set splits into the blocks of ``_support_blocks``: equal-size
-    connected components of the support of sum_i |G_i|, else one block.
+    The index set splits into the blocks of ``_support_blocks``: the
+    connected components of the support of sum_i |G_i|, when they have one
+    size or cut into blocks of the largest, else one block.
     They are solved divided by 2^round(log2 max_i |lambda(G_i)|), which is
     exact and 1 for a G-matrix, and the results multiplied back (``gap_tol``
     stays absolute).  The closed form (``_closed_form``, exact for a pair

@@ -323,9 +323,9 @@ def test_unbiased_tuples_split_into_singletons(d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
-def test_schur_pairs_pack_into_d_blocks(rng, d):
+def test_schur_pairs_cut_into_d_blocks(rng, d):
     # canonical: d singletons on the class a = 0; Fourier: d - 1 blocks of d
-    # on the classes a > 0.  First-fit decreasing packs them into d full blocks
+    # on the classes a > 0.  Largest first, they cut into d full blocks
     chans = [mix_toward_depolarizing(make_schur(random_schur_matrix(rng, d)), s)
              for s in (0.7, 0.9)]
     gs = [g_matrix(c, e) for c, e in zip(chans, (canonical_basis(d), fourier_basis(d)))]
@@ -336,11 +336,16 @@ def test_schur_pairs_pack_into_d_blocks(rng, d):
     ref = solve_domination(DominationProblem([to_vec_coordinates(g) for g in gs]))
     assert res.status is ref.status is SolverStatus.OPTIMAL
     assert max(res.lower_bound, ref.lower_bound) <= min(res.value, ref.value)
-    # components that do not fill their bins stay one block (sizes 2, 1 in 3,
-    # see test_unequal_components_are_one_block); sizes 2, 1, 1 fill two
+    # sizes 2, 1 in 3 fill no second block of 2: one block (see
+    # test_unequal_components_are_one_block); sizes 2, 1, 1 cut into two
     g = np.kron(np.eye(2), np.ones((2, 2)))
     g[2, 3] = g[3, 2] = 0.0
     assert _support_blocks(g[None].astype(complex)).tolist() == [[0, 1], [2, 3]]
+    # sizes 2, 1, 2, 1 (components {0, 1}, {2}, {3, 5}, {4}): largest first,
+    # the two pairs, then the singletons as one block
+    g = np.eye(6, dtype=complex)
+    g[0, 1] = g[1, 0] = g[3, 5] = g[5, 3] = 1.0
+    assert _support_blocks(g[None]).tolist() == [[0, 1], [2, 4], [3, 5]]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -357,7 +362,8 @@ def test_weyl_and_vec_coordinates_give_one_value(rng, d):
 
 def test_single_constraint_is_tight():
     g = z_matrix(canonical_basis(2))
-    # Z = |00><00| + |11><11| is diagonal: four blocks of size 1
+    # in Weyl coordinates Z = diag(1, 1, 0, 0), the projector onto the span
+    # of I and Z (the class a = 0): four blocks of size 1
     assert _support_blocks(g[None]).tolist() == [[0], [1], [2], [3]]
     res = solve_domination(DominationProblem((g,)))
     assert res.status is SolverStatus.OPTIMAL
